@@ -15,6 +15,7 @@ tolerances anywhere.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -43,6 +44,8 @@ from .models import (
     ScalarFreeSpec,
     TensorContext,
     TensorModel,
+    WordContext,
+    centered,
     draw_fraction,
     free_moment,
 )
@@ -115,13 +118,36 @@ class _Suite:
 
     def report(self) -> CheckReport:
         status = "pass" if self.witness is None else "fail"
-        if self.only is not None and self.cases == 0:
+        if self.cases == 0:
             status = "fail"
-            self.witness = {"instance": self.only, "error": "instance not found"}
+            if self.only is not None:
+                self.witness = {"instance": self.only, "error": "instance not found"}
+            else:
+                self.witness = {"error": "no cases: the bounds admit no instance"}
         return CheckReport(
             self.identity, status, self.params, self.cases, self.witness,
             time.perf_counter() - self._t0,
         )
+
+
+def _given(value, default):
+    return value if value is not None else default
+
+
+def _params(params: dict | None, seed, max_order, seeds: int, **bounds) -> tuple[dict, bool]:
+    """The recorded ``params`` of a replay, or fresh ones: ``bounds``, the
+    order capacity, and ``seeds`` consecutive seeds from the base seed
+    (the base seed alone, as ``seed``, when ``seeds`` is 0).  The flag
+    says whether the params are fresh, so model data must be drawn."""
+    if params is not None:
+        return params, False
+    base = _given(seed, DEFAULT_SEED)
+    params = dict(bounds, max_order=_given(max_order, DEFAULT_MAX_ORDER))
+    if seeds:
+        params["seeds"] = [base + k for k in range(seeds)]
+    else:
+        params["seed"] = base
+    return params, True
 
 
 def _catalan(n: int) -> int:
@@ -293,16 +319,8 @@ def check_moment_cumulant(n=None, dimension=None, seed=None, max_order=None,
                           spec_data=None, params=None, only_instance=None) -> CheckReport:
     """Moment-cumulant inversion: phi_sigma equals the sum of partitioned
     cumulants below sigma, for every noncrossing sigma."""
-    fresh = params is None
-    if fresh:
-        base = seed if seed is not None else DEFAULT_SEED
-        params = {
-            "n_max": n if n is not None else 5,
-            "dimension": dimension if dimension is not None else DEFAULT_DIMENSION,
-            "max_order": max_order if max_order is not None else DEFAULT_MAX_ORDER,
-            "generator_count": 3,
-            "seeds": [base + k for k in range(5)],
-        }
+    params, fresh = _params(params, seed, max_order, 5, n_max=_given(n, 5),
+                            dimension=_given(dimension, DEFAULT_DIMENSION), generator_count=3)
     suite = _Suite("moment-cumulant", params, only_instance)
     for s, model, words in _matrix_bundles(params, fresh, spec_data):
         ctx = MatrixContext(model)
@@ -313,13 +331,12 @@ def check_moment_cumulant(n=None, dimension=None, seed=None, max_order=None,
                 key = {"seed": s, "n": m, "sigma": str(sigma)}
                 if not suite.wants(key):
                     continue
-                total = None
-                for pi in _below(sigma, LatticeKind.NONCROSSING):
+                below = _below(sigma, LatticeKind.NONCROSSING)
+                for pi in below:
                     if pi not in table:
                         table[pi] = free_cumulant(ctx, pi, args, Level.PSI)
-                    total = table[pi] if total is None else ctx.add(total, table[pi])
-                suite.record(key, phi_partitioned(ctx, sigma, args, Level.PSI), total,
-                             render=ctx.describe)
+                suite.record(key, phi_partitioned(ctx, sigma, args, Level.PSI),
+                             ctx.sum(table[pi] for pi in below), render=ctx.describe)
     return suite.report()
 
 
@@ -328,16 +345,8 @@ def check_total_cumulance(n=None, dimension=None, seed=None, max_order=None,
     """The law of total cumulance on the noncrossing lattice, with its two
     supporting identities: the generalized moment-cumulant formula and the
     Moebius consistency of the nested functionals."""
-    fresh = params is None
-    if fresh:
-        base = seed if seed is not None else DEFAULT_SEED
-        params = {
-            "n_max": n if n is not None else 4,
-            "dimension": dimension if dimension is not None else DEFAULT_DIMENSION,
-            "max_order": max_order if max_order is not None else DEFAULT_MAX_ORDER,
-            "generator_count": 3,
-            "seeds": [base + k for k in range(5)],
-        }
+    params, fresh = _params(params, seed, max_order, 5, n_max=_given(n, 4),
+                            dimension=_given(dimension, DEFAULT_DIMENSION), generator_count=3)
     suite = _Suite("total-cumulance", params, only_instance)
     for s, model, words in _matrix_bundles(params, fresh, spec_data):
         ctx = MatrixContext(model)
@@ -346,29 +355,23 @@ def check_total_cumulance(n=None, dimension=None, seed=None, max_order=None,
             top = Partition.full(m)
             key = {"part": "total-cumulance", "seed": s, "n": m}
             if suite.wants(key):
-                total = None
-                for sigma in _nc(m):
-                    t = nested_cumulant(ctx, NestedPair(sigma, top), args)
-                    total = t if total is None else ctx.add(total, t)
+                total = ctx.sum(nested_cumulant(ctx, NestedPair(sigma, top), args)
+                                for sigma in _nc(m))
                 suite.record(key, free_cumulant(ctx, top, args, Level.PHI), total,
                              render=ctx.describe)
             for sigma in _nc(m):
                 key = {"part": "generalized-mc", "seed": s, "n": m, "sigma": str(sigma)}
                 if suite.wants(key):
-                    total = None
-                    for pi in _below(sigma, LatticeKind.NONCROSSING):
-                        t = nested_semicumulant(ctx, NestedPair(pi, sigma), args)
-                        total = t if total is None else ctx.add(total, t)
+                    total = ctx.sum(nested_semicumulant(ctx, NestedPair(pi, sigma), args)
+                                    for pi in _below(sigma, LatticeKind.NONCROSSING))
                     suite.record(key, phi_partitioned(ctx, sigma, args, Level.PHI), total,
                                  render=ctx.describe)
                 for pi in _below(sigma, LatticeKind.NONCROSSING):
                     key = {"part": "moebius-consistency", "seed": s, "n": m,
                            "pi": str(pi), "sigma": str(sigma)}
                     if suite.wants(key):
-                        total = None
-                        for rho in interval_list(pi, sigma, LatticeKind.NONCROSSING):
-                            t = nested_cumulant(ctx, NestedPair(pi, rho), args)
-                            total = t if total is None else ctx.add(total, t)
+                        total = ctx.sum(nested_cumulant(ctx, NestedPair(pi, rho), args)
+                                        for rho in interval_list(pi, sigma, LatticeKind.NONCROSSING))
                         suite.record(key, nested_semicumulant(ctx, NestedPair(pi, sigma), args),
                                      total, render=ctx.describe)
     return suite.report()
@@ -378,17 +381,8 @@ def check_partial_cumulants(n=None, dimension=None, seed=None, max_order=None,
                             spec_data=None, params=None, only_instance=None) -> CheckReport:
     """Join formula for partial cumulants, their boundary collapses, and
     the interval-base reduction to a quotient cumulant of block products."""
-    fresh = params is None
-    if fresh:
-        base = seed if seed is not None else DEFAULT_SEED
-        params = {
-            "n_max": n if n is not None else 5,
-            "interval_base_max": 4,
-            "dimension": dimension if dimension is not None else DEFAULT_DIMENSION,
-            "max_order": max_order if max_order is not None else DEFAULT_MAX_ORDER,
-            "generator_count": 3,
-            "seeds": [base],
-        }
+    params, fresh = _params(params, seed, max_order, 1, n_max=_given(n, 5), interval_base_max=4,
+                            dimension=_given(dimension, DEFAULT_DIMENSION), generator_count=3)
     suite = _Suite("partial-cumulants", params, only_instance)
     for s, model, words in _matrix_bundles(params, fresh, spec_data):
         ctx = MatrixContext(model)
@@ -401,15 +395,13 @@ def check_partial_cumulants(n=None, dimension=None, seed=None, max_order=None,
                     key = {"part": "join-formula", "seed": s, "n": m,
                            "rho": str(rho), "sigma": str(sigma)}
                     if suite.wants(key):
-                        total = None
-                        for tau in everything:
-                            if join(tau, rho, LatticeKind.NONCROSSING) != sigma:
-                                continue
+                        joined = [tau for tau in everything
+                                  if join(tau, rho, LatticeKind.NONCROSSING) == sigma]
+                        for tau in joined:
                             if tau not in table:
                                 table[tau] = free_cumulant(ctx, tau, args, Level.PSI)
-                            total = table[tau] if total is None else ctx.add(total, table[tau])
                         suite.record(key, partial_cumulant(ctx, rho, sigma, args, Level.PSI),
-                                     total, render=ctx.describe)
+                                     ctx.sum(table[tau] for tau in joined), render=ctx.describe)
                 bottom_key = {"part": "base-collapse", "seed": s, "n": m, "sigma": str(sigma)}
                 if suite.wants(bottom_key):
                     lhs = partial_cumulant(ctx, Partition.discrete(m), sigma, args, Level.PSI)
@@ -439,16 +431,8 @@ def check_nested_closed_forms(n=None, dimension=None, seed=None, max_order=None,
                               spec_data=None, params=None, only_instance=None) -> CheckReport:
     """The worked eight-argument nesting displays and the three-argument
     correction-term closed form, evaluated literally against the engine."""
-    fresh = params is None
-    if fresh:
-        base = seed if seed is not None else DEFAULT_SEED
-        params = {
-            "n_max": 8,
-            "dimension": dimension if dimension is not None else DEFAULT_DIMENSION,
-            "max_order": max_order if max_order is not None else DEFAULT_MAX_ORDER,
-            "generator_count": 3,
-            "seeds": [base],
-        }
+    params, fresh = _params(params, seed, max_order, 1, n_max=8,
+                            dimension=_given(dimension, DEFAULT_DIMENSION), generator_count=3)
     suite = _Suite("nested-closed-forms", params, only_instance)
     for s, model, words in _matrix_bundles(params, fresh, spec_data):
         ctx = MatrixContext(model)
@@ -540,14 +524,7 @@ def check_classical_total_cumulance(n=None, dimension=None, seed=None, max_order
     """The classical law of total cumulance over all set partitions, the
     closed form for nested conditional cumulants, and the rearrangement of
     partial cumulants into quotient cumulants of block products."""
-    fresh = params is None
-    if fresh:
-        base = seed if seed is not None else DEFAULT_SEED
-        params = {
-            "n_max": n if n is not None else 4,
-            "max_order": max_order if max_order is not None else DEFAULT_MAX_ORDER,
-            "seeds": [base + k for k in range(3)],
-        }
+    params, fresh = _params(params, seed, max_order, 3, n_max=_given(n, 4))
     suite = _Suite("classical-total-cumulance", params, only_instance)
     for s, spec, keep, polys in _classical_bundles(params, fresh, spec_data):
         ctx = ClassicalContext(spec, keep)
@@ -559,10 +536,7 @@ def check_classical_total_cumulance(n=None, dimension=None, seed=None, max_order
             key = {"part": "total-cumulance", "seed": s, "n": m}
             if suite.wants(key):
                 lhs = free_cumulant(plain, top, args, Level.PHI)
-                total = None
-                for pi in everything:
-                    t = nested_cumulant(ctx, NestedPair(pi, top), args)
-                    total = t if total is None else ctx.add(total, t)
+                total = ctx.sum(nested_cumulant(ctx, NestedPair(pi, top), args) for pi in everything)
                 suite.record(key, lhs, total)
             for sigma in everything:
                 for pi in _below(sigma, LatticeKind.FULL):
@@ -595,17 +569,10 @@ def check_freeness(n=None, dimension=None, seed=None, max_order=None,
                    spec_data=None, params=None, only_instance=None) -> CheckReport:
     """Freeness certificates: cumulants mixing families vanish, and
     alternating products of centered elements have zero expectation."""
-    fresh = params is None
+    params, fresh = _params(params, seed, max_order, 0, mixed_max=_given(n, 4),
+                            alternating_max=6, quadratic_max=3, quadratic_trials=4)
     if fresh:
-        base = seed if seed is not None else DEFAULT_SEED
-        params = {
-            "mixed_max": n if n is not None else 4,
-            "alternating_max": 6,
-            "quadratic_max": 3,
-            "quadratic_trials": 4,
-            "max_order": max_order if max_order is not None else DEFAULT_MAX_ORDER,
-            "seed": base,
-        }
+        base = params["seed"]
         spec = (ScalarFreeSpec.from_data(spec_data) if spec_data is not None
                 else ScalarFreeSpec.random({"a": ("a1", "a2"), "b": ("b1", "b2")},
                                            params["max_order"], base))
@@ -631,28 +598,22 @@ def check_freeness(n=None, dimension=None, seed=None, max_order=None,
     ctx = ScalarFreeContext(spec)
     fams = sorted(spec.families)
     gens = [g for f in fams for g in spec.families[f]]
-
-    import itertools as _it
     zero = ctx.scale(0, ctx.unit())
     for m in range(2, params["mixed_max"] + 1):
-        for word in _it.product(gens, repeat=m):
+        for word in itertools.product(gens, repeat=m):
             if len({spec.family_of[g] for g in word}) < 2:
                 continue
             key = {"part": "mixed-cumulant", "word": " ".join(word)}
             if suite.wants(key):
                 got = free_cumulant(ctx, Partition.full(m), [ctx.gen(g) for g in word], Level.PHI)
                 suite.record(key, got, zero, render=ctx.describe)
-
-    def centered(x):
-        return ctx.sub(x, ctx.phi(x))
-
     for L in range(2, params["alternating_max"] + 1):
         for start in range(len(fams)):
             choices = [spec.families[fams[(start + k) % len(fams)]] for k in range(L)]
-            for word in _it.product(*choices):
+            for word in itertools.product(*choices):
                 key = {"part": "alternating", "word": " ".join(word)}
                 if suite.wants(key):
-                    prod = ctx.product(centered(ctx.gen(g)) for g in word)
+                    prod = ctx.product(centered(ctx, ctx.gen(g)) for g in word)
                     suite.record(key, ctx.phi_scalar(prod), Fraction(0))
     for L, rows in params["quadratic_words"].items():
         for t, letters in enumerate(rows):
@@ -660,7 +621,7 @@ def check_freeness(n=None, dimension=None, seed=None, max_order=None,
             if suite.wants(key):
                 prod = ctx.unit()
                 for g, h in letters:
-                    prod = ctx.mul(prod, centered(ctx.mul(ctx.gen(g), ctx.gen(h))))
+                    prod = ctx.mul(prod, centered(ctx, ctx.mul(ctx.gen(g), ctx.gen(h))))
                 suite.record(key, ctx.phi_scalar(prod), Fraction(0))
     return suite.report()
 
@@ -669,14 +630,9 @@ def check_product_formula(n=None, dimension=None, seed=None, max_order=None,
                           spec_data=None, params=None, only_instance=None) -> CheckReport:
     """Cumulants of products of free variables expand over interweaved
     partitions pi joined with their Kreweras complements."""
-    fresh = params is None
+    params, fresh = _params(params, seed, max_order, 0, n_max=_given(n, 4))
     if fresh:
-        base = seed if seed is not None else DEFAULT_SEED
-        params = {
-            "n_max": n if n is not None else 4,
-            "max_order": max_order if max_order is not None else DEFAULT_MAX_ORDER,
-            "seed": base,
-        }
+        base = params["seed"]
         spec = (ScalarFreeSpec.from_data(spec_data) if spec_data is not None
                 else ScalarFreeSpec.random({"a": ("a1", "a2"), "b": ("b1", "b2")},
                                            params["max_order"], base))
@@ -705,11 +661,8 @@ def check_product_formula(n=None, dimension=None, seed=None, max_order=None,
         flat = []
         for i in range(m):
             flat += [ctx.gen(aw[i]), ctx.gen(bw[i])]
-        total = None
-        for pi in _nc(m):
-            tau = interweave(pi, kreweras(pi))
-            t = free_cumulant(ctx, tau, flat, Level.PHI)
-            total = t if total is None else ctx.add(total, t)
+        total = ctx.sum(free_cumulant(ctx, interweave(pi, kreweras(pi)), flat, Level.PHI)
+                        for pi in _nc(m))
         suite.record(key, lhs, total, render=ctx.describe)
     return suite.report()
 
@@ -760,19 +713,10 @@ def check_freeness_characterization(n=None, dimension=None, seed=None, max_order
     alternating centered words vanish, scalar-coefficient cumulants stay
     scalar and match the plain ones, and nested cumulants flatten onto the
     interweave of the inner partition with its Kreweras complement."""
-    fresh = params is None
-    if fresh:
-        base = seed if seed is not None else DEFAULT_SEED
-        params = {
-            "n_max": n if n is not None else 4,
-            "dimension": dimension if dimension is not None else DEFAULT_DIMENSION,
-            "max_order": max_order if max_order is not None else DEFAULT_MAX_ORDER,
-            "seeds": [base + k for k in range(3)],
-        }
+    params, fresh = _params(params, seed, max_order, 3, n_max=_given(n, 4),
+                            dimension=_given(dimension, DEFAULT_DIMENSION))
     suite = _Suite("freeness-characterization", params, only_instance)
     for s, model, draws in _characterization_bundles(params, fresh, spec_data):
-        from .models import WordContext
-
         ctx = WordContext(model)
         sc = model.scalars
         for m in range(1, params["n_max"] + 1):
@@ -796,10 +740,8 @@ def check_freeness_characterization(n=None, dimension=None, seed=None, max_order
             if suite.wants(key):
                 word = [b0]
                 for i in range(m):
-                    x = ctx.gen(gens[i])
-                    word.append(ctx.sub(x, ctx.phi(x)))
-                    b = bs[i]
-                    word.append(ctx.sub(b, ctx.phi(b)) if i < m - 1 else b)
+                    word.append(centered(ctx, ctx.gen(gens[i])))
+                    word.append(centered(ctx, bs[i]) if i < m - 1 else bs[i])
                 suite.record(key, ctx.phi_scalar(ctx.product(word)), Fraction(0))
 
             key = {"part": "scalar-coefficients", "seed": s, "n": m}
@@ -836,15 +778,10 @@ def check_tensor_factorization(n=None, dimension=None, seed=None, max_order=None
     functional indexed by the inner partition and a point-factor
     functional indexed by the outer one; reference values come from
     direct partition sums, not the engine."""
-    fresh = params is None
+    params, fresh = _params(params, seed, max_order, 0, n_max=_given(n, 4),
+                            points=_given(dimension, 3))
     if fresh:
-        base = seed if seed is not None else DEFAULT_SEED
-        params = {
-            "n_max": n if n is not None else 4,
-            "points": dimension if dimension is not None else 3,
-            "max_order": max_order if max_order is not None else DEFAULT_MAX_ORDER,
-            "seed": base,
-        }
+        base = params["seed"]
         model = (TensorModel.from_data(spec_data) if spec_data is not None
                  else TensorModel.random(params["points"], params["max_order"], base))
         params["model"] = model.to_data()

@@ -155,7 +155,7 @@ def main(argv=None) -> int:
             try:
                 with open(args.replay) as fh:
                     report = replay_report(json.load(fh))
-            except (OSError, ValueError, KeyError) as exc:
+            except (OSError, ValueError, KeyError, TypeError) as exc:
                 print(f"error: cannot replay {args.replay}: {exc}", file=sys.stderr)
                 return 2
         elif args.identity is None:

@@ -8,20 +8,21 @@ expectation, and the value is spliced back by left-multiplying the next
 argument (or right-multiplying the previous one when the block is
 terminal).  Bimodularity of the expectations makes the result independent
 of which interval block goes first; ``extraction_order`` exists so tests
-can sweep all orders.
+can sweep all orders.  On the full lattice the context is commutative and
+the blocks' values simply multiply.
 
-Cumulants are Moebius inversions of partitioned expectations; each comes
-with both its defining Moebius sum and a cheaper multiplicative recursion
-(splice the single-block cumulant of an interval block), selected by
-``method`` and compared against each other when ``cross_check`` is set.
+Every cumulant is one Moebius sum over an interval [lo, hi] of the
+lattice.  The partitioned cumulant and the semi-nested cumulant also
+have a cheaper multiplicative recursion (splice the single-block
+cumulant of an interval block), selected by ``method``; the Moebius sum
+is the reference route that ``cross_check`` compares it against.
 
 Nested functionals compose two levels of the tower: ``nested_moment`` is
 the outer partitioned expectation wrapped around inner psi-partitioned
 values, ``nested_semicumulant`` wraps inner psi-cumulants, and
 ``nested_cumulant`` Moebius-inverts the outer slot as well.  On the full
 lattice over a commutative context the same definitions degrade to the
-classical blockwise products, which is how the classical_* wrappers at
-the bottom compute ordinary and conditional cumulants.
+classical blockwise products of ordinary and conditional cumulants.
 """
 
 from __future__ import annotations
@@ -31,15 +32,8 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import CrossingPartitionError, DimensionMismatchError, OrderViolationError
-from .exact import Poly
-from .models import ClassicalContext, ClassicalSpec, ProbabilityContext
-from .partitions import (
-    LatticeKind,
-    Partition,
-    interval_list,
-    moebius,
-    quotient,
-)
+from .models import ProbabilityContext
+from .partitions import LatticeKind, Partition, interval_list, moebius
 
 
 class Level(Enum):
@@ -94,19 +88,69 @@ def _validate(ctx: ProbabilityContext, part: Partition, nargs: int) -> None:
         raise ValueError("full-lattice functionals need a commutative context")
 
 
-class _Chooser:
-    """Deals out extraction choices; defaults to the first interval block."""
+def _validate_pair(ctx: ProbabilityContext, pair: NestedPair, nargs: int) -> None:
+    _validate(ctx, pair.outer, nargs)
+    if ctx.kind is LatticeKind.NONCROSSING and not pair.inner.is_noncrossing:
+        raise CrossingPartitionError(f"{pair.inner} is crossing")
 
-    def __init__(self, order):
-        self._it = iter(order) if order is not None else None
 
-    def pick(self, count: int) -> int:
-        if self._it is None:
-            return 0
-        choice = next(self._it, 0)
-        if not 0 <= choice < count:
-            raise ValueError(f"extraction choice {choice} out of range 0..{count - 1}")
-        return choice
+def _extract(ctx, part: Partition, args: list, block_value, order=None):
+    """Nest ``block_value`` along the blocks of ``part``.
+
+    ``block_value(positions, sub_args)`` maps a block, given by the
+    original positions of its arguments and the arguments themselves, to
+    the element spliced back into the word.  ``order`` picks, step by
+    step, among the current interval blocks; past its end, or without
+    it, the first interval block goes.
+    """
+    if ctx.kind is LatticeKind.FULL:
+        return ctx.product(block_value(b, [args[i - 1] for i in b]) for b in part.blocks)
+    choices = iter(order if order is not None else ())
+    positions = list(range(1, part.n + 1))
+    while args:
+        candidates = part.interval_block_indices()
+        choice = next(choices, 0)
+        if not 0 <= choice < len(candidates):
+            raise ValueError(f"extraction choice {choice} out of range 0..{len(candidates) - 1}")
+        block = part.blocks[candidates[choice]]
+        k, l = block[0], block[-1]
+        e = block_value(positions[k - 1 : l], args[k - 1 : l])
+        del positions[k - 1 : l]
+        part = part.restrict(tuple(i for i in range(1, part.n + 1) if i < k or i > l))
+        if l == len(args) and k > 1:
+            args = args[: k - 1]
+            args[-1] = ctx.mul(args[-1], e)
+        elif l == len(args):
+            return e
+        else:
+            args = args[: k - 1] + [ctx.mul(e, args[l])] + args[l + 1 :]
+    return ctx.unit()
+
+
+def _moebius_sum(ctx, lo: Partition, hi: Partition, value):
+    """Sum over tau in [lo, hi] of mu(tau, hi) * value(tau)."""
+    return ctx.sum(
+        ctx.scale(Fraction(moebius(tau, hi, ctx.kind)), value(tau))
+        for tau in interval_list(lo, hi, ctx.kind)
+    )
+
+
+def _by_method(ctx, method: str, cross_check: bool, label: str, subject,
+               moebius_route, recursion_route):
+    """Run the route ``method`` names; ``cross_check`` runs both and
+    insists they agree, returning the Moebius (reference) value."""
+    if cross_check:
+        a, b = moebius_route(), recursion_route()
+        if a != b:
+            raise RuntimeError(
+                f"{label} cross-check failed for {subject}: {ctx.describe(a)} vs {ctx.describe(b)}"
+            )
+        return a
+    if method == "moebius":
+        return moebius_route()
+    if method == "recursion":
+        return recursion_route()
+    raise ValueError(f"unknown method {method!r}")
 
 
 def phi_partitioned(
@@ -119,37 +163,9 @@ def phi_partitioned(
     """The partitioned expectation: nest the expectation along the blocks."""
     args = list(args)
     _validate(ctx, part, len(args))
-    if ctx.kind is LatticeKind.FULL:
-        return ctx.product(
-            expectation(ctx, ctx.product(args[i - 1] for i in b), level)
-            for b in part.blocks
-        )
-    chooser = _Chooser(extraction_order)
-
-    def block_value(sub_args):
-        return expectation(ctx, ctx.product(sub_args), level)
-
-    return _extract(ctx, part, args, block_value, chooser)
-
-
-def _extract(ctx, part: Partition, args: list, block_value, chooser: _Chooser):
-    """Shared interval-extraction loop; ``block_value`` maps the block's
-    arguments to the element spliced back into the word."""
-    while args:
-        candidates = part.interval_block_indices()
-        block = part.blocks[candidates[chooser.pick(len(candidates))]]
-        k, l = block[0], block[-1]
-        e = block_value(args[k - 1 : l])
-        rest = tuple(i for i in range(1, part.n + 1) if i < k or i > l)
-        part = part.restrict(rest)
-        if l == len(args) and k > 1:
-            args = args[: k - 1]
-            args[-1] = ctx.mul(args[-1], e)
-        elif l == len(args):
-            return e
-        else:
-            args = args[: k - 1] + [ctx.mul(e, args[l])] + args[l + 1 :]
-    return ctx.unit()
+    return _extract(
+        ctx, part, args, lambda _, sub: expectation(ctx, ctx.product(sub), level), extraction_order
+    )
 
 
 def free_cumulant(
@@ -163,49 +179,25 @@ def free_cumulant(
     """Partitioned cumulant: Moebius inversion of phi_partitioned over [0, part]."""
     args = list(args)
     _validate(ctx, part, len(args))
-    if cross_check:
-        a = _cumulant_moebius(ctx, part, args, level)
-        b = _cumulant_recursive(ctx, part, args, level)
-        if a != b:
-            raise RuntimeError(
-                f"cumulant cross-check failed for {part}: {ctx.describe(a)} vs {ctx.describe(b)}"
-            )
-        return a
-    if method == "moebius":
-        return _cumulant_moebius(ctx, part, args, level)
-    if method == "recursion":
-        return _cumulant_recursive(ctx, part, args, level)
-    raise ValueError(f"unknown method {method!r}")
+    return _by_method(
+        ctx, method, cross_check, "cumulant", part,
+        lambda: _cumulant_moebius(ctx, part, args, level),
+        lambda: _cumulant_recursive(ctx, part, args, level),
+    )
 
 
 def _cumulant_moebius(ctx, part, args, level):
-    total = None
-    bottom = Partition.discrete(part.n)
-    for sigma in interval_list(bottom, part, ctx.kind):
-        term = ctx.scale(
-            Fraction(moebius(sigma, part, ctx.kind)),
-            phi_partitioned(ctx, sigma, args, level),
-        )
-        total = term if total is None else ctx.add(total, term)
-    return total if total is not None else ctx.unit()
-
-
-def _single_block_cumulant(ctx, args, level):
-    """C_m of one block, by the Moebius sum over its own lattice."""
-    return _cumulant_moebius(ctx, Partition.full(len(args)), args, level)
+    return _moebius_sum(
+        ctx, Partition.discrete(part.n), part, lambda sigma: phi_partitioned(ctx, sigma, args, level)
+    )
 
 
 def _cumulant_recursive(ctx, part, args, level):
-    if ctx.kind is LatticeKind.FULL:
-        return ctx.product(
-            _single_block_cumulant(ctx, [args[i - 1] for i in b], level)
-            for b in part.blocks
-        )
-
-    def block_value(sub_args):
-        return _single_block_cumulant(ctx, sub_args, level)
-
-    return _extract(ctx, part, list(args), block_value, _Chooser(None))
+    # splice the single-block cumulant of each block, a Moebius sum over its own lattice
+    return _extract(
+        ctx, part, args,
+        lambda _, sub: _cumulant_moebius(ctx, Partition.full(len(sub)), sub, level),
+    )
 
 
 def partial_cumulant(
@@ -225,72 +217,22 @@ def partial_cumulant(
     _validate(ctx, upper, len(args))
     if not lower.refines(upper):
         raise OrderViolationError(f"{lower} does not refine {upper}")
-    total = None
-    for pi in interval_list(lower, upper, ctx.kind):
-        term = ctx.scale(
-            Fraction(moebius(pi, upper, ctx.kind)),
-            phi_partitioned(ctx, pi, args, level),
-        )
-        total = term if total is None else ctx.add(total, term)
-    return total if total is not None else ctx.unit()
+    return _moebius_sum(ctx, lower, upper, lambda pi: phi_partitioned(ctx, pi, args, level))
 
 
-def nested_moment(
-    ctx: ProbabilityContext,
-    pair: NestedPair,
-    args,
-    extraction_order=None,
-):
+def nested_moment(ctx: ProbabilityContext, pair: NestedPair, args):
     """phi along the outer partition of psi-partitioned inner values.
 
-    Outer interval blocks are extracted exactly as in phi_partitioned,
-    except each block's value is phi applied to the inner psi-partitioned
-    expectation of the block's arguments.
+    Outer blocks are extracted exactly as in phi_partitioned, except each
+    block's value is phi applied to the inner psi-partitioned expectation
+    of the block's arguments.
     """
     args = list(args)
-    inner, outer = pair.inner, pair.outer
-    _validate(ctx, outer, len(args))
-    if ctx.kind is LatticeKind.NONCROSSING and not inner.is_noncrossing:
-        raise CrossingPartitionError(f"{inner} is crossing")
-    if ctx.kind is LatticeKind.FULL:
-        return ctx.product(
-            ctx.phi(
-                ctx.product(
-                    ctx.psi(ctx.product(args[i - 1] for i in b))
-                    for b in inner.blocks
-                    if set(b) <= set(c)
-                )
-            )
-            for c in outer.blocks
-        )
-    chooser = _Chooser(extraction_order)
-    return _extract_nested(
-        ctx,
-        inner,
-        outer,
-        args,
-        lambda sub_inner, sub_args: ctx.phi(phi_partitioned(ctx, sub_inner, sub_args, Level.PSI)),
-        chooser,
+    _validate_pair(ctx, pair, len(args))
+    return _extract(
+        ctx, pair.outer, args,
+        lambda pos, sub: ctx.phi(phi_partitioned(ctx, pair.inner.restrict(pos), sub, Level.PSI)),
     )
-
-
-def _extract_nested(ctx, inner: Partition, outer: Partition, args: list, block_value, chooser):
-    while args:
-        candidates = outer.interval_block_indices()
-        block = outer.blocks[candidates[chooser.pick(len(candidates))]]
-        k, l = block[0], block[-1]
-        e = block_value(inner.restrict(block), args[k - 1 : l])
-        rest = tuple(i for i in range(1, outer.n + 1) if i < k or i > l)
-        inner = inner.restrict(rest)
-        outer = outer.restrict(rest)
-        if l == len(args) and k > 1:
-            args = args[: k - 1]
-            args[-1] = ctx.mul(args[-1], e)
-        elif l == len(args):
-            return e
-        else:
-            args = args[: k - 1] + [ctx.mul(e, args[l])] + args[l + 1 :]
-    return ctx.unit()
 
 
 def nested_semicumulant(
@@ -303,60 +245,18 @@ def nested_semicumulant(
     """phi along the outer partition of inner psi-cumulants:
     the Moebius inversion of nested_moment in its inner slot."""
     args = list(args)
+    _validate_pair(ctx, pair, len(args))
     inner, outer = pair.inner, pair.outer
-    _validate(ctx, outer, len(args))
-    if ctx.kind is LatticeKind.NONCROSSING and not inner.is_noncrossing:
-        raise CrossingPartitionError(f"{inner} is crossing")
-    if cross_check:
-        a = _semicumulant_moebius(ctx, pair, args)
-        b = _semicumulant_recursive(ctx, pair, args)
-        if a != b:
-            raise RuntimeError(
-                f"nested cross-check failed for {pair}: {ctx.describe(a)} vs {ctx.describe(b)}"
-            )
-        return a
-    if method == "moebius":
-        return _semicumulant_moebius(ctx, pair, args)
-    if method == "recursion":
-        return _semicumulant_recursive(ctx, pair, args)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _semicumulant_moebius(ctx, pair, args):
-    total = None
-    bottom = Partition.discrete(pair.inner.n)
-    for tau in interval_list(bottom, pair.inner, ctx.kind):
-        term = ctx.scale(
-            Fraction(moebius(tau, pair.inner, ctx.kind)),
-            nested_moment(ctx, NestedPair(tau, pair.outer), args),
-        )
-        total = term if total is None else ctx.add(total, term)
-    return total if total is not None else ctx.unit()
-
-
-def _semicumulant_recursive(ctx, pair, args):
-    inner, outer = pair.inner, pair.outer
-    if ctx.kind is LatticeKind.FULL:
-        return ctx.product(
-            ctx.phi(
-                _cumulant_recursive(
-                    ctx,
-                    inner.restrict(c),
-                    [args[i - 1] for i in c],
-                    Level.PSI,
-                )
-            )
-            for c in outer.blocks
-        )
-    return _extract_nested(
-        ctx,
-        inner,
-        outer,
-        list(args),
-        lambda sub_inner, sub_args: ctx.phi(
-            _cumulant_recursive(ctx, sub_inner, sub_args, Level.PSI)
+    return _by_method(
+        ctx, method, cross_check, "nested", pair,
+        lambda: _moebius_sum(
+            ctx, Partition.discrete(inner.n), inner,
+            lambda tau: nested_moment(ctx, NestedPair(tau, outer), args),
         ),
-        _Chooser(None),
+        lambda: _extract(
+            ctx, outer, args,
+            lambda pos, sub: ctx.phi(_cumulant_recursive(ctx, inner.restrict(pos), sub, Level.PSI)),
+        ),
     )
 
 
@@ -364,69 +264,8 @@ def nested_cumulant(ctx: ProbabilityContext, pair: NestedPair, args):
     """Outer phi-cumulant of inner psi-cumulants:
     sum of nested_semicumulant over rho in [inner, outer] against mu(rho, outer)."""
     args = list(args)
-    inner, outer = pair.inner, pair.outer
-    _validate(ctx, outer, len(args))
-    total = None
-    for rho in interval_list(inner, outer, ctx.kind):
-        term = ctx.scale(
-            Fraction(moebius(rho, outer, ctx.kind)),
-            nested_semicumulant(ctx, NestedPair(inner, rho), args),
-        )
-        total = term if total is None else ctx.add(total, term)
-    return total if total is not None else ctx.unit()
-
-
-# ---------------------------------------------------------------------------
-# classical wrappers: the same engine on the full lattice over polynomials
-
-
-def classical_m(spec: ClassicalSpec, part: Partition, polys) -> Fraction:
-    """Partitioned classical moment: product over blocks of E[block product]."""
-    ctx = ClassicalContext(spec)
-    return ctx.phi_scalar(phi_partitioned(ctx, part, polys, Level.PHI))
-
-
-def classical_kappa(spec: ClassicalSpec, part: Partition, polys) -> Fraction:
-    """Partitioned classical cumulant over the full lattice."""
-    ctx = ClassicalContext(spec)
-    return ctx.phi_scalar(free_cumulant(ctx, part, polys, Level.PHI))
-
-
-def classical_kappa_conditional(
-    spec: ClassicalSpec, part: Partition, polys, keep: frozenset[str]
-) -> Poly:
-    """Conditional cumulant given the variables in ``keep``; a polynomial."""
-    ctx = ClassicalContext(spec, keep)
-    return free_cumulant(ctx, part, polys, Level.PSI)
-
-
-def classical_nested_kappa(
-    spec: ClassicalSpec,
-    outer: Partition,
-    inner: Partition,
-    polys,
-    keep: frozenset[str],
-) -> Fraction:
-    """Outer cumulant of inner conditional cumulants."""
-    ctx = ClassicalContext(spec, keep)
-    value = nested_cumulant(ctx, NestedPair(inner, outer), polys)
-    return ctx.phi_scalar(value)
-
-
-def classical_nested_kappa_factored(
-    spec: ClassicalSpec,
-    outer: Partition,
-    inner: Partition,
-    polys,
-    keep: frozenset[str],
-) -> Fraction:
-    """Closed form: the quotient-partition cumulant of the blockwise
-    conditional cumulants, kappa_{outer/inner}(kappa(block | keep) : blocks)."""
-    ctx = ClassicalContext(spec, keep)
-    polys = list(polys)
-    block_args = [
-        free_cumulant(ctx, Partition.full(len(b)), [polys[i - 1] for i in b], Level.PSI)
-        for b in inner.blocks
-    ]
-    q = quotient(outer, inner)
-    return ctx.phi_scalar(free_cumulant(ctx, q, block_args, Level.PHI))
+    _validate(ctx, pair.outer, len(args))
+    return _moebius_sum(
+        ctx, pair.inner, pair.outer,
+        lambda rho: nested_semicumulant(ctx, NestedPair(pair.inner, rho), args),
+    )

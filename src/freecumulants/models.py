@@ -93,6 +93,16 @@ class ProbabilityContext:
             acc = self.mul(acc, x)
         return acc
 
+    def sum(self, xs) -> object:
+        """Left-to-right sum starting from the first term; zero when empty."""
+        xs = iter(xs)
+        total = next(xs, None)
+        if total is None:
+            return self.scale(Fraction(0), self.unit())
+        for x in xs:
+            total = self.add(total, x)
+        return total
+
     def describe(self, x) -> str:
         return str(x)
 
@@ -104,6 +114,37 @@ def centered(ctx: ProbabilityContext, x, level: str = "C"):
     if level == "C":
         return ctx.sub(x, ctx.phi(x))
     raise ValueError(f"level must be 'B' or 'C', got {level!r}")
+
+
+class LinearCombinationContext(ProbabilityContext):
+    """Elements are dicts from basis keys to nonzero rational coefficients.
+
+    The ring operations are shared; a subclass supplies ``key_product``,
+    the product of two basis keys, which is ``None`` when it vanishes.
+    """
+
+    def key_product(self, k1, k2):
+        raise NotImplementedError
+
+    def mul(self, x, y):
+        key_product = self.key_product
+        out: dict = {}
+        for k1, c1 in x.items():
+            for k2, c2 in y.items():
+                k = key_product(k1, k2)
+                if k is not None:
+                    out[k] = out.get(k, Fraction(0)) + c1 * c2
+        return {k: c for k, c in out.items() if c != 0}
+
+    def add(self, x, y):
+        out = dict(x)
+        for k, c in y.items():
+            out[k] = out.get(k, Fraction(0)) + c
+        return {k: c for k, c in out.items() if c != 0}
+
+    def scale(self, c, x):
+        c = as_fraction(c)
+        return {k: c * v for k, v in x.items() if c * v != 0}
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +522,7 @@ def free_moment(spec: ScalarFreeSpec, word: tuple[str, ...]) -> Fraction:
     return total
 
 
-class ScalarFreeContext(ProbabilityContext):
+class ScalarFreeContext(LinearCombinationContext):
     """Linear combinations of words in the free generators; B = C."""
 
     kind = LatticeKind.NONCROSSING
@@ -498,23 +539,8 @@ class ScalarFreeContext(ProbabilityContext):
     def unit(self):
         return {(): Fraction(1)}
 
-    def mul(self, x, y):
-        out: dict[tuple[str, ...], Fraction] = {}
-        for w1, c1 in x.items():
-            for w2, c2 in y.items():
-                w = w1 + w2
-                out[w] = out.get(w, Fraction(0)) + c1 * c2
-        return {w: c for w, c in out.items() if c != 0}
-
-    def add(self, x, y):
-        out = dict(x)
-        for w, c in y.items():
-            out[w] = out.get(w, Fraction(0)) + c
-        return {w: c for w, c in out.items() if c != 0}
-
-    def scale(self, c, x):
-        c = as_fraction(c)
-        return {w: c * v for w, v in x.items() if c * v != 0}
+    def key_product(self, w1, w2):
+        return w1 + w2
 
     def phi_scalar(self, x):
         return sum((c * free_moment(self.spec, w) for w, c in x.items()), Fraction(0))
@@ -579,7 +605,7 @@ class FactorizationModel:
         return cls(ScalarFreeSpec.from_data(data), data["dimension"])
 
 
-class WordContext(ProbabilityContext):
+class WordContext(LinearCombinationContext):
     kind = LatticeKind.NONCROSSING
     commutative = False
 
@@ -611,28 +637,12 @@ class WordContext(ProbabilityContext):
                     out[((), ((i, j),))] = as_fraction(c)
         return out
 
-    def mul(self, x, y):
-        out: dict = {}
-        for (g1, u1), c1 in x.items():
-            a, b = u1[-1]
-            for (g2, u2), c2 in y.items():
-                cc, dd = u2[0]
-                if b != cc:
-                    continue
-                key = (g1 + g2, u1[:-1] + ((a, dd),) + u2[1:])
-                val = out.get(key, Fraction(0)) + c1 * c2
-                out[key] = val
-        return {k: v for k, v in out.items() if v != 0}
-
-    def add(self, x, y):
-        out = dict(x)
-        for k, c in y.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return {k: c for k, c in out.items() if c != 0}
-
-    def scale(self, c, x):
-        c = as_fraction(c)
-        return {k: c * v for k, v in x.items() if c * v != 0}
+    def key_product(self, k1, k2):
+        (g1, u1), (g2, u2) = k1, k2
+        (a, b), (c, d) = u1[-1], u2[0]
+        if b != c:
+            return None
+        return (g1 + g2, u1[:-1] + ((a, d),) + u2[1:])
 
     def _unit_trace(self, u: tuple[int, int]) -> Fraction:
         return Fraction(1, self.d) if u[0] == u[1] else Fraction(0)
@@ -765,7 +775,10 @@ class TensorModel:
         return cls(ScalarFreeSpec.from_data(data), tuple(data["weights"]))
 
 
-class TensorContext(ProbabilityContext):
+class TensorContext(LinearCombinationContext):
+    """Basis keys are (word, point k): the word times the k-th unit
+    vector of the point algebra."""
+
     kind = LatticeKind.NONCROSSING
     commutative = False
 
@@ -774,74 +787,44 @@ class TensorContext(ProbabilityContext):
         self.points = model.points
 
     def unit(self):
-        return {(): (Fraction(1),) * self.points}
+        return {((), k): Fraction(1) for k in range(self.points)}
 
     def simple(self, word: tuple[str, ...], vec) -> dict:
-        return {tuple(word): tuple(as_fraction(v) for v in vec)}
+        """The simple tensor word (x) vec."""
+        return {(tuple(word), k): v for k, v in enumerate(map(as_fraction, vec)) if v != 0}
 
-    def _vadd(self, u, v):
-        return tuple(a + b for a, b in zip(u, v))
+    def key_product(self, k1, k2):
+        (w1, p1), (w2, p2) = k1, k2
+        return (w1 + w2, p1) if p1 == p2 else None
 
-    def _vmul(self, u, v):
-        return tuple(a * b for a, b in zip(u, v))
-
-    def mul(self, x, y):
-        out: dict = {}
-        zero = (Fraction(0),) * self.points
-        for w1, v1 in x.items():
-            for w2, v2 in y.items():
-                w = w1 + w2
-                out[w] = self._vadd(out.get(w, zero), self._vmul(v1, v2))
-        return {w: v for w, v in out.items() if any(a != 0 for a in v)}
-
-    def add(self, x, y):
-        out = dict(x)
-        zero = (Fraction(0),) * self.points
-        for w, v in y.items():
-            out[w] = self._vadd(out.get(w, zero), v)
-        return {w: v for w, v in out.items() if any(a != 0 for a in v)}
-
-    def scale(self, c, x):
-        c = as_fraction(c)
-        out = {w: tuple(c * a for a in v) for w, v in x.items()}
-        return {w: v for w, v in out.items() if any(a != 0 for a in v)}
+    def _vector(self, x, word=()) -> tuple[Fraction, ...]:
+        return tuple(x.get((word, k), Fraction(0)) for k in range(self.points))
 
     def psi(self, x):
         """Integrate out the word factor: sum of free moments times vectors."""
-        zero = (Fraction(0),) * self.points
-        acc = zero
-        for w, v in x.items():
-            m = free_moment(self.model.scalars, w)
-            acc = self._vadd(acc, tuple(m * a for a in v))
-        if all(a == 0 for a in acc):
-            return {}
-        return {(): acc}
+        out: dict = {}
+        for (w, k), c in x.items():
+            key = ((), k)
+            out[key] = out.get(key, Fraction(0)) + free_moment(self.model.scalars, w) * c
+        return {key: c for key, c in out.items() if c != 0}
 
     def phi_scalar(self, x):
-        b = self.psi(x)
-        if not b:
-            return Fraction(0)
-        return self.model.state(b[()])
+        return self.model.state(self._vector(self.psi(x)))
 
     def phi(self, x):
         return self.scale(self.phi_scalar(x), self.unit())
 
     def in_b(self, x):
-        return set(x) <= {()}
+        return all(not w for w, _ in x)
 
     def in_c(self, x):
-        if not x:
-            return True
-        if set(x) != {()}:
-            return False
-        vec = x[()]
-        return all(a == vec[0] for a in vec)
+        return self.in_b(x) and len(set(self._vector(x))) == 1
 
     def describe(self, x) -> str:
         if not x:
             return "0"
         parts = [
-            f"{'.'.join(w) or '1'}(x)({', '.join(str(a) for a in v)})"
-            for w, v in sorted(x.items())
+            f"{'.'.join(w) or '1'}(x)({', '.join(str(a) for a in self._vector(x, w))})"
+            for w in sorted({w for w, _ in x})
         ]
         return " + ".join(parts)

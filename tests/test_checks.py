@@ -1,5 +1,6 @@
 """Report plumbing and the command line surface."""
 
+import hashlib
 import json
 
 import pytest
@@ -19,6 +20,14 @@ def test_all_default_checks_pass(default_reports):
         assert report.passed, f"{name}: {report.witness}"
         assert report.cases > 0
         assert report.identity == name
+
+
+def test_default_reports_keep_their_fingerprint(default_reports):
+    # sha256 of check-all --format json at the default seed, wall times removed;
+    # any change to a default bound, drawn value or case count moves it
+    rows = [strip_wall(report.to_json()) for report in default_reports.values()]
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == "c5733a835fc48ad29eaa6023cb40a0f38bdb83e71ba33395839815eac2527522"
 
 
 def test_reports_serialize_with_fixed_fields(default_reports):
@@ -55,6 +64,13 @@ def test_replay_of_a_witness_evaluates_exactly_one_case(default_reports):
     missing = replay_report(blob)
     assert not missing.passed
     assert missing.witness["error"] == "instance not found"
+
+
+def test_a_run_without_cases_fails():
+    for identity, n in (("total-cumulance", -1), ("product-formula", 0)):
+        report = run_check(identity, n=n)
+        assert not report.passed and report.cases == 0, identity
+        assert set(report.witness) == {"error"}, identity
 
 
 def test_unknown_check_name_is_rejected():
@@ -131,6 +147,21 @@ def test_cli_usage_errors_exit_two(capsys):
     assert main(["kreweras", "{1,3}{2,4}"]) == 2  # crossing has no complement
     assert main(["check", "--replay", "/nonexistent.json"]) == 2
     capsys.readouterr()
+
+
+def test_cli_zero_case_runs_fail(capsys):
+    assert main(["check", "total-cumulance", "--n", "-1"]) == 1
+    assert capsys.readouterr().out.startswith("FAIL total-cumulance (0 cases")
+    assert main(["check", "product-formula", "--n", "0"]) == 1
+    assert capsys.readouterr().out.startswith("FAIL product-formula (0 cases")
+
+
+def test_cli_replay_of_malformed_params_exits_two(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"identity": "moebius", "params": []}))
+    assert main(["check", "--replay", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot replay") and len(err.splitlines()) == 1
 
 
 def test_cli_replay_roundtrip(tmp_path, capsys):

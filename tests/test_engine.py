@@ -9,11 +9,6 @@ from freecumulants.engine import (
     Level,
     NestedPair,
     absorb_coefficients,
-    classical_kappa,
-    classical_kappa_conditional,
-    classical_m,
-    classical_nested_kappa,
-    classical_nested_kappa_factored,
     expectation,
     free_cumulant,
     nested_cumulant,
@@ -23,12 +18,18 @@ from freecumulants.engine import (
     phi_partitioned,
 )
 from freecumulants.errors import CrossingPartitionError, OrderViolationError
-from freecumulants.exact import Matrix
+from freecumulants.exact import Matrix, Poly
 from freecumulants.models import (
     ClassicalContext,
     ClassicalSpec,
+    FactorizationModel,
     MatrixContext,
     MatrixModel,
+    ScalarFreeContext,
+    ScalarFreeSpec,
+    TensorContext,
+    TensorModel,
+    WordContext,
     classical_expect,
 )
 from freecumulants.partitions import (
@@ -37,6 +38,7 @@ from freecumulants.partitions import (
     enumerate_partitions,
     interval_list,
     parse_partition,
+    quotient,
 )
 
 F = Fraction
@@ -51,6 +53,26 @@ def matrix_ctx():
 def gens(ctx, n):
     names = ctx.model.generator_names
     return [ctx.model.generators[names[i % len(names)]] for i in range(n)]
+
+
+@pytest.fixture(scope="module")
+def route_models(matrix_ctx):
+    """(name, context, generator pool) for every noncrossing model."""
+    scalar = ScalarFreeContext(ScalarFreeSpec.random({"a": ("a1", "a2"), "b": ("b1",)}, seed=12))
+    word = WordContext(FactorizationModel.random(2, dimension=2, seed=12))
+    b = word.embed_b(Matrix([[F(1), F(-1)], [F(2), F(1, 2)]]))
+    tensor = TensorContext(TensorModel.random(points=2, seed=12))
+    return [
+        ("matrix", matrix_ctx, gens(matrix_ctx, 2)),
+        ("scalar-free", scalar, [scalar.gen(g) for g in ("a1", "b1", "a2")]),
+        ("word", word, [word.gen("x1"), word.mul(word.gen("x2"), b)]),
+        ("tensor", tensor, [tensor.simple(("a",), (F(1), F(2))),
+                            tensor.simple(("a", "a"), (F(-1), F(1, 3)))]),
+    ]
+
+
+def cycle(pool, n):
+    return [pool[i % len(pool)] for i in range(n)]
 
 
 def all_extraction_orders(fn, max_choices=4, max_steps=4):
@@ -75,23 +97,27 @@ def test_partitioned_expectation_is_confluent(matrix_ctx):
         assert len(values) == 1
 
 
-def test_cumulant_routes_agree(matrix_ctx):
-    for n in range(1, 5):
-        args = gens(matrix_ctx, n)
-        for part in enumerate_partitions(n, NC):
-            a = free_cumulant(matrix_ctx, part, args, Level.PSI, method="moebius")
-            b = free_cumulant(matrix_ctx, part, args, Level.PSI, method="recursion")
-            assert a == b
-            assert free_cumulant(matrix_ctx, part, args, Level.PSI, cross_check=True) == a
+def test_cumulant_routes_agree(route_models):
+    for name, ctx, pool in route_models:
+        for n in range(1, 5):
+            args = cycle(pool, n)
+            for part in enumerate_partitions(n, NC):
+                a = free_cumulant(ctx, part, args, Level.PSI, method="moebius")
+                b = free_cumulant(ctx, part, args, Level.PSI, method="recursion")
+                assert a == b, (name, part)
+                assert free_cumulant(ctx, part, args, Level.PSI, cross_check=True) == a, name
 
 
-def test_nested_semicumulant_routes_agree(matrix_ctx):
-    for n in range(1, 4):
-        args = gens(matrix_ctx, n)
-        for outer in enumerate_partitions(n, NC):
-            for inner in interval_list(Partition.discrete(n), outer, NC):
-                pair = NestedPair(inner, outer)
-                assert nested_semicumulant(matrix_ctx, pair, args, cross_check=True) is not None
+def test_nested_semicumulant_routes_agree(route_models):
+    for name, ctx, pool in route_models:
+        for n in range(1, 4):
+            args = cycle(pool, n)
+            for outer in enumerate_partitions(n, NC):
+                for inner in interval_list(Partition.discrete(n), outer, NC):
+                    pair = NestedPair(inner, outer)
+                    a = nested_semicumulant(ctx, pair, args, method="moebius")
+                    assert nested_semicumulant(ctx, pair, args, method="recursion") == a, (name, pair)
+                    assert nested_semicumulant(ctx, pair, args, cross_check=True) == a, name
 
 
 def test_unknown_method_is_rejected(matrix_ctx):
@@ -156,7 +182,59 @@ def test_singleton_expectations_collapse(matrix_ctx):
 
 
 # ---------------------------------------------------------------------------
-# classical wrappers
+# classical wrappers: the same engine on the full lattice over polynomials
+
+
+def classical_m(spec: ClassicalSpec, part: Partition, polys) -> Fraction:
+    """Partitioned classical moment: product over blocks of E[block product]."""
+    ctx = ClassicalContext(spec)
+    return ctx.phi_scalar(phi_partitioned(ctx, part, polys, Level.PHI))
+
+
+def classical_kappa(spec: ClassicalSpec, part: Partition, polys) -> Fraction:
+    """Partitioned classical cumulant over the full lattice."""
+    ctx = ClassicalContext(spec)
+    return ctx.phi_scalar(free_cumulant(ctx, part, polys, Level.PHI))
+
+
+def classical_kappa_conditional(
+    spec: ClassicalSpec, part: Partition, polys, keep: frozenset[str]
+) -> Poly:
+    """Conditional cumulant given the variables in ``keep``; a polynomial."""
+    ctx = ClassicalContext(spec, keep)
+    return free_cumulant(ctx, part, polys, Level.PSI)
+
+
+def classical_nested_kappa(
+    spec: ClassicalSpec,
+    outer: Partition,
+    inner: Partition,
+    polys,
+    keep: frozenset[str],
+) -> Fraction:
+    """Outer cumulant of inner conditional cumulants."""
+    ctx = ClassicalContext(spec, keep)
+    value = nested_cumulant(ctx, NestedPair(inner, outer), polys)
+    return ctx.phi_scalar(value)
+
+
+def classical_nested_kappa_factored(
+    spec: ClassicalSpec,
+    outer: Partition,
+    inner: Partition,
+    polys,
+    keep: frozenset[str],
+) -> Fraction:
+    """Closed form: the quotient-partition cumulant of the blockwise
+    conditional cumulants, kappa_{outer/inner}(kappa(block | keep) : blocks)."""
+    ctx = ClassicalContext(spec, keep)
+    polys = list(polys)
+    block_args = [
+        free_cumulant(ctx, Partition.full(len(b)), [polys[i - 1] for i in b], Level.PSI)
+        for b in inner.blocks
+    ]
+    q = quotient(outer, inner)
+    return ctx.phi_scalar(free_cumulant(ctx, q, block_args, Level.PHI))
 
 
 @pytest.fixture(scope="module")

@@ -256,7 +256,7 @@ def test_tensor_psi_keeps_the_point_factor_and_averages_the_word():
     ctx = TensorContext(model)
     t = ctx.simple(("a",), (F(1), F(2)))
     out = ctx.psi(t)
-    assert out == {(): (F(1), F(2))}
+    assert out == ctx.simple((), (F(1), F(2)))
     assert ctx.phi_scalar(t) == F(1) * model.state((F(1), F(2)))
 
 
