@@ -33,6 +33,7 @@ from .engine import (
     partial_cumulant,
     phi_partitioned,
 )
+from .errors import CapacityError
 from .exact import Matrix, Poly, as_fraction
 from .models import (
     ClassicalContext,
@@ -285,10 +286,13 @@ def check_kreweras(n=None, dimension=None, seed=None, max_order=None,
 
 
 def _matrix_bundles(params: dict, fresh: bool, spec_data: dict | None):
-    """Build (seed, model, {n: generator word}) triples, recording them."""
+    """Build (seed, model, {n: generator word}) triples, recording them;
+    words longer than max_order fail here, before any work."""
+    if fresh and spec_data is not None and "max_order" in spec_data:
+        params["max_order"] = spec_data["max_order"]
+    if params["n_max"] > params["max_order"]:
+        raise CapacityError(f"n_max={params['n_max']} exceeds max_order={params['max_order']}")
     if fresh:
-        if spec_data is not None and "max_order" in spec_data:
-            params["max_order"] = spec_data["max_order"]
         rows = []
         for s in params["seeds"]:
             if spec_data is not None:

@@ -169,14 +169,13 @@ def main(argv=None) -> int:
             except (OSError, ValueError) as exc:
                 print(f"error: cannot load {args.spec}: {exc}", file=sys.stderr)
                 return 2
-            report = _run_one(
-                args.identity,
-                n=args.n,
-                dimension=args.dim,
-                seed=args.seed,
-                max_order=args.max_order,
-                spec_data=spec_data,
-            )
+            try:
+                report = _run_one(args.identity, n=args.n, dimension=args.dim, seed=args.seed,
+                                  max_order=args.max_order, spec_data=spec_data)
+            except (ValueError, KeyError, TypeError) as exc:
+                # malformed flags or spec data; a capacity limit is a FAIL report instead
+                print(f"error: {args.identity}: {exc}", file=sys.stderr)
+                return 2
         _emit(report, args.format, out)
         return 0 if report.passed else 1
 

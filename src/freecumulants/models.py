@@ -298,6 +298,8 @@ class MatrixModel:
     def __init__(self, spec: ClassicalSpec, dimension: int, generator_names: tuple[str, ...]):
         self.spec = spec
         self.d = int(dimension)
+        if self.d < 1:
+            raise ValueError(f"matrix dimension must be at least 1, got {self.d}")
         self.generator_names = tuple(generator_names)
         self.ring = spec.ring
         self.generators: dict[str, Matrix] = {}
@@ -753,6 +755,8 @@ class TensorModel:
         max_order: int = DEFAULT_MAX_ORDER,
         seed: int = 0,
     ) -> TensorModel:
+        if points < 1:
+            raise ValueError(f"a tensor model needs at least one point, got {points}")
         rng = random.Random(seed)
         spec = ScalarFreeSpec.random({"a": ("a",)}, max_order, seed)
         while True:

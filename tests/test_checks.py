@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
 from freecumulants.checks import ALL_CHECKS, replay_report, run_check
 from freecumulants.cli import main
+from freecumulants.models import TensorModel
 
 
 def strip_wall(d):
@@ -162,6 +164,33 @@ def test_cli_replay_of_malformed_params_exits_two(tmp_path, capsys):
     assert main(["check", "--replay", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot replay") and len(err.splitlines()) == 1
+
+
+def test_cli_malformed_dimension_exits_two(capsys):
+    for identity in ("moment-cumulant", "tensor-factorization"):
+        assert main(["check", identity, "--dim", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {identity}:") and len(err.splitlines()) == 1
+
+
+def test_cli_tensor_spec_with_unnormalised_weights_exits_two(tmp_path, capsys):
+    spec = TensorModel.random(2, 4, 0).to_data()
+    spec["weights"] = ["1/2", "1/3"]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(spec))
+    assert main(["check", "tensor-factorization", "--spec", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: tensor-factorization: state weights must sum to 1\n"
+
+
+def test_cli_order_beyond_capacity_fails_before_any_work(capsys):
+    # max_order=8 cannot reach order 12: a setup FAIL at once, not minutes of work
+    t0 = time.perf_counter()
+    assert main(["check", "moment-cumulant", "--n", "12"]) == 1
+    assert time.perf_counter() - t0 < 2
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL moment-cumulant (0 cases")
+    assert "setup: n_max=12 exceeds max_order=8" in out
 
 
 def test_cli_replay_roundtrip(tmp_path, capsys):

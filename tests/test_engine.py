@@ -37,6 +37,7 @@ from freecumulants.partitions import (
     Partition,
     enumerate_partitions,
     interval_list,
+    moebius,
     parse_partition,
     quotient,
 )
@@ -86,6 +87,23 @@ def all_extraction_orders(fn, max_choices=4, max_steps=4):
         if value not in seen:
             seen.append(value)
     return seen
+
+
+def test_single_block_cumulant_enumerates_its_lattice_once():
+    # perf gate: mu is closed-form, so kappa_8 lists NC(8) once and mu lists nothing
+    def lookups():
+        info = interval_list.cache_info()
+        return info.hits + info.misses
+
+    before = lookups()
+    assert moebius(Partition.discrete(8), Partition.full(8), NC) == -429
+    assert lookups() == before
+    spec = ScalarFreeSpec.random({"a": ("a1", "a2")}, seed=3)
+    ctx = ScalarFreeContext(spec)
+    word = ("a1", "a2") * 4
+    value = free_cumulant(ctx, Partition.full(8), [ctx.gen(g) for g in word], Level.PSI)
+    assert lookups() - before <= 1
+    assert value == ctx.embed_scalar(spec.cumulant(word))
 
 
 def test_partitioned_expectation_is_confluent(matrix_ctx):

@@ -230,7 +230,7 @@ def test_moebius_matches_the_convolution_recursion():
             )
         return memo[key]
 
-    for kind, n_max in ((NC, 5), (FULL, 4)):
+    for kind, n_max in ((NC, 6), (FULL, 5)):
         for n in range(n_max + 1):
             everything = enumerate_partitions(n, kind)
             for s in everything:
@@ -244,6 +244,29 @@ def test_moebius_closed_forms():
         assert moebius(bottom, top, NC) == (-1) ** (n - 1) * catalan(n - 1)
         if n <= 6:
             assert moebius(bottom, top, FULL) == (-1) ** (n - 1) * math.factorial(n - 1)
+
+
+@given(st.data())
+def test_moebius_inverts_zeta_on_random_intervals(data):
+    # sum over rho in [pi, sigma] of mu(rho, sigma) is 1 at pi = sigma and 0 below
+    n = data.draw(st.integers(7, 8))
+    sigma = data.draw(st.sampled_from(enumerate_partitions(n, NC)))
+    pi = data.draw(st.sampled_from(interval_list(Partition.discrete(n), sigma, NC)))
+    total = sum(moebius(rho, sigma, NC) for rho in interval_list(pi, sigma, NC))
+    assert total == (1 if pi == sigma else 0)
+
+
+def test_moebius_validates_its_endpoints():
+    crossing = parse_partition("{1,3}{2,4}")
+    with pytest.raises(CrossingPartitionError):
+        moebius(Partition.discrete(4), crossing, NC)
+    with pytest.raises(CrossingPartitionError):
+        moebius(crossing, Partition.full(4), NC)
+    assert moebius(crossing, Partition.full(4), FULL) == -1
+    for kind in (NC, FULL):
+        with pytest.raises(OrderViolationError):
+            moebius(parse_partition("{1,2}{3}"), parse_partition("{1}{2,3}"), kind)
+        assert moebius(Partition(0, ()), Partition(0, ()), kind) == 1
 
 
 def test_interval_list_validates_its_endpoints():
