@@ -15,6 +15,7 @@ tolerances anywhere.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 import random
@@ -135,20 +136,59 @@ def _given(value, default):
     return value if value is not None else default
 
 
-def _params(params: dict | None, seed, max_order, seeds: int, **bounds) -> tuple[dict, bool]:
-    """The recorded ``params`` of a replay, or fresh ones: ``bounds``, the
-    order capacity, and ``seeds`` consecutive seeds from the base seed
-    (the base seed alone, as ``seed``, when ``seeds`` is 0).  The flag
-    says whether the params are fresh, so model data must be drawn."""
-    if params is not None:
-        return params, False
-    base = _given(seed, DEFAULT_SEED)
-    params = dict(bounds, max_order=_given(max_order, DEFAULT_MAX_ORDER))
-    if seeds:
-        params["seeds"] = [base + k for k in range(seeds)]
-    else:
-        params["seed"] = base
-    return params, True
+ALL_CHECKS: dict = {}
+
+
+def _check(identity: str, bounds, seeds: int | None = None):
+    """Register the decorated body as the check ``identity``.
+
+    ``bounds(**flags)`` returns the bounds of a fresh run; its parameters,
+    with their defaults, are the flags the check reads, and any other flag
+    but ``seed`` raises ``ValueError``.  A check that draws model data
+    gives ``seeds``, how many consecutive seeds from the base seed it
+    draws with (0: the base seed alone, recorded as ``seed``); it also
+    reads ``max_order`` and ``spec_data``, which do not combine, because a
+    spec carries its own capacity.  A check without ``seeds`` draws
+    nothing and records no seed.
+
+    The registered function keeps the public keyword signature and runs
+    ``body(suite, fresh, spec_data)``, where ``suite.params`` are the
+    recorded params of a replay, or fresh ones when ``fresh``.
+    """
+    bound_flags = set(inspect.signature(bounds).parameters)
+    reads = bound_flags | ({"max_order", "spec_data"} if seeds is not None else set())
+
+    def register(body):
+        def check(n=None, dimension=None, seed=None, max_order=None,
+                  spec_data=None, params=None, only_instance=None) -> CheckReport:
+            flags = {"n": n, "dimension": dimension, "max_order": max_order, "spec_data": spec_data}
+            given = {k: v for k, v in flags.items() if v is not None}
+            unread = [k for k in given if k not in reads]
+            if unread:
+                raise ValueError(f"does not read {', '.join(unread)} "
+                                 f"(it reads {', '.join(sorted(reads | {'seed'}))})")
+            if max_order is not None and spec_data is not None:
+                raise ValueError("max_order does not combine with spec_data: "
+                                 "a spec carries its own max_order")
+            fresh = params is None
+            if fresh:
+                params = bounds(**{k: v for k, v in given.items() if k in bound_flags})
+                if seeds is not None:
+                    base = _given(seed, DEFAULT_SEED)
+                    params["max_order"] = _given(max_order, DEFAULT_MAX_ORDER)
+                    if seeds:
+                        params["seeds"] = [base + k for k in range(seeds)]
+                    else:
+                        params["seed"] = base
+            suite = _Suite(identity, params, only_instance)
+            body(suite, fresh, spec_data)
+            return suite.report()
+
+        check.__name__, check.__qualname__, check.__doc__ = body.__name__, body.__qualname__, body.__doc__
+        ALL_CHECKS[identity] = check
+        return check
+
+    return register
 
 
 def _catalan(n: int) -> int:
@@ -185,12 +225,10 @@ def _below(part: Partition, kind: LatticeKind) -> tuple[Partition, ...]:
 # lattice-layer checks (no randomness)
 
 
-def check_lattice_counts(n=None, dimension=None, seed=None, max_order=None,
-                         spec_data=None, params=None, only_instance=None) -> CheckReport:
+@_check("lattice-counts", lambda n=8: {"nc_max": n, "full_max": min(n, 6)})
+def check_lattice_counts(suite: _Suite, fresh: bool, spec_data: dict | None) -> None:
     """Enumeration sizes match the Catalan and Bell numbers."""
-    if params is None:
-        params = {"nc_max": n if n is not None else 8, "full_max": min(n, 6) if n is not None else 6}
-    suite = _Suite("lattice-counts", params, only_instance)
+    params = suite.params
     for m in range(params["nc_max"] + 1):
         key = {"lattice": "nc", "n": m}
         if suite.wants(key):
@@ -199,20 +237,13 @@ def check_lattice_counts(n=None, dimension=None, seed=None, max_order=None,
         key = {"lattice": "full", "n": m}
         if suite.wants(key):
             suite.record(key, len(enumerate_partitions(m, LatticeKind.FULL)), _bell(m))
-    return suite.report()
 
 
-def check_moebius(n=None, dimension=None, seed=None, max_order=None,
-                  spec_data=None, params=None, only_instance=None) -> CheckReport:
+@_check("moebius", lambda n=7: {"nc_value_max": n, "full_value_max": min(n, 6),
+                                 "nc_convolution_n": 5, "full_convolution_n": 4})
+def check_moebius(suite: _Suite, fresh: bool, spec_data: dict | None) -> None:
     """Top-interval Moebius values match their closed forms, and zeta * mu = delta."""
-    if params is None:
-        params = {
-            "nc_value_max": n if n is not None else 7,
-            "full_value_max": min(n, 6) if n is not None else 6,
-            "nc_convolution_n": 5,
-            "full_convolution_n": 4,
-        }
-    suite = _Suite("moebius", params, only_instance)
+    params = suite.params
     for m in range(1, params["nc_value_max"] + 1):
         key = {"part": "closed-form", "lattice": "nc", "n": m}
         if suite.wants(key):
@@ -234,21 +265,14 @@ def check_moebius(n=None, dimension=None, seed=None, max_order=None,
                 if suite.wants(key):
                     total = sum(moebius(rho, sigma, kind) for rho in interval_list(pi, sigma, kind))
                     suite.record(key, total, 1 if pi == sigma else 0)
-    return suite.report()
 
 
-def check_kreweras(n=None, dimension=None, seed=None, max_order=None,
-                   spec_data=None, params=None, only_instance=None) -> CheckReport:
+@_check("kreweras", lambda n=None: {"size_max": _given(n, 7), "reversal_max": _given(n, 6),
+                                    "anti_max": _given(n, 6), "maximality_max": 4})
+def check_kreweras(suite: _Suite, fresh: bool, spec_data: dict | None) -> None:
     """Complement size identity, order reversal, interval anti-isomorphism,
     and the defining maximality of the complement."""
-    if params is None:
-        params = {
-            "size_max": n if n is not None else 7,
-            "reversal_max": n if n is not None else 6,
-            "anti_max": n if n is not None else 6,
-            "maximality_max": 4,
-        }
-    suite = _Suite("kreweras", params, only_instance)
+    params = suite.params
     for m in range(1, params["size_max"] + 1):
         for pi in _nc(m):
             key = {"part": "size", "n": m, "pi": str(pi)}
@@ -278,58 +302,61 @@ def check_kreweras(n=None, dimension=None, seed=None, max_order=None,
                         interweave(pi, sigma).is_noncrossing,
                         sigma.refines(kreweras(pi)),
                     )
-    return suite.report()
 
 
 # ---------------------------------------------------------------------------
-# matrix-model bundles shared by several checks
+# seeded models shared by several checks
 
 
-def _matrix_bundles(params: dict, fresh: bool, spec_data: dict | None):
-    """Build (seed, model, {n: generator word}) triples, recording them;
-    words longer than max_order fail here, before any work."""
-    if fresh and spec_data is not None and "max_order" in spec_data:
-        params["max_order"] = spec_data["max_order"]
-    if params["n_max"] > params["max_order"]:
-        raise CapacityError(f"n_max={params['n_max']} exceeds max_order={params['max_order']}")
+def _models(params: dict, fresh: bool, spec_data: dict | None, model_class, random_model, draw):
+    """(seed, model, recorded row) for each seed.
+
+    A fresh run builds each model from the spec, or as ``random_model(seed)``,
+    draws its arguments as ``draw(model, rng)`` from a per-seed generator,
+    and records ``{"seed", "model", **draws}`` together with the model's
+    own capacity as ``max_order``.  Every model is then rebuilt from the
+    record, so a replay uses the recorded values and never the seed.
+    Arguments longer than the capacity fail here, before any work."""
     if fresh:
         rows = []
         for s in params["seeds"]:
-            if spec_data is not None:
-                model = MatrixModel.from_data(spec_data)
-            else:
-                model = MatrixModel.random(
-                    params["generator_count"], params["dimension"], params["max_order"], s
-                )
-            rng = random.Random(f"{s}:args")
-            words = {
-                str(m): [rng.choice(model.generator_names) for _ in range(m)]
-                for m in range(1, params["n_max"] + 1)
-            }
-            rows.append({"seed": s, "model": model.to_data(), "args": words})
+            model = model_class.from_data(spec_data) if spec_data is not None else random_model(s)
+            data = model.to_data()
+            params["max_order"] = data["max_order"]
+            rows.append({"seed": s, "model": data, **draw(model, random.Random(f"{s}:args"))})
         params["models"] = rows
-    out = []
-    for row in params["models"]:
-        model = MatrixModel.from_data(row["model"])
-        out.append((row["seed"], model, row["args"]))
-    return out
+    if params["n_max"] > params["max_order"]:
+        raise CapacityError(f"n_max={params['n_max']} exceeds max_order={params['max_order']}")
+    return [(row["seed"], model_class.from_data(row["model"]), row) for row in params["models"]]
 
 
-def _word_args(model: MatrixModel, words: dict, m: int) -> list[Matrix]:
-    return [model.generators[g] for g in words[str(m)]]
+def _matrix_bundles(params: dict, fresh: bool, spec_data: dict | None):
+    """Matrix models, each with one generator word of every length up to n_max."""
+    return _models(
+        params, fresh, spec_data, MatrixModel,
+        lambda s: MatrixModel.random(params["generator_count"], params["dimension"],
+                                     params["max_order"], s),
+        lambda model, rng: {"args": {
+            str(m): [rng.choice(model.generator_names) for _ in range(m)]
+            for m in range(1, params["n_max"] + 1)
+        }},
+    )
 
 
-def check_moment_cumulant(n=None, dimension=None, seed=None, max_order=None,
-                          spec_data=None, params=None, only_instance=None) -> CheckReport:
+def _word_args(model: MatrixModel, row: dict, m: int) -> list[Matrix]:
+    return [model.generators[g] for g in row["args"][str(m)]]
+
+
+@_check("moment-cumulant", lambda n=5, dimension=DEFAULT_DIMENSION:
+        {"n_max": n, "dimension": dimension, "generator_count": 3}, seeds=5)
+def check_moment_cumulant(suite: _Suite, fresh: bool, spec_data: dict | None) -> None:
     """Moment-cumulant inversion: phi_sigma equals the sum of partitioned
     cumulants below sigma, for every noncrossing sigma."""
-    params, fresh = _params(params, seed, max_order, 5, n_max=_given(n, 5),
-                            dimension=_given(dimension, DEFAULT_DIMENSION), generator_count=3)
-    suite = _Suite("moment-cumulant", params, only_instance)
-    for s, model, words in _matrix_bundles(params, fresh, spec_data):
+    params = suite.params
+    for s, model, row in _matrix_bundles(params, fresh, spec_data):
         ctx = MatrixContext(model)
         for m in range(1, params["n_max"] + 1):
-            args = _word_args(model, words, m)
+            args = _word_args(model, row, m)
             table: dict[Partition, Matrix] = {}
             for sigma in _nc(m):
                 key = {"seed": s, "n": m, "sigma": str(sigma)}
@@ -341,21 +368,19 @@ def check_moment_cumulant(n=None, dimension=None, seed=None, max_order=None,
                         table[pi] = free_cumulant(ctx, pi, args, Level.PSI)
                 suite.record(key, phi_partitioned(ctx, sigma, args, Level.PSI),
                              ctx.sum(table[pi] for pi in below), render=ctx.describe)
-    return suite.report()
 
 
-def check_total_cumulance(n=None, dimension=None, seed=None, max_order=None,
-                          spec_data=None, params=None, only_instance=None) -> CheckReport:
+@_check("total-cumulance", lambda n=4, dimension=DEFAULT_DIMENSION:
+        {"n_max": n, "dimension": dimension, "generator_count": 3}, seeds=5)
+def check_total_cumulance(suite: _Suite, fresh: bool, spec_data: dict | None) -> None:
     """The law of total cumulance on the noncrossing lattice, with its two
     supporting identities: the generalized moment-cumulant formula and the
     Moebius consistency of the nested functionals."""
-    params, fresh = _params(params, seed, max_order, 5, n_max=_given(n, 4),
-                            dimension=_given(dimension, DEFAULT_DIMENSION), generator_count=3)
-    suite = _Suite("total-cumulance", params, only_instance)
-    for s, model, words in _matrix_bundles(params, fresh, spec_data):
+    params = suite.params
+    for s, model, row in _matrix_bundles(params, fresh, spec_data):
         ctx = MatrixContext(model)
         for m in range(1, params["n_max"] + 1):
-            args = _word_args(model, words, m)
+            args = _word_args(model, row, m)
             top = Partition.full(m)
             key = {"part": "total-cumulance", "seed": s, "n": m}
             if suite.wants(key):
@@ -378,20 +403,18 @@ def check_total_cumulance(n=None, dimension=None, seed=None, max_order=None,
                                         for rho in interval_list(pi, sigma, LatticeKind.NONCROSSING))
                         suite.record(key, nested_semicumulant(ctx, NestedPair(pi, sigma), args),
                                      total, render=ctx.describe)
-    return suite.report()
 
 
-def check_partial_cumulants(n=None, dimension=None, seed=None, max_order=None,
-                            spec_data=None, params=None, only_instance=None) -> CheckReport:
+@_check("partial-cumulants", lambda n=5, dimension=DEFAULT_DIMENSION:
+        {"n_max": n, "interval_base_max": 4, "dimension": dimension, "generator_count": 3}, seeds=1)
+def check_partial_cumulants(suite: _Suite, fresh: bool, spec_data: dict | None) -> None:
     """Join formula for partial cumulants, their boundary collapses, and
     the interval-base reduction to a quotient cumulant of block products."""
-    params, fresh = _params(params, seed, max_order, 1, n_max=_given(n, 5), interval_base_max=4,
-                            dimension=_given(dimension, DEFAULT_DIMENSION), generator_count=3)
-    suite = _Suite("partial-cumulants", params, only_instance)
-    for s, model, words in _matrix_bundles(params, fresh, spec_data):
+    params = suite.params
+    for s, model, row in _matrix_bundles(params, fresh, spec_data):
         ctx = MatrixContext(model)
         for m in range(1, params["n_max"] + 1):
-            args = _word_args(model, words, m)
+            args = _word_args(model, row, m)
             everything = _nc(m)
             table = {}
             for sigma in everything:
@@ -428,19 +451,16 @@ def check_partial_cumulants(n=None, dimension=None, seed=None, max_order=None,
                             rhs = free_cumulant(ctx, quotient(sigma, rho), prods, Level.PSI)
                             suite.record(key, partial_cumulant(ctx, rho, sigma, args, Level.PSI),
                                          rhs, render=ctx.describe)
-    return suite.report()
 
 
-def check_nested_closed_forms(n=None, dimension=None, seed=None, max_order=None,
-                              spec_data=None, params=None, only_instance=None) -> CheckReport:
+@_check("nested-closed-forms", lambda dimension=DEFAULT_DIMENSION:
+        {"n_max": 8, "dimension": dimension, "generator_count": 3}, seeds=1)
+def check_nested_closed_forms(suite: _Suite, fresh: bool, spec_data: dict | None) -> None:
     """The worked eight-argument nesting displays and the three-argument
     correction-term closed form, evaluated literally against the engine."""
-    params, fresh = _params(params, seed, max_order, 1, n_max=8,
-                            dimension=_given(dimension, DEFAULT_DIMENSION), generator_count=3)
-    suite = _Suite("nested-closed-forms", params, only_instance)
-    for s, model, words in _matrix_bundles(params, fresh, spec_data):
+    for s, model, row in _matrix_bundles(suite.params, fresh, spec_data):
         ctx = MatrixContext(model)
-        X = _word_args(model, words, 8)
+        X = _word_args(model, row, 8)
         X1, X2, X3, X4, X5, X6, X7, X8 = X
         pi = parse_partition("{1,2,7,8}{3,4}{5,6}")
         sigma = parse_partition("{1,2,7,8}{3,4,5,6}")
@@ -479,60 +499,37 @@ def check_nested_closed_forms(n=None, dimension=None, seed=None, max_order=None,
             rhs = phi(C([X1, mul(b, X3)], Level.PSI))
             suite.record(key, nested_cumulant(ctx, NestedPair(p3, Partition.full(3)), [X1, X2, X3]),
                          rhs, render=ctx.describe)
-    return suite.report()
 
 
 # ---------------------------------------------------------------------------
 # classical lattice
 
 
-def _classical_bundles(params: dict, fresh: bool, spec_data: dict | None):
-    """Seeded polynomial arguments over a kept factor and a chain of
-    integrated variables, so conditional dependence is genuine."""
-    n_max = params["n_max"]
-    if fresh:
-        if spec_data is not None and "max_order" in spec_data:
-            params["max_order"] = spec_data["max_order"]
-        rows = []
-        for s in params["seeds"]:
-            if spec_data is not None:
-                spec = ClassicalSpec.from_data(spec_data)
-            else:
-                names = ["f"] + [f"g{i}" for i in range(n_max + 1)]
-                spec = ClassicalSpec.random(names, params["max_order"], s)
-            rng = random.Random(f"{s}:args")
-            ring = spec.ring
-            polys = []
-            for i in range(1, n_max + 1):
-                a, b, c, d = (draw_fraction(rng) for _ in range(4))
-                p = (ring.var("f") * a + ring.var(f"g{i-1}") * b + ring.var(f"g{i}") * c
-                     + ring.var(f"g{i-1}") * ring.var(f"g{i}") * d)
-                polys.append(p)
-            rows.append({
-                "seed": s,
-                "model": spec.to_data(),
-                "keep": ["f"],
-                "polys": [p.to_data() for p in polys],
-            })
-        params["models"] = rows
-    out = []
-    for row in params["models"]:
-        spec = ClassicalSpec.from_data(row["model"])
-        polys = [Poly.from_data(spec.ring, d) for d in row["polys"]]
-        out.append((row["seed"], spec, frozenset(row["keep"]), polys))
-    return out
-
-
-def check_classical_total_cumulance(n=None, dimension=None, seed=None, max_order=None,
-                                    spec_data=None, params=None, only_instance=None) -> CheckReport:
+@_check("classical-total-cumulance", lambda n=4: {"n_max": n}, seeds=3)
+def check_classical_total_cumulance(suite: _Suite, fresh: bool, spec_data: dict | None) -> None:
     """The classical law of total cumulance over all set partitions, the
     closed form for nested conditional cumulants, and the rearrangement of
     partial cumulants into quotient cumulants of block products."""
-    params, fresh = _params(params, seed, max_order, 3, n_max=_given(n, 4))
-    suite = _Suite("classical-total-cumulance", params, only_instance)
-    for s, spec, keep, polys in _classical_bundles(params, fresh, spec_data):
-        ctx = ClassicalContext(spec, keep)
+    params = suite.params
+    n_max = params["n_max"]
+
+    def draw(spec: ClassicalSpec, rng: random.Random) -> dict:
+        # polynomials over a kept factor and a chain of integrated
+        # variables, so conditional dependence is genuine
+        ring = spec.ring
+        polys = []
+        for i in range(1, n_max + 1):
+            a, b, c, d = (draw_fraction(rng) for _ in range(4))
+            polys.append(ring.var("f") * a + ring.var(f"g{i-1}") * b + ring.var(f"g{i}") * c
+                         + ring.var(f"g{i-1}") * ring.var(f"g{i}") * d)
+        return {"keep": ["f"], "polys": [p.to_data() for p in polys]}
+
+    names = ["f"] + [f"g{i}" for i in range(n_max + 1)]
+    for s, spec, row in _models(params, fresh, spec_data, ClassicalSpec,
+                                lambda s: ClassicalSpec.random(names, params["max_order"], s), draw):
+        ctx = ClassicalContext(spec, frozenset(row["keep"]))
         plain = ClassicalContext(spec)
+        polys = [Poly.from_data(spec.ring, d) for d in row["polys"]]
         for m in range(1, params["n_max"] + 1):
             args = polys[:m]
             top = Partition.full(m)
@@ -562,19 +559,18 @@ def check_classical_total_cumulance(n=None, dimension=None, seed=None, max_order
                         prods = [plain.product(args[i - 1] for i in b) for b in pi.blocks]
                         rhs = free_cumulant(plain, quotient(sigma, pi), prods, Level.PHI)
                         suite.record(key, lhs, rhs)
-    return suite.report()
 
 
 # ---------------------------------------------------------------------------
 # scalar free families
 
 
-def check_freeness(n=None, dimension=None, seed=None, max_order=None,
-                   spec_data=None, params=None, only_instance=None) -> CheckReport:
+@_check("freeness", lambda n=4: {"mixed_max": n, "alternating_max": 6,
+                                 "quadratic_max": 3, "quadratic_trials": 4}, seeds=0)
+def check_freeness(suite: _Suite, fresh: bool, spec_data: dict | None) -> None:
     """Freeness certificates: cumulants mixing families vanish, and
     alternating products of centered elements have zero expectation."""
-    params, fresh = _params(params, seed, max_order, 0, mixed_max=_given(n, 4),
-                            alternating_max=6, quadratic_max=3, quadratic_trials=4)
+    params = suite.params
     if fresh:
         base = params["seed"]
         spec = (ScalarFreeSpec.from_data(spec_data) if spec_data is not None
@@ -598,7 +594,6 @@ def check_freeness(n=None, dimension=None, seed=None, max_order=None,
             quad[str(L)] = rows
         params["quadratic_words"] = quad
     spec = ScalarFreeSpec.from_data(params["model"])
-    suite = _Suite("freeness", params, only_instance)
     ctx = ScalarFreeContext(spec)
     fams = sorted(spec.families)
     gens = [g for f in fams for g in spec.families[f]]
@@ -627,14 +622,13 @@ def check_freeness(n=None, dimension=None, seed=None, max_order=None,
                 for g, h in letters:
                     prod = ctx.mul(prod, centered(ctx, ctx.mul(ctx.gen(g), ctx.gen(h))))
                 suite.record(key, ctx.phi_scalar(prod), Fraction(0))
-    return suite.report()
 
 
-def check_product_formula(n=None, dimension=None, seed=None, max_order=None,
-                          spec_data=None, params=None, only_instance=None) -> CheckReport:
+@_check("product-formula", lambda n=4: {"n_max": n}, seeds=0)
+def check_product_formula(suite: _Suite, fresh: bool, spec_data: dict | None) -> None:
     """Cumulants of products of free variables expand over interweaved
     partitions pi joined with their Kreweras complements."""
-    params, fresh = _params(params, seed, max_order, 0, n_max=_given(n, 4))
+    params = suite.params
     if fresh:
         base = params["seed"]
         spec = (ScalarFreeSpec.from_data(spec_data) if spec_data is not None
@@ -652,7 +646,6 @@ def check_product_formula(n=None, dimension=None, seed=None, max_order=None,
             for m in range(1, params["n_max"] + 1)
         }
     spec = ScalarFreeSpec.from_data(params["model"])
-    suite = _Suite("product-formula", params, only_instance)
     ctx = ScalarFreeContext(spec)
     for m in range(1, params["n_max"] + 1):
         words = params["words"][str(m)]
@@ -668,63 +661,47 @@ def check_product_formula(n=None, dimension=None, seed=None, max_order=None,
         total = ctx.sum(free_cumulant(ctx, interweave(pi, kreweras(pi)), flat, Level.PHI)
                         for pi in _nc(m))
         suite.record(key, lhs, total, render=ctx.describe)
-    return suite.report()
 
 
 # ---------------------------------------------------------------------------
 # factorization model
 
 
-def _characterization_bundles(params: dict, fresh: bool, spec_data: dict | None):
-    if fresh:
-        if spec_data is not None and "max_order" in spec_data:
-            params["max_order"] = spec_data["max_order"]
-        rows = []
-        for s in params["seeds"]:
-            if spec_data is not None:
-                model = FactorizationModel.from_data(spec_data)
-            else:
-                model = FactorizationModel.random(2, params["dimension"], params["max_order"], s)
-            rng = random.Random(f"{s}:args")
-            gens = [g for f in sorted(model.scalars.families)
-                    for g in model.scalars.families[f]]
-            d = model.d
-            draws = {}
-            for m in range(1, params["n_max"] + 1):
-                draws[str(m)] = {
-                    "gens": [rng.choice(gens) for _ in range(m)],
-                    "bs": [
-                        _matrix_to_data(Matrix([[draw_fraction(rng) for _ in range(d)]
-                                                for _ in range(d)]))
-                        for _ in range(m)
-                    ],
-                    "b0": _matrix_to_data(Matrix([[draw_fraction(rng) for _ in range(d)]
-                                                  for _ in range(d)])),
-                    "cs": [str(draw_fraction(rng)) for _ in range(max(m - 1, 0))],
-                }
-            rows.append({"seed": s, "model": model.to_data(), "draws": draws})
-        params["models"] = rows
-    out = []
-    for row in params["models"]:
-        out.append((row["seed"], FactorizationModel.from_data(row["model"]), row["draws"]))
-    return out
-
-
-def check_freeness_characterization(n=None, dimension=None, seed=None, max_order=None,
-                                    spec_data=None, params=None, only_instance=None) -> CheckReport:
+@_check("freeness-characterization", lambda n=4, dimension=DEFAULT_DIMENSION:
+        {"n_max": n, "dimension": dimension}, seeds=3)
+def check_freeness_characterization(suite: _Suite, fresh: bool, spec_data: dict | None) -> None:
     """In the model whose conditional expectation is defined by the
     factorization rule: the rule round-trips through the engine,
     alternating centered words vanish, scalar-coefficient cumulants stay
     scalar and match the plain ones, and nested cumulants flatten onto the
     interweave of the inner partition with its Kreweras complement."""
-    params, fresh = _params(params, seed, max_order, 3, n_max=_given(n, 4),
-                            dimension=_given(dimension, DEFAULT_DIMENSION))
-    suite = _Suite("freeness-characterization", params, only_instance)
-    for s, model, draws in _characterization_bundles(params, fresh, spec_data):
+    params = suite.params
+
+    def draw(model: FactorizationModel, rng: random.Random) -> dict:
+        gens = [g for f in sorted(model.scalars.families) for g in model.scalars.families[f]]
+        d = model.d
+
+        def matrix() -> list[list[str]]:
+            return _matrix_to_data(Matrix([[draw_fraction(rng) for _ in range(d)] for _ in range(d)]))
+
+        return {"draws": {
+            str(m): {
+                "gens": [rng.choice(gens) for _ in range(m)],
+                "bs": [matrix() for _ in range(m)],
+                "b0": matrix(),
+                "cs": [str(draw_fraction(rng)) for _ in range(max(m - 1, 0))],
+            }
+            for m in range(1, params["n_max"] + 1)
+        }}
+
+    for s, model, recorded in _models(
+        params, fresh, spec_data, FactorizationModel,
+        lambda s: FactorizationModel.random(2, params["dimension"], params["max_order"], s), draw,
+    ):
         ctx = WordContext(model)
         sc = model.scalars
         for m in range(1, params["n_max"] + 1):
-            row = draws[str(m)]
+            row = recorded["draws"][str(m)]
             gens = row["gens"]
             bs = [ctx.embed_b(_matrix_from_data(rows)) for rows in row["bs"]]
             b0 = ctx.embed_b(_matrix_from_data(row["b0"]))
@@ -769,21 +746,19 @@ def check_freeness_characterization(n=None, dimension=None, seed=None, max_order
                     tau = interweave(pi, kreweras(pi))
                     rhs = free_cumulant(ctx, tau, flat, Level.PHI)
                     suite.record(key, lhs, rhs, render=ctx.describe)
-    return suite.report()
 
 
 # ---------------------------------------------------------------------------
 # tensor model
 
 
-def check_tensor_factorization(n=None, dimension=None, seed=None, max_order=None,
-                               spec_data=None, params=None, only_instance=None) -> CheckReport:
+@_check("tensor-factorization", lambda n=4, dimension=3: {"n_max": n, "points": dimension}, seeds=0)
+def check_tensor_factorization(suite: _Suite, fresh: bool, spec_data: dict | None) -> None:
     """Nested functionals of simple tensors split into a word-factor
     functional indexed by the inner partition and a point-factor
     functional indexed by the outer one; reference values come from
     direct partition sums, not the engine."""
-    params, fresh = _params(params, seed, max_order, 0, n_max=_given(n, 4),
-                            points=_given(dimension, 3))
+    params = suite.params
     if fresh:
         base = params["seed"]
         model = (TensorModel.from_data(spec_data) if spec_data is not None
@@ -803,7 +778,6 @@ def check_tensor_factorization(n=None, dimension=None, seed=None, max_order=None
             for m in range(1, params["n_max"] + 1)
         }
     model = TensorModel.from_data(params["model"])
-    suite = _Suite("tensor-factorization", params, only_instance)
     ctx = TensorContext(model)
     sc = model.scalars
     for m in range(1, params["n_max"] + 1):
@@ -854,27 +828,6 @@ def check_tensor_factorization(n=None, dimension=None, seed=None, max_order=None
                 if suite.wants(key):
                     suite.record(key, ctx.phi_scalar(nested_cumulant(ctx, pair, args)),
                                  c_word(pi) * c_point(pi, sigma))
-    return suite.report()
-
-
-# ---------------------------------------------------------------------------
-# registry
-
-
-ALL_CHECKS = {
-    "lattice-counts": check_lattice_counts,
-    "moebius": check_moebius,
-    "kreweras": check_kreweras,
-    "moment-cumulant": check_moment_cumulant,
-    "total-cumulance": check_total_cumulance,
-    "partial-cumulants": check_partial_cumulants,
-    "nested-closed-forms": check_nested_closed_forms,
-    "classical-total-cumulance": check_classical_total_cumulance,
-    "freeness": check_freeness,
-    "product-formula": check_product_formula,
-    "freeness-characterization": check_freeness_characterization,
-    "tensor-factorization": check_tensor_factorization,
-}
 
 
 def run_check(identity: str, **kwargs) -> CheckReport:

@@ -585,6 +585,8 @@ class FactorizationModel:
             raise ValueError("factorization model wants exactly one scalar family")
         self.scalars = scalars
         self.d = int(dimension)
+        if self.d < 1:
+            raise ValueError(f"matrix dimension must be at least 1, got {self.d}")
 
     @classmethod
     def random(

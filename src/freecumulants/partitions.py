@@ -222,9 +222,10 @@ def parse_partition(text: str) -> Partition:
             raise PartitionParseError(f"duplicate index {i} in {text!r}")
         seen.add(i)
     n = max(seen)
-    missing = sorted(set(range(1, n + 1)) - seen)
-    if missing:
-        raise PartitionParseError(f"missing index {missing[0]} in {text!r}")
+    if n > len(seen):
+        # the indices are distinct and positive, so the first gap is at most len(seen) + 1
+        missing = next(i for i in range(1, n + 1) if i not in seen)
+        raise PartitionParseError(f"missing index {missing} in {text!r}")
     for b in raw_blocks:
         if not b:
             raise PartitionParseError(f"empty block in {text!r}")
@@ -283,6 +284,8 @@ def enumerate_partitions(
     >>> [str(p) for p in enumerate_partitions(3, LatticeKind.NONCROSSING, interval_only=True)]
     ['{1,2,3}', '{1,2}{3}', '{1}{2,3}', '{1}{2}{3}']
     """
+    if n < 0:
+        raise ValueError(f"partition size must be nonnegative, got {n}")
     if n > MAX_ENUM_N:
         raise CapacityError(f"enumeration over n={n} exceeds the bound MAX_ENUM_N={MAX_ENUM_N}")
     out = []

@@ -1,14 +1,18 @@
 """Report plumbing and the command line surface."""
 
+import contextlib
 import hashlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freecumulants.checks import ALL_CHECKS, replay_report, run_check
 from freecumulants.cli import main
-from freecumulants.models import TensorModel
+from freecumulants.models import MatrixModel, TensorModel
+from freecumulants.partitions import LatticeKind, enumerate_partitions, format_partition
 
 
 def strip_wall(d):
@@ -73,6 +77,38 @@ def test_a_run_without_cases_fails():
         report = run_check(identity, n=n)
         assert not report.passed and report.cases == 0, identity
         assert set(report.witness) == {"error"}, identity
+
+
+# the flags each check reads besides seed, as the README's checks table lists them
+READS = {
+    "lattice-counts": {"n"},
+    "moebius": {"n"},
+    "kreweras": {"n"},
+    "moment-cumulant": {"n", "dimension", "max_order", "spec_data"},
+    "total-cumulance": {"n", "dimension", "max_order", "spec_data"},
+    "partial-cumulants": {"n", "dimension", "max_order", "spec_data"},
+    "nested-closed-forms": {"dimension", "max_order", "spec_data"},
+    "classical-total-cumulance": {"n", "max_order", "spec_data"},
+    "freeness": {"n", "max_order", "spec_data"},
+    "product-formula": {"n", "max_order", "spec_data"},
+    "freeness-characterization": {"n", "dimension", "max_order", "spec_data"},
+    "tensor-factorization": {"n", "dimension", "max_order", "spec_data"},
+}
+
+
+def test_each_check_rejects_the_flags_it_does_not_read():
+    assert list(READS) == list(ALL_CHECKS)
+    for identity, reads in READS.items():
+        for flag in {"n", "dimension", "max_order", "spec_data"} - reads:
+            with pytest.raises(ValueError, match=f"does not read {flag}"):
+                run_check(identity, **{flag: {} if flag == "spec_data" else 3})
+
+
+def test_lattice_checks_accept_a_seed_and_do_not_record_it(default_reports):
+    for identity in ("lattice-counts", "moebius", "kreweras"):
+        report = run_check(identity, seed=5)
+        assert report.passed, identity
+        assert report.params == default_reports[identity].params, identity
 
 
 def test_unknown_check_name_is_rejected():
@@ -167,10 +203,34 @@ def test_cli_replay_of_malformed_params_exits_two(tmp_path, capsys):
 
 
 def test_cli_malformed_dimension_exits_two(capsys):
-    for identity in ("moment-cumulant", "tensor-factorization"):
+    for identity in ("moment-cumulant", "tensor-factorization", "freeness-characterization"):
         assert main(["check", identity, "--dim", "0"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {identity}:") and len(err.splitlines()) == 1
+
+
+def test_cli_flags_a_check_does_not_read_exit_two(capsys):
+    for argv in (["freeness", "--dim", "-1", "--n", "3"], ["nested-closed-forms", "--n", "3"],
+                 ["lattice-counts", "--max-order", "2"]):
+        assert main(["check", *argv]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {argv[0]}: does not read") and len(err.splitlines()) == 1
+
+
+def test_cli_spec_carries_its_own_capacity(tmp_path, capsys):
+    # a matrix spec without a max_order key holds the default capacity, 8
+    spec = MatrixModel.random(3, 2, 8, 0).to_data()
+    del spec["max_order"]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(spec))
+    argv = ["check", "moment-cumulant", "--spec", str(path), "--n", "3"]
+    assert main([*argv, "--max-order", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: moment-cumulant: max_order does not combine with spec_data")
+    assert main([*argv, "--format", "json"]) == 0
+    params = json.loads(capsys.readouterr().out)["params"]
+    assert params["max_order"] == 8
+    assert all(row["model"]["max_order"] == 8 for row in params["models"])
 
 
 def test_cli_tensor_spec_with_unnormalised_weights_exits_two(tmp_path, capsys):
@@ -221,3 +281,57 @@ def test_cli_check_accepts_a_model_spec_file(tmp_path, capsys):
     blob = json.loads(capsys.readouterr().out)
     assert code == 0
     assert blob["params"]["model"]["families"][0]["cumulants"]["a1"] == "1"
+
+
+# ---------------------------------------------------------------------------
+# fuzzed lattice subcommands
+
+
+@st.composite
+def mutated_partition_text(draw):
+    n = draw(st.integers(0, 6))
+    text = format_partition(draw(st.sampled_from(enumerate_partitions(n, LatticeKind.FULL))))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        c = draw(st.sampled_from("{}|, 0123456789-"))
+        edit = draw(st.sampled_from(("insert", "replace", "delete")))
+        if edit == "insert":
+            text = text[:i] + c + text[i:]
+        else:
+            text = text[:i] + (c if edit == "replace" else "") + text[i + 1:]
+    return text
+
+
+@st.composite
+def lattice_argv(draw):
+    n = ["--n", str(draw(st.integers(-20, 8)))]
+    lattice = ["--lattice", draw(st.sampled_from(("nc", "full")))]
+    a, b = draw(mutated_partition_text()), draw(mutated_partition_text())
+    return draw(st.sampled_from((
+        ["enumerate", *n, *lattice],
+        ["enumerate", *n, *lattice, "--interval-only", "--format", "json"],
+        ["moebius", *n, *lattice],
+        ["moebius", a, b, *lattice],
+        ["kreweras", a],
+        ["quotient", a, b],
+        ["join", a, b, *lattice],
+    )))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_argv())
+def _lattice_cli_exits_cleanly(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+
+
+def test_cli_lattice_commands_survive_fuzzed_input():
+    t0 = time.perf_counter()
+    _lattice_cli_exits_cleanly()
+    assert time.perf_counter() - t0 < 10

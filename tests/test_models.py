@@ -7,6 +7,7 @@ sums, the conditional-expectation factorization rule evaluated on a
 two-letter word, and the tensor split of a nested moment.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -362,3 +363,32 @@ def test_centered_is_idempotent_and_kills_the_expectation():
             assert centered(ctx, y, level) == y, name
         with pytest.raises(ValueError):
             centered(ctx, x, "D")
+
+
+# ---------------------------------------------------------------------------
+# closed-form moment sequences, computed without the engine
+
+
+def _one_variable(name: str, cumulants) -> ScalarFreeSpec:
+    return ScalarFreeSpec.from_data(
+        {"max_order": 8, "families": [{"name": name, "cumulants": [str(c) for c in cumulants]}]}
+    )
+
+
+def test_semicircular_moments_are_catalan_numbers():
+    # kappa_2 = 1 and every other cumulant 0: moments count noncrossing pairings
+    spec = _one_variable("s", [0, 1, 0, 0, 0, 0, 0, 0])
+    for n in range(1, 9):
+        k = n // 2
+        expected = math.comb(2 * k, k) // (k + 1) if n % 2 == 0 else 0
+        assert free_moment(spec, ("s",) * n) == expected, n
+
+
+def test_free_poisson_moments_are_narayana_polynomials():
+    # every cumulant lambda: the n-th moment is sum_k N(n, k) lambda^k
+    for lam in (F(1), F(2, 3), F(-5, 2)):
+        spec = _one_variable("p", [lam] * 8)
+        for n in range(1, 9):
+            narayana = sum(F(math.comb(n, k) * math.comb(n, k - 1), n) * lam**k
+                           for k in range(1, n + 1))
+            assert free_moment(spec, ("p",) * n) == narayana, (lam, n)

@@ -11,6 +11,7 @@ convolution recursion.
 import doctest
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -94,6 +95,8 @@ def test_interval_partition_count_is_a_power_of_two():
 def test_enumeration_capacity_is_enforced():
     with pytest.raises(CapacityError):
         enumerate_partitions(11, FULL)
+    with pytest.raises(ValueError, match="nonnegative"):
+        enumerate_partitions(-3, NC)
 
 
 def test_noncrossing_flag_matches_four_index_scan():
@@ -132,6 +135,17 @@ def test_parse_accepts_bar_notation_and_spaces():
 def test_parse_errors_name_the_offender(text, fragment):
     with pytest.raises(PartitionParseError, match=fragment):
         parse_partition(text)
+
+
+def test_a_gap_is_found_without_allocating_up_to_the_largest_index():
+    tracemalloc.start()
+    try:
+        with pytest.raises(PartitionParseError, match="missing index 2"):
+            parse_partition("{1,1000000}")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_blocks_must_cover_the_ground_set():
