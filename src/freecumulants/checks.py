@@ -147,9 +147,9 @@ def _check(identity: str, bounds, seeds: int | None = None):
     but ``seed`` raises ``ValueError``.  A check that draws model data
     gives ``seeds``, how many consecutive seeds from the base seed it
     draws with (0: the base seed alone, recorded as ``seed``); it also
-    reads ``max_order`` and ``spec_data``, which do not combine, because a
-    spec carries its own capacity.  A check without ``seeds`` draws
-    nothing and records no seed.
+    reads ``max_order`` and ``spec_data``.  A check without ``seeds`` draws
+    nothing and records no seed.  Neither ``max_order`` nor ``dimension``
+    combines with ``spec_data``, because a spec carries its own.
 
     The registered function keeps the public keyword signature and runs
     ``body(suite, fresh, spec_data)``, where ``suite.params`` are the
@@ -167,19 +167,18 @@ def _check(identity: str, bounds, seeds: int | None = None):
             if unread:
                 raise ValueError(f"does not read {', '.join(unread)} "
                                  f"(it reads {', '.join(sorted(reads | {'seed'}))})")
-            if max_order is not None and spec_data is not None:
-                raise ValueError("max_order does not combine with spec_data: "
-                                 "a spec carries its own max_order")
+            if spec_data is not None:
+                for flag in ("max_order", "dimension"):
+                    if flag in given:
+                        raise ValueError(f"{flag} does not combine with spec_data: "
+                                         f"a spec carries its own {flag}")
             fresh = params is None
             if fresh:
                 params = bounds(**{k: v for k, v in given.items() if k in bound_flags})
                 if seeds is not None:
                     base = _given(seed, DEFAULT_SEED)
                     params["max_order"] = _given(max_order, DEFAULT_MAX_ORDER)
-                    if seeds:
-                        params["seeds"] = [base + k for k in range(seeds)]
-                    else:
-                        params["seed"] = base
+                    params.update({"seeds": [base + k for k in range(seeds)]} if seeds else {"seed": base})
             suite = _Suite(identity, params, only_instance)
             body(suite, fresh, spec_data)
             return suite.report()
@@ -311,22 +310,23 @@ def check_kreweras(suite: _Suite, fresh: bool, spec_data: dict | None) -> None:
 def _models(params: dict, fresh: bool, spec_data: dict | None, model_class, random_model, draw):
     """(seed, model, recorded row) for each seed.
 
-    A fresh run builds each model from the spec, or as ``random_model(seed)``,
-    draws its arguments as ``draw(model, rng)`` from a per-seed generator,
-    and records ``{"seed", "model", **draws}`` together with the model's
-    own capacity as ``max_order``.  Every model is then rebuilt from the
+    A fresh run takes the spec, whose own ``max_order`` and ``dimension``
+    replace the bounds', or builds ``random_model(seed)``; it draws the
+    arguments as ``draw(model, rng)`` from a per-seed generator and records
+    ``{"seed", "model", **draws}``.  Every model is then rebuilt from the
     record, so a replay uses the recorded values and never the seed.
-    Arguments longer than the capacity fail here, before any work."""
+    Arguments longer than the capacity fail before anything is drawn."""
+    spec = model_class.from_data(spec_data) if fresh and spec_data is not None else None
+    if spec is not None:
+        params.update((k, v) for k, v in spec.to_data().items() if k in ("max_order", "dimension"))
+    if params["n_max"] > params["max_order"]:
+        raise CapacityError(f"n_max={params['n_max']} exceeds max_order={params['max_order']}")
     if fresh:
         rows = []
         for s in params["seeds"]:
-            model = model_class.from_data(spec_data) if spec_data is not None else random_model(s)
-            data = model.to_data()
-            params["max_order"] = data["max_order"]
-            rows.append({"seed": s, "model": data, **draw(model, random.Random(f"{s}:args"))})
+            model = spec if spec is not None else random_model(s)
+            rows.append({"seed": s, "model": model.to_data(), **draw(model, random.Random(f"{s}:args"))})
         params["models"] = rows
-    if params["n_max"] > params["max_order"]:
-        raise CapacityError(f"n_max={params['n_max']} exceeds max_order={params['max_order']}")
     return [(row["seed"], model_class.from_data(row["model"]), row) for row in params["models"]]
 
 
@@ -524,9 +524,11 @@ def check_classical_total_cumulance(suite: _Suite, fresh: bool, spec_data: dict 
                          + ring.var(f"g{i-1}") * ring.var(f"g{i}") * d)
         return {"keep": ["f"], "polys": [p.to_data() for p in polys]}
 
-    names = ["f"] + [f"g{i}" for i in range(n_max + 1)]
-    for s, spec, row in _models(params, fresh, spec_data, ClassicalSpec,
-                                lambda s: ClassicalSpec.random(names, params["max_order"], s), draw):
+    def random_spec(s: int) -> ClassicalSpec:
+        names = ["f"] + [f"g{i}" for i in range(n_max + 1)]
+        return ClassicalSpec.random(names, params["max_order"], s)
+
+    for s, spec, row in _models(params, fresh, spec_data, ClassicalSpec, random_spec, draw):
         ctx = ClassicalContext(spec, frozenset(row["keep"]))
         plain = ClassicalContext(spec)
         polys = [Poly.from_data(spec.ring, d) for d in row["polys"]]
@@ -764,7 +766,7 @@ def check_tensor_factorization(suite: _Suite, fresh: bool, spec_data: dict | Non
         model = (TensorModel.from_data(spec_data) if spec_data is not None
                  else TensorModel.random(params["points"], params["max_order"], base))
         params["model"] = model.to_data()
-        params["max_order"] = model.scalars.max_order
+        params["max_order"], params["points"] = model.scalars.max_order, model.points
         rng = random.Random(f"{base}:args")
         gen = next(iter(model.scalars.family_of))
         params["args"] = {

@@ -218,19 +218,32 @@ def test_cli_flags_a_check_does_not_read_exit_two(capsys):
 
 
 def test_cli_spec_carries_its_own_capacity(tmp_path, capsys):
-    # a matrix spec without a max_order key holds the default capacity, 8
-    spec = MatrixModel.random(3, 2, 8, 0).to_data()
+    # a 3x3 matrix spec without a max_order key holds the default capacity, 8
+    spec = MatrixModel.random(3, 3, 8, 0).to_data()
     del spec["max_order"]
     path = tmp_path / "model.json"
     path.write_text(json.dumps(spec))
-    argv = ["check", "moment-cumulant", "--spec", str(path), "--n", "3"]
-    assert main([*argv, "--max-order", "4"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: moment-cumulant: max_order does not combine with spec_data")
+    argv = ["check", "moment-cumulant", "--spec", str(path), "--n", "2"]
+    for flag, value, name in (("--max-order", "4", "max_order"), ("--dim", "3", "dimension")):
+        assert main([*argv, flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: moment-cumulant: {name} does not combine with spec_data")
+        assert err.count("\n") == 1
     assert main([*argv, "--format", "json"]) == 0
     params = json.loads(capsys.readouterr().out)["params"]
-    assert params["max_order"] == 8
+    assert (params["max_order"], params["dimension"]) == (8, 3)
     assert all(row["model"]["max_order"] == 8 for row in params["models"])
+    assert all(row["model"]["dimension"] == 3 for row in params["models"])
+
+
+def test_cli_tensor_spec_sets_the_points(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(TensorModel.random(2, 4, 0).to_data()))
+    argv = ["check", "tensor-factorization", "--spec", str(path), "--n", "2"]
+    assert main([*argv, "--dim", "3"]) == 2
+    assert capsys.readouterr().err.startswith("error: tensor-factorization: dimension does not")
+    assert main([*argv, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["params"]["points"] == 2
 
 
 def test_cli_tensor_spec_with_unnormalised_weights_exits_two(tmp_path, capsys):
@@ -251,6 +264,15 @@ def test_cli_order_beyond_capacity_fails_before_any_work(capsys):
     out = capsys.readouterr().out
     assert out.startswith("FAIL moment-cumulant (0 cases")
     assert "setup: n_max=12 exceeds max_order=8" in out
+
+
+def test_cli_huge_order_fails_before_drawing_arguments(capsys):
+    # the arguments drawn grow as n_max^2, so the capacity must be checked first
+    for identity in ("moment-cumulant", "classical-total-cumulance", "freeness-characterization"):
+        t0 = time.perf_counter()
+        assert main(["check", identity, "--n", str(10**6)]) == 1
+        assert time.perf_counter() - t0 < 2, identity
+        assert "setup: n_max=1000000 exceeds max_order=8" in capsys.readouterr().out
 
 
 def test_cli_replay_roundtrip(tmp_path, capsys):
