@@ -14,6 +14,7 @@ import time
 from .checks import ALL_CHECKS, CheckReport, replay_report, run_check
 from .errors import CapacityError
 from .partitions import (
+    MAX_ENUM_N,
     LatticeKind,
     Partition,
     enumerate_partitions,
@@ -127,6 +128,8 @@ def main(argv=None) -> int:
                     parser.error("moebius takes zero or two partition arguments")
                 pi, sigma = map(parse_partition, args.pair)
             elif args.n is not None:
+                if args.n > MAX_ENUM_N:
+                    raise CapacityError(f"moebius over n={args.n} exceeds the bound MAX_ENUM_N={MAX_ENUM_N}")
                 pi, sigma = Partition.discrete(args.n), Partition.full(args.n)
             else:
                 parser.error("moebius needs --n or an explicit pair")

@@ -27,6 +27,8 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import lcm, prod
+from operator import getitem
 
 from .errors import CapacityError, DimensionMismatchError
 from .exact import Matrix, Poly, PolyRing, as_fraction, scalar_embed
@@ -171,6 +173,15 @@ class ClassicalSpec:
             self.moments[name] = seq[: self.max_order]
         self.variables = tuple(self.moments)
         self.ring = PolyRing(self.variables)
+        # integer moment table: E[v^e] = table[k][e] / table[k][0] for the
+        # k-th variable v, so a monomial's expectation is the product of one
+        # entry per variable over ``den``, the product of the table[k][0]
+        self.table: list[tuple[int, ...]] = []
+        self.den = 1
+        for seq in self.moments.values():
+            d = lcm(*(m.denominator for m in seq))
+            self.table.append((d, *(m.numerator * (d // m.denominator) for m in seq)))
+            self.den *= d
 
     @classmethod
     def random(
@@ -210,31 +221,44 @@ class ClassicalSpec:
 
 def classical_expect(spec: ClassicalSpec, p: Poly) -> Fraction:
     """E[p] for independent variables: factor each monomial over moments."""
-    total = Fraction(0)
-    for mono, coeff in p.terms.items():
-        val = coeff
-        for name, e in zip(spec.ring.variables, mono):
-            if e:
-                val *= spec.moment(name, e)
-        total += val
-    return total
+    table, n = spec.table, len(spec.variables)
+    num = 0
+    try:
+        for m, c in p.terms.items():
+            num += c * prod(map(getitem, table, m.to_bytes(n, "big")))
+    except IndexError:
+        raise _beyond_capacity(spec, p.terms, 0) from None
+    return Fraction(num, p.den * spec.den)
 
 
 def classical_conditional_expect(spec: ClassicalSpec, p: Poly, keep: frozenset[str]) -> Poly:
     """E[p | keep]: integrate out every variable outside ``keep``."""
-    out = spec.ring.zero
-    for mono, coeff in p.terms.items():
-        val = coeff
-        kept = [0] * len(spec.ring.variables)
-        for k, (name, e) in enumerate(zip(spec.ring.variables, mono)):
-            if not e:
-                continue
-            if name in keep:
-                kept[k] = e
+    table, n = spec.table, len(spec.variables)
+    kept_mask = spec.ring.mask(keep)
+    out: dict[int, int] = {}
+    try:
+        for m, c in p.terms.items():
+            kept = m & kept_mask
+            total = out.get(kept, 0) + c * prod(map(getitem, table, (m ^ kept).to_bytes(n, "big")))
+            if total:
+                out[kept] = total
             else:
-                val *= spec.moment(name, e)
-        out = out + Poly(spec.ring, {tuple(kept): val})
-    return out
+                out.pop(kept, None)
+    except IndexError:
+        raise _beyond_capacity(spec, p.terms, kept_mask) from None
+    return Poly.from_numerators(spec.ring, out, p.den * spec.den)
+
+
+def _beyond_capacity(spec: ClassicalSpec, terms, kept_mask: int) -> CapacityError:
+    """The error ``spec.moment`` raises for the first integrated exponent
+    beyond ``max_order``, in term order and then variable order."""
+    try:
+        for m in terms:
+            for name, e in zip(spec.variables, spec.ring.exponents(m & ~kept_mask)):
+                spec.moment(name, e)
+    except CapacityError as exc:
+        return exc
+    raise AssertionError("no exponent is beyond max_order")
 
 
 class ClassicalContext(ProbabilityContext):
@@ -249,6 +273,7 @@ class ClassicalContext(ProbabilityContext):
             raise ValueError(f"keep names unknown variables {sorted(unknown)}")
         self.spec = spec
         self.keep = frozenset(keep)
+        self._integrated = ~spec.ring.mask(self.keep)
 
     def unit(self):
         return self.spec.ring.one
@@ -272,12 +297,7 @@ class ClassicalContext(ProbabilityContext):
         return classical_expect(self.spec, x)
 
     def in_b(self, x):
-        return all(
-            e == 0
-            for mono in x.terms
-            for name, e in zip(self.spec.ring.variables, mono)
-            if name not in self.keep
-        )
+        return not any(m & self._integrated for m in x.terms)
 
     def in_c(self, x):
         return x.is_constant

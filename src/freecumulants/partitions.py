@@ -277,6 +277,9 @@ def enumerate_partitions(
 ) -> tuple[Partition, ...]:
     """All partitions of {1..n} of the given kind, in growth-string order.
 
+    The memo needs no size bound: only 0 <= n <= MAX_ENUM_N is ever
+    stored, so it holds at most 44 keys (11 sizes, 2 kinds, 2 filters).
+
     >>> len(enumerate_partitions(4, LatticeKind.NONCROSSING))
     14
     >>> len(enumerate_partitions(4, LatticeKind.FULL))
@@ -446,9 +449,12 @@ def _check_interval(pi: Partition, sigma: Partition, kind: LatticeKind, what: st
                 raise CrossingPartitionError(f"{what} endpoint {p} is crossing")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def interval_list(pi: Partition, sigma: Partition, kind: LatticeKind) -> tuple[Partition, ...]:
-    """All tau with pi <= tau <= sigma in the chosen lattice."""
+    """All tau with pi <= tau <= sigma in the chosen lattice.
+
+    The memo keeps the 4096 most recent intervals; a full ``check-all``
+    asks for fewer than 700 distinct ones."""
     _check_interval(pi, sigma, kind, "interval")
     everything = enumerate_partitions(pi.n, kind)
     return tuple(tau for tau in everything if pi.refines(tau) and tau.refines(sigma))

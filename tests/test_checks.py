@@ -268,11 +268,26 @@ def test_cli_order_beyond_capacity_fails_before_any_work(capsys):
 
 def test_cli_huge_order_fails_before_drawing_arguments(capsys):
     # the arguments drawn grow as n_max^2, so the capacity must be checked first
-    for identity in ("moment-cumulant", "classical-total-cumulance", "freeness-characterization"):
+    for identity, needs in (("moment-cumulant", "n_max=1000000"),
+                            ("classical-total-cumulance", "n_max=1000000"),
+                            ("freeness-characterization", "n_max=1000000"),
+                            ("product-formula", "2*n_max=2000000"),
+                            ("tensor-factorization", "n_max=1000000")):
         t0 = time.perf_counter()
         assert main(["check", identity, "--n", str(10**6)]) == 1
         assert time.perf_counter() - t0 < 2, identity
-        assert "setup: n_max=1000000 exceeds max_order=8" in capsys.readouterr().out
+        assert f"setup: {needs} exceeds max_order=8" in capsys.readouterr().out
+
+
+def test_cli_moebius_beyond_the_enumeration_bound_exits_two(capsys):
+    t0 = time.perf_counter()
+    assert main(["moebius", "--n", str(10**6)]) == 2
+    assert time.perf_counter() - t0 < 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: moebius over n=1000000 exceeds the bound MAX_ENUM_N=10\n"
+    assert main(["moebius", "--n", "10"]) == 0
+    assert capsys.readouterr().out.strip() == "-4862"
 
 
 def test_cli_replay_roundtrip(tmp_path, capsys):

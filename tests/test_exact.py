@@ -1,11 +1,16 @@
 """Ring laws and serialization for the polynomial and matrix types."""
 
+import inspect
+import math
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from freecumulants.exact import Matrix, Poly, PolyRing, as_fraction, scalar_embed
+from freecumulants.errors import CapacityError
+from freecumulants.exact import MAX_EXPONENT, Matrix, Poly, PolyRing, as_fraction, scalar_embed
+from freecumulants.models import ClassicalSpec, MatrixModel, classical_expect
 
 RING = PolyRing(("u", "v"))
 
@@ -108,3 +113,79 @@ def test_matrix_dimension_mismatch_is_rejected():
     b = Matrix.identity(3, RING.one)
     with pytest.raises(ValueError):
         a * b
+
+
+def assert_canonical(p):
+    assert p.den > 0
+    assert all(type(c) is int and c != 0 for c in p.terms.values())
+    assert math.gcd(p.den, *p.terms.values()) == 1
+
+
+@given(polys(), polys(), fractions)
+def test_every_operation_keeps_the_canonical_form(a, b, c):
+    for p in (a + b, a - b, c - a, a * b, -a, a * c, a + c, Poly.from_data(RING, a.to_data())):
+        assert_canonical(p)
+    assert_canonical(Poly(RING, {(1, 0): Fraction(1, 2), (0, 1): Fraction(-5, 6), (0, 0): 0}))
+    assert_canonical(RING.const(Fraction(4, 6)) * RING.const(Fraction(3, 2)))
+
+
+def test_the_largest_exponent_roundtrips():
+    p = RING.const(Fraction(1, 2)) * RING.var("v")
+    for _ in range(MAX_EXPONENT):
+        p = p * RING.var("u")
+    assert p.degree_in("u") == MAX_EXPONENT and p.degree_in("v") == 1
+    assert p.to_data() == {f"u^{MAX_EXPONENT} v^1": "1/2"}
+    assert Poly.from_data(RING, p.to_data()) == p
+    assert p == Poly(RING, {(MAX_EXPONENT, 1): Fraction(1, 2)})
+
+
+def test_an_exponent_past_the_limit_names_its_variable_and_spares_its_neighbours():
+    ring = PolyRing(("u", "v", "w"))
+    p = Poly(ring, {(1, MAX_EXPONENT, 2): 3})
+    with pytest.raises(CapacityError, match="'v'"):
+        p * ring.var("v")
+    with pytest.raises(CapacityError, match="'v'"):
+        Poly(ring, {(0, MAX_EXPONENT + 1, 0): 1})
+    with pytest.raises(CapacityError, match="'v'"):
+        Poly.from_data(ring, {f"v^{MAX_EXPONENT + 1}": "1"})
+    with pytest.raises(ValueError, match="'w'"):
+        Poly(ring, {(0, 0, -1): 1})
+    assert [p.degree_in(x) for x in "uvw"] == [1, MAX_EXPONENT, 2]
+    # neighbours at the limit on both sides stay exact
+    q = p * Poly(ring, {(MAX_EXPONENT - 1, 0, MAX_EXPONENT - 2): 1})
+    assert [q.degree_in(x) for x in "uvw"] == [MAX_EXPONENT] * 3
+    assert q.to_data() == {f"u^{MAX_EXPONENT} v^{MAX_EXPONENT} w^{MAX_EXPONENT}": "3"}
+
+
+def fraction_calls(fn) -> list:
+    """Names of the Python-level calls into the fractions module while fn runs."""
+    calls = []
+    source = inspect.getfile(Fraction)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == source:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_poly_arithmetic_builds_no_fraction():
+    # perf gate: the matrix model multiplies integer numerators only
+    model = MatrixModel.random(generator_count=2, dimension=2, seed=5)
+    g1, g2 = model.generators["g1"], model.generators["g2"]
+    assert fraction_calls(lambda: (g1 * g2 + g2) * g1 - g2) == []
+    u, v = RING.var("u"), RING.var("v")
+    half = RING.const(Fraction(1, 2))
+    assert fraction_calls(lambda: (u * half + v) * (u - half) + half * v) == []
+
+
+def test_classical_expect_builds_one_fraction():
+    spec = ClassicalSpec.random(["f", "g"], max_order=4, seed=9)
+    f, g = spec.ring.var("f"), spec.ring.var("g")
+    p = f * f * g * Fraction(2, 3) + g * g * g * Fraction(-1, 2) + f * 5 + 7
+    assert fraction_calls(lambda: classical_expect(spec, p)) == ["__new__"]

@@ -290,6 +290,23 @@ def test_interval_list_validates_its_endpoints():
         interval_list(Partition.discrete(4), parse_partition("{1,3}{2,4}"), NC)
 
 
+def test_interval_memo_is_bounded():
+    # every interval of both lattices up to n = 6: 4,679 distinct keys
+    info = interval_list.cache_info()
+    assert info.maxsize == 4096
+    calls = 0
+    for n in range(7):
+        for kind in LatticeKind:
+            everything = enumerate_partitions(n, kind)
+            for pi in everything:
+                for sigma in everything:
+                    if pi.refines(sigma):
+                        interval_list(pi, sigma, kind)
+                        calls += 1
+    assert calls > info.maxsize
+    assert interval_list.cache_info().currsize <= info.maxsize
+
+
 def test_quotient_collapses_blocks_by_minimum():
     sigma = parse_partition("{1,2,5}{3,4}")
     rho = parse_partition("{1,2}{3,4}{5}")
