@@ -152,7 +152,12 @@ class Poly:
         zero numerators dropped and the fraction reduced; ``den`` > 0."""
         if 0 in terms.values():
             terms = {m: c for m, c in terms.items() if c}
-        return _reduced(ring, terms, den)
+        if den != 1:
+            g = gcd(den, *terms.values())
+            if g != 1:
+                den //= g
+                terms = {m: c // g for m, c in terms.items()}
+        return _make(ring, terms, den)
 
     def _coerce(self, other) -> Poly | None:
         if isinstance(other, Poly):
@@ -203,16 +208,13 @@ class Poly:
                         out[m] += c1 * c2
                     else:
                         out[m] = c1 * c2
-            if len(out) < len(self.terms) * len(b):
-                # only monomials that collided can have cancelled
-                out = {m: c for m, c in out.items() if c}
-            return _reduced(ring, out, self.den * other.den)
+            return Poly.from_numerators(ring, out, self.den * other.den)
         if isinstance(other, (int, Fraction)):
             num = other.numerator
             if not num:
                 return _make(self.ring, {}, 1)
-            return _reduced(self.ring, {m: c * num for m, c in self.terms.items()},
-                            self.den * other.denominator)
+            return Poly.from_numerators(self.ring, {m: c * num for m, c in self.terms.items()},
+                                        self.den * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -304,16 +306,6 @@ def _make(ring: PolyRing, terms: dict[int, int], den: int) -> Poly:
     return p
 
 
-def _reduced(ring: PolyRing, terms: dict[int, int], den: int) -> Poly:
-    """A Poly from nonzero numerators over ``den`` > 0, in lowest terms."""
-    if den != 1:
-        g = gcd(den, *terms.values())
-        if g != 1:
-            den //= g
-            terms = {m: c // g for m, c in terms.items()}
-    return _make(ring, terms, den)
-
-
 def _combine(a: Poly, b: Poly, sign: int) -> Poly:
     """a + sign * b."""
     if a.den == b.den:
@@ -329,9 +321,7 @@ def _combine(a: Poly, b: Poly, sign: int) -> Poly:
             out[m] += c * fb
         else:
             out[m] = c * fb
-    if 0 in out.values():
-        out = {m: c for m, c in out.items() if c}
-    return _reduced(a.ring, out, den)
+    return Poly.from_numerators(a.ring, out, den)
 
 
 class Matrix:
