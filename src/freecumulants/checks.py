@@ -770,9 +770,9 @@ def check_tensor_factorization(suite: _Suite, fresh: bool, spec_data: dict | Non
                  else TensorModel.random(params["points"], params["max_order"], base))
         params["model"] = model.to_data()
         params["max_order"], params["points"] = model.scalars.max_order, model.points
-        # each argument carries at least one letter
-        if params["n_max"] > params["max_order"]:
-            raise CapacityError(f"n_max={params['n_max']} exceeds max_order={params['max_order']}")
+        # each argument carries up to two letters
+        if 2 * params["n_max"] > params["max_order"]:
+            raise CapacityError(f"2*n_max={2 * params['n_max']} exceeds max_order={params['max_order']}")
         rng = random.Random(f"{base}:args")
         gen = next(iter(model.scalars.family_of))
         params["args"] = {

@@ -229,6 +229,9 @@ class Poly:
         return False
 
     def __hash__(self) -> int:
+        if self.is_constant:
+            # equal to its scalar, so it must hash like it
+            return hash(self.constant_value())
         return hash((self.ring, self.den, tuple(sorted(self.terms.items()))))
 
     @property

@@ -32,9 +32,11 @@ from operator import getitem
 
 from .errors import CapacityError, DimensionMismatchError
 from .exact import Matrix, Poly, PolyRing, as_fraction, scalar_embed
-from .partitions import LatticeKind, Partition, enumerate_partitions
+from .partitions import LatticeKind
 
 DEFAULT_MAX_ORDER = 8
+# most words a drawn cumulant table may hold; the default tables hold 1,020
+MAX_CUMULANT_WORDS = 2**16
 
 
 def draw_fraction(rng: random.Random) -> Fraction:
@@ -455,7 +457,7 @@ class ScalarFreeSpec:
                 for word in itertools.product(gens, repeat=k):
                     if word not in self.cumulants:
                         raise ValueError(f"missing cumulant for word {word}")
-        self._moment_cache: dict[tuple[str, ...], Fraction] = {}
+        self._moment_cache: dict[tuple[str, ...], Fraction] = {(): Fraction(1)}
 
     @classmethod
     def random(
@@ -464,6 +466,12 @@ class ScalarFreeSpec:
         max_order: int = DEFAULT_MAX_ORDER,
         seed: int = 0,
     ) -> ScalarFreeSpec:
+        words = 0
+        for k in range(1, max_order + 1):
+            words += sum(len(gens) ** k for gens in families.values())
+            if words > MAX_CUMULANT_WORDS:
+                raise CapacityError(f"a cumulant table to max_order={max_order} exceeds MAX_CUMULANT_WORDS="
+                                    f"{MAX_CUMULANT_WORDS}: orders 1..{k} alone hold {words} words")
         rng = random.Random(seed)
         cumulants = {}
         for f in sorted(families):
@@ -518,28 +526,34 @@ class ScalarFreeSpec:
         return cls(families, cumulants, max_order)
 
 
-def free_moment(spec: ScalarFreeSpec, word: tuple[str, ...]) -> Fraction:
-    """Sum over noncrossing partitions of blockwise cumulants.
+def first_blocks(i: int, j: int):
+    """i together with each subset of i+1..j-1, as sorted tuples."""
+    rest = range(i + 1, j)
+    return ((i, *subset) for r in range(len(rest) + 1) for subset in itertools.combinations(rest, r))
 
-    Blocks mixing families contribute zero, which is exactly freeness of
-    the families with respect to this functional.
+
+def free_moment(spec: ScalarFreeSpec, word: tuple[str, ...]) -> Fraction:
+    """The noncrossing moment-cumulant sum by its first-block recursion
+    (Nica-Speicher, Lectures on the Combinatorics of Free Probability,
+    Lecture 11): the sum, over the blocks V holding the first letter, of
+    kappa(w_V) times the moments of the gaps V leaves, the tail after V
+    included.  Blocks mixing families contribute zero, which is exactly
+    freeness of the families with respect to this functional.
     """
     word = tuple(word)
-    if not word:
-        return Fraction(1)
     if len(word) > spec.max_order:
         raise CapacityError(f"moment of order {len(word)} exceeds max_order={spec.max_order}")
     cached = spec._moment_cache.get(word)
     if cached is not None:
         return cached
     total = Fraction(0)
-    for part in enumerate_partitions(len(word), LatticeKind.NONCROSSING):
-        prod = Fraction(1)
-        for block in part.blocks:
-            prod *= spec.cumulant(tuple(word[i - 1] for i in block))
-            if prod == 0:
+    for block in first_blocks(0, len(word)):
+        value = spec.cumulant(tuple(word[i] for i in block))
+        for a, b in zip(block, block[1:] + (len(word),)):
+            if not value:
                 break
-        total += prod
+            value *= free_moment(spec, word[a + 1 : b])
+        total += value
     spec._moment_cache[word] = total
     return total
 
@@ -668,65 +682,48 @@ class WordContext(LinearCombinationContext):
             return None
         return (g1 + g2, u1[:-1] + ((a, d),) + u2[1:])
 
-    def _unit_trace(self, u: tuple[int, int]) -> Fraction:
-        return Fraction(1, self.d) if u[0] == u[1] else Fraction(0)
+    def _trace(self, b) -> Fraction:
+        """Normalized trace of an element of B."""
+        return sum((c for (_, ((i, j),)), c in b.items() if i == j), Fraction(0)) / self.d
 
-    def _psi_word(self, gens, units) -> dict:
-        """Sum over noncrossing partitions of the generator positions.
-
-        Each partition contributes recursively: the first interval block
-        {a..b} yields its family cumulant times the traces of the units
-        strictly inside, then collapses, fusing units[a-1] and units[b].
-        """
-        k = len(gens)
-        if k == 0:
-            return {((), units): Fraction(1)}
+    def _psi_word(self, gens, units, memo: dict) -> dict:
+        """psi of the basis word E_{u0} X_{g1} E_{u1} ... X_{gk} E_{uk} by the
+        first-block recursion (Nica-Speicher, Lecture 11): the sum, over the
+        blocks V holding the first generator, of kappa(g_V) times the trace
+        of psi of each gap V swallows, times E_{u0} psi(the word after V),
+        by bimodularity.  ``memo`` maps sub-words to their psi."""
+        key = (gens, units)
+        if not gens:
+            return {key: Fraction(1)}
+        if key in memo:
+            return memo[key]
         out: dict = {}
-        for part in enumerate_partitions(k, LatticeKind.NONCROSSING):
-            val = self._partition_value(part, gens, units)
-            if val is None:
+        for block in first_blocks(0, len(gens)):
+            scalar = self.model.scalars.cumulant(tuple(gens[a] for a in block))
+            for a, b in zip(block, block[1:]):
+                if not scalar:
+                    break
+                scalar *= self._trace(self._psi_word(gens[a + 1 : b], units[a + 1 : b + 1], memo))
+            if not scalar:
                 continue
-            scalar, unit = val
-            if scalar != 0:
-                key = ((), (unit,))
-                out[key] = out.get(key, Fraction(0)) + scalar
-        return {key: c for key, c in out.items() if c != 0}
-
-    def _partition_value(self, part: Partition, gens, units):
-        scalar = Fraction(1)
-        gens = list(gens)
-        units = list(units)
-        blocks = [list(b) for b in part.blocks]
-        while gens:
-            block = next(b for b in blocks if b[-1] - b[0] + 1 == len(b))
-            a, b = block[0], block[-1]
-            scalar *= self.model.scalars.cumulant(tuple(gens[a - 1 : b]))
-            for j in range(a, b):
-                scalar *= self._unit_trace(units[j])
-            if scalar == 0:
-                return None
-            left, right = units[a - 1], units[b]
-            if left[1] != right[0]:
-                return None
-            fused = (left[0], right[1])
-            del gens[a - 1 : b]
-            units[a - 1 : b + 1] = [fused]
-            blocks.remove(block)
-            blocks = [[i if i < a else i - len(block) for i in blk] for blk in blocks]
-        return scalar, units[0]
+            t = block[-1] + 1
+            for k, c in self._psi_word(gens[t:], units[t:], memo).items():
+                fused = self.key_product(((), units[:1]), k)
+                if fused is not None:
+                    out[fused] = out.get(fused, Fraction(0)) + scalar * c
+        memo[key] = out = {k: c for k, c in out.items() if c != 0}
+        return out
 
     def psi(self, x):
+        memo: dict = {}
         out: dict = {}
         for (gens, units), c in x.items():
-            for key, v in self._psi_word(gens, units).items():
+            for key, v in self._psi_word(gens, units, memo).items():
                 out[key] = out.get(key, Fraction(0)) + c * v
         return {key: v for key, v in out.items() if v != 0}
 
     def phi_scalar(self, x):
-        total = Fraction(0)
-        for (gens, units), c in self.psi(x).items():
-            total += c * self._unit_trace(units[0])
-        return total
+        return self._trace(self.psi(x))
 
     def phi(self, x):
         return self.scale(self.phi_scalar(x), self.unit())

@@ -272,11 +272,32 @@ def test_cli_huge_order_fails_before_drawing_arguments(capsys):
                             ("classical-total-cumulance", "n_max=1000000"),
                             ("freeness-characterization", "n_max=1000000"),
                             ("product-formula", "2*n_max=2000000"),
-                            ("tensor-factorization", "n_max=1000000")):
+                            ("tensor-factorization", "2*n_max=2000000")):
         t0 = time.perf_counter()
         assert main(["check", identity, "--n", str(10**6)]) == 1
         assert time.perf_counter() - t0 < 2, identity
         assert f"setup: {needs} exceeds max_order=8" in capsys.readouterr().out
+
+
+def test_cli_tensor_order_of_two_letter_arguments_fails_before_drawing(capsys):
+    # an argument has one or two letters, so a nested moment reaches order 2*n_max
+    t0 = time.perf_counter()
+    assert main(["check", "tensor-factorization", "--n", "5"]) == 1
+    assert time.perf_counter() - t0 < 2
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL tensor-factorization (0 cases")
+    assert "setup: 2*n_max=10 exceeds max_order=8" in out
+
+
+def test_cli_cumulant_tables_beyond_the_bound_fail_before_drawing(capsys):
+    # a free family of g generators draws one cumulant per word, sum_k g^k words
+    for identity in ("freeness", "product-formula", "freeness-characterization"):
+        t0 = time.perf_counter()
+        assert main(["check", identity, "--max-order", "40", "--n", "2"]) == 1
+        assert time.perf_counter() - t0 < 2, identity
+        out = capsys.readouterr().out
+        assert out.startswith(f"FAIL {identity} (0 cases"), identity
+        assert "setup: a cumulant table to max_order=40 exceeds MAX_CUMULANT_WORDS=65536" in out
 
 
 def test_cli_moebius_beyond_the_enumeration_bound_exits_two(capsys):

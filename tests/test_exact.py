@@ -60,6 +60,14 @@ def test_polys_compare_against_scalars():
     assert RING.var("u") != 1
 
 
+def test_constant_polys_hash_like_their_scalars():
+    for c in (3, Fraction(-7, 2), 0):
+        p = RING.const(c)
+        assert p == c and hash(p) == hash(c)
+        assert len({p, c}) == 1
+    assert len({RING.zero, RING.const(0), 0, Fraction(0)}) == 1
+
+
 @given(polys(), polys(), polys())
 def test_poly_ring_laws(a, b, c):
     assert a + b == b + a

@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freecumulants.errors import CapacityError, DimensionMismatchError
 from freecumulants.exact import Matrix
@@ -32,6 +33,7 @@ from freecumulants.models import (
     draw_fraction,
     free_moment,
 )
+from freecumulants.partitions import LatticeKind, enumerate_partitions
 
 F = Fraction
 
@@ -156,6 +158,42 @@ def test_free_moments_match_their_noncrossing_sums():
     )
 
 
+def nc_sum_moment(spec: ScalarFreeSpec, word) -> F:
+    """The enumeration form: blockwise cumulants summed over all of NC(n)."""
+    return sum((math.prod((spec.cumulant(tuple(word[i - 1] for i in block)) for block in part.blocks),
+                          start=F(1))
+                for part in enumerate_partitions(len(word), LatticeKind.NONCROSSING)), F(0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.lists(st.sampled_from(("a1", "a2", "b1")), max_size=8))
+def test_free_moment_equals_the_sum_over_noncrossing_partitions(seed, word):
+    spec = ScalarFreeSpec.random({"a": ("a1", "a2"), "b": ("b1",)}, max_order=8, seed=seed)
+    assert free_moment(spec, tuple(word)) == nc_sum_moment(spec, word)
+
+
+def count_cumulant_calls(spec: ScalarFreeSpec) -> list:
+    """Wrap ``spec.cumulant`` on the instance; the list grows by one per call."""
+    calls = []
+    cumulant = spec.cumulant
+
+    def counted(word):
+        calls.append(word)
+        return cumulant(word)
+
+    spec.cumulant = counted
+    return calls
+
+
+def test_a_cold_free_moment_of_length_n_evaluates_at_most_2_to_the_n_plus_1_cumulants():
+    # the sum over NC(8) evaluates 6,435 blocks; the first-block recursion
+    # evaluates at most 2^(L-1) first blocks for each sub-word of length L
+    spec = ScalarFreeSpec.random({"a": ("a1", "a2")}, max_order=8, seed=3)
+    calls = count_cumulant_calls(spec)
+    free_moment(spec, ("a1", "a2", "a2", "a1", "a1", "a2", "a1", "a2"))
+    assert 2**7 <= len(calls) <= 2**9
+
+
 def test_mixed_family_cumulants_are_declared_zero():
     spec = ScalarFreeSpec.random({"a": ("a1",), "b": ("b1",)}, max_order=3, seed=1)
     assert spec.cumulant(("a1", "b1")) == 0
@@ -234,6 +272,63 @@ def test_word_expectations_form_a_tower():
     for w in (x, ctx.mul(x, b), ctx.mul(b, ctx.mul(x, ctx.mul(b, x)))):
         assert ctx.phi_scalar(ctx.psi(w)) == ctx.phi_scalar(w)
         assert ctx.in_b(ctx.psi(w))
+
+
+def nc_sum_psi(ctx: WordContext, gens, units) -> dict:
+    """The enumeration form of psi on one basis word: for each noncrossing
+    partition, collapse interval blocks one at a time, each giving its
+    family cumulant times the traces of the units strictly inside it and
+    fusing the units on either side."""
+    out: dict = {}
+    for part in enumerate_partitions(len(gens), LatticeKind.NONCROSSING):
+        scalar, g, u = F(1), list(gens), list(units)
+        blocks = [list(b) for b in part.blocks]
+        while g and scalar:
+            block = next(b for b in blocks if b[-1] - b[0] + 1 == len(b))
+            a, b = block[0], block[-1]
+            scalar *= ctx.model.scalars.cumulant(tuple(g[a - 1 : b]))
+            for j in range(a, b):
+                scalar *= F(1, ctx.d) if u[j][0] == u[j][1] else 0
+            left, right = u[a - 1], u[b]
+            if left[1] != right[0]:
+                scalar = F(0)
+            del g[a - 1 : b]
+            u[a - 1 : b + 1] = [(left[0], right[1])]
+            blocks.remove(block)
+            blocks = [[i if i < a else i - len(block) for i in blk] for blk in blocks]
+        if scalar:
+            key = ((), (u[0],))
+            out[key] = out.get(key, F(0)) + scalar
+    return {key: c for key, c in out.items() if c != 0}
+
+
+@st.composite
+def basis_words(draw):
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(0, 6))
+    gens = tuple(draw(st.lists(st.sampled_from(("x1", "x2")), min_size=k, max_size=k)))
+    unit = st.tuples(st.integers(0, d - 1), st.integers(0, d - 1))
+    units = tuple(draw(st.lists(unit, min_size=k + 1, max_size=k + 1)))
+    return d, gens, units
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), basis_words())
+def test_word_psi_equals_the_sum_over_noncrossing_partitions(seed, word):
+    d, gens, units = word
+    ctx = WordContext(FactorizationModel.random(2, dimension=d, max_order=6, seed=seed))
+    assert ctx.psi({(gens, units): F(1)}) == nc_sum_psi(ctx, gens, units)
+
+
+def test_word_psi_of_a_length_6_word_evaluates_at_most_2_to_the_7_cumulants():
+    # the sum over NC(6) evaluates 462 blocks; diagonal units keep every
+    # trace nonzero, so no first block is cut short
+    ctx = WordContext(FactorizationModel.random(2, dimension=2, max_order=6, seed=3))
+    calls = count_cumulant_calls(ctx.model.scalars)
+    gens = ("x1", "x2", "x1", "x1", "x2", "x2")
+    units = ((0, 0), (1, 1), (0, 0), (0, 0), (1, 1), (1, 1), (0, 0))
+    ctx.psi({(gens, units): F(1)})
+    assert 2**5 <= len(calls) <= 2**7
 
 
 def test_factorization_model_roundtrip():
