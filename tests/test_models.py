@@ -186,7 +186,7 @@ def count_cumulant_calls(spec: ScalarFreeSpec) -> list:
 
 
 def test_a_cold_free_moment_of_length_n_evaluates_at_most_2_to_the_n_plus_1_cumulants():
-    # the sum over NC(8) evaluates 6,435 blocks; the first-block recursion
+    # the sum over NC(8) evaluates up to 6,435 blocks; the first-block recursion
     # evaluates at most 2^(L-1) first blocks for each sub-word of length L
     spec = ScalarFreeSpec.random({"a": ("a1", "a2")}, max_order=8, seed=3)
     calls = count_cumulant_calls(spec)
@@ -321,7 +321,7 @@ def test_word_psi_equals_the_sum_over_noncrossing_partitions(seed, word):
 
 
 def test_word_psi_of_a_length_6_word_evaluates_at_most_2_to_the_7_cumulants():
-    # the sum over NC(6) evaluates 462 blocks; diagonal units keep every
+    # the sum over NC(6) evaluates up to 462 blocks; diagonal units keep every
     # trace nonzero, so no first block is cut short
     ctx = WordContext(FactorizationModel.random(2, dimension=2, max_order=6, seed=3))
     calls = count_cumulant_calls(ctx.model.scalars)
