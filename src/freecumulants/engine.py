@@ -11,6 +11,14 @@ of which interval block goes first; ``extraction_order`` exists so tests
 can sweep all orders.  On the full lattice the context is commutative and
 the blocks' values simply multiply.
 
+Every identity the checks test is a Moebius sum of the same few
+partitioned expectations, so a context whose elements are hashable
+values (``ClassicalContext`` and ``MatrixContext``) keeps a table of the
+ones computed on it, keyed on (partition, level, arguments).  The table
+lives as long as the context, which the checks build per model; at
+``TABLE_CAP`` entries it is cleared.  A call with an explicit
+``extraction_order`` neither reads nor fills it.
+
 Every cumulant is one Moebius sum over an interval [lo, hi] of the
 lattice.  The partitioned cumulant and the semi-nested cumulant also
 have a cheaper multiplicative recursion (splice the single-block
@@ -34,6 +42,11 @@ from fractions import Fraction
 from .errors import CrossingPartitionError, DimensionMismatchError, OrderViolationError
 from .models import ProbabilityContext
 from .partitions import LatticeKind, Partition, interval_list, moebius
+
+
+# most partitioned expectations one context keeps; a check context fills
+# at most a few hundred
+TABLE_CAP = 4096
 
 
 class Level(Enum):
@@ -160,12 +173,26 @@ def phi_partitioned(
     level: Level = Level.PSI,
     extraction_order=None,
 ):
-    """The partitioned expectation: nest the expectation along the blocks."""
+    """The partitioned expectation: nest the expectation along the blocks.
+
+    On a context with hashable elements the value comes from, or goes
+    into, the context's table unless ``extraction_order`` is given."""
     args = list(args)
+    table = ctx.phi_table if extraction_order is None and ctx.hashable else None
+    if table is not None:
+        key = (part, level, tuple(args))
+        value = table.get(key)
+        if value is not None:
+            return value
     _validate(ctx, part, len(args))
-    return _extract(
+    value = _extract(
         ctx, part, args, lambda _, sub: expectation(ctx, ctx.product(sub), level), extraction_order
     )
+    if table is not None:
+        if len(table) >= TABLE_CAP:
+            table.clear()
+        table[key] = value
+    return value
 
 
 def free_cumulant(

@@ -134,10 +134,11 @@ class Poly:
     zero polynomial has ``den == 1``), so equal polynomials have equal
     fields.  The constructor takes ``{exponent tuple: rational}``; an
     exponent above ``MAX_EXPONENT``, given or reached by a product, raises
-    ``CapacityError``.
+    ``CapacityError``.  Nothing changes a Poly after it is built, so its
+    hash is computed on first use and kept.
     """
 
-    __slots__ = ("ring", "terms", "den")
+    __slots__ = ("ring", "terms", "den", "_hash")
 
     def __init__(self, ring: PolyRing, terms: dict[tuple[int, ...], Scalar]):
         coeffs = {ring.pack(m): as_fraction(c) for m, c in terms.items()}
@@ -193,22 +194,7 @@ class Poly:
 
     def __mul__(self, other) -> Poly:
         if isinstance(other, Poly):
-            ring = self.ring
-            if other.ring is not ring and other.ring != ring:
-                raise DimensionMismatchError("polynomials from different rings")
-            guard = ring.guard
-            b = other.terms
-            out: dict[int, int] = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in b.items():
-                    m = m1 + m2
-                    if m & guard:
-                        raise ring.overflow(m)
-                    if m in out:
-                        out[m] += c1 * c2
-                    else:
-                        out[m] = c1 * c2
-            return Poly.from_numerators(ring, out, self.den * other.den)
+            return _sum_of_products(((self, other),))
         if isinstance(other, (int, Fraction)):
             num = other.numerator
             if not num:
@@ -229,10 +215,13 @@ class Poly:
         return False
 
     def __hash__(self) -> int:
-        if self.is_constant:
-            # equal to its scalar, so it must hash like it
-            return hash(self.constant_value())
-        return hash((self.ring, self.den, tuple(sorted(self.terms.items()))))
+        try:
+            return self._hash
+        except AttributeError:
+            # a constant equals its scalar, so it must hash like it
+            self._hash = hash(self.constant_value() if self.is_constant
+                              else (self.ring, self.den, tuple(sorted(self.terms.items()))))
+            return self._hash
 
     @property
     def is_zero(self) -> bool:
@@ -309,6 +298,33 @@ def _make(ring: PolyRing, terms: dict[int, int], den: int) -> Poly:
     return p
 
 
+def _sum_of_products(pairs) -> Poly:
+    """The sum of a * b over the pairs (a, b) of Polys of one ring, built
+    as one Poly: every product's numerators are scaled to the pairs'
+    common denominator and accumulated in a single dict."""
+    ring = pairs[0][0].ring
+    guard = ring.guard
+    dens = [a.den * b.den for a, b in pairs]
+    den = lcm(*dens)
+    out: dict[int, int] = {}
+    for (a, b), d in zip(pairs, dens):
+        if a.ring is not ring and a.ring != ring or b.ring is not ring and b.ring != ring:
+            raise DimensionMismatchError("polynomials from different rings")
+        f = den // d
+        bt = b.terms
+        for m1, c1 in a.terms.items():
+            c1 *= f
+            for m2, c2 in bt.items():
+                m = m1 + m2
+                if m & guard:
+                    raise ring.overflow(m)
+                if m in out:
+                    out[m] += c1 * c2
+                else:
+                    out[m] = c1 * c2
+    return Poly.from_numerators(ring, out, den)
+
+
 def _combine(a: Poly, b: Poly, sign: int) -> Poly:
     """a + sign * b."""
     if a.den == b.den:
@@ -330,7 +346,9 @@ def _combine(a: Poly, b: Poly, sign: int) -> Poly:
 class Matrix:
     """Square matrix over a commutative ring of entries.
 
-    Entries must support +, -, * among themselves and with Fraction.
+    Entries must support +, -, * among themselves and with Fraction.  When
+    both factors hold only Polys, each entry of a product is built as one
+    Poly; other entries go through their own + and *.
     """
 
     __slots__ = ("entries",)
@@ -382,14 +400,11 @@ class Matrix:
     def __mul__(self, other):
         if isinstance(other, Matrix):
             self._check(other)
-            d = self.dimension
             cols = list(zip(*other.entries))
-            return Matrix(
-                [
-                    [_dot(self.entries[i], cols[j]) for j in range(d)]
-                    for i in range(d)
-                ]
-            )
+            if all(type(a) is Poly for row in self.entries + other.entries for a in row):
+                return Matrix([[_sum_of_products(tuple(zip(row, col))) for col in cols]
+                               for row in self.entries])
+            return Matrix([[_dot(row, col) for col in cols] for row in self.entries])
         return self.scale(other)
 
     def __rmul__(self, other) -> Matrix:

@@ -27,11 +27,12 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from functools import cached_property
 from math import lcm, prod
 from operator import getitem
 
 from .errors import CapacityError, DimensionMismatchError
-from .exact import Matrix, Poly, PolyRing, as_fraction, scalar_embed
+from .exact import MAX_EXPONENT, Matrix, Poly, PolyRing, as_fraction, scalar_embed
 from .partitions import LatticeKind
 
 DEFAULT_MAX_ORDER = 8
@@ -50,10 +51,19 @@ class ProbabilityContext:
     operations, the two expectations, and membership predicates for the
     subalgebras.  ``phi`` returns the C-value embedded back into A so the
     engine can keep multiplying; ``phi_scalar`` exposes the bare rational.
+
+    ``hashable`` says that elements are immutable hashable values; the
+    engine then keeps the partitioned expectations it computes on the
+    context in ``phi_table`` (see ``engine.phi_partitioned``).
     """
 
     kind: LatticeKind = LatticeKind.NONCROSSING
     commutative: bool = False
+    hashable: bool = False
+
+    @cached_property
+    def phi_table(self) -> dict:
+        return {}
 
     def unit(self):
         raise NotImplementedError
@@ -189,6 +199,10 @@ class ClassicalSpec:
     def random(
         cls, variables, max_order: int = DEFAULT_MAX_ORDER, seed: int = 0
     ) -> ClassicalSpec:
+        if max_order > MAX_EXPONENT:
+            # no monomial reaches a moment beyond the largest exponent
+            raise CapacityError(f"max_order={max_order} exceeds MAX_EXPONENT={MAX_EXPONENT}, "
+                                f"the largest exponent a monomial can carry")
         rng = random.Random(seed)
         return cls(
             {v: tuple(draw_fraction(rng) for _ in range(max_order)) for v in variables},
@@ -268,6 +282,7 @@ class ClassicalContext(ProbabilityContext):
 
     kind = LatticeKind.FULL
     commutative = True
+    hashable = True
 
     def __init__(self, spec: ClassicalSpec, keep: frozenset[str] = frozenset()):
         unknown = set(keep) - set(spec.variables)
@@ -391,6 +406,7 @@ def matrix_phi(model: MatrixModel, x: Matrix) -> Fraction:
 class MatrixContext(ProbabilityContext):
     kind = LatticeKind.NONCROSSING
     commutative = False
+    hashable = True
 
     def __init__(self, model: MatrixModel):
         self.model = model

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from freecumulants.checks import ALL_CHECKS, replay_report, run_check
 from freecumulants.cli import main
-from freecumulants.models import MatrixModel, TensorModel
+from freecumulants.models import MatrixContext, MatrixModel, TensorModel
 from freecumulants.partitions import LatticeKind, enumerate_partitions, format_partition
 
 
@@ -298,6 +298,28 @@ def test_cli_cumulant_tables_beyond_the_bound_fail_before_drawing(capsys):
         out = capsys.readouterr().out
         assert out.startswith(f"FAIL {identity} (0 cases"), identity
         assert "setup: a cumulant table to max_order=40 exceeds MAX_CUMULANT_WORDS=65536" in out
+
+
+def test_cli_max_order_beyond_the_largest_exponent_fails_before_drawing(capsys):
+    # no monomial exponent passes MAX_EXPONENT, so no moment past it is ever read
+    for identity in ("moment-cumulant", "classical-total-cumulance"):
+        t0 = time.perf_counter()
+        assert main(["check", identity, "--max-order", str(10**7), "--n", "2"]) == 1
+        assert time.perf_counter() - t0 < 2, identity
+        out = capsys.readouterr().out
+        assert out.startswith(f"FAIL {identity} (0 cases"), identity
+        assert "setup: max_order=10000000 exceeds MAX_EXPONENT=127" in out
+    assert main(["check", "classical-total-cumulance", "--max-order", "127", "--n", "2"]) == 0
+
+
+def test_total_cumulance_shares_its_partitioned_moments(monkeypatch):
+    # perf gate: each matrix context tabulates phi_partitioned; without the
+    # table one run makes 13,805 psi calls, a fifth of that is the bound
+    calls = []
+    psi = MatrixContext.psi
+    monkeypatch.setattr(MatrixContext, "psi", lambda self, x: calls.append(1) or psi(self, x))
+    assert run_check("total-cumulance").passed
+    assert 0 < len(calls) <= 13805 // 5
 
 
 def test_cli_moebius_beyond_the_enumeration_bound_exits_two(capsys):

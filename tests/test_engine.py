@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from freecumulants import engine
 from freecumulants.engine import (
     Level,
     NestedPair,
@@ -323,3 +324,45 @@ def test_nested_moment_restricts_the_inner_partition(matrix_ctx):
     got = nested_moment(ctx, NestedPair(inner, outer), args)
     x1, x2, x3 = args
     assert got == ctx.phi(ctx.psi(x1) * ctx.phi(ctx.psi(x2)) * ctx.psi(x3))
+
+
+def test_an_explicit_extraction_order_bypasses_the_table():
+    ctx = MatrixContext(MatrixModel.random(generator_count=2, dimension=2, seed=12))
+    args = gens(ctx, 4)
+    part = parse_partition("{1,4}{2}{3}")
+    tabled = phi_partitioned(ctx, part, args, Level.PSI)
+    assert ctx.phi_table == {(part, Level.PSI, tuple(args)): tabled}
+    with pytest.raises(ValueError, match="out of range"):
+        phi_partitioned(ctx, part, args, Level.PSI, extraction_order=[99])
+    values = all_extraction_orders(
+        lambda order: phi_partitioned(ctx, part, args, Level.PSI, extraction_order=order)
+    )
+    assert values == [tabled]
+    other = parse_partition("{1,2}{3,4}")
+    phi_partitioned(ctx, other, args, Level.PSI, extraction_order=[1])
+    assert len(ctx.phi_table) == 1
+
+
+def test_a_context_table_never_exceeds_its_cap(monkeypatch):
+    monkeypatch.setattr(engine, "TABLE_CAP", 5)
+    ctx = MatrixContext(MatrixModel.random(generator_count=2, dimension=2, seed=12))
+    args = gens(ctx, 4)
+    for part in enumerate_partitions(4, NC):
+        for level in Level:
+            expected = phi_partitioned(ctx, part, args, level, extraction_order=[])
+            assert phi_partitioned(ctx, part, args, level) == expected
+            assert phi_partitioned(ctx, part, args, level) is phi_partitioned(ctx, part, args, level)
+            assert 1 <= len(ctx.phi_table) <= 5
+
+
+def test_only_contexts_of_hashable_elements_keep_a_table(route_models, classical):
+    spec, polys = classical
+    ctx = ClassicalContext(spec, frozenset({"f"}))
+    phi_partitioned(ctx, Partition.full(2), polys[:2], Level.PSI)
+    assert ctx.hashable and len(ctx.phi_table) == 1
+    for name, ctx, pool in route_models:
+        args = cycle(pool, 3)
+        value = phi_partitioned(ctx, parse_partition("{1,3}{2}"), args, Level.PSI)
+        assert value == ctx.psi(ctx.mul(ctx.mul(args[0], ctx.psi(args[1])), args[2])), name
+        assert ctx.hashable == (name == "matrix"), name
+        assert ("phi_table" in vars(ctx)) == ctx.hashable, name

@@ -6,9 +6,10 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from freecumulants.errors import CapacityError
+from freecumulants import exact
+from freecumulants.errors import CapacityError, DimensionMismatchError
 from freecumulants.exact import MAX_EXPONENT, Matrix, Poly, PolyRing, as_fraction, scalar_embed
 from freecumulants.models import ClassicalSpec, MatrixModel, classical_expect
 
@@ -100,6 +101,48 @@ def test_matrix_ring_laws(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert (a * b).trace() == (b * a).trace()
     assert (a - a) * b == (one - one) * b
+
+
+@st.composite
+def poly_matrices(draw, d):
+    return Matrix([[draw(polys()) for _ in range(d)] for _ in range(d)])
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(poly_matrices(d), poly_matrices(d))))
+def test_a_poly_matrix_product_is_the_sum_of_its_entry_products(pair):
+    a, b = pair
+    d = a.dimension
+    product = a * b
+    for i in range(d):
+        for j in range(d):
+            expected = RING.zero
+            for k in range(d):
+                expected = expected + a.entries[i][k] * b.entries[k][j]
+            assert product.entries[i][j] == expected
+            assert_canonical(product.entries[i][j])
+            assert hash(product.entries[i][j]) == hash(expected)
+
+
+def test_a_poly_matrix_product_builds_one_poly_per_entry(monkeypatch):
+    # perf gate: each entry accumulates its d products in one numerator dict
+    made = []
+    make = exact._make
+    monkeypatch.setattr(exact, "_make", lambda *fields: made.append(1) or make(*fields))
+    for d in (1, 2, 3):
+        model = MatrixModel.random(generator_count=2, dimension=d, seed=5)
+        b = model.embed_b(Matrix([[Fraction(i - j, 1 + i + j) for j in range(d)] for i in range(d)]))
+        g1, g2 = model.generators["g1"] * b, model.generators["g2"]
+        made.clear()
+        g1 * g2
+        assert len(made) == d * d
+
+
+def test_a_matrix_product_rejects_polys_of_two_rings():
+    other = PolyRing(("u", "w"))
+    a = Matrix([[RING.var("u")]])
+    with pytest.raises(DimensionMismatchError, match="different rings"):
+        a * Matrix([[other.var("w")]])
 
 
 def test_normalized_trace_is_unital():
