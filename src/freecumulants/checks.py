@@ -26,7 +26,6 @@ from fractions import Fraction
 from .engine import (
     Level,
     NestedPair,
-    expectation,
     free_cumulant,
     nested_cumulant,
     nested_moment,

@@ -12,12 +12,12 @@ can sweep all orders.  On the full lattice the context is commutative and
 the blocks' values simply multiply.
 
 Every identity the checks test is a Moebius sum of the same few
-partitioned expectations, so a context whose elements are hashable
-values (``ClassicalContext`` and ``MatrixContext``) keeps a table of the
-ones computed on it, keyed on (partition, level, arguments).  The table
-lives as long as the context, which the checks build per model; at
-``TABLE_CAP`` entries it is cleared.  A call with an explicit
-``extraction_order`` neither reads nor fills it.
+partitioned expectations, so every context keeps a table of the ones
+computed on it, keyed on (partition, level, arguments); the arguments
+must be the context's own hashable elements.  The table lives as long
+as the context, which the checks build per model; at ``TABLE_CAP``
+entries it is cleared.  A call with an explicit ``extraction_order``
+neither reads nor fills it.
 
 Every cumulant is one Moebius sum over an interval [lo, hi] of the
 lattice.  The partitioned cumulant and the semi-nested cumulant also
@@ -175,10 +175,10 @@ def phi_partitioned(
 ):
     """The partitioned expectation: nest the expectation along the blocks.
 
-    On a context with hashable elements the value comes from, or goes
-    into, the context's table unless ``extraction_order`` is given."""
+    The value comes from, or goes into, the context's table unless
+    ``extraction_order`` is given."""
     args = list(args)
-    table = ctx.phi_table if extraction_order is None and ctx.hashable else None
+    table = ctx.phi_table if extraction_order is None else None
     if table is not None:
         key = (part, level, tuple(args))
         value = table.get(key)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
 from .errors import CapacityError, DimensionMismatchError
@@ -343,12 +344,33 @@ def _combine(a: Poly, b: Poly, sign: int) -> Poly:
     return Poly.from_numerators(a.ring, out, den)
 
 
+class LinearCombination(dict):
+    """A dict from basis keys to nonzero ``Fraction`` coefficients; it
+    equals any mapping with the same items.  Nothing changes one after it
+    is built, so its hash is computed on first use and kept."""
+
+    __slots__ = ("_hash",)
+
+    @classmethod
+    def of(cls, terms) -> LinearCombination:
+        """The combination of the distinct-keyed pairs ``terms``, zero coefficients dropped."""
+        return cls(filter(itemgetter(1), terms))
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(frozenset(self.items()))
+            return self._hash
+
+
 class Matrix:
     """Square matrix over a commutative ring of entries.
 
     Entries must support +, -, * among themselves and with Fraction.  When
     both factors hold only Polys, each entry of a product is built as one
-    Poly; other entries go through their own + and *.
+    Poly; other entries go through their own + and *.  Nothing changes a
+    Matrix after it is built.
     """
 
     __slots__ = ("entries",)
@@ -411,7 +433,7 @@ class Matrix:
         return self.scale(other)
 
     def scale(self, c) -> Matrix:
-        return Matrix([[a * c for a in r] for r in self.entries])
+        return self if c == 1 else Matrix([[a * c for a in r] for r in self.entries])
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Matrix) and self.entries == other.entries
@@ -441,7 +463,3 @@ def _dot(row, col):
         acc = acc + a * b
     return acc
 
-
-def scalar_embed(c: Scalar, d: int, one) -> Matrix:
-    """c times the d x d identity, over the ring whose unit is ``one``."""
-    return Matrix.identity(d, one).scale(as_fraction(c))

@@ -32,7 +32,7 @@ from math import lcm, prod
 from operator import getitem
 
 from .errors import CapacityError, DimensionMismatchError
-from .exact import MAX_EXPONENT, Matrix, Poly, PolyRing, as_fraction, scalar_embed
+from .exact import MAX_EXPONENT, LinearCombination, Matrix, Poly, PolyRing, as_fraction
 from .partitions import LatticeKind
 
 DEFAULT_MAX_ORDER = 8
@@ -52,14 +52,13 @@ class ProbabilityContext:
     subalgebras.  ``phi`` returns the C-value embedded back into A so the
     engine can keep multiplying; ``phi_scalar`` exposes the bare rational.
 
-    ``hashable`` says that elements are immutable hashable values; the
-    engine then keeps the partitioned expectations it computes on the
-    context in ``phi_table`` (see ``engine.phi_partitioned``).
+    Elements are immutable hashable values, so the engine keeps the
+    partitioned expectations it computes on the context in ``phi_table``
+    (see ``engine.phi_partitioned``).
     """
 
     kind: LatticeKind = LatticeKind.NONCROSSING
     commutative: bool = False
-    hashable: bool = False
 
     @cached_property
     def phi_table(self) -> dict:
@@ -131,9 +130,9 @@ def centered(ctx: ProbabilityContext, x, level: str = "C"):
 
 
 class LinearCombinationContext(ProbabilityContext):
-    """Elements are dicts from basis keys to nonzero rational coefficients.
+    """Elements are ``LinearCombination`` values over basis keys.
 
-    The ring operations are shared; a subclass supplies ``key_product``,
+    Ring operations and phi are shared; a subclass supplies ``key_product``,
     the product of two basis keys, which is ``None`` when it vanishes.
     """
 
@@ -148,17 +147,20 @@ class LinearCombinationContext(ProbabilityContext):
                 k = key_product(k1, k2)
                 if k is not None:
                     out[k] = out.get(k, Fraction(0)) + c1 * c2
-        return {k: c for k, c in out.items() if c != 0}
+        return LinearCombination.of(out.items())
 
     def add(self, x, y):
         out = dict(x)
         for k, c in y.items():
             out[k] = out.get(k, Fraction(0)) + c
-        return {k: c for k, c in out.items() if c != 0}
+        return LinearCombination.of(out.items())
 
     def scale(self, c, x):
         c = as_fraction(c)
-        return {k: c * v for k, v in x.items() if c * v != 0}
+        return LinearCombination.of((k, c * v) for k, v in x.items())
+
+    def phi(self, x):
+        return self.embed_scalar(self.phi_scalar(x))
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +284,6 @@ class ClassicalContext(ProbabilityContext):
 
     kind = LatticeKind.FULL
     commutative = True
-    hashable = True
 
     def __init__(self, spec: ClassicalSpec, keep: frozenset[str] = frozenset()):
         unknown = set(keep) - set(spec.variables)
@@ -406,7 +407,6 @@ def matrix_phi(model: MatrixModel, x: Matrix) -> Fraction:
 class MatrixContext(ProbabilityContext):
     kind = LatticeKind.NONCROSSING
     commutative = False
-    hashable = True
 
     def __init__(self, model: MatrixModel):
         self.model = model
@@ -427,7 +427,7 @@ class MatrixContext(ProbabilityContext):
         return self.model.embed_b(matrix_psi(self.model, x))
 
     def phi(self, x):
-        return scalar_embed(matrix_phi(self.model, x), self.model.d, self.model.ring.one)
+        return Matrix.identity(self.model.d, self.model.ring.const(matrix_phi(self.model, x)))
 
     def phi_scalar(self, x):
         return matrix_phi(self.model, x)
@@ -583,13 +583,13 @@ class ScalarFreeContext(LinearCombinationContext):
     def __init__(self, spec: ScalarFreeSpec):
         self.spec = spec
 
-    def gen(self, name: str) -> dict:
+    def gen(self, name: str) -> LinearCombination:
         if name not in self.spec.family_of:
             raise ValueError(f"unknown generator {name!r}")
-        return {(name,): Fraction(1)}
+        return LinearCombination({(name,): Fraction(1)})
 
     def unit(self):
-        return {(): Fraction(1)}
+        return LinearCombination({(): Fraction(1)})
 
     def key_product(self, w1, w2):
         return w1 + w2
@@ -597,10 +597,7 @@ class ScalarFreeContext(LinearCombinationContext):
     def phi_scalar(self, x):
         return sum((c * free_moment(self.spec, w) for w, c in x.items()), Fraction(0))
 
-    def phi(self, x):
-        return self.embed_scalar(self.phi_scalar(x))
-
-    psi = phi
+    psi = LinearCombinationContext.phi
 
     def in_c(self, x):
         return set(x) <= {()}
@@ -668,28 +665,20 @@ class WordContext(LinearCombinationContext):
         self.d = model.d
 
     def unit(self):
-        return {((), ((i, i),)): Fraction(1) for i in range(self.d)}
+        return LinearCombination({((), ((i, i),)): Fraction(1) for i in range(self.d)})
 
     def gen(self, name: str):
         """The family element X_name = sum_{i,j} E_ii X E_jj."""
         if name not in self.model.scalars.family_of:
             raise ValueError(f"unknown generator {name!r}")
-        return {
-            ((name,), ((i, i), (j, j))): Fraction(1)
-            for i in range(self.d)
-            for j in range(self.d)
-        }
+        return LinearCombination.fromkeys((((name,), ((i, i), (j, j))) for i in range(self.d)
+                                           for j in range(self.d)), Fraction(1))
 
     def embed_b(self, m: Matrix):
         if m.dimension != self.d:
             raise DimensionMismatchError(f"expected {self.d}x{self.d} matrix")
-        out = {}
-        for i in range(self.d):
-            for j in range(self.d):
-                c = m.entries[i][j]
-                if c != 0:
-                    out[((), ((i, j),))] = as_fraction(c)
-        return out
+        return LinearCombination.of((((), ((i, j),)), as_fraction(c))
+                                    for i, row in enumerate(m.entries) for j, c in enumerate(row))
 
     def key_product(self, k1, k2):
         (g1, u1), (g2, u2) = k1, k2
@@ -727,7 +716,7 @@ class WordContext(LinearCombinationContext):
                 fused = self.key_product(((), units[:1]), k)
                 if fused is not None:
                     out[fused] = out.get(fused, Fraction(0)) + scalar * c
-        memo[key] = out = {k: c for k, c in out.items() if c != 0}
+        memo[key] = out = LinearCombination.of(out.items())
         return out
 
     def psi(self, x):
@@ -736,13 +725,10 @@ class WordContext(LinearCombinationContext):
         for (gens, units), c in x.items():
             for key, v in self._psi_word(gens, units, memo).items():
                 out[key] = out.get(key, Fraction(0)) + c * v
-        return {key: v for key, v in out.items() if v != 0}
+        return LinearCombination.of(out.items())
 
     def phi_scalar(self, x):
         return self._trace(self.psi(x))
-
-    def phi(self, x):
-        return self.scale(self.phi_scalar(x), self.unit())
 
     def in_b(self, x):
         return all(not gens for gens, _ in x)
@@ -826,11 +812,11 @@ class TensorContext(LinearCombinationContext):
         self.points = model.points
 
     def unit(self):
-        return {((), k): Fraction(1) for k in range(self.points)}
+        return LinearCombination({((), k): Fraction(1) for k in range(self.points)})
 
-    def simple(self, word: tuple[str, ...], vec) -> dict:
+    def simple(self, word: tuple[str, ...], vec) -> LinearCombination:
         """The simple tensor word (x) vec."""
-        return {(tuple(word), k): v for k, v in enumerate(map(as_fraction, vec)) if v != 0}
+        return LinearCombination.of(((tuple(word), k), v) for k, v in enumerate(map(as_fraction, vec)))
 
     def key_product(self, k1, k2):
         (w1, p1), (w2, p2) = k1, k2
@@ -845,13 +831,10 @@ class TensorContext(LinearCombinationContext):
         for (w, k), c in x.items():
             key = ((), k)
             out[key] = out.get(key, Fraction(0)) + free_moment(self.model.scalars, w) * c
-        return {key: c for key, c in out.items() if c != 0}
+        return LinearCombination.of(out.items())
 
     def phi_scalar(self, x):
         return self.model.state(self._vector(self.psi(x)))
-
-    def phi(self, x):
-        return self.scale(self.phi_scalar(x), self.unit())
 
     def in_b(self, x):
         return all(not w for w, _ in x)

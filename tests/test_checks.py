@@ -4,14 +4,18 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from freecumulants.checks import ALL_CHECKS, replay_report, run_check
 from freecumulants.cli import main
-from freecumulants.models import MatrixContext, MatrixModel, TensorModel
+from freecumulants.models import MatrixContext, MatrixModel, TensorContext, TensorModel, WordContext
 from freecumulants.partitions import LatticeKind, enumerate_partitions, format_partition
 
 
@@ -320,6 +324,34 @@ def test_total_cumulance_shares_its_partitioned_moments(monkeypatch):
     monkeypatch.setattr(MatrixContext, "psi", lambda self, x: calls.append(1) or psi(self, x))
     assert run_check("total-cumulance").passed
     assert 0 < len(calls) <= 13805 // 5
+
+
+@pytest.mark.parametrize("identity, cls, bound", [
+    # without a table on their contexts these runs make 2,328 and 3,072 psi calls
+    ("tensor-factorization", TensorContext, 1500),
+    ("freeness-characterization", WordContext, 2800),
+])
+def test_word_and_tensor_checks_share_their_partitioned_moments(monkeypatch, identity, cls, bound):
+    calls = []
+    psi = cls.psi
+    monkeypatch.setattr(cls, "psi", lambda self, x: calls.append(1) or psi(self, x))
+    assert run_check(identity).passed
+    assert 0 < len(calls) <= bound
+
+
+def test_every_name_the_layer_tracer_wraps_resolves():
+    # perfbench/layertrace.py wraps library names by attribute; a renamed or
+    # deleted one fails its install, and a dead wrapper counts nothing
+    root = Path(__file__).resolve().parents[1]
+    code = ("import freecumulants as fc, layertrace\n"
+            "tracer = layertrace.install(fc)\n"
+            "assert fc.run_check('product-formula').passed\n"
+            "print(tracer.metrics()['engine.phi_partitioned.calls'])\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "perfbench")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) > 0
 
 
 def test_cli_moebius_beyond_the_enumeration_bound_exits_two(capsys):

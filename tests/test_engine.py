@@ -4,6 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freecumulants import engine
 from freecumulants.engine import (
@@ -19,7 +20,7 @@ from freecumulants.engine import (
     phi_partitioned,
 )
 from freecumulants.errors import CrossingPartitionError, OrderViolationError
-from freecumulants.exact import Matrix, Poly
+from freecumulants.exact import LinearCombination, Matrix, Poly
 from freecumulants.models import (
     ClassicalContext,
     ClassicalSpec,
@@ -57,9 +58,9 @@ def gens(ctx, n):
     return [ctx.model.generators[names[i % len(names)]] for i in range(n)]
 
 
-@pytest.fixture(scope="module")
-def route_models(matrix_ctx):
-    """(name, context, generator pool) for every noncrossing model."""
+def build_route_models(matrix_ctx):
+    """(name, context, generator pool) for every noncrossing model; every
+    context but ``matrix_ctx`` is new."""
     scalar = ScalarFreeContext(ScalarFreeSpec.random({"a": ("a1", "a2"), "b": ("b1",)}, seed=12))
     word = WordContext(FactorizationModel.random(2, dimension=2, seed=12))
     b = word.embed_b(Matrix([[F(1), F(-1)], [F(2), F(1, 2)]]))
@@ -71,6 +72,16 @@ def route_models(matrix_ctx):
         ("tensor", tensor, [tensor.simple(("a",), (F(1), F(2))),
                             tensor.simple(("a", "a"), (F(-1), F(1, 3)))]),
     ]
+
+
+@pytest.fixture(scope="module")
+def route_models(matrix_ctx):
+    return build_route_models(matrix_ctx)
+
+
+def new_route_models():
+    """The route models over contexts with empty tables."""
+    return build_route_models(MatrixContext(MatrixModel.random(generator_count=2, dimension=2, seed=12)))
 
 
 def cycle(pool, n):
@@ -327,42 +338,77 @@ def test_nested_moment_restricts_the_inner_partition(matrix_ctx):
 
 
 def test_an_explicit_extraction_order_bypasses_the_table():
-    ctx = MatrixContext(MatrixModel.random(generator_count=2, dimension=2, seed=12))
-    args = gens(ctx, 4)
     part = parse_partition("{1,4}{2}{3}")
-    tabled = phi_partitioned(ctx, part, args, Level.PSI)
-    assert ctx.phi_table == {(part, Level.PSI, tuple(args)): tabled}
-    with pytest.raises(ValueError, match="out of range"):
-        phi_partitioned(ctx, part, args, Level.PSI, extraction_order=[99])
-    values = all_extraction_orders(
-        lambda order: phi_partitioned(ctx, part, args, Level.PSI, extraction_order=order)
-    )
-    assert values == [tabled]
     other = parse_partition("{1,2}{3,4}")
-    phi_partitioned(ctx, other, args, Level.PSI, extraction_order=[1])
-    assert len(ctx.phi_table) == 1
+    for name, ctx, pool in new_route_models():
+        args = cycle(pool, 4)
+        tabled = phi_partitioned(ctx, part, args, Level.PSI)
+        assert ctx.phi_table == {(part, Level.PSI, tuple(args)): tabled}, name
+        with pytest.raises(ValueError, match="out of range"):
+            phi_partitioned(ctx, part, args, Level.PSI, extraction_order=[99])
+        values = all_extraction_orders(
+            lambda order: phi_partitioned(ctx, part, args, Level.PSI, extraction_order=order)
+        )
+        assert values == [tabled], name
+        phi_partitioned(ctx, other, args, Level.PSI, extraction_order=[1])
+        assert len(ctx.phi_table) == 1, name
 
 
 def test_a_context_table_never_exceeds_its_cap(monkeypatch):
     monkeypatch.setattr(engine, "TABLE_CAP", 5)
-    ctx = MatrixContext(MatrixModel.random(generator_count=2, dimension=2, seed=12))
-    args = gens(ctx, 4)
-    for part in enumerate_partitions(4, NC):
-        for level in Level:
-            expected = phi_partitioned(ctx, part, args, level, extraction_order=[])
-            assert phi_partitioned(ctx, part, args, level) == expected
-            assert phi_partitioned(ctx, part, args, level) is phi_partitioned(ctx, part, args, level)
-            assert 1 <= len(ctx.phi_table) <= 5
+    for name, ctx, pool in new_route_models():
+        args = cycle(pool, 4)
+        for part in enumerate_partitions(4, NC):
+            for level in Level:
+                expected = phi_partitioned(ctx, part, args, level, extraction_order=[])
+                assert phi_partitioned(ctx, part, args, level) == expected, name
+                again = phi_partitioned(ctx, part, args, level)
+                assert phi_partitioned(ctx, part, args, level) is again, name
+                assert 1 <= len(ctx.phi_table) <= 5, name
 
 
-def test_only_contexts_of_hashable_elements_keep_a_table(route_models, classical):
+def test_every_context_keeps_a_table(classical):
     spec, polys = classical
-    ctx = ClassicalContext(spec, frozenset({"f"}))
-    phi_partitioned(ctx, Partition.full(2), polys[:2], Level.PSI)
-    assert ctx.hashable and len(ctx.phi_table) == 1
-    for name, ctx, pool in route_models:
+    part = parse_partition("{1,3}{2}")
+    classical_model = ("classical", ClassicalContext(spec, frozenset({"f"})), polys)
+    for name, ctx, pool in [classical_model] + new_route_models():
         args = cycle(pool, 3)
-        value = phi_partitioned(ctx, parse_partition("{1,3}{2}"), args, Level.PSI)
+        value = phi_partitioned(ctx, part, args, Level.PSI)
         assert value == ctx.psi(ctx.mul(ctx.mul(args[0], ctx.psi(args[1])), args[2])), name
-        assert ctx.hashable == (name == "matrix"), name
-        assert ("phi_table" in vars(ctx)) == ctx.hashable, name
+        assert ctx.phi_table == {(part, Level.PSI, tuple(args)): value}, name
+        assert phi_partitioned(ctx, part, args, Level.PSI) is value, name
+
+
+LC_CONTEXT = ScalarFreeContext(ScalarFreeSpec.random({"a": ("a1", "a2"), "b": ("b1",)}, seed=12))
+LC_TERMS = st.lists(st.tuples(st.lists(st.sampled_from(("a1", "a2", "b1")), max_size=2),
+                              st.integers(-2, 2)), max_size=4)
+
+
+def lc_element(terms):
+    ctx = LC_CONTEXT
+    return ctx.sum(ctx.scale(c, ctx.product(map(ctx.gen, word))) for word, c in terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.tuples(st.sampled_from("ab")), st.fractions(-2, 2, max_denominator=2)))
+def test_a_linear_combination_drops_zeros_and_hashes_on_its_items(coeffs):
+    x = LinearCombination.of(coeffs.items())
+    assert x == {k: c for k, c in coeffs.items() if c != 0}
+    assert 0 not in x.values()
+    y = LinearCombination.of(reversed(list(coeffs.items())))
+    assert hash(x) == hash(y) and {x: 1}[y] == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(LC_TERMS, LC_TERMS)
+def test_sums_in_either_order_share_one_table_entry(x_terms, y_terms):
+    ctx = LC_CONTEXT
+    x, y = lc_element(x_terms), lc_element(y_terms)
+    xy, yx = ctx.add(x, y), ctx.add(y, x)
+    assert type(xy) is LinearCombination and 0 not in xy.values()
+    assert xy == yx and hash(xy) == hash(yx)
+    part = parse_partition("{1,2}")
+    value = phi_partitioned(ctx, part, [xy, x], Level.PSI)
+    size = len(ctx.phi_table)
+    assert phi_partitioned(ctx, part, [yx, x], Level.PSI) is value
+    assert len(ctx.phi_table) == size

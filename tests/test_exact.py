@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from freecumulants import exact
 from freecumulants.errors import CapacityError, DimensionMismatchError
-from freecumulants.exact import MAX_EXPONENT, Matrix, Poly, PolyRing, as_fraction, scalar_embed
+from freecumulants.exact import MAX_EXPONENT, Matrix, Poly, PolyRing, as_fraction
 from freecumulants.models import ClassicalSpec, MatrixModel, classical_expect
 
 RING = PolyRing(("u", "v"))
@@ -151,12 +151,18 @@ def test_normalized_trace_is_unital():
     assert one.trace() == RING.const(Fraction(3))
 
 
-def test_scalar_embed_multiplies_like_its_scalars():
-    one = RING.one
-    a = scalar_embed(Fraction(2, 3), 2, one)
-    b = scalar_embed(3, 2, one)
-    assert a * b == scalar_embed(2, 2, one)
+def test_scalar_identities_multiply_like_their_scalars():
+    a = Matrix.identity(2, RING.const(Fraction(2, 3)))
+    b = Matrix.identity(2, RING.const(3))
+    assert a * b == Matrix.identity(2, RING.const(2))
     assert a.normalized_trace() == RING.const(Fraction(2, 3))
+
+
+def test_scaling_a_matrix_by_one_returns_it():
+    m = Matrix([[RING.var("u"), RING.one], [RING.zero, RING.const(2)]])
+    assert m.scale(1) is m and m.scale(Fraction(1)) is m
+    assert m.scale(Fraction(1, 2)) == Matrix([[RING.var("u") * Fraction(1, 2), RING.const(Fraction(1, 2))],
+                                              [RING.zero, RING.one]])
 
 
 def test_matrix_dimension_mismatch_is_rejected():
