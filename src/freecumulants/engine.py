@@ -12,18 +12,30 @@ can sweep all orders.  On the full lattice the context is commutative and
 the blocks' values simply multiply.
 
 Every identity the checks test is a Moebius sum of the same few
-partitioned expectations, so every context keeps a table of the ones
-computed on it, keyed on (partition, level, arguments); the arguments
-must be the context's own hashable elements.  The table lives as long
-as the context, which the checks build per model; at ``TABLE_CAP``
-entries it is cleared.  A call with an explicit ``extraction_order``
-neither reads nor fills it.
+partitioned expectations and single-block cumulants, so every context
+keeps a table of the ones computed on it: a partitioned expectation
+under (partition, level, arguments), a single-block cumulant under
+(level, arguments).  The arguments must be the context's own hashable
+elements.  The table lives as long as the context, which the checks
+build per model; at ``TABLE_CAP`` entries it is cleared.  A call with an
+explicit ``extraction_order`` neither reads nor fills it.
 
 Every cumulant is one Moebius sum over an interval [lo, hi] of the
 lattice.  The partitioned cumulant and the semi-nested cumulant also
-have a cheaper multiplicative recursion (splice the single-block
-cumulant of an interval block), selected by ``method``; the Moebius sum
-is the reference route that ``cross_check`` compares it against.
+have a multiplicative recursion, selected by ``method``: splice the
+single-block cumulant of each interval block.  A single-block cumulant
+comes from
+
+* the full lattice: its Moebius sum over the partitions of its block;
+* the noncrossing lattice at ``Level.PHI``: the first-block form of the
+  moment-cumulant relation over index subsets, one ``phi_scalar`` call
+  per subset of the arguments, since scalar values commute out;
+* the noncrossing lattice at ``Level.PSI``: the operator-valued
+  first-block form, on argument tuples whose entries absorb the psi of
+  the gaps the first block leaves.
+
+The Moebius sum is the reference route that ``cross_check`` compares
+the recursion against.
 
 Nested functionals compose two levels of the tower: ``nested_moment`` is
 the outer partitioned expectation wrapped around inner psi-partitioned
@@ -38,14 +50,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
 
 from .errors import CrossingPartitionError, DimensionMismatchError, OrderViolationError
 from .models import ProbabilityContext
-from .partitions import LatticeKind, Partition, interval_list, moebius
+from .partitions import LatticeKind, Partition, first_blocks, interval_list, moebius
 
 
-# most partitioned expectations one context keeps; a check context fills
-# at most a few hundred
+# most partitioned expectations and single-block cumulants one context
+# keeps; a check context fills at most a few hundred
 TABLE_CAP = 4096
 
 
@@ -189,10 +202,14 @@ def phi_partitioned(
         ctx, part, args, lambda _, sub: expectation(ctx, ctx.product(sub), level), extraction_order
     )
     if table is not None:
-        if len(table) >= TABLE_CAP:
-            table.clear()
-        table[key] = value
+        _keep(table, key, value)
     return value
+
+
+def _keep(table: dict, key, value) -> None:
+    if len(table) >= TABLE_CAP:
+        table.clear()
+    table[key] = value
 
 
 def free_cumulant(
@@ -203,7 +220,14 @@ def free_cumulant(
     method: str = "recursion",
     cross_check: bool = False,
 ):
-    """Partitioned cumulant: Moebius inversion of phi_partitioned over [0, part]."""
+    """Partitioned cumulant: Moebius inversion of phi_partitioned over [0, part].
+
+    ``method="moebius"`` evaluates that sum.  ``method="recursion"`` splices
+    the single-block cumulant of each block of ``part``: a Moebius sum on
+    the full lattice, and on the noncrossing one a first-block recursion,
+    over index subsets at ``Level.PHI`` and over argument tuples at
+    ``Level.PSI`` (see ``_single_block``).
+    """
     args = list(args)
     _validate(ctx, part, len(args))
     return _by_method(
@@ -220,11 +244,109 @@ def _cumulant_moebius(ctx, part, args, level):
 
 
 def _cumulant_recursive(ctx, part, args, level):
-    # splice the single-block cumulant of each block, a Moebius sum over its own lattice
-    return _extract(
-        ctx, part, args,
-        lambda _, sub: _cumulant_moebius(ctx, Partition.full(len(sub)), sub, level),
-    )
+    # splice the single-block cumulant of each block
+    return _extract(ctx, part, args, lambda _, sub: _single_block(ctx, tuple(sub), level))
+
+
+def _single_block(ctx, args: tuple, level: Level):
+    """kappa_n(args) for one block of all n arguments, by the route the
+    module docstring names for the lattice and level; the value comes
+    from, or goes into, the context's table under (level, args)."""
+    table = ctx.phi_table
+    key = (level, args)
+    value = table.get(key)
+    if value is None:
+        if ctx.kind is LatticeKind.FULL:
+            value = _cumulant_moebius(ctx, Partition.full(len(args)), args, level)
+        elif level is Level.PHI:
+            value = ctx.embed_scalar(_kappa_scalar(ctx, args, (1 << len(args)) - 1, {}, {}))
+        else:
+            value = _kappa_operator(ctx, args, {}, {})
+        _keep(table, key, value)
+    return value
+
+
+def _kappa_scalar(ctx, args, mask: int, kappas: dict, moments: dict) -> Fraction:
+    """The phi-cumulant of the arguments at the set bits of ``mask``.
+
+    Scalars commute out of every block, so m(S) = sum over the blocks V
+    holding min S of kappa(V) times the moments of the gaps V leaves in
+    S, the tail after V included (Nica-Speicher, Lectures on the
+    Combinatorics of Free Probability, Lecture 11); kappa(S) is m(S) less
+    the terms of V != S.  ``kappas`` and ``moments`` are keyed on subset
+    masks, so phi_scalar runs at most once per subset.
+    """
+    value = kappas.get(mask)
+    if value is not None:
+        return value
+    value = _moment_scalar(ctx, args, mask, moments)
+    low = mask & -mask
+    rest = sub = mask ^ low
+    while sub:  # V = low | sub for each proper subset sub of rest, the empty one last
+        sub = (sub - 1) & rest
+        block = low | sub
+        term = _kappa_scalar(ctx, args, block, kappas, moments)
+        gap, todo = 0, rest
+        while todo and term:
+            bit = todo & -todo
+            todo ^= bit
+            if bit & block:
+                if gap:
+                    term *= _moment_scalar(ctx, args, gap, moments)
+                gap = 0
+            else:
+                gap |= bit
+        if gap and term:
+            term *= _moment_scalar(ctx, args, gap, moments)
+        value -= term
+    kappas[mask] = value
+    return value
+
+
+def _moment_scalar(ctx, args, mask: int, moments: dict) -> Fraction:
+    value = moments.get(mask)
+    if value is None:
+        subset = (a for i, a in enumerate(args) if mask >> i & 1)
+        value = moments[mask] = ctx.phi_scalar(reduce(ctx.mul, subset))
+    return value
+
+
+def _kappa_operator(ctx, args: tuple, kappas: dict, moments: dict):
+    """The psi-cumulant kappa_n(args), operator-valued.
+
+    The block V = {1 = i_1 < ... < i_r} holding the first argument
+    contributes kappa_r(a_{i_1} psi(gap_1), ..., a_{i_r}) psi(tail)
+    (Speicher, Combinatorial Theory of the Free Product with Amalgamation
+    and Operator-Valued Free Probability Theory, Mem. AMS 627, 1998), so
+    kappa_n(args) is psi(a_1 ... a_n) less the terms of the other blocks.
+    ``kappas`` and ``moments`` are keyed on argument tuples.
+    """
+    value = kappas.get(args)
+    if value is not None:
+        return value
+    n = len(args)
+    terms = []
+    for block in first_blocks(0, n):
+        if len(block) < n:
+            spliced = tuple(
+                args[a] if b == a + 1 else ctx.mul(args[a], _psi_product(ctx, args[a + 1 : b], moments))
+                for a, b in zip(block, block[1:])
+            ) + (args[block[-1]],)
+            term = _kappa_operator(ctx, spliced, kappas, moments)
+            tail = args[block[-1] + 1 :]
+            terms.append(ctx.mul(term, _psi_product(ctx, tail, moments)) if tail else term)
+    value = _psi_product(ctx, args, moments)
+    if terms:
+        value = ctx.sub(value, ctx.sum(terms))
+    kappas[args] = value
+    return value
+
+
+def _psi_product(ctx, args: tuple, moments: dict):
+    value = moments.get(args)
+    if value is None:
+        value = moments[args] = ctx.psi(reduce(ctx.mul, args))
+    return value
 
 
 def partial_cumulant(

@@ -33,7 +33,7 @@ from operator import getitem
 
 from .errors import CapacityError, DimensionMismatchError
 from .exact import MAX_EXPONENT, LinearCombination, Matrix, Poly, PolyRing, as_fraction
-from .partitions import LatticeKind
+from .partitions import LatticeKind, first_blocks
 
 DEFAULT_MAX_ORDER = 8
 # most words a drawn cumulant table may hold; the default tables hold 1,020
@@ -146,13 +146,15 @@ class LinearCombinationContext(ProbabilityContext):
             for k2, c2 in y.items():
                 k = key_product(k1, k2)
                 if k is not None:
-                    out[k] = out.get(k, Fraction(0)) + c1 * c2
+                    c = out.get(k)
+                    out[k] = c1 * c2 if c is None else c + c1 * c2
         return LinearCombination.of(out.items())
 
     def add(self, x, y):
         out = dict(x)
         for k, c in y.items():
-            out[k] = out.get(k, Fraction(0)) + c
+            a = out.get(k)
+            out[k] = c if a is None else a + c
         return LinearCombination.of(out.items())
 
     def scale(self, c, x):
@@ -542,12 +544,6 @@ class ScalarFreeSpec:
         return cls(families, cumulants, max_order)
 
 
-def first_blocks(i: int, j: int):
-    """i together with each subset of i+1..j-1, as sorted tuples."""
-    rest = range(i + 1, j)
-    return ((i, *subset) for r in range(len(rest) + 1) for subset in itertools.combinations(rest, r))
-
-
 def free_moment(spec: ScalarFreeSpec, word: tuple[str, ...]) -> Fraction:
     """The noncrossing moment-cumulant sum by its first-block recursion
     (Nica-Speicher, Lectures on the Combinatorics of Free Probability,
@@ -634,6 +630,8 @@ class FactorizationModel:
         self.d = int(dimension)
         if self.d < 1:
             raise ValueError(f"matrix dimension must be at least 1, got {self.d}")
+        # psi of each basis word met so far, keyed on (gens, units)
+        self._psi_cache: dict = {}
 
     @classmethod
     def random(
@@ -691,40 +689,44 @@ class WordContext(LinearCombinationContext):
         """Normalized trace of an element of B."""
         return sum((c for (_, ((i, j),)), c in b.items() if i == j), Fraction(0)) / self.d
 
-    def _psi_word(self, gens, units, memo: dict) -> dict:
+    def _psi_word(self, gens, units) -> dict:
         """psi of the basis word E_{u0} X_{g1} E_{u1} ... X_{gk} E_{uk} by the
         first-block recursion (Nica-Speicher, Lecture 11): the sum, over the
         blocks V holding the first generator, of kappa(g_V) times the trace
         of psi of each gap V swallows, times E_{u0} psi(the word after V),
-        by bimodularity.  ``memo`` maps sub-words to their psi."""
+        by bimodularity.  The model keeps every word's psi, as the scalar
+        spec keeps its free moments."""
         key = (gens, units)
         if not gens:
             return {key: Fraction(1)}
-        if key in memo:
-            return memo[key]
-        out: dict = {}
+        memo = self.model._psi_cache
+        out = memo.get(key)
+        if out is not None:
+            return out
+        out = {}
         for block in first_blocks(0, len(gens)):
             scalar = self.model.scalars.cumulant(tuple(gens[a] for a in block))
             for a, b in zip(block, block[1:]):
                 if not scalar:
                     break
-                scalar *= self._trace(self._psi_word(gens[a + 1 : b], units[a + 1 : b + 1], memo))
+                scalar *= self._trace(self._psi_word(gens[a + 1 : b], units[a + 1 : b + 1]))
             if not scalar:
                 continue
             t = block[-1] + 1
-            for k, c in self._psi_word(gens[t:], units[t:], memo).items():
+            for k, c in self._psi_word(gens[t:], units[t:]).items():
                 fused = self.key_product(((), units[:1]), k)
                 if fused is not None:
-                    out[fused] = out.get(fused, Fraction(0)) + scalar * c
+                    v = out.get(fused)
+                    out[fused] = scalar * c if v is None else v + scalar * c
         memo[key] = out = LinearCombination.of(out.items())
         return out
 
     def psi(self, x):
-        memo: dict = {}
         out: dict = {}
         for (gens, units), c in x.items():
-            for key, v in self._psi_word(gens, units, memo).items():
-                out[key] = out.get(key, Fraction(0)) + c * v
+            for key, v in self._psi_word(gens, units).items():
+                a = out.get(key)
+                out[key] = c * v if a is None else a + c * v
         return LinearCombination.of(out.items())
 
     def phi_scalar(self, x):
@@ -829,8 +831,9 @@ class TensorContext(LinearCombinationContext):
         """Integrate out the word factor: sum of free moments times vectors."""
         out: dict = {}
         for (w, k), c in x.items():
-            key = ((), k)
-            out[key] = out.get(key, Fraction(0)) + free_moment(self.model.scalars, w) * c
+            key, term = ((), k), free_moment(self.model.scalars, w) * c
+            v = out.get(key)
+            out[key] = term if v is None else v + term
         return LinearCombination.of(out.items())
 
     def phi_scalar(self, x):

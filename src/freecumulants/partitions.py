@@ -271,6 +271,17 @@ def _growth_strings(n: int):
     yield from rec([0], 0)
 
 
+def first_blocks(i: int, j: int):
+    """i together with each subset of i+1..j-1, as sorted tuples: the
+    blocks holding i of the partitions of {i..j-1}.
+
+    >>> list(first_blocks(0, 3))
+    [(0,), (0, 1), (0, 2), (0, 1, 2)]
+    """
+    rest = range(i + 1, j)
+    return ((i, *subset) for r in range(len(rest) + 1) for subset in itertools.combinations(rest, r))
+
+
 @lru_cache(maxsize=None)
 def enumerate_partitions(
     n: int, kind: LatticeKind, interval_only: bool = False

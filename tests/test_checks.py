@@ -15,7 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from freecumulants.checks import ALL_CHECKS, replay_report, run_check
 from freecumulants.cli import main
-from freecumulants.models import MatrixContext, MatrixModel, TensorContext, TensorModel, WordContext
+from freecumulants.models import (
+    MatrixContext, MatrixModel, ScalarFreeContext, TensorContext, TensorModel, WordContext,
+)
 from freecumulants.partitions import LatticeKind, enumerate_partitions, format_partition
 
 
@@ -339,13 +341,27 @@ def test_word_and_tensor_checks_share_their_partitioned_moments(monkeypatch, ide
     assert 0 < len(calls) <= bound
 
 
+def test_freeness_tables_its_cumulants_only(monkeypatch):
+    # the check asks only for single-block cumulants, which the scalar
+    # route computes without a partitioned moment: the context keeps 280
+    # cumulants, where the Moebius route kept 3,392 partitioned moments
+    made = []
+    init = ScalarFreeContext.__init__
+    monkeypatch.setattr(ScalarFreeContext, "__init__",
+                        lambda self, spec: made.append(self) or init(self, spec))
+    assert run_check("freeness").passed
+    assert made and max(len(ctx.phi_table) for ctx in made) <= 280
+
+
 def test_every_name_the_layer_tracer_wraps_resolves():
     # perfbench/layertrace.py wraps library names by attribute; a renamed or
-    # deleted one fails its install, and a dead wrapper counts nothing
+    # deleted one fails its install, and a dead wrapper counts nothing.
+    # nested-closed-forms calls phi_partitioned itself, so the count does
+    # not hang on which route a cumulant takes
     root = Path(__file__).resolve().parents[1]
     code = ("import freecumulants as fc, layertrace\n"
             "tracer = layertrace.install(fc)\n"
-            "assert fc.run_check('product-formula').passed\n"
+            "assert fc.run_check('nested-closed-forms').passed\n"
             "print(tracer.metrics()['engine.phi_partitioned.calls'])\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "perfbench")])}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,

@@ -1,7 +1,9 @@
 """Engine recursions: confluence, dual routes, conventions, closed forms."""
 
+import gc
 import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -102,7 +104,8 @@ def all_extraction_orders(fn, max_choices=4, max_steps=4):
 
 
 def test_single_block_cumulant_enumerates_its_lattice_once():
-    # perf gate: mu is closed-form, so kappa_8 lists NC(8) once and mu lists nothing
+    # perf gate: mu is closed-form, so the Moebius route's kappa_8 lists
+    # NC(8) once and mu lists nothing
     def lookups():
         info = interval_list.cache_info()
         return info.hits + info.misses
@@ -113,7 +116,8 @@ def test_single_block_cumulant_enumerates_its_lattice_once():
     spec = ScalarFreeSpec.random({"a": ("a1", "a2")}, seed=3)
     ctx = ScalarFreeContext(spec)
     word = ("a1", "a2") * 4
-    value = free_cumulant(ctx, Partition.full(8), [ctx.gen(g) for g in word], Level.PSI)
+    value = free_cumulant(ctx, Partition.full(8), [ctx.gen(g) for g in word], Level.PSI,
+                          method="moebius")
     assert lookups() - before <= 1
     assert value == ctx.embed_scalar(spec.cumulant(word))
 
@@ -127,15 +131,74 @@ def test_partitioned_expectation_is_confluent(matrix_ctx):
         assert len(values) == 1
 
 
-def test_cumulant_routes_agree(route_models):
-    for name, ctx, pool in route_models:
-        for n in range(1, 5):
-            args = cycle(pool, n)
-            for part in enumerate_partitions(n, NC):
-                a = free_cumulant(ctx, part, args, Level.PSI, method="moebius")
-                b = free_cumulant(ctx, part, args, Level.PSI, method="recursion")
-                assert a == b, (name, part)
-                assert free_cumulant(ctx, part, args, Level.PSI, cross_check=True) == a, name
+def deep_route_models(route_models, classical):
+    """Every model of ``route_models`` and the classical one, with pools
+    whose products of six stay within each model's order cap."""
+    spec, _ = classical
+    f, g, h = map(spec.ring.var, "fgh")
+    models = [m for m in route_models if m[0] != "tensor"]
+    tensor = TensorContext(TensorModel.random(points=2, seed=12))
+    models.append(("tensor", tensor, [
+        tensor.simple(("a",), (F(1), F(2))),
+        tensor.add(tensor.simple(("a",), (F(-1), F(1, 3))), tensor.simple((), (F(2), F(0)))),
+    ]))
+    models.append(("classical", ClassicalContext(spec, frozenset({"f"})), [f, g + h, f * h - g]))
+    return models
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_cumulant_routes_agree(route_models, classical, data):
+    name, ctx, pool = data.draw(st.sampled_from(deep_route_models(route_models, classical)))
+    n = data.draw(st.integers(1, 6))
+    args = data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    part = data.draw(st.one_of(st.just(Partition.full(n)),
+                               st.sampled_from(enumerate_partitions(n, ctx.kind))))
+    level = data.draw(st.sampled_from(Level))
+    a = free_cumulant(ctx, part, args, level, method="moebius")
+    assert free_cumulant(ctx, part, args, level, method="recursion") == a, (name, part, level)
+    assert free_cumulant(ctx, part, args, level, cross_check=True) == a, name
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_a_scalar_cumulant_evaluates_each_subset_once(monkeypatch, n):
+    # perf gate: one phi_scalar call per nonempty subset of the arguments,
+    # against one phi_partitioned call per element of NC(n) on the Moebius route
+    calls = []
+    phi_scalar = ScalarFreeContext.phi_scalar
+    monkeypatch.setattr(ScalarFreeContext, "phi_scalar",
+                        lambda self, x: calls.append(1) or phi_scalar(self, x))
+    spec = ScalarFreeSpec.random({"a": ("a1", "a2")}, seed=n)
+    ctx = ScalarFreeContext(spec)
+    word = ("a1", "a2") * 4
+    value = free_cumulant(ctx, Partition.full(n), [ctx.gen(g) for g in word[:n]], Level.PHI)
+    assert value == ctx.embed_scalar(spec.cumulant(word[:n]))
+    assert 0 < len(calls) <= 2**n - 1
+
+
+def test_an_operator_valued_cumulant_takes_few_psi_calls(monkeypatch):
+    # perf gate: matrix psi-kappa_7 of an alternating word makes 199 psi
+    # calls; the Moebius route makes 1,716
+    model = MatrixModel.random(generator_count=3, dimension=2, seed=1)
+    a, b = (model.generators[g] for g in ("g1", "g2"))
+    args = [a, b, a, b, a, b, a]
+    calls = []
+    psi = MatrixContext.psi
+    monkeypatch.setattr(MatrixContext, "psi", lambda self, x: calls.append(1) or psi(self, x))
+    value = free_cumulant(MatrixContext(model), Partition.full(7), args, Level.PSI)
+    assert 0 < len(calls) <= 200
+    assert value == free_cumulant(MatrixContext(model), Partition.full(7), args, Level.PSI,
+                                  method="moebius")
+
+
+def test_a_cumulant_leaves_no_reference_cycles(route_models):
+    # the recursions' memos are plain dicts passed down, never closures
+    # over themselves, so nothing waits for the cycle collector
+    gc.collect()
+    for name, ctx, pool in new_route_models():
+        for level in Level:
+            free_cumulant(ctx, Partition.full(5), cycle(pool, 5), level)
+            assert gc.collect() == 0, (name, level)
 
 
 def test_nested_semicumulant_routes_agree(route_models):
@@ -273,6 +336,25 @@ def classical():
     ring = spec.ring
     f, g, h = ring.var("f"), ring.var("g"), ring.var("h")
     return spec, (f * g + h, g * g, f + g * h)
+
+
+def test_classical_cumulants_of_one_variable_follow_the_binomial_recursion(classical):
+    # kappa_n = m_n - sum over k < n of C(n-1, k-1) kappa_k m_{n-k}
+    spec, _ = classical
+    x = spec.ring.var("f")
+    m = [spec.moment("f", k) for k in range(9)]
+    kappa = [None]
+    for n in range(1, 9):
+        kappa.append(m[n] - sum(comb(n - 1, k - 1) * kappa[k] * m[n - k] for k in range(1, n)))
+        assert classical_kappa(spec, Partition.full(n), [x] * n) == kappa[n], n
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from("fgh"), min_size=2, max_size=6).filter(lambda w: len(set(w)) > 1))
+def test_mixed_classical_cumulants_of_independent_variables_vanish(classical, word):
+    spec, _ = classical
+    args = [spec.ring.var(v) for v in word]
+    assert classical_kappa(spec, Partition.full(len(word)), args) == 0
 
 
 def test_classical_kappa_matches_textbook_forms(classical):
