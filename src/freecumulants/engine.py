@@ -53,13 +53,8 @@ from fractions import Fraction
 from functools import reduce
 
 from .errors import CrossingPartitionError, DimensionMismatchError, OrderViolationError
-from .models import ProbabilityContext
+from .models import TABLE_CAP, ProbabilityContext
 from .partitions import LatticeKind, Partition, first_blocks, interval_list, moebius
-
-
-# most partitioned expectations and single-block cumulants one context
-# keeps; a check context fills at most a few hundred
-TABLE_CAP = 4096
 
 
 class Level(Enum):
@@ -274,7 +269,10 @@ def _kappa_scalar(ctx, args, mask: int, kappas: dict, moments: dict) -> Fraction
     S, the tail after V included (Nica-Speicher, Lectures on the
     Combinatorics of Free Probability, Lecture 11); kappa(S) is m(S) less
     the terms of V != S.  ``kappas`` and ``moments`` are keyed on subset
-    masks, so phi_scalar runs at most once per subset.
+    masks, so phi_scalar runs at most once per subset.  ``_kappa_operator``
+    with phi in place of psi gives the same values, but its argument
+    tuples absorb each gap's scalar, so they do not repeat: scalar kappa_8
+    takes 1,768 phi calls there against 255 here.
     """
     value = kappas.get(mask)
     if value is not None:

@@ -36,6 +36,9 @@ from .exact import MAX_EXPONENT, LinearCombination, Matrix, Poly, PolyRing, as_f
 from .partitions import LatticeKind, first_blocks
 
 DEFAULT_MAX_ORDER = 8
+# most entries a context's phi_table or a factorization model's psi cache
+# keeps before it is cleared; a check fills at most 280 and 1,704
+TABLE_CAP = 4096
 # most words a drawn cumulant table may hold; the default tables hold 1,020
 MAX_CUMULANT_WORDS = 2**16
 
@@ -630,7 +633,8 @@ class FactorizationModel:
         self.d = int(dimension)
         if self.d < 1:
             raise ValueError(f"matrix dimension must be at least 1, got {self.d}")
-        # psi of each basis word met so far, keyed on (gens, units)
+        # psi of each basis word met so far, keyed on (gens, units); at
+        # TABLE_CAP entries it is cleared
         self._psi_cache: dict = {}
 
     @classmethod
@@ -694,8 +698,8 @@ class WordContext(LinearCombinationContext):
         first-block recursion (Nica-Speicher, Lecture 11): the sum, over the
         blocks V holding the first generator, of kappa(g_V) times the trace
         of psi of each gap V swallows, times E_{u0} psi(the word after V),
-        by bimodularity.  The model keeps every word's psi, as the scalar
-        spec keeps its free moments."""
+        by bimodularity.  The model keeps the words' psi, as the scalar
+        spec keeps its free moments, up to ``TABLE_CAP`` of them."""
         key = (gens, units)
         if not gens:
             return {key: Fraction(1)}
@@ -718,6 +722,8 @@ class WordContext(LinearCombinationContext):
                 if fused is not None:
                     v = out.get(fused)
                     out[fused] = scalar * c if v is None else v + scalar * c
+        if len(memo) >= TABLE_CAP:
+            memo.clear()
         memo[key] = out = LinearCombination.of(out.items())
         return out
 

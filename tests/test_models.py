@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freecumulants import models
 from freecumulants.errors import CapacityError, DimensionMismatchError
 from freecumulants.exact import Matrix
 from freecumulants.models import (
@@ -318,6 +319,18 @@ def test_word_psi_equals_the_sum_over_noncrossing_partitions(seed, word):
     d, gens, units = word
     ctx = WordContext(FactorizationModel.random(2, dimension=d, max_order=6, seed=seed))
     assert ctx.psi({(gens, units): F(1)}) == nc_sum_psi(ctx, gens, units)
+
+
+def test_a_word_models_psi_cache_never_exceeds_its_cap(monkeypatch):
+    # the model keeps its words' psi across calls and contexts, so it is
+    # bounded like a context's table; clearing it changes no value
+    word = (("x1", "x2", "x1", "x2"), ((0, 0), (0, 1), (1, 0), (0, 1), (1, 1)))
+    expected = WordContext(FactorizationModel.random(2, dimension=2, seed=5)).psi({word: F(1)})
+    monkeypatch.setattr(models, "TABLE_CAP", 5)
+    ctx = WordContext(FactorizationModel.random(2, dimension=2, seed=5))
+    assert ctx.psi({word: F(1)}) == expected
+    assert 1 <= len(ctx.model._psi_cache) <= 5
+    assert ctx.psi({word: F(1)}) == expected
 
 
 def test_word_psi_of_a_length_6_word_evaluates_at_most_2_to_the_7_cumulants():
