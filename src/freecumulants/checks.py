@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import inspect
 import itertools
+import json
 import math
 import random
 import time
@@ -843,11 +844,19 @@ def run_check(identity: str, **kwargs) -> CheckReport:
     return ALL_CHECKS[identity](**kwargs)
 
 
+def json_object(value, what: str) -> dict:
+    """``value``, which must be a JSON object; ``what`` names it in the error."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{what} must be a JSON object, got {json.dumps(value)[:40]}")
+    return value
+
+
 def replay_report(report: dict) -> CheckReport:
     """Re-evaluate the failing instance recorded in a serialized report
     (or the full suite when the report carries no witness), using the
     drawn values stored in its params and never the seed."""
-    identity = report["identity"]
+    json_object(report, "a report")
+    params = json_object(report["params"], "params")
     witness = report.get("witness")
-    only = witness.get("instance") if witness else None
-    return run_check(identity, params=report["params"], only_instance=only)
+    only = json_object(witness, "a witness").get("instance") if witness is not None else None
+    return run_check(report["identity"], params=params, only_instance=only)

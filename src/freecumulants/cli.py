@@ -11,7 +11,7 @@ import json
 import sys
 import time
 
-from .checks import ALL_CHECKS, CheckReport, replay_report, run_check
+from .checks import ALL_CHECKS, CheckReport, json_object, replay_report, run_check
 from .errors import CapacityError
 from .partitions import (
     MAX_ENUM_N,
@@ -25,6 +25,10 @@ from .partitions import (
     parse_partition,
     quotient,
 )
+
+
+# what evaluating a malformed report or spec raises
+MALFORMED = (ValueError, LookupError, TypeError, AttributeError)
 
 
 def _lattice(value: str) -> LatticeKind:
@@ -158,7 +162,7 @@ def main(argv=None) -> int:
             try:
                 with open(args.replay) as fh:
                     report = replay_report(json.load(fh))
-            except (OSError, ValueError, KeyError, TypeError) as exc:
+            except (OSError, *MALFORMED) as exc:
                 print(f"error: cannot replay {args.replay}: {exc}", file=sys.stderr)
                 return 2
         elif args.identity is None:
@@ -168,14 +172,14 @@ def main(argv=None) -> int:
                 spec_data = None
                 if args.spec is not None:
                     with open(args.spec) as fh:
-                        spec_data = json.load(fh)
-            except (OSError, ValueError) as exc:
+                        spec_data = json_object(json.load(fh), "a spec")
+            except (OSError, ValueError, TypeError) as exc:
                 print(f"error: cannot load {args.spec}: {exc}", file=sys.stderr)
                 return 2
             try:
                 report = _run_one(args.identity, n=args.n, dimension=args.dim, seed=args.seed,
                                   max_order=args.max_order, spec_data=spec_data)
-            except (ValueError, KeyError, TypeError) as exc:
+            except MALFORMED as exc:
                 # malformed flags or spec data; a capacity limit is a FAIL report instead
                 print(f"error: {args.identity}: {exc}", file=sys.stderr)
                 return 2

@@ -2,14 +2,14 @@
 
 The engine is generic over a ``ProbabilityContext`` (see models.py) and a
 lattice kind.  In the noncrossing lattice a partitioned expectation
-``phi_partitioned`` is evaluated by repeatedly extracting an interval
-block {k..l}: the block's arguments are multiplied, hit with the
-expectation, and the value is spliced back by left-multiplying the next
-argument (or right-multiplying the previous one when the block is
-terminal).  Bimodularity of the expectations makes the result independent
-of which interval block goes first; ``extraction_order`` exists so tests
-can sweep all orders.  On the full lattice the context is commutative and
-the blocks' values simply multiply.
+``phi_partitioned`` nests by the block V holding the first argument
+(Speicher, Mem. AMS 627, 1998; Nica-Speicher, Lecture 11): each argument
+of V but the last is multiplied on the right by the nested value of the
+gap after it, the expectation of V's product follows, and the nested
+value of the tail after V multiplies it on the right.  Bimodularity of
+the expectations makes this equal to extracting interval blocks one at
+a time in any order.  On the full lattice the context is commutative
+and the blocks' values simply multiply.
 
 Every identity the checks test is a Moebius sum of the same few
 partitioned expectations and single-block cumulants, so every context
@@ -17,13 +17,12 @@ keeps a table of the ones computed on it: a partitioned expectation
 under (partition, level, arguments), a single-block cumulant under
 (level, arguments).  The arguments must be the context's own hashable
 elements.  The table lives as long as the context, which the checks
-build per model; at ``TABLE_CAP`` entries it is cleared.  A call with an
-explicit ``extraction_order`` neither reads nor fills it.
+build per model; at ``TABLE_CAP`` entries it is cleared.
 
 Every cumulant is one Moebius sum over an interval [lo, hi] of the
 lattice.  The partitioned cumulant and the semi-nested cumulant also
-have a multiplicative recursion, selected by ``method``: splice the
-single-block cumulant of each interval block.  A single-block cumulant
+have a multiplicative recursion, selected by ``method``: nest the
+single-block cumulants of the blocks the same way.  A single-block cumulant
 comes from
 
 * the full lattice: its Moebius sum over the partitions of its block;
@@ -53,7 +52,7 @@ from fractions import Fraction
 from functools import reduce
 
 from .errors import CrossingPartitionError, DimensionMismatchError, OrderViolationError
-from .models import TABLE_CAP, ProbabilityContext
+from .models import ProbabilityContext, _keep
 from .partitions import LatticeKind, Partition, first_blocks, interval_list, moebius
 
 
@@ -115,37 +114,42 @@ def _validate_pair(ctx: ProbabilityContext, pair: NestedPair, nargs: int) -> Non
         raise CrossingPartitionError(f"{pair.inner} is crossing")
 
 
-def _extract(ctx, part: Partition, args: list, block_value, order=None):
+def _splice(ctx, args, block: tuple, gap_value) -> tuple:
+    """The arguments of ``block`` (sorted 0-based positions into ``args``),
+    each one but the last multiplied on the right by ``gap_value(lo, hi)``,
+    the nested value of the nonempty gap ``args[lo:hi]`` after it."""
+    return tuple(
+        args[a] if b == a + 1 else ctx.mul(args[a], gap_value(a + 1, b))
+        for a, b in zip(block, block[1:])
+    ) + (args[block[-1]],)
+
+
+def _extract(ctx, part: Partition, args: list, block_value):
     """Nest ``block_value`` along the blocks of ``part``.
 
     ``block_value(positions, sub_args)`` maps a block, given by the
     original positions of its arguments and the arguments themselves, to
-    the element spliced back into the word.  ``order`` picks, step by
-    step, among the current interval blocks; past its end, or without
-    it, the first interval block goes.
+    its value.  On the full lattice the blocks' values multiply; on the
+    noncrossing one they nest by the block holding the first argument
+    (``_nest``).
     """
     if ctx.kind is LatticeKind.FULL:
         return ctx.product(block_value(b, [args[i - 1] for i in b]) for b in part.blocks)
-    choices = iter(order if order is not None else ())
-    positions = list(range(1, part.n + 1))
-    while args:
-        candidates = part.interval_block_indices()
-        choice = next(choices, 0)
-        if not 0 <= choice < len(candidates):
-            raise ValueError(f"extraction choice {choice} out of range 0..{len(candidates) - 1}")
-        block = part.blocks[candidates[choice]]
-        k, l = block[0], block[-1]
-        e = block_value(positions[k - 1 : l], args[k - 1 : l])
-        del positions[k - 1 : l]
-        part = part.restrict(tuple(i for i in range(1, part.n + 1) if i < k or i > l))
-        if l == len(args) and k > 1:
-            args = args[: k - 1]
-            args[-1] = ctx.mul(args[-1], e)
-        elif l == len(args):
-            return e
-        else:
-            args = args[: k - 1] + [ctx.mul(e, args[l])] + args[l + 1 :]
-    return ctx.unit()
+    return _nest(ctx, part, args, block_value, 0, part.n) if part.n else ctx.unit()
+
+
+def _nest(ctx, part: Partition, args: list, block_value, lo: int, hi: int):
+    """The nested value of ``args[lo:hi]``, a union of blocks of ``part``:
+    the value of the block V holding position lo + 1, on V's arguments
+    spliced with the nested values of its gaps, times the nested value of
+    the tail after V.  A noncrossing V leaves each gap and the tail a
+    union of blocks."""
+    positions = part.blocks[part.labels[lo]]
+    block = tuple(i - 1 for i in positions)
+    value = block_value(positions, _splice(
+        ctx, args, block, lambda a, b: _nest(ctx, part, args, block_value, a, b)))
+    tail = block[-1] + 1
+    return ctx.mul(value, _nest(ctx, part, args, block_value, tail, hi)) if tail < hi else value
 
 
 def _moebius_sum(ctx, lo: Partition, hi: Partition, value):
@@ -174,37 +178,17 @@ def _by_method(ctx, method: str, cross_check: bool, label: str, subject,
     raise ValueError(f"unknown method {method!r}")
 
 
-def phi_partitioned(
-    ctx: ProbabilityContext,
-    part: Partition,
-    args,
-    level: Level = Level.PSI,
-    extraction_order=None,
-):
-    """The partitioned expectation: nest the expectation along the blocks.
-
-    The value comes from, or goes into, the context's table unless
-    ``extraction_order`` is given."""
+def phi_partitioned(ctx: ProbabilityContext, part: Partition, args, level: Level = Level.PSI):
+    """The partitioned expectation: nest the expectation along the blocks;
+    the value comes from, or goes into, the context's table."""
     args = list(args)
-    table = ctx.phi_table if extraction_order is None else None
-    if table is not None:
-        key = (part, level, tuple(args))
-        value = table.get(key)
-        if value is not None:
-            return value
-    _validate(ctx, part, len(args))
-    value = _extract(
-        ctx, part, args, lambda _, sub: expectation(ctx, ctx.product(sub), level), extraction_order
-    )
-    if table is not None:
+    table, key = ctx.phi_table, (part, level, tuple(args))
+    value = table.get(key)
+    if value is None:
+        _validate(ctx, part, len(args))
+        value = _extract(ctx, part, args, lambda _, sub: expectation(ctx, ctx.product(sub), level))
         _keep(table, key, value)
     return value
-
-
-def _keep(table: dict, key, value) -> None:
-    if len(table) >= TABLE_CAP:
-        table.clear()
-    table[key] = value
 
 
 def free_cumulant(
@@ -217,8 +201,8 @@ def free_cumulant(
 ):
     """Partitioned cumulant: Moebius inversion of phi_partitioned over [0, part].
 
-    ``method="moebius"`` evaluates that sum.  ``method="recursion"`` splices
-    the single-block cumulant of each block of ``part``: a Moebius sum on
+    ``method="moebius"`` evaluates that sum.  ``method="recursion"`` nests
+    the single-block cumulants of the blocks of ``part``: a Moebius sum on
     the full lattice, and on the noncrossing one a first-block recursion,
     over index subsets at ``Level.PHI`` and over argument tuples at
     ``Level.PSI`` (see ``_single_block``).
@@ -239,7 +223,7 @@ def _cumulant_moebius(ctx, part, args, level):
 
 
 def _cumulant_recursive(ctx, part, args, level):
-    # splice the single-block cumulant of each block
+    # nest the single-block cumulants of the blocks
     return _extract(ctx, part, args, lambda _, sub: _single_block(ctx, tuple(sub), level))
 
 
@@ -326,10 +310,7 @@ def _kappa_operator(ctx, args: tuple, kappas: dict, moments: dict):
     terms = []
     for block in first_blocks(0, n):
         if len(block) < n:
-            spliced = tuple(
-                args[a] if b == a + 1 else ctx.mul(args[a], _psi_product(ctx, args[a + 1 : b], moments))
-                for a, b in zip(block, block[1:])
-            ) + (args[block[-1]],)
+            spliced = _splice(ctx, args, block, lambda lo, hi: _psi_product(ctx, args[lo:hi], moments))
             term = _kappa_operator(ctx, spliced, kappas, moments)
             tail = args[block[-1] + 1 :]
             terms.append(ctx.mul(term, _psi_product(ctx, tail, moments)) if tail else term)
@@ -370,9 +351,9 @@ def partial_cumulant(
 def nested_moment(ctx: ProbabilityContext, pair: NestedPair, args):
     """phi along the outer partition of psi-partitioned inner values.
 
-    Outer blocks are extracted exactly as in phi_partitioned, except each
-    block's value is phi applied to the inner psi-partitioned expectation
-    of the block's arguments.
+    Outer blocks nest exactly as in phi_partitioned, except each block's
+    value is phi applied to the inner psi-partitioned expectation of the
+    block's arguments.
     """
     args = list(args)
     _validate_pair(ctx, pair, len(args))

@@ -43,6 +43,12 @@ TABLE_CAP = 4096
 MAX_CUMULANT_WORDS = 2**16
 
 
+def _keep(table: dict, key, value) -> None:
+    if len(table) >= TABLE_CAP:
+        table.clear()
+    table[key] = value
+
+
 def draw_fraction(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
 
@@ -83,7 +89,7 @@ class ProbabilityContext:
         raise NotImplementedError
 
     def phi(self, x):
-        raise NotImplementedError
+        return self.embed_scalar(self.phi_scalar(x))
 
     def phi_scalar(self, x) -> Fraction:
         raise NotImplementedError
@@ -135,7 +141,7 @@ def centered(ctx: ProbabilityContext, x, level: str = "C"):
 class LinearCombinationContext(ProbabilityContext):
     """Elements are ``LinearCombination`` values over basis keys.
 
-    Ring operations and phi are shared; a subclass supplies ``key_product``,
+    Ring operations are shared; a subclass supplies ``key_product``,
     the product of two basis keys, which is ``None`` when it vanishes.
     """
 
@@ -163,9 +169,6 @@ class LinearCombinationContext(ProbabilityContext):
     def scale(self, c, x):
         c = as_fraction(c)
         return LinearCombination.of((k, c * v) for k, v in x.items())
-
-    def phi(self, x):
-        return self.embed_scalar(self.phi_scalar(x))
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +316,8 @@ class ClassicalContext(ProbabilityContext):
     def psi(self, x):
         return classical_conditional_expect(self.spec, x, self.keep)
 
-    def phi(self, x):
-        return self.spec.ring.const(classical_expect(self.spec, x))
+    def embed_scalar(self, c):
+        return self.spec.ring.const(c)
 
     def phi_scalar(self, x):
         return classical_expect(self.spec, x)
@@ -431,8 +434,8 @@ class MatrixContext(ProbabilityContext):
     def psi(self, x):
         return self.model.embed_b(matrix_psi(self.model, x))
 
-    def phi(self, x):
-        return Matrix.identity(self.model.d, self.model.ring.const(matrix_phi(self.model, x)))
+    def embed_scalar(self, c):
+        return Matrix.identity(self.model.d, self.model.ring.const(c))
 
     def phi_scalar(self, x):
         return matrix_phi(self.model, x)
@@ -596,7 +599,7 @@ class ScalarFreeContext(LinearCombinationContext):
     def phi_scalar(self, x):
         return sum((c * free_moment(self.spec, w) for w, c in x.items()), Fraction(0))
 
-    psi = LinearCombinationContext.phi
+    psi = ProbabilityContext.phi
 
     def in_c(self, x):
         return set(x) <= {()}
@@ -633,8 +636,8 @@ class FactorizationModel:
         self.d = int(dimension)
         if self.d < 1:
             raise ValueError(f"matrix dimension must be at least 1, got {self.d}")
-        # psi of each basis word met so far, keyed on (gens, units); at
-        # TABLE_CAP entries it is cleared
+        # (psi, normalized trace of psi) of each basis word met so far, keyed
+        # on (gens, units); at TABLE_CAP entries it is cleared
         self._psi_cache: dict = {}
 
     @classmethod
@@ -693,44 +696,45 @@ class WordContext(LinearCombinationContext):
         """Normalized trace of an element of B."""
         return sum((c for (_, ((i, j),)), c in b.items() if i == j), Fraction(0)) / self.d
 
-    def _psi_word(self, gens, units) -> dict:
-        """psi of the basis word E_{u0} X_{g1} E_{u1} ... X_{gk} E_{uk} by the
-        first-block recursion (Nica-Speicher, Lecture 11): the sum, over the
-        blocks V holding the first generator, of kappa(g_V) times the trace
-        of psi of each gap V swallows, times E_{u0} psi(the word after V),
-        by bimodularity.  The model keeps the words' psi, as the scalar
-        spec keeps its free moments, up to ``TABLE_CAP`` of them."""
+    def _psi_word(self, gens, units) -> tuple:
+        """psi of the basis word E_{u0} X_{g1} E_{u1} ... X_{gk} E_{uk}, and its
+        normalized trace, by the first-block recursion (Nica-Speicher, Lecture
+        11): the sum, over the blocks V holding the first generator, of
+        kappa(g_V) times the trace of psi of each gap V swallows, times
+        E_{u0} psi(the word after V), by bimodularity.  The model keeps the
+        words' psi and trace, as the scalar spec keeps its free moments, up
+        to ``TABLE_CAP`` of them."""
         key = (gens, units)
         if not gens:
-            return {key: Fraction(1)}
+            ((i, j),) = units
+            return {key: Fraction(1)}, Fraction(int(i == j), self.d)
         memo = self.model._psi_cache
-        out = memo.get(key)
-        if out is not None:
-            return out
+        entry = memo.get(key)
+        if entry is not None:
+            return entry
         out = {}
         for block in first_blocks(0, len(gens)):
             scalar = self.model.scalars.cumulant(tuple(gens[a] for a in block))
             for a, b in zip(block, block[1:]):
                 if not scalar:
                     break
-                scalar *= self._trace(self._psi_word(gens[a + 1 : b], units[a + 1 : b + 1]))
+                scalar *= self._psi_word(gens[a + 1 : b], units[a + 1 : b + 1])[1]
             if not scalar:
                 continue
             t = block[-1] + 1
-            for k, c in self._psi_word(gens[t:], units[t:]).items():
+            for k, c in self._psi_word(gens[t:], units[t:])[0].items():
                 fused = self.key_product(((), units[:1]), k)
                 if fused is not None:
                     v = out.get(fused)
                     out[fused] = scalar * c if v is None else v + scalar * c
-        if len(memo) >= TABLE_CAP:
-            memo.clear()
-        memo[key] = out = LinearCombination.of(out.items())
-        return out
+        out = LinearCombination.of(out.items())
+        _keep(memo, key, (out, self._trace(out)))
+        return memo[key]
 
     def psi(self, x):
         out: dict = {}
         for (gens, units), c in x.items():
-            for key, v in self._psi_word(gens, units).items():
+            for key, v in self._psi_word(gens, units)[0].items():
                 a = out.get(key)
                 out[key] = c * v if a is None else a + c * v
         return LinearCombination.of(out.items())
@@ -771,6 +775,8 @@ class TensorModel:
     """
 
     def __init__(self, scalars: ScalarFreeSpec, weights: tuple[Fraction, ...]):
+        if len(scalars.families) != 1 or not scalars.family_of:
+            raise ValueError("a tensor model wants one scalar family, with a generator")
         self.scalars = scalars
         self.weights = tuple(as_fraction(w) for w in weights)
         if sum(self.weights) != 1:

@@ -173,10 +173,6 @@ class Partition:
                 blocks.append(kept)
         return Partition(len(rank), tuple(blocks))
 
-    def interval_block_indices(self) -> tuple[int, ...]:
-        """Indices of blocks that are intervals {k, ..., l}, in min order."""
-        return tuple(k for k, b in enumerate(self.blocks) if b[-1] - b[0] + 1 == len(b))
-
     def __str__(self) -> str:
         return format_partition(self)
 
@@ -298,6 +294,8 @@ def enumerate_partitions(
     >>> [str(p) for p in enumerate_partitions(3, LatticeKind.NONCROSSING, interval_only=True)]
     ['{1,2,3}', '{1,2}{3}', '{1}{2,3}', '{1}{2}{3}']
     """
+    if not isinstance(n, int):
+        raise TypeError(f"partition size must be an integer, got {n!r}")
     if n < 0:
         raise ValueError(f"partition size must be nonnegative, got {n}")
     if n > MAX_ENUM_N:

@@ -1,6 +1,8 @@
 """Report plumbing and the command line surface."""
 
 import contextlib
+import copy
+import functools
 import hashlib
 import io
 import json
@@ -11,14 +13,14 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from freecumulants.checks import ALL_CHECKS, replay_report, run_check
 from freecumulants.cli import main
 from freecumulants.models import (
     MatrixContext, MatrixModel, ScalarFreeContext, TensorContext, TensorModel, WordContext,
 )
-from freecumulants.partitions import LatticeKind, enumerate_partitions, format_partition
+from freecumulants.partitions import LatticeKind, Partition, enumerate_partitions, format_partition
 
 
 def strip_wall(d):
@@ -201,11 +203,21 @@ def test_cli_zero_case_runs_fail(capsys):
 
 
 def test_cli_replay_of_malformed_params_exits_two(tmp_path, capsys):
-    path = tmp_path / "report.json"
-    path.write_text(json.dumps({"identity": "moebius", "params": []}))
-    assert main(["check", "--replay", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: cannot replay") and len(err.splitlines()) == 1
+    # a replay never draws from the seed, and a spec is a JSON object
+    path = tmp_path / "input.json"
+    for report in ({"identity": "moebius", "params": []}, {"identity": "moebius", "params": None},
+                   {"identity": "moebius", "params": {}, "witness": "oops"},
+                   {"identity": "moebius", "params": {}, "witness": [1]}, ["moebius"], None):
+        path.write_text(json.dumps(report))
+        assert main(["check", "--replay", str(path)]) == 2, report
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot replay") and len(err.splitlines()) == 1, report
+    for identity in ("freeness", "tensor-factorization"):
+        for spec in ([], "model", None):
+            path.write_text(json.dumps(spec))
+            assert main(["check", identity, "--n", "2", "--spec", str(path)]) == 2, (identity, spec)
+            err = capsys.readouterr().err
+            assert err.startswith("error: cannot load") and len(err.splitlines()) == 1, (identity, spec)
 
 
 def test_cli_malformed_dimension_exits_two(capsys):
@@ -353,6 +365,17 @@ def test_freeness_tables_its_cumulants_only(monkeypatch):
     assert made and max(len(ctx.phi_table) for ctx in made) <= 280
 
 
+def test_moment_cumulant_restricts_no_partition(monkeypatch):
+    # perf gate: phi_partitioned and the cumulant recursion nest by the
+    # block holding the first argument, on positions of the original word;
+    # extracting interval blocks restricted the partition 1,750 times here
+    calls = []
+    restrict = Partition.restrict
+    monkeypatch.setattr(Partition, "restrict", lambda self, pos: calls.append(1) or restrict(self, pos))
+    assert run_check("moment-cumulant", seed=2024).passed
+    assert calls == []
+
+
 def test_every_name_the_layer_tracer_wraps_resolves():
     # perfbench/layertrace.py wraps library names by attribute; a renamed or
     # deleted one fails its install, and a dead wrapper counts nothing.
@@ -462,4 +485,82 @@ def _lattice_cli_exits_cleanly(argv):
 def test_cli_lattice_commands_survive_fuzzed_input():
     t0 = time.perf_counter()
     _lattice_cli_exits_cleanly()
+    assert time.perf_counter() - t0 < 10
+
+
+FUZZ_CHECKS = ("moebius", "product-formula", "tensor-factorization")
+WRONG_VALUES = (None, True, -1, 0, 2.5, "x", [], [1], {}, {"x": 1})
+
+
+@functools.lru_cache(maxsize=None)
+def fuzz_seed_file(kind: str, identity: str) -> str:
+    """The JSON a fuzz case mutates: a report of ``identity`` at n = 2,
+    with a witness on the product-formula one, or a model spec it takes."""
+    if kind == "replay":
+        report = run_check(identity, n=2).to_json()
+        if identity == "product-formula":
+            report["witness"] = {"instance": {"n": 2, "a": "a1 a1", "b": "b1 b1"}}
+        return json.dumps(report)
+    if identity == "tensor-factorization":
+        return json.dumps(TensorModel.random(2, 4, 0).to_data())
+    return (Path(__file__).parent.parent / "docs" / "scalar_model.json").read_text()
+
+
+def json_paths(doc, depth=3, prefix=()):
+    """Every key or index path into ``doc``, down to ``depth`` levels."""
+    if depth == 0:
+        return
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for k, v in items:
+        yield prefix + (k,)
+        yield from json_paths(v, depth - 1, prefix + (k,))
+
+
+@st.composite
+def mutated_files(draw):
+    """(argv without the file, mutated JSON text): a wrong top-level type,
+    or up to three keys deleted or given a wrong type or null."""
+    kind = draw(st.sampled_from(("replay", "spec")))
+    identity = draw(st.sampled_from(FUZZ_CHECKS[1:] if kind == "spec" else FUZZ_CHECKS))
+    argv = ["check", "--replay"] if kind == "replay" else ["check", identity, "--n", "2", "--spec"]
+    if draw(st.integers(0, 9)) == 0:
+        return argv, json.dumps(draw(st.sampled_from(WRONG_VALUES)))
+    doc = copy.deepcopy(json.loads(fuzz_seed_file(kind, identity)))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(json_paths(doc))
+        if not paths:
+            break
+        *head, last = draw(st.sampled_from(paths))
+        parent = functools.reduce(lambda d, k: d[k], head, doc)
+        if draw(st.booleans()):
+            del parent[last]
+        else:
+            parent[last] = copy.deepcopy(draw(st.sampled_from(WRONG_VALUES)))
+    return argv, json.dumps(doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=mutated_files())
+@example(case=(["check", "--replay"], '{"identity": "moebius", "params": null}'))
+@example(case=(["check", "--replay"], '{"identity": "moebius", "params": {}, "witness": "oops"}'))
+@example(case=(["check", "product-formula", "--n", "2", "--spec"], "null"))
+@example(case=(["check", "tensor-factorization", "--n", "2", "--spec"], "[]"))
+def _file_cli_exits_cleanly(directory, case):
+    argv, text = case
+    path = directory / "input.json"
+    path.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([*argv, str(path)])
+    assert code in (0, 1, 2), (argv, text, code)
+    if code == 2:
+        assert len(err.getvalue().splitlines()) == 1, (argv, text, err.getvalue())
+    doc = json.loads(text)
+    if not isinstance(doc, dict) or "--replay" in argv and not isinstance(doc.get("params"), dict):
+        assert code == 2, (argv, text, code)
+
+
+def test_cli_survives_fuzzed_replay_and_spec_files(tmp_path):
+    t0 = time.perf_counter()
+    _file_cli_exits_cleanly(tmp_path)
     assert time.perf_counter() - t0 < 10

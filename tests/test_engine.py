@@ -1,14 +1,13 @@
-"""Engine recursions: confluence, dual routes, conventions, closed forms."""
+"""Engine recursions: nesting, dual routes, conventions, closed forms."""
 
 import gc
-import itertools
 from fractions import Fraction
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freecumulants import engine
+from freecumulants import models
 from freecumulants.engine import (
     Level,
     NestedPair,
@@ -90,17 +89,31 @@ def cycle(pool, n):
     return [pool[i % len(pool)] for i in range(n)]
 
 
-def all_extraction_orders(fn, max_choices=4, max_steps=4):
-    """Evaluate fn under every extraction order, returning the set of values."""
-    seen = []
-    for order in itertools.product(range(max_choices), repeat=max_steps):
-        try:
-            value = fn(list(order))
-        except ValueError:
+def interval_block_extractions(ctx, part, args, level):
+    """phi_partitioned by extracting interval blocks one at a time, one
+    value per extraction order.  A block {k..l} whose arguments lie next to
+    each other is replaced by the expectation of their product, which
+    left-multiplies the next argument, or right-multiplies the previous
+    one when the block is terminal; bimodularity of the expectation makes
+    every order give the same value."""
+    if not args:
+        yield ctx.unit()
+        return
+    for block in part.blocks:
+        k, l = block[0], block[-1]
+        if l - k + 1 != len(block):
             continue
-        if value not in seen:
-            seen.append(value)
-    return seen
+        e = expectation(ctx, ctx.product(args[k - 1 : l]), level)
+        if len(block) == len(args):
+            yield e
+            continue
+        if l == len(args):
+            rest = args[: k - 1]
+            rest[-1] = ctx.mul(rest[-1], e)
+        else:
+            rest = args[: k - 1] + [ctx.mul(e, args[l])] + args[l + 1 :]
+        smaller = part.restrict(tuple(i for i in range(1, part.n + 1) if i < k or i > l))
+        yield from interval_block_extractions(ctx, smaller, rest, level)
 
 
 def test_single_block_cumulant_enumerates_its_lattice_once():
@@ -122,13 +135,26 @@ def test_single_block_cumulant_enumerates_its_lattice_once():
     assert value == ctx.embed_scalar(spec.cumulant(word))
 
 
-def test_partitioned_expectation_is_confluent(matrix_ctx):
-    args = gens(matrix_ctx, 4)
-    for part in enumerate_partitions(4, NC):
-        values = all_extraction_orders(
-            lambda order: phi_partitioned(matrix_ctx, part, args, Level.PSI, extraction_order=order)
-        )
-        assert len(values) == 1
+def test_partitioned_expectation_equals_every_interval_block_extraction():
+    # the first-block nesting against the interval-block extraction under
+    # every order, on every noncrossing partition up to n = 4
+    for name, ctx, pool in new_route_models():
+        for n in range(1, 5):
+            args = cycle(pool, n)
+            for part in enumerate_partitions(n, NC):
+                for level in Level:
+                    value = phi_partitioned(ctx, part, args, level)
+                    orders = list(interval_block_extractions(ctx, part, args, level))
+                    assert len(orders) >= 1 and all(v == value for v in orders), (name, part, level)
+
+
+def test_functionals_of_no_arguments_are_the_unit(classical):
+    spec, _ = classical
+    empty = Partition(0, ())
+    for name, ctx, _ in [("classical", ClassicalContext(spec), [])] + new_route_models():
+        for level in Level:
+            assert phi_partitioned(ctx, empty, [], level) == ctx.unit(), (name, level)
+            assert free_cumulant(ctx, empty, [], level) == ctx.unit(), (name, level)
 
 
 @pytest.fixture(scope="module")
@@ -210,6 +236,19 @@ def test_an_operator_valued_cumulant_takes_few_psi_calls(monkeypatch):
     assert 0 < len(calls) <= 200
     assert value == free_cumulant(MatrixContext(model), Partition.full(7), args, Level.PSI,
                                   method="moebius")
+
+
+def test_a_word_cumulant_takes_one_trace_per_new_word(monkeypatch):
+    # perf gate: the model keeps each word's trace beside its psi, so
+    # psi-kappa_6 of an alternating word takes one trace per word it
+    # memoises (1,032); recomputing each gap's trace took 23,760
+    calls = []
+    trace = WordContext._trace
+    monkeypatch.setattr(WordContext, "_trace", lambda self, b: calls.append(1) or trace(self, b))
+    model = FactorizationModel.random(2, dimension=2, max_order=8, seed=9301)
+    ctx = WordContext(model)
+    free_cumulant(ctx, Partition.full(6), [ctx.gen(g) for g in ("x2", "x1") * 3], Level.PSI)
+    assert 0 < len(calls) == len(model._psi_cache) <= 1100
 
 
 def test_a_cumulant_leaves_no_reference_cycles():
@@ -440,30 +479,13 @@ def test_nested_moment_restricts_the_inner_partition(matrix_ctx):
     assert got == ctx.phi(ctx.psi(x1) * ctx.phi(ctx.psi(x2)) * ctx.psi(x3))
 
 
-def test_an_explicit_extraction_order_bypasses_the_table():
-    part = parse_partition("{1,4}{2}{3}")
-    other = parse_partition("{1,2}{3,4}")
-    for name, ctx, pool in new_route_models():
-        args = cycle(pool, 4)
-        tabled = phi_partitioned(ctx, part, args, Level.PSI)
-        assert ctx.phi_table == {(part, Level.PSI, tuple(args)): tabled}, name
-        with pytest.raises(ValueError, match="out of range"):
-            phi_partitioned(ctx, part, args, Level.PSI, extraction_order=[99])
-        values = all_extraction_orders(
-            lambda order: phi_partitioned(ctx, part, args, Level.PSI, extraction_order=order)
-        )
-        assert values == [tabled], name
-        phi_partitioned(ctx, other, args, Level.PSI, extraction_order=[1])
-        assert len(ctx.phi_table) == 1, name
-
-
 def test_a_context_table_never_exceeds_its_cap(monkeypatch):
-    monkeypatch.setattr(engine, "TABLE_CAP", 5)
+    monkeypatch.setattr(models, "TABLE_CAP", 5)
     for name, ctx, pool in new_route_models():
         args = cycle(pool, 4)
         for part in enumerate_partitions(4, NC):
             for level in Level:
-                expected = phi_partitioned(ctx, part, args, level, extraction_order=[])
+                expected = next(interval_block_extractions(ctx, part, args, level))
                 assert phi_partitioned(ctx, part, args, level) == expected, name
                 again = phi_partitioned(ctx, part, args, level)
                 assert phi_partitioned(ctx, part, args, level) is again, name
