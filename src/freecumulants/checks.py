@@ -37,6 +37,7 @@ from .engine import (
 from .errors import CapacityError
 from .exact import Matrix, Poly, as_fraction
 from .models import (
+    DEFAULT_MAX_ORDER,
     ClassicalContext,
     ClassicalSpec,
     FactorizationModel,
@@ -52,6 +53,7 @@ from .models import (
     free_moment,
 )
 from .partitions import (
+    MAX_ENUM_N,
     LatticeKind,
     Partition,
     enumerate_partitions,
@@ -66,7 +68,6 @@ from .partitions import (
 
 DEFAULT_SEED = 2024
 DEFAULT_DIMENSION = 2
-DEFAULT_MAX_ORDER = 8
 
 
 @dataclass
@@ -220,6 +221,21 @@ def _below(part: Partition, kind: LatticeKind) -> tuple[Partition, ...]:
     return interval_list(Partition.discrete(part.n), part, kind)
 
 
+def _enumerable(params: dict) -> None:
+    """Fail before any case when a size bound in ``params`` exceeds MAX_ENUM_N."""
+    n = max(params.values())
+    if n > MAX_ENUM_N:
+        raise CapacityError(f"enumeration over n={n} exceeds the bound MAX_ENUM_N={MAX_ENUM_N}")
+
+
+def _free_spec(params: dict) -> ScalarFreeSpec:
+    """The recorded spec, which must hold the two free families a check compares."""
+    spec = ScalarFreeSpec.from_data(params["model"])
+    if len(spec.families) < 2:
+        raise ValueError(f"the check needs at least two free families, the model has {len(spec.families)}")
+    return spec
+
+
 # ---------------------------------------------------------------------------
 # lattice-layer checks (no randomness)
 
@@ -228,6 +244,7 @@ def _below(part: Partition, kind: LatticeKind) -> tuple[Partition, ...]:
 def check_lattice_counts(suite: _Suite, fresh: bool, spec_data: dict | None) -> None:
     """Enumeration sizes match the Catalan and Bell numbers."""
     params = suite.params
+    _enumerable(params)
     for m in range(params["nc_max"] + 1):
         key = {"lattice": "nc", "n": m}
         if suite.wants(key):
@@ -272,6 +289,7 @@ def check_kreweras(suite: _Suite, fresh: bool, spec_data: dict | None) -> None:
     """Complement size identity, order reversal, interval anti-isomorphism,
     and the defining maximality of the complement."""
     params = suite.params
+    _enumerable(params)
     for m in range(1, params["size_max"] + 1):
         for pi in _nc(m):
             key = {"part": "size", "n": m, "pi": str(pi)}
@@ -574,14 +592,18 @@ def check_freeness(suite: _Suite, fresh: bool, spec_data: dict | None) -> None:
     alternating products of centered elements have zero expectation."""
     params = suite.params
     if fresh:
-        base = params["seed"]
         spec = (ScalarFreeSpec.from_data(spec_data) if spec_data is not None
                 else ScalarFreeSpec.random({"a": ("a1", "a2"), "b": ("b1", "b2")},
-                                           params["max_order"], base))
+                                           params["max_order"], params["seed"]))
         params["model"] = spec.to_data()
         params["max_order"] = spec.max_order
-        rng = random.Random(f"{base}:quadratic")
-        fams = sorted(spec.families)
+    spec = _free_spec(params)
+    order = max(params["mixed_max"], params["alternating_max"], 2 * params["quadratic_max"])
+    if order > spec.max_order:
+        raise CapacityError(f"moments of order {order} exceed max_order={spec.max_order}")
+    fams = sorted(spec.families)
+    if fresh:
+        rng = random.Random(f"{params['seed']}:quadratic")
         quad = {}
         for L in range(2, params["quadratic_max"] + 1):
             rows = []
@@ -595,9 +617,7 @@ def check_freeness(suite: _Suite, fresh: bool, spec_data: dict | None) -> None:
                 rows.append(letters)
             quad[str(L)] = rows
         params["quadratic_words"] = quad
-    spec = ScalarFreeSpec.from_data(params["model"])
     ctx = ScalarFreeContext(spec)
-    fams = sorted(spec.families)
     gens = [g for f in fams for g in spec.families[f]]
     zero = ctx.scale(0, ctx.unit())
     for m in range(2, params["mixed_max"] + 1):
@@ -632,16 +652,17 @@ def check_product_formula(suite: _Suite, fresh: bool, spec_data: dict | None) ->
     partitions pi joined with their Kreweras complements."""
     params = suite.params
     if fresh:
-        base = params["seed"]
         spec = (ScalarFreeSpec.from_data(spec_data) if spec_data is not None
                 else ScalarFreeSpec.random({"a": ("a1", "a2"), "b": ("b1", "b2")},
-                                           params["max_order"], base))
+                                           params["max_order"], params["seed"]))
         params["model"] = spec.to_data()
         params["max_order"] = spec.max_order
+    spec = _free_spec(params)
+    if fresh:
         # each argument is a product of two letters
         if 2 * params["n_max"] > params["max_order"]:
             raise CapacityError(f"2*n_max={2 * params['n_max']} exceeds max_order={params['max_order']}")
-        rng = random.Random(f"{base}:words")
+        rng = random.Random(f"{params['seed']}:words")
         fams = sorted(spec.families)
         params["words"] = {
             str(m): {
@@ -650,7 +671,6 @@ def check_product_formula(suite: _Suite, fresh: bool, spec_data: dict | None) ->
             }
             for m in range(1, params["n_max"] + 1)
         }
-    spec = ScalarFreeSpec.from_data(params["model"])
     ctx = ScalarFreeContext(spec)
     for m in range(1, params["n_max"] + 1):
         words = params["words"][str(m)]

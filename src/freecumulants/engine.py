@@ -79,26 +79,6 @@ class NestedPair:
             raise OrderViolationError(f"{self.inner} does not refine {self.outer}")
 
 
-def absorb_coefficients(ctx: ProbabilityContext, coefficients, args) -> tuple:
-    """Normalize b_0 X_1 b_1 ... X_n b_n into an n-term argument list.
-
-    Each coefficient attaches to the argument after it; the trailing one
-    right-multiplies the last argument.  ``coefficients`` has length
-    n + 1; pass ``None`` entries for omitted (unit) coefficients.
-    """
-    args = list(args)
-    if len(coefficients) != len(args) + 1:
-        raise DimensionMismatchError(
-            f"{len(args)} arguments want {len(args) + 1} coefficients, got {len(coefficients)}"
-        )
-    for k, b in enumerate(coefficients[:-1]):
-        if b is not None:
-            args[k] = ctx.mul(b, args[k])
-    if coefficients[-1] is not None:
-        args[-1] = ctx.mul(args[-1], coefficients[-1])
-    return tuple(args)
-
-
 def _validate(ctx: ProbabilityContext, part: Partition, nargs: int) -> None:
     if part.n != nargs:
         raise DimensionMismatchError(f"partition of {part.n} applied to {nargs} arguments")

@@ -225,10 +225,6 @@ class Poly:
             return self._hash
 
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
     def is_constant(self) -> bool:
         return not self.terms.keys() - {0}
 
@@ -236,12 +232,6 @@ class Poly:
         if not self.is_constant:
             raise ValueError(f"{self} is not constant")
         return Fraction(self.terms.get(0, 0), self.den)
-
-    def degree_in(self, name: str) -> int:
-        """Largest exponent of one variable; zero polynomial has degree 0."""
-        k = self.ring.index(name)
-        exponents = self.ring.exponents
-        return max((exponents(m)[k] for m in self.terms), default=0)
 
     def items(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """(exponent tuple, Fraction coefficient) of every term."""
@@ -352,9 +342,16 @@ class LinearCombination(dict):
     __slots__ = ("_hash",)
 
     @classmethod
-    def of(cls, terms) -> LinearCombination:
-        """The combination of the distinct-keyed pairs ``terms``, zero coefficients dropped."""
-        return cls(filter(itemgetter(1), terms))
+    def collect(cls, terms) -> LinearCombination:
+        """The sum of the (key, coefficient) pairs ``terms``, whose keys may
+        repeat, with zero coefficients dropped.  A key's first coefficient
+        starts its sum, so no ``Fraction(0)`` is built per term."""
+        out: dict = {}
+        get = out.get
+        for k, c in terms:
+            a = get(k)
+            out[k] = c if a is None else a + c
+        return cls(filter(itemgetter(1), out.items()))
 
     def __hash__(self) -> int:
         try:

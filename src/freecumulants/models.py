@@ -100,11 +100,8 @@ class ProbabilityContext:
     def in_c(self, x) -> bool:
         raise NotImplementedError
 
-    def neg(self, x):
-        return self.scale(Fraction(-1), x)
-
     def sub(self, x, y):
-        return self.add(x, self.neg(y))
+        return self.add(x, self.scale(Fraction(-1), y))
 
     def embed_scalar(self, c) -> object:
         return self.scale(as_fraction(c), self.unit())
@@ -129,13 +126,9 @@ class ProbabilityContext:
         return str(x)
 
 
-def centered(ctx: ProbabilityContext, x, level: str = "C"):
-    """x minus its expectation; level 'B' uses psi, level 'C' uses phi."""
-    if level == "B":
-        return ctx.sub(x, ctx.psi(x))
-    if level == "C":
-        return ctx.sub(x, ctx.phi(x))
-    raise ValueError(f"level must be 'B' or 'C', got {level!r}")
+def centered(ctx: ProbabilityContext, x):
+    """x minus its scalar expectation phi(x)."""
+    return ctx.sub(x, ctx.phi(x))
 
 
 class LinearCombinationContext(ProbabilityContext):
@@ -150,25 +143,15 @@ class LinearCombinationContext(ProbabilityContext):
 
     def mul(self, x, y):
         key_product = self.key_product
-        out: dict = {}
-        for k1, c1 in x.items():
-            for k2, c2 in y.items():
-                k = key_product(k1, k2)
-                if k is not None:
-                    c = out.get(k)
-                    out[k] = c1 * c2 if c is None else c + c1 * c2
-        return LinearCombination.of(out.items())
+        return LinearCombination.collect((k, c1 * c2) for k1, c1 in x.items() for k2, c2 in y.items()
+                                         if (k := key_product(k1, k2)) is not None)
 
     def add(self, x, y):
-        out = dict(x)
-        for k, c in y.items():
-            a = out.get(k)
-            out[k] = c if a is None else a + c
-        return LinearCombination.of(out.items())
+        return LinearCombination.collect(itertools.chain(x.items(), y.items()))
 
     def scale(self, c, x):
         c = as_fraction(c)
-        return LinearCombination.of((k, c * v) for k, v in x.items())
+        return LinearCombination.collect((k, c * v) for k, v in x.items())
 
 
 # ---------------------------------------------------------------------------
@@ -682,8 +665,8 @@ class WordContext(LinearCombinationContext):
     def embed_b(self, m: Matrix):
         if m.dimension != self.d:
             raise DimensionMismatchError(f"expected {self.d}x{self.d} matrix")
-        return LinearCombination.of((((), ((i, j),)), as_fraction(c))
-                                    for i, row in enumerate(m.entries) for j, c in enumerate(row))
+        return LinearCombination.collect((((), ((i, j),)), as_fraction(c))
+                                         for i, row in enumerate(m.entries) for j, c in enumerate(row))
 
     def key_product(self, k1, k2):
         (g1, u1), (g2, u2) = k1, k2
@@ -712,32 +695,24 @@ class WordContext(LinearCombinationContext):
         entry = memo.get(key)
         if entry is not None:
             return entry
-        out = {}
+        head, terms = ((), units[:1]), []
         for block in first_blocks(0, len(gens)):
             scalar = self.model.scalars.cumulant(tuple(gens[a] for a in block))
             for a, b in zip(block, block[1:]):
                 if not scalar:
                     break
                 scalar *= self._psi_word(gens[a + 1 : b], units[a + 1 : b + 1])[1]
-            if not scalar:
-                continue
-            t = block[-1] + 1
-            for k, c in self._psi_word(gens[t:], units[t:])[0].items():
-                fused = self.key_product(((), units[:1]), k)
-                if fused is not None:
-                    v = out.get(fused)
-                    out[fused] = scalar * c if v is None else v + scalar * c
-        out = LinearCombination.of(out.items())
+            if scalar:
+                t = block[-1] + 1
+                terms += ((fused, scalar * c) for k, c in self._psi_word(gens[t:], units[t:])[0].items()
+                          if (fused := self.key_product(head, k)) is not None)
+        out = LinearCombination.collect(terms)
         _keep(memo, key, (out, self._trace(out)))
         return memo[key]
 
     def psi(self, x):
-        out: dict = {}
-        for (gens, units), c in x.items():
-            for key, v in self._psi_word(gens, units)[0].items():
-                a = out.get(key)
-                out[key] = c * v if a is None else a + c * v
-        return LinearCombination.of(out.items())
+        return LinearCombination.collect((key, c * v) for (gens, units), c in x.items()
+                                         for key, v in self._psi_word(gens, units)[0].items())
 
     def phi_scalar(self, x):
         return self._trace(self.psi(x))
@@ -830,7 +805,7 @@ class TensorContext(LinearCombinationContext):
 
     def simple(self, word: tuple[str, ...], vec) -> LinearCombination:
         """The simple tensor word (x) vec."""
-        return LinearCombination.of(((tuple(word), k), v) for k, v in enumerate(map(as_fraction, vec)))
+        return LinearCombination.collect(((tuple(word), k), v) for k, v in enumerate(map(as_fraction, vec)))
 
     def key_product(self, k1, k2):
         (w1, p1), (w2, p2) = k1, k2
@@ -841,12 +816,8 @@ class TensorContext(LinearCombinationContext):
 
     def psi(self, x):
         """Integrate out the word factor: sum of free moments times vectors."""
-        out: dict = {}
-        for (w, k), c in x.items():
-            key, term = ((), k), free_moment(self.model.scalars, w) * c
-            v = out.get(key)
-            out[key] = term if v is None else v + term
-        return LinearCombination.of(out.items())
+        return LinearCombination.collect((((), k), free_moment(self.model.scalars, w) * c)
+                                         for (w, k), c in x.items())
 
     def phi_scalar(self, x):
         return self.model.state(self._vector(self.psi(x)))

@@ -113,9 +113,6 @@ class Partition:
                 out[i - 1] = k
         return tuple(out)
 
-    def same_block(self, i: int, j: int) -> bool:
-        return self.labels[i - 1] == self.labels[j - 1]
-
     @cached_property
     def is_noncrossing(self) -> bool:
         """True unless some i < j < k < l has i ~ k, j ~ l in distinct blocks.
@@ -330,9 +327,11 @@ def meet(pi: Partition, sigma: Partition) -> Partition:
 def join(pi: Partition, sigma: Partition, kind: LatticeKind = LatticeKind.FULL) -> Partition:
     """Least common coarsening in the chosen lattice.
 
-    In the noncrossing lattice the full-lattice join is coarsened further
-    by merging crossing block pairs until none remain; each merge is
-    forced on any noncrossing upper bound, so the result is least.
+    The noncrossing join closes the full one under "no two blocks cross"
+    in one left-to-right sweep over a stack of open blocks: a block met
+    again below the top crosses every block above it, and swallows them.
+    Each merge is forced on any noncrossing upper bound, so the result is
+    least.
 
     >>> p, q = parse_partition("{1,3}{2}{4}"), parse_partition("{2,4}{1}{3}")
     >>> str(join(p, q, LatticeKind.FULL))
@@ -354,38 +353,23 @@ def join(pi: Partition, sigma: Partition, kind: LatticeKind = LatticeKind.FULL) 
         for b in p.blocks:
             for i in b[1:]:
                 parent[find(i)] = find(b[0])
-    groups: dict[int, list[int]] = {}
-    for i in range(1, pi.n + 1):
-        groups.setdefault(find(i), []).append(i)
-    result = Partition(pi.n, tuple(tuple(g) for g in groups.values()))
-    if kind is LatticeKind.FULL:
-        return result
-    for p in (pi, sigma):
-        if not p.is_noncrossing:
-            raise CrossingPartitionError(f"noncrossing join of crossing partition {p}")
-    return _noncrossing_closure(result)
-
-
-def _blocks_cross(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    """True when the two blocks interleave a < c < a' < c' somewhere."""
-    merged = sorted((i, 0) for i in a) + sorted((i, 1) for i in b)
-    merged.sort()
-    switches = sum(1 for x, y in itertools.pairwise(merged) if x[1] != y[1])
-    return switches >= 3
-
-
-def _noncrossing_closure(p: Partition) -> Partition:
-    blocks = [set(b) for b in p.blocks]
-    merged = True
-    while merged:
-        merged = False
-        for i, j in itertools.combinations(range(len(blocks)), 2):
-            if _blocks_cross(tuple(sorted(blocks[i])), tuple(sorted(blocks[j]))):
-                blocks[i] |= blocks[j]
-                del blocks[j]
-                merged = True
-                break
-    return Partition(p.n, tuple(tuple(sorted(b)) for b in blocks))
+    if kind is LatticeKind.NONCROSSING:
+        for p in (pi, sigma):
+            if not p.is_noncrossing:
+                raise CrossingPartitionError(f"noncrossing join of crossing partition {p}")
+        last = {find(i): i for i in range(1, pi.n + 1)}
+        stack: list[int] = []
+        for i in range(1, pi.n + 1):
+            r = find(i)
+            if r not in stack:
+                stack.append(r)
+            while stack[-1] != r:
+                s = stack.pop()
+                parent[s] = r
+                last[r] = max(last[r], last[s])
+            if last[r] == i:
+                stack.pop()
+    return Partition.from_labels(tuple(find(i) for i in range(1, pi.n + 1)))
 
 
 def quotient(sigma: Partition, rho: Partition) -> Partition:

@@ -23,6 +23,12 @@ from freecumulants.models import (
 from freecumulants.partitions import LatticeKind, Partition, enumerate_partitions, format_partition
 
 
+# the scalar spec with one of its two free families, and with none
+ONE_FAMILY, NO_FAMILY = ('{"max_order": 4, "families": [{"name": "a", "generators": ["a1"], "cumulants": '
+                         '{"a1": "1", "a1 a1": "1/2", "a1 a1 a1": "-1/3", "a1 a1 a1 a1": "0"}}]}',
+                         '{"max_order": 4, "families": []}')
+
+
 def strip_wall(d):
     d = dict(d)
     d.pop("wall_time")
@@ -275,13 +281,36 @@ def test_cli_tensor_spec_with_unnormalised_weights_exits_two(tmp_path, capsys):
 
 
 def test_cli_order_beyond_capacity_fails_before_any_work(capsys):
-    # max_order=8 cannot reach order 12: a setup FAIL at once, not minutes of work
-    t0 = time.perf_counter()
-    assert main(["check", "moment-cumulant", "--n", "12"]) == 1
-    assert time.perf_counter() - t0 < 2
-    out = capsys.readouterr().out
-    assert out.startswith("FAIL moment-cumulant (0 cases")
-    assert "setup: n_max=12 exceeds max_order=8" in out
+    # max_order=8 cannot reach order 12, nor max_order=6 order 7, and no
+    # lattice is enumerated past MAX_ENUM_N: a setup FAIL at once, not
+    # seconds or minutes of work on the sizes below the bound
+    for argv, needs in ((["moment-cumulant", "--n", "12"], "n_max=12 exceeds max_order=8"),
+                        (["freeness", "--n", "7", "--max-order", "6"], "moments of order 7 exceed max_order=6"),
+                        (["lattice-counts", "--n", "11"], "enumeration over n=11 exceeds the bound MAX_ENUM_N=10"),
+                        (["kreweras", "--n", "11"], "enumeration over n=11 exceeds the bound MAX_ENUM_N=10")):
+        t0 = time.perf_counter()
+        assert main(["check", *argv]) == 1
+        assert time.perf_counter() - t0 < 2, argv
+        out = capsys.readouterr().out
+        assert out.startswith(f"FAIL {argv[0]} (0 cases"), argv
+        assert f"setup: {needs}" in out, argv
+
+
+def test_free_checks_refuse_a_model_with_fewer_than_two_families(tmp_path, capsys):
+    # freeness compares families: with one, an alternating word a1 a1 is no
+    # certificate, and with none there is nothing to alternate
+    path = tmp_path / "input.json"
+    for identity in ("freeness", "product-formula"):
+        report = run_check(identity, n=2).to_json()
+        for k, spec in ((1, ONE_FAMILY), (0, NO_FAMILY)):
+            why = f"the check needs at least two free families, the model has {k}"
+            path.write_text(spec)
+            assert main(["check", identity, "--n", "2", "--spec", str(path)]) == 2
+            assert capsys.readouterr() == ("", f"error: {identity}: {why}\n")
+            report["params"]["model"]["families"] = report["params"]["model"]["families"][:k]
+            path.write_text(json.dumps(report))
+            assert main(["check", "--replay", str(path)]) == 2
+            assert capsys.readouterr() == ("", f"error: cannot replay {path}: {why}\n")
 
 
 def test_cli_huge_order_fails_before_drawing_arguments(capsys):
@@ -488,7 +517,8 @@ def test_cli_lattice_commands_survive_fuzzed_input():
     assert time.perf_counter() - t0 < 10
 
 
-FUZZ_CHECKS = ("moebius", "product-formula", "tensor-factorization")
+REPLAY_CHECKS = ("moebius", "product-formula", "tensor-factorization")
+SPEC_CHECKS = ("freeness", "product-formula", "tensor-factorization")
 WRONG_VALUES = (None, True, -1, 0, 2.5, "x", [], [1], {}, {"x": 1})
 
 
@@ -521,7 +551,7 @@ def mutated_files(draw):
     """(argv without the file, mutated JSON text): a wrong top-level type,
     or up to three keys deleted or given a wrong type or null."""
     kind = draw(st.sampled_from(("replay", "spec")))
-    identity = draw(st.sampled_from(FUZZ_CHECKS[1:] if kind == "spec" else FUZZ_CHECKS))
+    identity = draw(st.sampled_from(SPEC_CHECKS if kind == "spec" else REPLAY_CHECKS))
     argv = ["check", "--replay"] if kind == "replay" else ["check", identity, "--n", "2", "--spec"]
     if draw(st.integers(0, 9)) == 0:
         return argv, json.dumps(draw(st.sampled_from(WRONG_VALUES)))
@@ -545,6 +575,10 @@ def mutated_files(draw):
 @example(case=(["check", "--replay"], '{"identity": "moebius", "params": {}, "witness": "oops"}'))
 @example(case=(["check", "product-formula", "--n", "2", "--spec"], "null"))
 @example(case=(["check", "tensor-factorization", "--n", "2", "--spec"], "[]"))
+@example(case=(["check", "freeness", "--n", "2", "--spec"], ONE_FAMILY))
+@example(case=(["check", "freeness", "--n", "2", "--spec"], NO_FAMILY))
+@example(case=(["check", "product-formula", "--n", "2", "--spec"], ONE_FAMILY))
+@example(case=(["check", "product-formula", "--n", "2", "--spec"], NO_FAMILY))
 def _file_cli_exits_cleanly(directory, case):
     argv, text = case
     path = directory / "input.json"

@@ -11,7 +11,6 @@ from freecumulants import models
 from freecumulants.engine import (
     Level,
     NestedPair,
-    absorb_coefficients,
     expectation,
     free_cumulant,
     nested_cumulant,
@@ -287,18 +286,6 @@ def test_terminal_interval_block_multiplies_from_the_right(matrix_ctx):
     assert got == ctx.psi(x1 * ctx.psi(x2) * x3)
 
 
-def test_absorb_coefficients_positions(matrix_ctx):
-    ctx = matrix_ctx
-    x1, x2 = gens(ctx, 2)
-    b0 = ctx.model.embed_b(Matrix([[F(1), F(0)], [F(2), F(1)]]))
-    b1 = ctx.model.embed_b(Matrix([[F(0), F(1)], [F(1), F(3)]]))
-    b2 = ctx.model.embed_b(Matrix([[F(2), F(0)], [F(0), F(5)]]))
-    out = absorb_coefficients(ctx, [b0, b1, b2], [x1, x2])
-    assert list(out) == [b0 * x1, b1 * x2 * b2]
-    out = absorb_coefficients(ctx, [None, b1, None], [x1, x2])
-    assert list(out) == [x1, b1 * x2]
-
-
 def test_nested_pair_requires_refinement():
     with pytest.raises(OrderViolationError):
         NestedPair(Partition.full(3), parse_partition("{1,2}{3}"))
@@ -517,11 +504,14 @@ def lc_element(terms):
 @settings(max_examples=60, deadline=None)
 @given(st.dictionaries(st.tuples(st.sampled_from("ab")), st.fractions(-2, 2, max_denominator=2)))
 def test_a_linear_combination_drops_zeros_and_hashes_on_its_items(coeffs):
-    x = LinearCombination.of(coeffs.items())
+    x = LinearCombination.collect(coeffs.items())
     assert x == {k: c for k, c in coeffs.items() if c != 0}
     assert 0 not in x.values()
-    y = LinearCombination.of(reversed(list(coeffs.items())))
+    y = LinearCombination.collect(reversed(list(coeffs.items())))
     assert hash(x) == hash(y) and {x: 1}[y] == 1
+    # repeated keys are summed, and a sum that cancels is dropped
+    assert LinearCombination.collect([*coeffs.items(), *coeffs.items()]) == {k: 2 * c for k, c in x.items()}
+    assert LinearCombination.collect([*coeffs.items(), *((k, -c) for k, c in coeffs.items())]) == {}
 
 
 @settings(max_examples=60, deadline=None)

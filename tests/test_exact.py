@@ -20,6 +20,12 @@ fractions = st.fractions(
 )
 
 
+def degree(p: Poly, name: str) -> int:
+    """Largest exponent of one variable in p; the zero polynomial has degree 0."""
+    k = p.ring.index(name)
+    return max((p.ring.exponents(m)[k] for m in p.terms), default=0)
+
+
 @st.composite
 def polys(draw):
     p = RING.zero
@@ -48,8 +54,8 @@ def test_poly_basics():
     u, v = RING.var("u"), RING.var("v")
     p = (u + v) * (u - v)
     assert p == u * u - v * v
-    assert p.degree_in("u") == 2
-    assert (p - p).is_zero
+    assert degree(p, "u") == 2
+    assert (p - p) == RING.zero and not (p - p).terms
     assert RING.const(Fraction(5, 2)).constant_value() == Fraction(5, 2)
     assert (u * 0 + 7).constant_value() == Fraction(7)
 
@@ -190,7 +196,7 @@ def test_the_largest_exponent_roundtrips():
     p = RING.const(Fraction(1, 2)) * RING.var("v")
     for _ in range(MAX_EXPONENT):
         p = p * RING.var("u")
-    assert p.degree_in("u") == MAX_EXPONENT and p.degree_in("v") == 1
+    assert degree(p, "u") == MAX_EXPONENT and degree(p, "v") == 1
     assert p.to_data() == {f"u^{MAX_EXPONENT} v^1": "1/2"}
     assert Poly.from_data(RING, p.to_data()) == p
     assert p == Poly(RING, {(MAX_EXPONENT, 1): Fraction(1, 2)})
@@ -207,10 +213,10 @@ def test_an_exponent_past_the_limit_names_its_variable_and_spares_its_neighbours
         Poly.from_data(ring, {f"v^{MAX_EXPONENT + 1}": "1"})
     with pytest.raises(ValueError, match="'w'"):
         Poly(ring, {(0, 0, -1): 1})
-    assert [p.degree_in(x) for x in "uvw"] == [1, MAX_EXPONENT, 2]
+    assert [degree(p, x) for x in "uvw"] == [1, MAX_EXPONENT, 2]
     # neighbours at the limit on both sides stay exact
     q = p * Poly(ring, {(MAX_EXPONENT - 1, 0, MAX_EXPONENT - 2): 1})
-    assert [q.degree_in(x) for x in "uvw"] == [MAX_EXPONENT] * 3
+    assert [degree(q, x) for x in "uvw"] == [MAX_EXPONENT] * 3
     assert q.to_data() == {f"u^{MAX_EXPONENT} v^{MAX_EXPONENT} w^{MAX_EXPONENT}": "3"}
 
 

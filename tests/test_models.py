@@ -463,14 +463,10 @@ def test_bimodule_law_on_random_sandwiches():
 
 def test_centered_is_idempotent_and_kills_the_expectation():
     for name, ctx, gens, bs in model_zoo():
-        x = gens[0]
-        for level, expect in (("B", ctx.psi), ("C", ctx.phi)):
-            assert centered(ctx, ctx.unit(), level) == ctx.scale(F(0), ctx.unit()), name
-            y = centered(ctx, x, level)
-            assert ctx.phi_scalar(expect(y)) == 0, name
-            assert centered(ctx, y, level) == y, name
-        with pytest.raises(ValueError):
-            centered(ctx, x, "D")
+        assert centered(ctx, ctx.unit()) == ctx.scale(F(0), ctx.unit()), name
+        y = centered(ctx, gens[0])
+        assert ctx.phi_scalar(y) == 0, name
+        assert centered(ctx, y) == y, name
 
 
 # ---------------------------------------------------------------------------

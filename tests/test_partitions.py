@@ -56,12 +56,40 @@ def bell(n):
     return row[0]
 
 
+def same_block(p: Partition, i: int, j: int) -> bool:
+    return p.labels[i - 1] == p.labels[j - 1]
+
+
 def crossing_oracle(p: Partition) -> bool:
     """Direct four-index scan for a crossing."""
     for i, j, k, l in itertools.combinations(range(1, p.n + 1), 4):
-        if p.same_block(i, k) and p.same_block(j, l) and not p.same_block(i, j):
+        if same_block(p, i, k) and same_block(p, j, l) and not same_block(p, i, j):
             return True
     return False
+
+
+def blocks_cross(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """True when the two blocks interleave a < c < a' < c' somewhere."""
+    merged = sorted((i, 0) for i in a) + sorted((i, 1) for i in b)
+    merged.sort()
+    switches = sum(1 for x, y in itertools.pairwise(merged) if x[1] != y[1])
+    return switches >= 3
+
+
+def noncrossing_closure_oracle(p: Partition) -> Partition:
+    """Merge crossing block pairs, retrying every pair after each merge,
+    until no two blocks cross."""
+    blocks = [set(b) for b in p.blocks]
+    merged = True
+    while merged:
+        merged = False
+        for i, j in itertools.combinations(range(len(blocks)), 2):
+            if blocks_cross(tuple(sorted(blocks[i])), tuple(sorted(blocks[j]))):
+                blocks[i] |= blocks[j]
+                del blocks[j]
+                merged = True
+                break
+    return Partition(p.n, tuple(tuple(sorted(b)) for b in blocks))
 
 
 @st.composite
@@ -160,7 +188,7 @@ def test_roundtrip_and_restriction_properties(p):
     r = p.restrict(evens)
     assert r.n == len(evens)
     for a, b in itertools.combinations(range(len(evens)), 2):
-        assert r.same_block(a + 1, b + 1) == p.same_block(evens[a], evens[b])
+        assert same_block(r, a + 1, b + 1) == same_block(p, evens[a], evens[b])
     if p.is_noncrossing:
         assert r.is_noncrossing
 
@@ -197,6 +225,13 @@ def test_join_is_the_least_upper_bound():
                 upper = [t for t in everything if p.refines(t) and q.refines(t)]
                 assert j in upper
                 assert all(j.refines(t) for t in upper)
+
+
+def test_the_noncrossing_join_sweep_equals_the_pairwise_closure():
+    for n in range(7):
+        everything = enumerate_partitions(n, NC)
+        for p, q in itertools.product(everything, repeat=2):
+            assert join(p, q, NC) == noncrossing_closure_oracle(join(p, q, FULL)), (p, q)
 
 
 def test_noncrossing_join_can_exceed_the_full_lattice_join():
