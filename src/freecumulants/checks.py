@@ -228,8 +228,15 @@ def _enumerable(params: dict) -> None:
         raise CapacityError(f"enumeration over n={n} exceeds the bound MAX_ENUM_N={MAX_ENUM_N}")
 
 
-def _free_spec(params: dict) -> ScalarFreeSpec:
-    """The recorded spec, which must hold the two free families a check compares."""
+def _free_spec(params: dict, fresh: bool, spec_data: dict | None) -> ScalarFreeSpec:
+    """The run's scalar free spec, which must hold the two free families a
+    check compares; a fresh run records the given spec, or a drawn one."""
+    if fresh:
+        spec = (ScalarFreeSpec.from_data(spec_data) if spec_data is not None
+                else ScalarFreeSpec.random({"a": ("a1", "a2"), "b": ("b1", "b2")},
+                                           params["max_order"], params["seed"]))
+        params["model"] = spec.to_data()
+        params["max_order"] = spec.max_order
     spec = ScalarFreeSpec.from_data(params["model"])
     if len(spec.families) < 2:
         raise ValueError(f"the check needs at least two free families, the model has {len(spec.families)}")
@@ -434,14 +441,15 @@ def check_partial_cumulants(suite: _Suite, fresh: bool, spec_data: dict | None) 
         for m in range(1, params["n_max"] + 1):
             args = _word_args(model, row, m)
             everything = _nc(m)
-            table = {}
+            table, joins = {}, {}
             for sigma in everything:
                 for rho in _below(sigma, LatticeKind.NONCROSSING):
                     key = {"part": "join-formula", "seed": s, "n": m,
                            "rho": str(rho), "sigma": str(sigma)}
                     if suite.wants(key):
-                        joined = [tau for tau in everything
-                                  if join(tau, rho, LatticeKind.NONCROSSING) == sigma]
+                        if rho not in joins:  # tau v rho for every tau, once per rho
+                            joins[rho] = [join(tau, rho, LatticeKind.NONCROSSING) for tau in everything]
+                        joined = [tau for tau, j in zip(everything, joins[rho]) if j == sigma]
                         for tau in joined:
                             if tau not in table:
                                 table[tau] = free_cumulant(ctx, tau, args, Level.PSI)
@@ -591,13 +599,10 @@ def check_freeness(suite: _Suite, fresh: bool, spec_data: dict | None) -> None:
     """Freeness certificates: cumulants mixing families vanish, and
     alternating products of centered elements have zero expectation."""
     params = suite.params
-    if fresh:
-        spec = (ScalarFreeSpec.from_data(spec_data) if spec_data is not None
-                else ScalarFreeSpec.random({"a": ("a1", "a2"), "b": ("b1", "b2")},
-                                           params["max_order"], params["seed"]))
-        params["model"] = spec.to_data()
-        params["max_order"] = spec.max_order
-    spec = _free_spec(params)
+    spec = _free_spec(params, fresh, spec_data)
+    if fresh:  # alternating words follow the spec's capacity
+        params["alternating_max"] = min(params["alternating_max"], spec.max_order)
+        params["quadratic_max"] = min(params["quadratic_max"], spec.max_order // 2)
     order = max(params["mixed_max"], params["alternating_max"], 2 * params["quadratic_max"])
     if order > spec.max_order:
         raise CapacityError(f"moments of order {order} exceed max_order={spec.max_order}")
@@ -651,13 +656,7 @@ def check_product_formula(suite: _Suite, fresh: bool, spec_data: dict | None) ->
     """Cumulants of products of free variables expand over interweaved
     partitions pi joined with their Kreweras complements."""
     params = suite.params
-    if fresh:
-        spec = (ScalarFreeSpec.from_data(spec_data) if spec_data is not None
-                else ScalarFreeSpec.random({"a": ("a1", "a2"), "b": ("b1", "b2")},
-                                           params["max_order"], params["seed"]))
-        params["model"] = spec.to_data()
-        params["max_order"] = spec.max_order
-    spec = _free_spec(params)
+    spec = _free_spec(params, fresh, spec_data)
     if fresh:
         # each argument is a product of two letters
         if 2 * params["n_max"] > params["max_order"]:

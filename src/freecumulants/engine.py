@@ -12,12 +12,14 @@ a time in any order.  On the full lattice the context is commutative
 and the blocks' values simply multiply.
 
 Every identity the checks test is a Moebius sum of the same few
-partitioned expectations and single-block cumulants, so every context
-keeps a table of the ones computed on it: a partitioned expectation
-under (partition, level, arguments), a single-block cumulant under
-(level, arguments).  The arguments must be the context's own hashable
-elements.  The table lives as long as the context, which the checks
-build per model; at ``TABLE_CAP`` entries it is cleared.
+partitioned expectations, single-block cumulants and nested
+semicumulants, so every context keeps a table of the ones computed on
+it, under (partition, level, arguments), (level, arguments) and (pair,
+arguments); a nested semicumulant only on its default route, so that
+``method="moebius"`` and ``cross_check`` stay independent oracles.  The
+arguments must be the context's own hashable elements.  The table
+lives as long as the context, which the checks build per model; at
+``TABLE_CAP`` entries it is cleared.
 
 Every cumulant is one Moebius sum over an interval [lo, hi] of the
 lattice.  The partitioned cumulant and the semi-nested cumulant also
@@ -353,19 +355,25 @@ def nested_semicumulant(
     """phi along the outer partition of inner psi-cumulants:
     the Moebius inversion of nested_moment in its inner slot."""
     args = list(args)
-    _validate_pair(ctx, pair, len(args))
-    inner, outer = pair.inner, pair.outer
-    return _by_method(
-        ctx, method, cross_check, "nested", pair,
-        lambda: _moebius_sum(
-            ctx, Partition.discrete(inner.n), inner,
-            lambda tau: nested_moment(ctx, NestedPair(tau, outer), args),
-        ),
-        lambda: _extract(
-            ctx, outer, args,
-            lambda pos, sub: ctx.phi(_cumulant_recursive(ctx, inner.restrict(pos), sub, Level.PSI)),
-        ),
-    )
+    table = ctx.phi_table if method == "recursion" and not cross_check else {}
+    key = (pair, tuple(args))
+    value = table.get(key)
+    if value is None:
+        _validate_pair(ctx, pair, len(args))
+        inner, outer = pair.inner, pair.outer
+        value = _by_method(
+            ctx, method, cross_check, "nested", pair,
+            lambda: _moebius_sum(
+                ctx, Partition.discrete(inner.n), inner,
+                lambda tau: nested_moment(ctx, NestedPair(tau, outer), args),
+            ),
+            lambda: _extract(
+                ctx, outer, args,
+                lambda pos, sub: ctx.phi(_cumulant_recursive(ctx, inner.restrict(pos), sub, Level.PSI)),
+            ),
+        )
+        _keep(table, key, value)
+    return value
 
 
 def nested_cumulant(ctx: ProbabilityContext, pair: NestedPair, args):

@@ -37,7 +37,7 @@ from .partitions import LatticeKind, first_blocks
 
 DEFAULT_MAX_ORDER = 8
 # most entries a context's phi_table or a factorization model's psi cache
-# keeps before it is cleared; a check fills at most 280 and 1,704
+# keeps before it is cleared; a check fills at most 303 and 1,704
 TABLE_CAP = 4096
 # most words a drawn cumulant table may hold; the default tables hold 1,020
 MAX_CUMULANT_WORDS = 2**16

@@ -81,15 +81,25 @@ class Partition:
             raise ValueError(f"blocks do not partition 1..{self.n}: offending index {stray[0]}")
         object.__setattr__(self, "blocks", blocks)
 
+    @classmethod
+    def _canonical(cls, n: int, blocks: tuple) -> Partition:
+        """A partition of blocks already canonical, built without
+        ``__post_init__``: only the size is checked."""
+        if n < 0:
+            raise ValueError(f"partition size must be nonnegative, got {n}")
+        part = object.__new__(cls)
+        part.__dict__.update(n=n, blocks=blocks)
+        return part
+
     @staticmethod
     def discrete(n: int) -> Partition:
         """The all-singletons partition, the bottom of the lattice."""
-        return Partition(n, tuple((i,) for i in range(1, n + 1)))
+        return Partition._canonical(n, tuple((i,) for i in range(1, n + 1)))
 
     @staticmethod
     def full(n: int) -> Partition:
         """The one-block partition, the top of the lattice."""
-        return Partition(n, ((tuple(range(1, n + 1)),) if n else ()))
+        return Partition._canonical(n, ((tuple(range(1, n + 1)),) if n else ()))
 
     @staticmethod
     def from_labels(labels: tuple[int, ...]) -> Partition:
@@ -97,7 +107,7 @@ class Partition:
         groups: dict[int, list[int]] = {}
         for pos, lab in enumerate(labels, start=1):
             groups.setdefault(lab, []).append(pos)
-        return Partition(len(labels), tuple(tuple(g) for g in groups.values()))
+        return Partition._canonical(len(labels), tuple(tuple(g) for g in groups.values()))
 
     @property
     def size(self) -> int:
@@ -168,7 +178,9 @@ class Partition:
             kept = tuple(rank[i] for i in b if i in rank)
             if kept:
                 blocks.append(kept)
-        return Partition(len(rank), tuple(blocks))
+        if sum(map(len, blocks)) != len(positions):
+            raise ValueError(f"positions {positions} are not distinct indices of 1..{self.n}")
+        return Partition._canonical(len(rank), tuple(sorted(blocks)))
 
     def __str__(self) -> str:
         return format_partition(self)
@@ -430,7 +442,8 @@ def kreweras(pi: Partition) -> Partition:
     """
     if not pi.is_noncrossing:
         raise CrossingPartitionError(f"kreweras complement of crossing partition {pi}")
-    return Partition(pi.n, tuple(map(tuple, _cycles(pi, Partition.full(pi.n).blocks))))
+    # each cycle is increasing and is walked from its minimum, the least index left
+    return Partition._canonical(pi.n, tuple(map(tuple, _cycles(pi, Partition.full(pi.n).blocks))))
 
 
 def _check_interval(pi: Partition, sigma: Partition, kind: LatticeKind, what: str) -> None:

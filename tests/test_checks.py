@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from freecumulants import checks, engine
 from freecumulants.checks import ALL_CHECKS, replay_report, run_check
 from freecumulants.cli import main
 from freecumulants.models import (
@@ -405,6 +406,37 @@ def test_moment_cumulant_restricts_no_partition(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("identity, joins, nested", [
+    # at the parent these runs made 395, 6,708 and 12,578 validating
+    # Partition constructions, 12,303 joins and 2,695 nested evaluations
+    ("moment-cumulant", 0, 0),
+    ("total-cumulance", 0, 355),
+    ("partial-cumulants", 1990, 0),
+])
+def test_lattice_values_are_computed_once_per_check(monkeypatch, identity, joins, nested):
+    # perf gate: joins are tabulated once per rho, a nested semicumulant
+    # once per (pair, arguments), and canonical partitions skip validation
+    counts = {"validated": 0, "join": 0, "nested": 0}
+    post_init, join, by_method = Partition.__post_init__, checks.join, engine._by_method
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def routed(ctx, method, cross_check, label, *rest):
+        counts["nested"] += label == "nested"
+        return by_method(ctx, method, cross_check, label, *rest)
+
+    monkeypatch.setattr(Partition, "__post_init__", counted("validated", post_init))
+    monkeypatch.setattr(checks, "join", counted("join", join))
+    monkeypatch.setattr(engine, "_by_method", routed)
+    assert run_check(identity, seed=2024).passed
+    assert counts["validated"] == 0
+    assert counts["join"] <= joins and counts["nested"] <= nested
+
+
 def test_every_name_the_layer_tracer_wraps_resolves():
     # perfbench/layertrace.py wraps library names by attribute; a renamed or
     # deleted one fails its install, and a dead wrapper counts nothing.
@@ -441,6 +473,21 @@ def test_cli_replay_roundtrip(tmp_path, capsys):
     path.write_text(json.dumps(blob))
     assert main(["check", "--replay", str(path)]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_cli_freeness_runs_the_example_spec_and_replays_it(tmp_path, capsys):
+    # docs/scalar_model.json carries max_order 4: the alternating words
+    # stop at length 4 and the quadratic ones at 2 letter pairs
+    spec = Path(__file__).resolve().parents[1] / "docs" / "scalar_model.json"
+    assert main(["check", "freeness", "--spec", str(spec), "--format", "json"]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["status"] == "pass" and blob["cases"] == 32
+    params = blob["params"]
+    assert (params["max_order"], params["alternating_max"], params["quadratic_max"]) == (4, 4, 2)
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(blob))
+    assert main(["check", "--replay", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("PASS freeness (32 cases")
 
 
 def test_cli_check_accepts_a_model_spec_file(tmp_path, capsys):

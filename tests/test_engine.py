@@ -1,6 +1,7 @@
 """Engine recursions: nesting, dual routes, conventions, closed forms."""
 
 import gc
+import itertools
 from fractions import Fraction
 from math import comb
 
@@ -270,6 +271,110 @@ def test_nested_semicumulant_routes_agree(route_models):
                     a = nested_semicumulant(ctx, pair, args, method="moebius")
                     assert nested_semicumulant(ctx, pair, args, method="recursion") == a, (name, pair)
                     assert nested_semicumulant(ctx, pair, args, cross_check=True) == a, name
+
+
+def nested_pairs(n_max):
+    for n in range(1, n_max + 1):
+        for outer in enumerate_partitions(n, NC):
+            for inner in interval_list(Partition.discrete(n), outer, NC):
+                yield NestedPair(inner, outer)
+
+
+def nested_keys(ctx):
+    return [key for key in ctx.phi_table if isinstance(key[0], NestedPair)]
+
+
+def test_only_the_default_route_tables_nested_semicumulants():
+    for name, ctx, pool in new_route_models():
+        if name == "tensor":
+            continue
+        reference = {}
+        for pair in nested_pairs(4):
+            args = cycle(pool, pair.outer.n)
+            reference[pair] = nested_semicumulant(ctx, pair, args, method="moebius")
+            assert nested_semicumulant(ctx, pair, args, cross_check=True) == reference[pair], name
+        assert nested_keys(ctx) == [], name
+        for pair, value in reference.items():
+            args = cycle(pool, pair.outer.n)
+            first = nested_semicumulant(ctx, pair, args)
+            assert first == value, (name, pair)
+            assert nested_semicumulant(ctx, pair, args) is first, (name, pair)
+        assert len(nested_keys(ctx)) == len(reference), name
+
+
+def test_tabled_nested_semicumulants_keep_within_the_cap(monkeypatch):
+    monkeypatch.setattr(models, "TABLE_CAP", 5)
+    for name, ctx, pool in new_route_models():
+        if name == "tensor":
+            continue
+        for pair in nested_pairs(4):
+            args = cycle(pool, pair.outer.n)
+            assert nested_semicumulant(ctx, pair, args) == nested_semicumulant(
+                ctx, pair, args, method="moebius"), (name, pair)
+            assert len(ctx.phi_table) <= 5, name
+
+
+def scalar_free_cumulant(spec, entries):
+    """kappa_n of commuting polynomial entries against classical_expect.
+
+    m(S) is the sum over the blocks V holding min S of kappa(V) times the
+    moments of the runs of S that V leaves: between its elements and after
+    its last.  Positions index ``entries``."""
+    moments, kappas = {}, {}
+
+    def moment(positions):
+        if positions not in moments:
+            product = spec.ring.one
+            for p in positions:
+                product = product * entries[p]
+            moments[positions] = classical_expect(spec, product)
+        return moments[positions]
+
+    def kappa(positions):
+        if positions not in kappas:
+            first, rest = positions[0], positions[1:]
+            value = moment(positions)
+            for r in range(len(rest)):
+                for chosen in itertools.combinations(rest, r):
+                    block = (first, *chosen)
+                    term = kappa(block)
+                    for lo, hi in zip(block, block[1:] + (len(entries),)):
+                        run = tuple(p for p in positions if lo < p < hi)
+                        if run:
+                            term *= moment(run)
+                    value -= term
+            kappas[positions] = value
+        return kappas[positions]
+
+    return kappa(tuple(range(len(entries))))
+
+
+def path_sum(model, args, i, j):
+    total = Fraction(0)
+    for inner in itertools.product(range(model.d), repeat=len(args) - 1):
+        path = (i, *inner, j)
+        entries = [a.entries[path[k]][path[k + 1]] for k, a in enumerate(args)]
+        total += scalar_free_cumulant(model.spec, entries)
+    return total
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 2), st.integers(0, 10**6), st.data())
+def test_matrix_cumulants_are_path_sums_of_scalar_cumulants(d, seed, data):
+    # for psi = id (x) E on M_d: kappa_n(A_1..A_n)_ij is the sum over index
+    # paths i -> i_1 -> ... -> j of the scalar free cumulants of the entries
+    # (Nica-Shlyakhtenko-Speicher, Operator-valued distributions I, 2002)
+    model = MatrixModel.random(generator_count=2, dimension=d, seed=seed)
+    n = data.draw(st.integers(1, 5))
+    coefficient = st.fractions(-2, 2, max_denominator=3)
+    args = []
+    for _ in range(n):
+        g = model.generators[data.draw(st.sampled_from(model.generator_names))]
+        b = Matrix([[data.draw(coefficient) for _ in range(d)] for _ in range(d)])
+        args.append(model.embed_b(b) * g if data.draw(st.booleans()) else g)
+    expected = [[path_sum(model, args, i, j) for j in range(d)] for i in range(d)]
+    got = free_cumulant(MatrixContext(model), Partition.full(n), args, Level.PSI)
+    assert got == model.embed_b(Matrix(expected))
 
 
 def test_unknown_method_is_rejected(matrix_ctx):

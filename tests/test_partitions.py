@@ -234,6 +234,48 @@ def test_the_noncrossing_join_sweep_equals_the_pairwise_closure():
             assert join(p, q, NC) == noncrossing_closure_oracle(join(p, q, FULL)), (p, q)
 
 
+def growth_strings(n):
+    """Every a with a[0] = 0 and a[i] <= max(a[:i]) + 1, built here
+    without the library's enumeration."""
+    strings = [()] if n == 0 else [(0,)]
+    for _ in range(n - 1):
+        strings = [a + (v,) for a in strings for v in range(max(a) + 2)]
+    return strings
+
+
+def assert_validated(p):
+    # Partition(n, blocks) sorts and checks its blocks; a partition built
+    # without that must already hold exactly what it would produce
+    again = Partition(p.n, p.blocks)
+    assert p.blocks == again.blocks and hash(p) == hash(again), p
+
+
+def test_every_constructor_builds_what_validation_would():
+    for n in range(8):
+        assert_validated(Partition.discrete(n))
+        assert_validated(Partition.full(n))
+        subsets = [c for r in range(n + 1) for c in itertools.combinations(range(1, n + 1), r)]
+        for labels in growth_strings(n):
+            p = Partition.from_labels(labels)
+            assert_validated(p)
+            # a cyclic rotation of the positions keeps a noncrossing partition noncrossing
+            q = Partition.from_labels(labels[1:] + labels[:1])
+            m = meet(p, q)
+            for made in (q, m, quotient(p, m), join(p, q, FULL)):
+                assert_validated(made)
+            if p.is_noncrossing:
+                for made in (kreweras(p), join(p, q, NC), join(p, kreweras(p), NC)):
+                    assert_validated(made)
+            for positions in subsets:
+                assert_validated(p.restrict(positions))
+    for make in (Partition.discrete, Partition.full):
+        with pytest.raises(ValueError, match="nonnegative"):
+            make(-1)
+    for positions in ((2, 4), (2, 2), (0, 1)):
+        with pytest.raises(ValueError, match="not distinct indices of 1..3"):
+            Partition.full(3).restrict(positions)
+
+
 def test_noncrossing_join_can_exceed_the_full_lattice_join():
     p = parse_partition("{1,3}{2}{4}")
     q = parse_partition("{2,4}{1}{3}")
