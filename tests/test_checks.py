@@ -407,8 +407,9 @@ def test_moment_cumulant_restricts_no_partition(monkeypatch):
 
 
 @pytest.mark.parametrize("identity, joins, nested", [
-    # at the parent these runs made 395, 6,708 and 12,578 validating
-    # Partition constructions, 12,303 joins and 2,695 nested evaluations
+    # validating every partition and joining per sigma, these runs made
+    # 395, 6,708 and 12,578 validating Partition constructions, 12,303
+    # joins and, without the nested table, 2,695 nested evaluations
     ("moment-cumulant", 0, 0),
     ("total-cumulance", 0, 355),
     ("partial-cumulants", 1990, 0),
