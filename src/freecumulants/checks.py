@@ -297,24 +297,26 @@ def check_kreweras(suite: _Suite, fresh: bool, spec_data: dict | None) -> None:
     and the defining maximality of the complement."""
     params = suite.params
     _enumerable(params)
+    # the complement of every pi in NC(m), m up to the largest bound, once
+    kr = {pi: kreweras(pi) for m in range(max(params.values()) + 1) for pi in _nc(m)}
     for m in range(1, params["size_max"] + 1):
         for pi in _nc(m):
             key = {"part": "size", "n": m, "pi": str(pi)}
             if suite.wants(key):
-                suite.record(key, pi.size + kreweras(pi).size, m + 1)
+                suite.record(key, pi.size + kr[pi].size, m + 1)
     for m in range(params["reversal_max"] + 1):
         for sigma in _nc(m):
             for pi in _below(sigma, LatticeKind.NONCROSSING):
                 key = {"part": "reversal", "n": m, "pi": str(pi), "sigma": str(sigma)}
                 if suite.wants(key):
-                    suite.record(key, kreweras(sigma).refines(kreweras(pi)), True)
+                    suite.record(key, kr[sigma].refines(kr[pi]), True)
     for m in range(params["anti_max"] + 1):
         top = Partition.full(m)
         for pi in _nc(m):
             key = {"part": "anti-isomorphism", "n": m, "pi": str(pi)}
             if suite.wants(key):
-                image = {kreweras(sigma) for sigma in interval_list(pi, top, LatticeKind.NONCROSSING)}
-                target = set(_below(kreweras(pi), LatticeKind.NONCROSSING))
+                image = {kr[sigma] for sigma in interval_list(pi, top, LatticeKind.NONCROSSING)}
+                target = set(_below(kr[pi], LatticeKind.NONCROSSING))
                 suite.record(key, sorted(map(str, image)), sorted(map(str, target)))
     for m in range(params["maximality_max"] + 1):
         for pi in _nc(m):
@@ -324,7 +326,7 @@ def check_kreweras(suite: _Suite, fresh: bool, spec_data: dict | None) -> None:
                     suite.record(
                         key,
                         interweave(pi, sigma).is_noncrossing,
-                        sigma.refines(kreweras(pi)),
+                        sigma.refines(kr[pi]),
                     )
 
 
@@ -356,20 +358,21 @@ def _models(params: dict, fresh: bool, spec_data: dict | None, model_class, rand
 
 
 def _matrix_bundles(params: dict, fresh: bool, spec_data: dict | None):
-    """Matrix models, each with one generator word of every length up to n_max."""
-    return _models(
-        params, fresh, spec_data, MatrixModel,
-        lambda s: MatrixModel.random(params["generator_count"], params["dimension"],
-                                     params["max_order"], s),
-        lambda model, rng: {"args": {
-            str(m): [rng.choice(model.generator_names) for _ in range(m)]
-            for m in range(1, params["n_max"] + 1)
-        }},
-    )
-
-
-def _word_args(model: MatrixModel, row: dict, m: int) -> list[Matrix]:
-    return [model.generators[g] for g in row["args"][str(m)]]
+    """(seed, context, {m: arguments}) for each matrix model, the arguments
+    one generator word of every length m up to n_max."""
+    return [
+        (s, MatrixContext(model), {int(m): [model.generators[g] for g in word]
+                                   for m, word in row["args"].items()})
+        for s, model, row in _models(
+            params, fresh, spec_data, MatrixModel,
+            lambda s: MatrixModel.random(params["generator_count"], params["dimension"],
+                                         params["max_order"], s),
+            lambda model, rng: {"args": {
+                str(m): [rng.choice(model.generator_names) for _ in range(m)]
+                for m in range(1, params["n_max"] + 1)
+            }},
+        )
+    ]
 
 
 @_check("moment-cumulant", lambda n=5, dimension=DEFAULT_DIMENSION:
@@ -378,10 +381,9 @@ def check_moment_cumulant(suite: _Suite, fresh: bool, spec_data: dict | None) ->
     """Moment-cumulant inversion: phi_sigma equals the sum of partitioned
     cumulants below sigma, for every noncrossing sigma."""
     params = suite.params
-    for s, model, row in _matrix_bundles(params, fresh, spec_data):
-        ctx = MatrixContext(model)
+    for s, ctx, words in _matrix_bundles(params, fresh, spec_data):
         for m in range(1, params["n_max"] + 1):
-            args = _word_args(model, row, m)
+            args = words[m]
             table: dict[Partition, Matrix] = {}
             for sigma in _nc(m):
                 key = {"seed": s, "n": m, "sigma": str(sigma)}
@@ -402,10 +404,9 @@ def check_total_cumulance(suite: _Suite, fresh: bool, spec_data: dict | None) ->
     supporting identities: the generalized moment-cumulant formula and the
     Moebius consistency of the nested functionals."""
     params = suite.params
-    for s, model, row in _matrix_bundles(params, fresh, spec_data):
-        ctx = MatrixContext(model)
+    for s, ctx, words in _matrix_bundles(params, fresh, spec_data):
         for m in range(1, params["n_max"] + 1):
-            args = _word_args(model, row, m)
+            args = words[m]
             top = Partition.full(m)
             key = {"part": "total-cumulance", "seed": s, "n": m}
             if suite.wants(key):
@@ -436,10 +437,9 @@ def check_partial_cumulants(suite: _Suite, fresh: bool, spec_data: dict | None) 
     """Join formula for partial cumulants, their boundary collapses, and
     the interval-base reduction to a quotient cumulant of block products."""
     params = suite.params
-    for s, model, row in _matrix_bundles(params, fresh, spec_data):
-        ctx = MatrixContext(model)
+    for s, ctx, words in _matrix_bundles(params, fresh, spec_data):
         for m in range(1, params["n_max"] + 1):
-            args = _word_args(model, row, m)
+            args = words[m]
             everything = _nc(m)
             table, joins = {}, {}
             for sigma in everything:
@@ -484,9 +484,8 @@ def check_partial_cumulants(suite: _Suite, fresh: bool, spec_data: dict | None) 
 def check_nested_closed_forms(suite: _Suite, fresh: bool, spec_data: dict | None) -> None:
     """The worked eight-argument nesting displays and the three-argument
     correction-term closed form, evaluated literally against the engine."""
-    for s, model, row in _matrix_bundles(suite.params, fresh, spec_data):
-        ctx = MatrixContext(model)
-        X = _word_args(model, row, 8)
+    for s, ctx, words in _matrix_bundles(suite.params, fresh, spec_data):
+        X = words[8]
         X1, X2, X3, X4, X5, X6, X7, X8 = X
         pi = parse_partition("{1,2,7,8}{3,4}{5,6}")
         sigma = parse_partition("{1,2,7,8}{3,4,5,6}")

@@ -17,9 +17,11 @@ semicumulants, so every context keeps a table of the ones computed on
 it, under (partition, level, arguments), (level, arguments) and (pair,
 arguments); a nested semicumulant only on its default route, so that
 ``method="moebius"`` and ``cross_check`` stay independent oracles.  The
-arguments must be the context's own hashable elements.  The table
-lives as long as the context, which the checks build per model; at
-``TABLE_CAP`` entries it is cleared.
+operator-valued recursion also keeps there the psi of each argument
+tuple's product, under ("psi", arguments).  The arguments must be the
+context's own hashable elements.  The table lives as long as the
+context, which the checks build per model; at ``TABLE_CAP`` entries it
+is cleared.
 
 Every cumulant is one Moebius sum over an interval [lo, hi] of the
 lattice.  The partitioned cumulant and the semi-nested cumulant also
@@ -193,14 +195,8 @@ def free_cumulant(
     _validate(ctx, part, len(args))
     return _by_method(
         ctx, method, cross_check, "cumulant", part,
-        lambda: _cumulant_moebius(ctx, part, args, level),
+        lambda: partial_cumulant(ctx, Partition.discrete(part.n), part, args, level),
         lambda: _cumulant_recursive(ctx, part, args, level),
-    )
-
-
-def _cumulant_moebius(ctx, part, args, level):
-    return _moebius_sum(
-        ctx, Partition.discrete(part.n), part, lambda sigma: phi_partitioned(ctx, sigma, args, level)
     )
 
 
@@ -218,11 +214,12 @@ def _single_block(ctx, args: tuple, level: Level):
     value = table.get(key)
     if value is None:
         if ctx.kind is LatticeKind.FULL:
-            value = _cumulant_moebius(ctx, Partition.full(len(args)), args, level)
+            n = len(args)
+            value = partial_cumulant(ctx, Partition.discrete(n), Partition.full(n), args, level)
         elif level is Level.PHI:
             value = ctx.embed_scalar(_kappa_scalar(ctx, args, (1 << len(args)) - 1, {}, {}))
         else:
-            value = _kappa_operator(ctx, args, {}, {})
+            value = _kappa_operator(ctx, args)
         _keep(table, key, value)
     return value
 
@@ -275,7 +272,7 @@ def _moment_scalar(ctx, args, mask: int, moments: dict) -> Fraction:
     return value
 
 
-def _kappa_operator(ctx, args: tuple, kappas: dict, moments: dict):
+def _kappa_operator(ctx, args: tuple):
     """The psi-cumulant kappa_n(args), operator-valued.
 
     The block V = {1 = i_1 < ... < i_r} holding the first argument
@@ -283,30 +280,29 @@ def _kappa_operator(ctx, args: tuple, kappas: dict, moments: dict):
     (Speicher, Combinatorial Theory of the Free Product with Amalgamation
     and Operator-Valued Free Probability Theory, Mem. AMS 627, 1998), so
     kappa_n(args) is psi(a_1 ... a_n) less the terms of the other blocks.
-    ``kappas`` and ``moments`` are keyed on argument tuples.
+    Each smaller kappa comes through ``_single_block`` and each psi through
+    ``_psi_product``, so both stay in the context's table.
     """
-    value = kappas.get(args)
-    if value is not None:
-        return value
     n = len(args)
     terms = []
     for block in first_blocks(0, n):
         if len(block) < n:
-            spliced = _splice(ctx, args, block, lambda lo, hi: _psi_product(ctx, args[lo:hi], moments))
-            term = _kappa_operator(ctx, spliced, kappas, moments)
+            spliced = _splice(ctx, args, block, lambda lo, hi: _psi_product(ctx, args[lo:hi]))
+            term = _single_block(ctx, spliced, Level.PSI)
             tail = args[block[-1] + 1 :]
-            terms.append(ctx.mul(term, _psi_product(ctx, tail, moments)) if tail else term)
-    value = _psi_product(ctx, args, moments)
-    if terms:
-        value = ctx.sub(value, ctx.sum(terms))
-    kappas[args] = value
-    return value
+            terms.append(ctx.mul(term, _psi_product(ctx, tail)) if tail else term)
+    value = _psi_product(ctx, args)
+    return ctx.sub(value, ctx.sum(terms)) if terms else value
 
 
-def _psi_product(ctx, args: tuple, moments: dict):
-    value = moments.get(args)
+def _psi_product(ctx, args: tuple):
+    """psi(a_1 ... a_n); the value comes from, or goes into, the context's
+    table under ("psi", args)."""
+    table, key = ctx.phi_table, ("psi", args)
+    value = table.get(key)
     if value is None:
-        value = moments[args] = ctx.psi(reduce(ctx.mul, args))
+        value = ctx.psi(reduce(ctx.mul, args))
+        _keep(table, key, value)
     return value
 
 

@@ -5,7 +5,9 @@ is the scalar type and every equality test is exact.  Polynomials live in
 a ring with a fixed, ordered variable universe declared up front; asking
 for a variable outside the universe is an error, which keeps silently
 growing monomial keys from masking model bugs.  Matrices are small dense
-squares over any commutative ring of entries (Fractions or Polys here).
+squares; the entries of a product are Polys of one ring, while Fraction
+matrices only carry data (drawn coefficients, psi values before they are
+embedded).
 
 A polynomial is stored as integers.  Each monomial is packed into one
 int with one byte per variable, variable 0 in the most significant byte:
@@ -38,9 +40,7 @@ def as_fraction(value: int | str | Fraction) -> Fraction:
     """Coerce ints, Fractions and strings like '-3/2' to Fraction."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
@@ -362,12 +362,11 @@ class LinearCombination(dict):
 
 
 class Matrix:
-    """Square matrix over a commutative ring of entries.
+    """Square matrix of Polys, or of Fractions as data.
 
-    Entries must support +, -, * among themselves and with Fraction.  When
-    both factors hold only Polys, each entry of a product is built as one
-    Poly; other entries go through their own + and *.  Nothing changes a
-    Matrix after it is built.
+    A product takes Polys of one ring in both factors and builds each of its
+    entries as one Poly; sums and scaling take entries of either type.
+    Nothing changes a Matrix after it is built.
     """
 
     __slots__ = ("entries",)
@@ -413,17 +412,12 @@ class Matrix:
             ]
         )
 
-    def __neg__(self) -> Matrix:
-        return Matrix([[-a for a in r] for r in self.entries])
-
     def __mul__(self, other):
         if isinstance(other, Matrix):
             self._check(other)
             cols = list(zip(*other.entries))
-            if all(type(a) is Poly for row in self.entries + other.entries for a in row):
-                return Matrix([[_sum_of_products(tuple(zip(row, col))) for col in cols]
-                               for row in self.entries])
-            return Matrix([[_dot(row, col) for col in cols] for row in self.entries])
+            return Matrix([[_sum_of_products(tuple(zip(row, col))) for col in cols]
+                           for row in self.entries])
         return self.scale(other)
 
     def __rmul__(self, other) -> Matrix:
@@ -452,11 +446,3 @@ class Matrix:
         return "[" + "; ".join(", ".join(str(a) for a in r) for r in self.entries) + "]"
 
     __repr__ = __str__
-
-
-def _dot(row, col):
-    acc = row[0] * col[0]
-    for a, b in zip(row[1:], col[1:]):
-        acc = acc + a * b
-    return acc
-

@@ -396,9 +396,6 @@ def matrix_phi(model: MatrixModel, x: Matrix) -> Fraction:
 
 
 class MatrixContext(ProbabilityContext):
-    kind = LatticeKind.NONCROSSING
-    commutative = False
-
     def __init__(self, model: MatrixModel):
         self.model = model
 
@@ -562,9 +559,6 @@ def free_moment(spec: ScalarFreeSpec, word: tuple[str, ...]) -> Fraction:
 class ScalarFreeContext(LinearCombinationContext):
     """Linear combinations of words in the free generators; B = C."""
 
-    kind = LatticeKind.NONCROSSING
-    commutative = False
-
     def __init__(self, spec: ScalarFreeSpec):
         self.spec = spec
 
@@ -645,9 +639,6 @@ class FactorizationModel:
 
 
 class WordContext(LinearCombinationContext):
-    kind = LatticeKind.NONCROSSING
-    commutative = False
-
     def __init__(self, model: FactorizationModel):
         self.model = model
         self.d = model.d
@@ -792,9 +783,6 @@ class TensorModel:
 class TensorContext(LinearCombinationContext):
     """Basis keys are (word, point k): the word times the k-th unit
     vector of the point algebra."""
-
-    kind = LatticeKind.NONCROSSING
-    commutative = False
 
     def __init__(self, model: TensorModel):
         self.model = model

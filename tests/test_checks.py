@@ -360,14 +360,19 @@ def test_cli_max_order_beyond_the_largest_exponent_fails_before_drawing(capsys):
     assert main(["check", "classical-total-cumulance", "--max-order", "127", "--n", "2"]) == 0
 
 
+def psi_calls(monkeypatch, identity, cls) -> int:
+    """The ``cls.psi`` calls of one passing default run of ``identity``."""
+    calls = []
+    psi = cls.psi
+    monkeypatch.setattr(cls, "psi", lambda self, x: calls.append(1) or psi(self, x))
+    assert run_check(identity).passed
+    return len(calls)
+
+
 def test_total_cumulance_shares_its_partitioned_moments(monkeypatch):
     # perf gate: each matrix context tabulates phi_partitioned; without the
     # table one run makes 13,805 psi calls, a fifth of that is the bound
-    calls = []
-    psi = MatrixContext.psi
-    monkeypatch.setattr(MatrixContext, "psi", lambda self, x: calls.append(1) or psi(self, x))
-    assert run_check("total-cumulance").passed
-    assert 0 < len(calls) <= 13805 // 5
+    assert 0 < psi_calls(monkeypatch, "total-cumulance", MatrixContext) <= 13805 // 5
 
 
 @pytest.mark.parametrize("identity, cls, bound", [
@@ -376,11 +381,19 @@ def test_total_cumulance_shares_its_partitioned_moments(monkeypatch):
     ("freeness-characterization", WordContext, 2800),
 ])
 def test_word_and_tensor_checks_share_their_partitioned_moments(monkeypatch, identity, cls, bound):
-    calls = []
-    psi = cls.psi
-    monkeypatch.setattr(cls, "psi", lambda self, x: calls.append(1) or psi(self, x))
-    assert run_check(identity).passed
-    assert 0 < len(calls) <= bound
+    assert 0 < psi_calls(monkeypatch, identity, cls) <= bound
+
+
+@pytest.mark.parametrize("identity, cls, bound", [
+    # perf gate: a psi-cumulant keeps the psi of each argument tuple's product
+    # and each smaller psi-cumulant in the context's table; with a memo per
+    # psi-cumulant these runs made 2,580, 767 and 1,706 psi calls
+    ("moment-cumulant", MatrixContext, 1273),
+    ("tensor-factorization", TensorContext, 668),
+    ("freeness-characterization", WordContext, 1348),
+])
+def test_psi_cumulants_share_their_psi_values(monkeypatch, identity, cls, bound):
+    assert 0 < psi_calls(monkeypatch, identity, cls) <= bound
 
 
 def test_freeness_tables_its_cumulants_only(monkeypatch):
@@ -436,6 +449,71 @@ def test_lattice_values_are_computed_once_per_check(monkeypatch, identity, joins
     assert run_check(identity, seed=2024).passed
     assert counts["validated"] == 0
     assert counts["join"] <= joins and counts["nested"] <= nested
+
+
+def test_kreweras_computes_each_complement_once(monkeypatch):
+    # perf gate: one complement per pi in NC(m), m <= 7, that is 626;
+    # computed per case, the same run made 6,368 kreweras calls
+    calls = []
+    kreweras = checks.kreweras
+    monkeypatch.setattr(checks, "kreweras", lambda pi: calls.append(pi) or kreweras(pi))
+    assert run_check("kreweras").passed
+    assert 0 < len(calls) <= 626
+    assert len(set(calls)) == len(calls)
+
+
+def _add_unit(ctx, value):
+    return ctx.add(value, ctx.unit())
+
+
+# (identity, flags, patched name, the calls it falsifies, the fault, witness instance);
+# a fault takes the context, or None, and the right value
+FAULTS = [
+    ("kreweras", {}, "kreweras", lambda pi: str(pi) == "{1,2}{3}",
+     lambda _, value: Partition.full(3), {"part": "size", "n": 3, "pi": "{1,2}{3}"}),
+    ("moment-cumulant", {"n": 3}, "phi_partitioned",
+     lambda ctx, sigma, args, level: sigma == Partition.full(2), _add_unit,
+     {"seed": 2024, "n": 2, "sigma": "{1,2}"}),
+    ("product-formula", {"n": 3}, "free_cumulant",
+     lambda ctx, part, args, level: part == Partition.full(2), _add_unit,
+     {"n": 2, "a": "a1 a1", "b": "b2 b2"}),
+    ("freeness-characterization", {"n": 3}, "nested_cumulant",
+     lambda ctx, pair, args: str(pair.inner) == "{1,2}{3}", _add_unit,
+     {"part": "interweave", "seed": 2024, "n": 3, "pi": "{1,2}{3}"}),
+]
+
+
+@pytest.mark.parametrize("identity, flags, name, hits, fault, instance", FAULTS,
+                         ids=[row[0] for row in FAULTS])
+def test_a_wrong_value_fails_the_check_at_its_case(monkeypatch, identity, flags, name, hits,
+                                                   fault, instance):
+    right, injected, recorded = getattr(checks, name), [], []
+
+    def faulty(*args):
+        value = right(*args)
+        if not hits(*args):
+            return value
+        ctx = args[0] if name != "kreweras" else None
+        injected.append((ctx, value, fault(ctx, value)))
+        return injected[-1][2]
+
+    record = checks._Suite.record
+    monkeypatch.setattr(checks, name, faulty)
+    monkeypatch.setattr(checks._Suite, "record",
+                        lambda self, key, *rest, **kw: recorded.append(key) or record(self, key, *rest, **kw))
+    report = run_check(identity, **flags)
+    assert report.status == "fail"
+    assert report.witness["instance"] == instance
+    ctx, value, wrong = injected[-1]
+    if ctx is None:  # pi has 2 blocks and its wrong complement 1, against n + 1 = 4
+        assert (report.witness["lhs"], report.witness["rhs"]) == ("3", "4")
+    else:
+        assert (report.witness["lhs"], report.witness["rhs"]) == (ctx.describe(wrong), ctx.describe(value))
+    # the witness is the last case: nothing is evaluated after it
+    assert recorded[-1] == instance and report.cases == len(recorded)
+    again = replay_report(json.loads(json.dumps(report.to_json())))
+    assert again.status == "fail" and again.cases == 1
+    assert again.witness == report.witness
 
 
 def test_every_name_the_layer_tracer_wraps_resolves():

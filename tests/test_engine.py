@@ -8,7 +8,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freecumulants import models
+from freecumulants import engine, models
 from freecumulants.engine import (
     Level,
     NestedPair,
@@ -252,8 +252,9 @@ def test_a_word_cumulant_takes_one_trace_per_new_word(monkeypatch):
 
 
 def test_a_cumulant_leaves_no_reference_cycles():
-    # the recursions' memos are plain dicts passed down, never closures
-    # over themselves, so nothing waits for the cycle collector
+    # the recursions' memos are the context's table and plain dicts passed
+    # down, never closures over themselves, so nothing waits for the cycle
+    # collector
     gc.collect()
     for name, ctx, pool in new_route_models():
         for level in Level:
@@ -380,6 +381,29 @@ def test_matrix_cumulants_are_path_sums_of_scalar_cumulants(d, seed, data):
 def test_unknown_method_is_rejected(matrix_ctx):
     with pytest.raises(ValueError, match="unknown method"):
         free_cumulant(matrix_ctx, Partition.full(2), gens(matrix_ctx, 2), method="guess")
+
+
+def test_a_disagreeing_recursion_fails_the_cross_check(monkeypatch):
+    # the Moebius routes never call _cumulant_recursive, so a fault there
+    # shows up as a disagreement rendered by the tensor context
+    ctx = TensorContext(TensorModel.random(points=2, seed=12))
+    args = [ctx.simple(("a",), (F(1), F(2))), ctx.simple(("a", "a"), (F(-1), F(1, 3))),
+            ctx.simple(("a",), (F(2), F(0)))]
+    part, pair = Partition.full(3), NestedPair(parse_partition("{1,3}{2}"), Partition.full(3))
+    right = engine._cumulant_recursive
+    monkeypatch.setattr(engine, "_cumulant_recursive",
+                        lambda ctx, *rest: ctx.add(right(ctx, *rest), ctx.unit()))
+    reference = free_cumulant(ctx, part, args, Level.PSI, method="moebius")
+    with pytest.raises(RuntimeError, match="cumulant cross-check failed") as failed:
+        free_cumulant(ctx, part, args, Level.PSI, cross_check=True)
+    wrong = ctx.add(reference, ctx.unit())
+    assert str(failed.value).endswith(f"{ctx.describe(reference)} vs {ctx.describe(wrong)}")
+    reference = nested_semicumulant(ctx, pair, args, method="moebius")
+    with pytest.raises(RuntimeError, match="nested cross-check failed") as failed:
+        nested_semicumulant(ctx, pair, args, cross_check=True)
+    recursion = nested_semicumulant(ctx, pair, args, method="recursion")
+    assert recursion != reference
+    assert str(failed.value).endswith(f"{ctx.describe(reference)} vs {ctx.describe(recursion)}")
 
 
 def test_terminal_interval_block_multiplies_from_the_right(matrix_ctx):

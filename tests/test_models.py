@@ -422,6 +422,10 @@ def model_zoo():
              for g in word.model.scalars.families[f]]
     wbs = [word.embed_b(Matrix([[F(1), F(-1)], [F(2), F(0)]]))]
 
+    scalar = ScalarFreeContext(ScalarFreeSpec.random({"a": ("a1", "a2"), "b": ("b1",)}, seed=17))
+    sgens = [scalar.gen(g) for g in ("a1", "a2", "b1")]
+    sbs = [scalar.embed_scalar(F(-3, 2))]  # B = C: the scalars
+
     tensor = TensorContext(TensorModel.random(points=2, max_order=8, seed=17))
     tgens = [tensor.simple(("a",), (F(1), F(2))), tensor.simple(("a", "a"), (F(0), F(1)))]
     tbs = [tensor.simple((), (F(2), F(3)))]
@@ -434,6 +438,7 @@ def model_zoo():
     return [
         ("matrix", matrix, mgens, mbs),
         ("word", word, wgens, wbs),
+        ("scalar-free", scalar, sgens, sbs),
         ("tensor", tensor, tgens, tbs),
         ("classical", classical, cgens, cbs),
     ]
