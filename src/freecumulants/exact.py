@@ -18,14 +18,15 @@ set guard bit afterwards is an exponent overflow, reported as a
 field.  Packed ints sort like their exponent tuples.  Coefficients are
 integer numerators over one positive denominator per polynomial, kept in
 lowest terms; ``Fraction`` values appear only at the boundary
-(``items``, ``constant_value``, ``to_data``, ``str``).
+(``items``, ``constant_value``, ``to_data``, ``str``).  A
+``LinearCombination`` of basis keys is stored the same way, and each of
+its operations sums integers over one denominator (``_accumulate``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
 from .errors import CapacityError, DimensionMismatchError
@@ -41,7 +42,10 @@ def as_fraction(value: int | str | Fraction) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
@@ -83,8 +87,6 @@ class PolyRing:
     def const(self, c: Scalar) -> Poly:
         if not isinstance(c, (int, Fraction)):
             c = as_fraction(c)
-        if c == 0:
-            return _make(self, {}, 1)
         return _make(self, {0: c.numerator}, c.denominator)
 
     def var(self, name: str) -> Poly:
@@ -142,23 +144,14 @@ class Poly:
     __slots__ = ("ring", "terms", "den", "_hash")
 
     def __init__(self, ring: PolyRing, terms: dict[tuple[int, ...], Scalar]):
-        coeffs = {ring.pack(m): as_fraction(c) for m, c in terms.items()}
-        den = lcm(*(c.denominator for c in coeffs.values()))
         self.ring = ring
-        self.terms = {m: c.numerator * (den // c.denominator) for m, c in coeffs.items() if c}
-        self.den = den if self.terms else 1
+        _in_lowest_terms(self, *_accumulate(
+            [(*as_fraction(c).as_integer_ratio(), {ring.pack(m): 1}, None) for m, c in terms.items()]))
 
     @staticmethod
     def from_numerators(ring: PolyRing, terms: dict[int, int], den: int) -> Poly:
         """The polynomial sum(terms[m] * m) / den over packed monomials, with
         zero numerators dropped and the fraction reduced; ``den`` > 0."""
-        if 0 in terms.values():
-            terms = {m: c for m, c in terms.items() if c}
-        if den != 1:
-            g = gcd(den, *terms.values())
-            if g != 1:
-                den //= g
-                terms = {m: c // g for m, c in terms.items()}
         return _make(ring, terms, den)
 
     def _coerce(self, other) -> Poly | None:
@@ -198,10 +191,7 @@ class Poly:
             return _sum_of_products(((self, other),))
         if isinstance(other, (int, Fraction)):
             num = other.numerator
-            if not num:
-                return _make(self.ring, {}, 1)
-            return Poly.from_numerators(self.ring, {m: c * num for m, c in self.terms.items()},
-                                        self.den * other.denominator)
+            return _make(self.ring, {m: c * num for m, c in self.terms.items()}, self.den * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -282,11 +272,24 @@ class Poly:
     __repr__ = __str__
 
 
+def _in_lowest_terms(obj, terms: dict, den: int):
+    """``obj`` given the numerators ``terms`` over ``den`` > 0 in lowest terms."""
+    if 0 in terms.values():
+        terms = {k: c for k, c in terms.items() if c}
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            terms = {k: c // g for k, c in terms.items()}
+    obj.terms, obj.den = terms, den
+    return obj
+
+
 def _make(ring: PolyRing, terms: dict[int, int], den: int) -> Poly:
-    """A Poly from fields already in canonical form."""
+    """The Poly of numerators ``terms`` over ``den`` > 0, in canonical form."""
     p = object.__new__(Poly)
-    p.ring, p.terms, p.den = ring, terms, den
-    return p
+    p.ring = ring
+    return _in_lowest_terms(p, terms, den)
 
 
 def _sum_of_products(pairs) -> Poly:
@@ -313,7 +316,7 @@ def _sum_of_products(pairs) -> Poly:
                     out[m] += c1 * c2
                 else:
                     out[m] = c1 * c2
-    return Poly.from_numerators(ring, out, den)
+    return _make(ring, out, den)
 
 
 def _combine(a: Poly, b: Poly, sign: int) -> Poly:
@@ -331,33 +334,51 @@ def _combine(a: Poly, b: Poly, sign: int) -> Poly:
             out[m] += c * fb
         else:
             out[m] = c * fb
-    return Poly.from_numerators(a.ring, out, den)
+    return _make(a.ring, out, den)
 
 
-class LinearCombination(dict):
-    """A dict from basis keys to nonzero ``Fraction`` coefficients; it
-    equals any mapping with the same items.  Nothing changes one after it
-    is built, so its hash is computed on first use and kept."""
+def _accumulate(parts) -> tuple[dict, int]:
+    """The sum over the sequence of parts (num, den, terms, key_map) of num /
+    den times the numerator dict ``terms``, its keys sent through ``key_map``
+    (``None`` keeps them; a key mapped to ``None`` drops), over one den."""
+    den = lcm(*(part[1] for part in parts))
+    out: dict = {}
+    get = out.get
+    for num, d, terms, key_map in parts:
+        f = num * (den // d)
+        for k, c in zip(terms if key_map is None else map(key_map, terms), terms.values()):
+            if k is not None:
+                out[k] = get(k, 0) + f * c
+    return out, den
 
-    __slots__ = ("_hash",)
+
+class LinearCombination:
+    """A sum of basis keys with rational coefficients, stored like a Poly:
+    ``terms`` maps each key to its nonzero integer numerator over ``den`` > 0,
+    in lowest terms; ``items()`` gives ``Fraction`` coefficients.  Nothing
+    changes one after it is built, so its hash is kept on first use."""
+
+    __slots__ = ("terms", "den", "_hash")
+
+    def __init__(self, terms: dict, den: int = 1):
+        _in_lowest_terms(self, terms, den)
 
     @classmethod
     def collect(cls, terms) -> LinearCombination:
-        """The sum of the (key, coefficient) pairs ``terms``, whose keys may
-        repeat, with zero coefficients dropped.  A key's first coefficient
-        starts its sum, so no ``Fraction(0)`` is built per term."""
-        out: dict = {}
-        get = out.get
-        for k, c in terms:
-            a = get(k)
-            out[k] = c if a is None else a + c
-        return cls(filter(itemgetter(1), out.items()))
+        """The sum of the (key, rational) pairs ``terms``, whose keys may repeat."""
+        return cls(*_accumulate([(c.numerator, c.denominator, {k: 1}, None) for k, c in terms]))
+
+    def items(self) -> list[tuple[object, Fraction]]:
+        return [(k, Fraction(c, self.den)) for k, c in self.terms.items()]
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, LinearCombination) and self.den == other.den and self.terms == other.terms
 
     def __hash__(self) -> int:
         try:
             return self._hash
         except AttributeError:
-            self._hash = hash(frozenset(self.items()))
+            self._hash = hash((self.den, frozenset(self.terms.items())))
             return self._hash
 
 

@@ -27,12 +27,12 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from math import lcm, prod
 from operator import getitem
 
 from .errors import CapacityError, DimensionMismatchError
-from .exact import MAX_EXPONENT, LinearCombination, Matrix, Poly, PolyRing, as_fraction
+from .exact import MAX_EXPONENT, LinearCombination, Matrix, Poly, PolyRing, _accumulate, as_fraction
 from .partitions import LatticeKind, first_blocks
 
 DEFAULT_MAX_ORDER = 8
@@ -142,16 +142,19 @@ class LinearCombinationContext(ProbabilityContext):
         raise NotImplementedError
 
     def mul(self, x, y):
-        key_product = self.key_product
-        return LinearCombination.collect((k, c1 * c2) for k1, c1 in x.items() for k2, c2 in y.items()
-                                         if (k := key_product(k1, k2)) is not None)
+        key_product, den = self.key_product, x.den * y.den
+        return LinearCombination(*_accumulate([(c, den, y.terms, partial(key_product, k))
+                                               for k, c in x.terms.items()]))
 
     def add(self, x, y):
-        return LinearCombination.collect(itertools.chain(x.items(), y.items()))
+        return self.sum((x, y))
 
     def scale(self, c, x):
         c = as_fraction(c)
-        return LinearCombination.collect((k, c * v) for k, v in x.items())
+        return LinearCombination(*_accumulate(((c.numerator, c.denominator * x.den, x.terms, None),)))
+
+    def sum(self, xs):
+        return LinearCombination(*_accumulate([(1, x.den, x.terms, None) for x in xs]))
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +459,11 @@ class ScalarFreeSpec:
                     raise ValueError(f"generator {g!r} appears in two families")
                 self.family_of[g] = f
         self.cumulants = {tuple(w): as_fraction(c) for w, c in cumulants.items()}
+        for word in self.cumulants:
+            fams = {self.family_of.get(g) for g in word}
+            if len(word) > self.max_order or len(fams) != 1 or None in fams:
+                raise ValueError(f"cumulant word {' '.join(word)!r} is not a word of one family's "
+                                 f"generators of length 1..{self.max_order}")
         for f, gens in self.families.items():
             for k in range(1, self.max_order + 1):
                 for word in itertools.product(gens, repeat=k):
@@ -565,29 +573,28 @@ class ScalarFreeContext(LinearCombinationContext):
     def gen(self, name: str) -> LinearCombination:
         if name not in self.spec.family_of:
             raise ValueError(f"unknown generator {name!r}")
-        return LinearCombination({(name,): Fraction(1)})
+        return LinearCombination({(name,): 1})
 
     def unit(self):
-        return LinearCombination({(): Fraction(1)})
+        return LinearCombination({(): 1})
 
     def key_product(self, w1, w2):
         return w1 + w2
 
     def phi_scalar(self, x):
-        return sum((c * free_moment(self.spec, w) for w, c in x.items()), Fraction(0))
+        total, den = _accumulate([(*free_moment(self.spec, w).as_integer_ratio(), {(): c}, None)
+                                  for w, c in x.terms.items()])
+        return Fraction(total.get((), 0), den * x.den)
 
     psi = ProbabilityContext.phi
 
     def in_c(self, x):
-        return set(x) <= {()}
+        return set(x.terms) <= {()}
 
     in_b = in_c
 
     def describe(self, x) -> str:
-        if not x:
-            return "0"
-        parts = [f"{c}*{'.'.join(w) or '1'}" for w, c in sorted(x.items())]
-        return " + ".join(parts)
+        return " + ".join(f"{c}*{'.'.join(w) or '1'}" for w, c in sorted(x.items())) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -644,14 +651,14 @@ class WordContext(LinearCombinationContext):
         self.d = model.d
 
     def unit(self):
-        return LinearCombination({((), ((i, i),)): Fraction(1) for i in range(self.d)})
+        return LinearCombination(dict.fromkeys((((), ((i, i),)) for i in range(self.d)), 1))
 
     def gen(self, name: str):
         """The family element X_name = sum_{i,j} E_ii X E_jj."""
         if name not in self.model.scalars.family_of:
             raise ValueError(f"unknown generator {name!r}")
-        return LinearCombination.fromkeys((((name,), ((i, i), (j, j))) for i in range(self.d)
-                                           for j in range(self.d)), Fraction(1))
+        return LinearCombination(dict.fromkeys((((name,), ((i, i), (j, j))) for i in range(self.d)
+                                                for j in range(self.d)), 1))
 
     def embed_b(self, m: Matrix):
         if m.dimension != self.d:
@@ -666,9 +673,9 @@ class WordContext(LinearCombinationContext):
             return None
         return (g1 + g2, u1[:-1] + ((a, d),) + u2[1:])
 
-    def _trace(self, b) -> Fraction:
-        """Normalized trace of an element of B."""
-        return sum((c for (_, ((i, j),)), c in b.items() if i == j), Fraction(0)) / self.d
+    def _trace(self, b) -> tuple[int, int]:
+        """Normalized trace of an element of B, as (numerator, denominator)."""
+        return sum(c for (_, ((i, j),)), c in b.terms.items() if i == j), b.den * self.d
 
     def _psi_word(self, gens, units) -> tuple:
         """psi of the basis word E_{u0} X_{g1} E_{u1} ... X_{gk} E_{uk}, and its
@@ -681,51 +688,43 @@ class WordContext(LinearCombinationContext):
         key = (gens, units)
         if not gens:
             ((i, j),) = units
-            return {key: Fraction(1)}, Fraction(int(i == j), self.d)
+            return LinearCombination({key: 1}), (int(i == j), self.d)
         memo = self.model._psi_cache
         entry = memo.get(key)
         if entry is not None:
             return entry
-        head, terms = ((), units[:1]), []
+        fuse, parts = partial(self.key_product, ((), units[:1])), []
         for block in first_blocks(0, len(gens)):
-            scalar = self.model.scalars.cumulant(tuple(gens[a] for a in block))
+            num, den = self.model.scalars.cumulant(tuple(gens[a] for a in block)).as_integer_ratio()
             for a, b in zip(block, block[1:]):
-                if not scalar:
+                if not num:
                     break
-                scalar *= self._psi_word(gens[a + 1 : b], units[a + 1 : b + 1])[1]
-            if scalar:
-                t = block[-1] + 1
-                terms += ((fused, scalar * c) for k, c in self._psi_word(gens[t:], units[t:])[0].items()
-                          if (fused := self.key_product(head, k)) is not None)
-        out = LinearCombination.collect(terms)
+                t_num, t_den = self._psi_word(gens[a + 1 : b], units[a + 1 : b + 1])[1]
+                num, den = num * t_num, den * t_den
+            if num:
+                tail = self._psi_word(gens[block[-1] + 1 :], units[block[-1] + 1 :])[0]
+                parts.append((num, den * tail.den, tail.terms, fuse))
+        out = LinearCombination(*_accumulate(parts))
         _keep(memo, key, (out, self._trace(out)))
         return memo[key]
 
     def psi(self, x):
-        return LinearCombination.collect((key, c * v) for (gens, units), c in x.items()
-                                         for key, v in self._psi_word(gens, units)[0].items())
+        words = [(c, self._psi_word(*k)[0]) for k, c in x.terms.items()]
+        return LinearCombination(*_accumulate([(c, x.den * p.den, p.terms, None) for c, p in words]))
 
     def phi_scalar(self, x):
-        return self._trace(self.psi(x))
+        return Fraction(*self._trace(self.psi(x)))
 
     def in_b(self, x):
-        return all(not gens for gens, _ in x)
+        return all(not gens for gens, _ in x.terms)
 
     def in_c(self, x):
         return x == self.phi(x)
 
     def describe(self, x) -> str:
-        if not x:
-            return "0"
-        parts = []
-        for (gens, units), c in sorted(x.items()):
-            word = []
-            for k, u in enumerate(units):
-                word.append(f"E{u[0]}{u[1]}")
-                if k < len(gens):
-                    word.append(gens[k])
-            parts.append(f"{c}*" + ".".join(word))
-        return " + ".join(parts)
+        words = (f"{c}*E{u[0][0]}{u[0][1]}" + "".join(f".{g}.E{i}{j}" for g, (i, j) in zip(gens, u[1:]))
+                 for (gens, u), c in sorted(x.items()))
+        return " + ".join(words) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -789,7 +788,7 @@ class TensorContext(LinearCombinationContext):
         self.points = model.points
 
     def unit(self):
-        return LinearCombination({((), k): Fraction(1) for k in range(self.points)})
+        return LinearCombination(dict.fromkeys((((), k) for k in range(self.points)), 1))
 
     def simple(self, word: tuple[str, ...], vec) -> LinearCombination:
         """The simple tensor word (x) vec."""
@@ -800,27 +799,23 @@ class TensorContext(LinearCombinationContext):
         return (w1 + w2, p1) if p1 == p2 else None
 
     def _vector(self, x, word=()) -> tuple[Fraction, ...]:
-        return tuple(x.get((word, k), Fraction(0)) for k in range(self.points))
+        return tuple(Fraction(x.terms.get((word, k), 0), x.den) for k in range(self.points))
 
     def psi(self, x):
         """Integrate out the word factor: sum of free moments times vectors."""
-        return LinearCombination.collect((((), k), free_moment(self.model.scalars, w) * c)
-                                         for (w, k), c in x.items())
+        moments = [(free_moment(self.model.scalars, w), k, c) for (w, k), c in x.terms.items()]
+        return LinearCombination(*_accumulate([(m.numerator, m.denominator * x.den, {((), k): c}, None)
+                                               for m, k, c in moments]))
 
     def phi_scalar(self, x):
         return self.model.state(self._vector(self.psi(x)))
 
     def in_b(self, x):
-        return all(not w for w, _ in x)
+        return all(not w for w, _ in x.terms)
 
     def in_c(self, x):
         return self.in_b(x) and len(set(self._vector(x))) == 1
 
     def describe(self, x) -> str:
-        if not x:
-            return "0"
-        parts = [
-            f"{'.'.join(w) or '1'}(x)({', '.join(str(a) for a in self._vector(x, w))})"
-            for w in sorted({w for w, _ in x})
-        ]
-        return " + ".join(parts)
+        return " + ".join(f"{'.'.join(w) or '1'}(x)({', '.join(str(a) for a in self._vector(x, w))})"
+                          for w in sorted({w for w, _ in x.terms})) or "0"

@@ -28,6 +28,9 @@ from freecumulants.partitions import LatticeKind, Partition, enumerate_partition
 ONE_FAMILY, NO_FAMILY = ('{"max_order": 4, "families": [{"name": "a", "generators": ["a1"], "cumulants": '
                          '{"a1": "1", "a1 a1": "1/2", "a1 a1 a1": "-1/3", "a1 a1 a1 a1": "0"}}]}',
                          '{"max_order": 4, "families": []}')
+# the documented two-family scalar spec with a zero denominator in one cumulant
+ZERO_DENOMINATOR = (Path(__file__).parent.parent / "docs" / "scalar_model.json").read_text().replace(
+    '"a1": "1"', '"a1": "1/0"')
 
 
 def strip_wall(d):
@@ -49,6 +52,14 @@ def test_default_reports_keep_their_fingerprint(default_reports):
     rows = [strip_wall(report.to_json()) for report in default_reports.values()]
     digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
     assert digest == "c5733a835fc48ad29eaa6023cb40a0f38bdb83e71ba33395839815eac2527522"
+
+
+def test_holdout_reports_keep_their_fingerprint():
+    # the same digest of check-all --seed 1312, the holdout seed, which no
+    # default run draws with
+    rows = [strip_wall(fn(seed=1312).to_json()) for fn in ALL_CHECKS.values()]
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == "b333e09770a3ca1f439c4f509d88f77313ad7809860ae23ea60985719aebb02e"
 
 
 def test_reports_serialize_with_fixed_fields(default_reports):
@@ -312,6 +323,20 @@ def test_free_checks_refuse_a_model_with_fewer_than_two_families(tmp_path, capsy
             path.write_text(json.dumps(report))
             assert main(["check", "--replay", str(path)]) == 2
             assert capsys.readouterr() == ("", f"error: cannot replay {path}: {why}\n")
+
+
+@pytest.mark.parametrize("word, value", [("a1 zz", "1"), ("a1 b1", "5"), ("a1 a1 a1 a1 a1", "2")],
+                         ids=["unknown-generator", "mixed-families", "beyond-max-order"])
+def test_a_stray_cumulant_word_exits_2(tmp_path, capsys, word, value):
+    # a listed cumulant the model cannot hold is refused, not dropped, so
+    # the report's params.model stays the file the user gave
+    spec = json.loads((Path(__file__).parent.parent / "docs" / "scalar_model.json").read_text())
+    spec["families"][0]["cumulants"][word] = value
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(spec))
+    assert main(["check", "freeness", "--n", "2", "--spec", str(path)]) == 2
+    why = f"cumulant word {word!r} is not a word of one family's generators of length 1..4"
+    assert capsys.readouterr() == ("", f"error: freeness: {why}\n")
 
 
 def test_cli_huge_order_fails_before_drawing_arguments(capsys):
@@ -645,7 +670,7 @@ def test_cli_lattice_commands_survive_fuzzed_input():
 
 REPLAY_CHECKS = ("moebius", "product-formula", "tensor-factorization")
 SPEC_CHECKS = ("freeness", "product-formula", "tensor-factorization")
-WRONG_VALUES = (None, True, -1, 0, 2.5, "x", [], [1], {}, {"x": 1})
+WRONG_VALUES = (None, True, -1, 0, 2.5, "x", "1/0", [], [1], {}, {"x": 1})
 
 
 @functools.lru_cache(maxsize=None)
@@ -705,6 +730,8 @@ def mutated_files(draw):
 @example(case=(["check", "freeness", "--n", "2", "--spec"], NO_FAMILY))
 @example(case=(["check", "product-formula", "--n", "2", "--spec"], ONE_FAMILY))
 @example(case=(["check", "product-formula", "--n", "2", "--spec"], NO_FAMILY))
+@example(case=(["check", "freeness", "--n", "2", "--spec"], ZERO_DENOMINATOR))
+@example(case=(["check", "--replay"], '{"identity": "freeness", "params": {"model": %s}}' % ZERO_DENOMINATOR))
 def _file_cli_exits_cleanly(directory, case):
     argv, text = case
     path = directory / "input.json"

@@ -3,6 +3,7 @@
 import gc
 import itertools
 from fractions import Fraction
+import math
 from math import comb
 
 import pytest
@@ -634,13 +635,65 @@ def lc_element(terms):
 @given(st.dictionaries(st.tuples(st.sampled_from("ab")), st.fractions(-2, 2, max_denominator=2)))
 def test_a_linear_combination_drops_zeros_and_hashes_on_its_items(coeffs):
     x = LinearCombination.collect(coeffs.items())
-    assert x == {k: c for k, c in coeffs.items() if c != 0}
-    assert 0 not in x.values()
+    assert dict(x.items()) == {k: c for k, c in coeffs.items() if c != 0}
+    assert 0 not in x.terms.values()
     y = LinearCombination.collect(reversed(list(coeffs.items())))
     assert hash(x) == hash(y) and {x: 1}[y] == 1
     # repeated keys are summed, and a sum that cancels is dropped
-    assert LinearCombination.collect([*coeffs.items(), *coeffs.items()]) == {k: 2 * c for k, c in x.items()}
-    assert LinearCombination.collect([*coeffs.items(), *((k, -c) for k, c in coeffs.items())]) == {}
+    doubled = LinearCombination.collect([*coeffs.items(), *coeffs.items()])
+    assert dict(doubled.items()) == {k: 2 * c for k, c in x.items()}
+    assert LinearCombination.collect([*coeffs.items(), *((k, -c) for k, c in coeffs.items())]) == LinearCombination({})
+
+
+RING_CONTEXTS = {"scalar-free": LC_CONTEXT, "word": WordContext(FactorizationModel.random(1, seed=12))}
+RING_KEYS = {
+    "scalar-free": st.lists(st.sampled_from(("a1", "a2", "b1")), max_size=2).map(tuple),
+    "word": st.integers(0, 2).flatmap(lambda k: st.tuples(
+        st.just(("x1",) * k),
+        st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=k + 1, max_size=k + 1).map(tuple))),
+}
+SMALL_FRACTIONS = st.fractions(-3, 3, max_denominator=6)
+
+
+def reference_sum(pairs) -> dict:
+    """{key: Fraction} of a sum of (key, coefficient) pairs, zeros dropped."""
+    out: dict = {}
+    for k, c in pairs:
+        out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+@pytest.mark.parametrize("name", sorted(RING_CONTEXTS))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_linear_combinations_obey_the_ring_laws_of_a_fraction_reference(name, data):
+    ctx = RING_CONTEXTS[name]
+    terms = [data.draw(st.lists(st.tuples(RING_KEYS[name], SMALL_FRACTIONS), max_size=4)) for _ in range(3)]
+    c = data.draw(SMALL_FRACTIONS)
+    x, y, z = (LinearCombination.collect(t) for t in terms)
+    rx, ry = reference_sum(terms[0]), reference_sum(terms[1])
+    # each operation equals the plain {key: Fraction} computation
+    assert dict(x.items()) == rx and dict(y.items()) == ry
+    assert dict(ctx.add(x, y).items()) == reference_sum([*rx.items(), *ry.items()])
+    assert dict(ctx.scale(c, x).items()) == reference_sum((k, c * v) for k, v in rx.items())
+    assert dict(ctx.mul(x, y).items()) == reference_sum(
+        (k, a * b) for k1, a in rx.items() for k2, b in ry.items()
+        if (k := ctx.key_product(k1, k2)) is not None)
+    # the ring laws
+    assert ctx.add(ctx.add(x, y), z) == ctx.add(x, ctx.add(y, z))
+    assert ctx.mul(ctx.mul(x, y), z) == ctx.mul(x, ctx.mul(y, z))
+    assert ctx.mul(x, ctx.add(y, z)) == ctx.add(ctx.mul(x, y), ctx.mul(x, z))
+    assert ctx.mul(ctx.add(x, y), z) == ctx.add(ctx.mul(x, z), ctx.mul(y, z))
+    assert ctx.scale(c, ctx.add(x, y)) == ctx.add(ctx.scale(c, x), ctx.scale(c, y))
+    assert ctx.scale(c, ctx.mul(x, y)) == ctx.mul(ctx.scale(c, x), y) == ctx.mul(x, ctx.scale(c, y))
+    xy, yx = ctx.add(x, y), ctx.add(y, x)
+    assert xy == yx and hash(xy) == hash(yx)
+    # equal values built in another order or over another denominator are
+    # the same canonical fields, so they compare and hash alike
+    for again in (LinearCombination.collect(reversed(terms[0])), ctx.scale(Fraction(1, 3), ctx.scale(3, x)),
+                  LinearCombination({k: 6 * n for k, n in x.terms.items()}, 6 * x.den)):
+        assert again == x and hash(again) == hash(x) and {x: 1}[again] == 1
+    assert x.den > 0 and 0 not in x.terms.values() and math.gcd(x.den, *x.terms.values()) == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -649,7 +702,7 @@ def test_sums_in_either_order_share_one_table_entry(x_terms, y_terms):
     ctx = LC_CONTEXT
     x, y = lc_element(x_terms), lc_element(y_terms)
     xy, yx = ctx.add(x, y), ctx.add(y, x)
-    assert type(xy) is LinearCombination and 0 not in xy.values()
+    assert type(xy) is LinearCombination and 0 not in xy.terms.values()
     assert xy == yx and hash(xy) == hash(yx)
     part = parse_partition("{1,2}")
     value = phi_partitioned(ctx, part, [xy, x], Level.PSI)

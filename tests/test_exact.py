@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 from freecumulants import exact
 from freecumulants.errors import CapacityError, DimensionMismatchError
 from freecumulants.exact import MAX_EXPONENT, Matrix, Poly, PolyRing, as_fraction
-from freecumulants.models import ClassicalSpec, MatrixModel, classical_expect
+from freecumulants.engine import Level, free_cumulant
+from freecumulants.models import ClassicalSpec, FactorizationModel, MatrixModel, WordContext, classical_expect
+from freecumulants.partitions import Partition
 
 RING = PolyRing(("u", "v"))
 
@@ -48,6 +50,9 @@ def test_as_fraction_accepts_ints_strings_and_fractions():
     assert as_fraction(3) == Fraction(3)
     assert as_fraction("-7/2") == Fraction(-7, 2)
     assert as_fraction(Fraction(1, 3)) == Fraction(1, 3)
+    # a zero denominator is malformed data, which the command line reports as such
+    with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+        as_fraction("1/0")
 
 
 def test_poly_basics():
@@ -252,3 +257,13 @@ def test_classical_expect_builds_one_fraction():
     f, g = spec.ring.var("f"), spec.ring.var("g")
     p = f * f * g * Fraction(2, 3) + g * g * g * Fraction(-1, 2) + f * 5 + 7
     assert fraction_calls(lambda: classical_expect(spec, p)) == ["__new__"]
+
+
+def test_word_model_kappa_6_builds_few_fractions():
+    # perf gate: word-model elements and traces keep integer numerators, so
+    # this psi-cumulant builds only the Fraction(-1) of each subtraction;
+    # with one Fraction per coefficient it built 74,432
+    ctx = WordContext(FactorizationModel.random(2, 2, 8, 9301))
+    args = [ctx.gen(g) for g in ("x1", "x2", "x1", "x2", "x1", "x2")]
+    calls = fraction_calls(lambda: free_cumulant(ctx, Partition.full(6), args, Level.PSI))
+    assert calls.count("__new__") <= 78

@@ -303,6 +303,17 @@ def nc_sum_psi(ctx: WordContext, gens, units) -> dict:
     return {key: c for key, c in out.items() if c != 0}
 
 
+def basis_word(ctx, gens, units):
+    """E_{u0} X_{g1} E_{u1} ... X_{gk} E_{uk}, a product of the context's
+    own elements: matrix units through embed_b and generators through gen."""
+    def unit(i, j):
+        return ctx.embed_b(Matrix([[F(int((r, c) == (i, j))) for c in range(ctx.d)] for r in range(ctx.d)]))
+    factors = [unit(*units[0])]
+    for g, u in zip(gens, units[1:]):
+        factors += [ctx.gen(g), unit(*u)]
+    return ctx.product(factors)
+
+
 @st.composite
 def basis_words(draw):
     d = draw(st.integers(1, 3))
@@ -318,19 +329,21 @@ def basis_words(draw):
 def test_word_psi_equals_the_sum_over_noncrossing_partitions(seed, word):
     d, gens, units = word
     ctx = WordContext(FactorizationModel.random(2, dimension=d, max_order=6, seed=seed))
-    assert ctx.psi({(gens, units): F(1)}) == nc_sum_psi(ctx, gens, units)
+    assert dict(ctx.psi(basis_word(ctx, gens, units)).items()) == nc_sum_psi(ctx, gens, units)
 
 
 def test_a_word_models_psi_cache_never_exceeds_its_cap(monkeypatch):
     # the model keeps its words' psi across calls and contexts, so it is
     # bounded like a context's table; clearing it changes no value
     word = (("x1", "x2", "x1", "x2"), ((0, 0), (0, 1), (1, 0), (0, 1), (1, 1)))
-    expected = WordContext(FactorizationModel.random(2, dimension=2, seed=5)).psi({word: F(1)})
+    first = WordContext(FactorizationModel.random(2, dimension=2, seed=5))
+    expected = first.psi(basis_word(first, *word))
     monkeypatch.setattr(models, "TABLE_CAP", 5)
     ctx = WordContext(FactorizationModel.random(2, dimension=2, seed=5))
-    assert ctx.psi({word: F(1)}) == expected
+    x = basis_word(ctx, *word)
+    assert ctx.psi(x) == expected
     assert 1 <= len(ctx.model._psi_cache) <= 5
-    assert ctx.psi({word: F(1)}) == expected
+    assert ctx.psi(x) == expected
 
 
 def test_word_psi_of_a_length_6_word_evaluates_at_most_2_to_the_7_cumulants():
@@ -340,7 +353,7 @@ def test_word_psi_of_a_length_6_word_evaluates_at_most_2_to_the_7_cumulants():
     calls = count_cumulant_calls(ctx.model.scalars)
     gens = ("x1", "x2", "x1", "x1", "x2", "x2")
     units = ((0, 0), (1, 1), (0, 0), (0, 0), (1, 1), (1, 1), (0, 0))
-    ctx.psi({(gens, units): F(1)})
+    ctx.psi(basis_word(ctx, gens, units))
     assert 2**5 <= len(calls) <= 2**7
 
 
