@@ -678,13 +678,13 @@ class WordContext(LinearCombinationContext):
         return sum(c for (_, ((i, j),)), c in b.terms.items() if i == j), b.den * self.d
 
     def _psi_word(self, gens, units) -> tuple:
-        """psi of the basis word E_{u0} X_{g1} E_{u1} ... X_{gk} E_{uk}, and its
-        normalized trace, by the first-block recursion (Nica-Speicher, Lecture
-        11): the sum, over the blocks V holding the first generator, of
-        kappa(g_V) times the trace of psi of each gap V swallows, times
-        E_{u0} psi(the word after V), by bimodularity.  The model keeps the
-        words' psi and trace, as the scalar spec keeps its free moments, up
-        to ``TABLE_CAP`` of them."""
+        """psi of the basis word E_{u0} X_{g1} E_{u1} ... X_{gk} E_{uk}, and
+        its normalized trace as ``_trace`` gives it, by the first-block
+        recursion (Nica-Speicher, Lecture 11): the sum, over the blocks V
+        holding the first generator, of kappa(g_V) times the trace of psi of
+        each gap V swallows, times E_{u0} psi(the word after V), by
+        bimodularity.  The model keeps the words' psi and trace, as the scalar
+        spec keeps its free moments, up to ``TABLE_CAP`` of them."""
         key = (gens, units)
         if not gens:
             ((i, j),) = units
