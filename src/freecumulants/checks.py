@@ -144,13 +144,13 @@ def _check(identity: str, bounds, seeds: int | None = None):
     """Register the decorated body as the check ``identity``.
 
     ``bounds(**flags)`` returns the bounds of a fresh run; its parameters,
-    with their defaults, are the flags the check reads, and any other flag
-    but ``seed`` raises ``ValueError``.  A check that draws model data
-    gives ``seeds``, how many consecutive seeds from the base seed it
-    draws with (0: the base seed alone, recorded as ``seed``); it also
-    reads ``max_order`` and ``spec_data``.  A check without ``seeds`` draws
-    nothing and records no seed.  Neither ``max_order`` nor ``dimension``
-    combines with ``spec_data``, because a spec carries its own.
+    with their defaults, are the flags the check reads; other flags but
+    ``seed`` and a negative ``n`` raise ``ValueError``.  A check that draws
+    model data gives ``seeds``, how many consecutive seeds from the base
+    seed it draws with (0: the base seed alone, recorded as ``seed``); it
+    also reads ``max_order`` and ``spec_data``.  A check without ``seeds``
+    draws nothing and records no seed.  Neither ``max_order`` nor
+    ``dimension`` combines with ``spec_data``, because a spec carries its own.
 
     The registered function keeps the public keyword signature and runs
     ``body(suite, fresh, spec_data)``, where ``suite.params`` are the
@@ -168,6 +168,8 @@ def _check(identity: str, bounds, seeds: int | None = None):
             if unread:
                 raise ValueError(f"does not read {', '.join(unread)} "
                                  f"(it reads {', '.join(sorted(reads | {'seed'}))})")
+            if n is not None and n < 0:
+                raise ValueError(f"--n must be nonnegative, got {n}")
             if spec_data is not None:
                 for flag in ("max_order", "dimension"):
                     if flag in given:

@@ -552,15 +552,18 @@ def free_moment(spec: ScalarFreeSpec, word: tuple[str, ...]) -> Fraction:
     cached = spec._moment_cache.get(word)
     if cached is not None:
         return cached
-    total = Fraction(0)
+    num, den = 0, 1  # the sum, kept as integers until it is complete
     for block in first_blocks(0, len(word)):
         value = spec.cumulant(tuple(word[i] for i in block))
+        vn, vd = value.numerator, value.denominator
         for a, b in zip(block, block[1:] + (len(word),)):
-            if not value:
+            if not vn:
                 break
-            value *= free_moment(spec, word[a + 1 : b])
-        total += value
-    spec._moment_cache[word] = total
+            m = free_moment(spec, word[a + 1 : b])
+            vn, vd = vn * m.numerator, vd * m.denominator
+        if vn:
+            num, den = num * vd + vn * den, den * vd
+    total = spec._moment_cache[word] = Fraction(num, den)
     return total
 
 

@@ -21,7 +21,9 @@ from freecumulants.cli import main
 from freecumulants.models import (
     MatrixContext, MatrixModel, ScalarFreeContext, TensorContext, TensorModel, WordContext,
 )
-from freecumulants.partitions import LatticeKind, Partition, enumerate_partitions, format_partition
+from freecumulants.partitions import (
+    LatticeKind, Partition, enumerate_partitions, format_partition, interval_list,
+)
 
 
 # the scalar spec with one of its two free families, and with none
@@ -99,7 +101,7 @@ def test_replay_of_a_witness_evaluates_exactly_one_case(default_reports):
 
 
 def test_a_run_without_cases_fails():
-    for identity, n in (("total-cumulance", -1), ("product-formula", 0)):
+    for identity, n in (("total-cumulance", 0), ("product-formula", 0)):
         report = run_check(identity, n=n)
         assert not report.passed and report.cases == 0, identity
         assert set(report.witness) == {"error"}, identity
@@ -214,10 +216,20 @@ def test_cli_usage_errors_exit_two(capsys):
 
 
 def test_cli_zero_case_runs_fail(capsys):
-    assert main(["check", "total-cumulance", "--n", "-1"]) == 1
+    assert main(["check", "total-cumulance", "--n", "0"]) == 1
     assert capsys.readouterr().out.startswith("FAIL total-cumulance (0 cases")
     assert main(["check", "product-formula", "--n", "0"]) == 1
     assert capsys.readouterr().out.startswith("FAIL product-formula (0 cases")
+
+
+def test_cli_negative_n_exits_two_before_any_case(monkeypatch, capsys):
+    # moebius, kreweras and freeness each passed on their other bounds
+    monkeypatch.setattr(checks._Suite, "record", lambda *args: pytest.fail("a case ran"))
+    for identity, n in (("moebius", "-1"), ("kreweras", "-3"), ("freeness", "-1")):
+        assert main(["check", identity, "--n", n]) == 2, identity
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {identity}: --n must be nonnegative, got {n}\n"
 
 
 def test_cli_replay_of_malformed_params_exits_two(tmp_path, capsys):
@@ -485,6 +497,28 @@ def test_kreweras_computes_each_complement_once(monkeypatch):
     assert run_check("kreweras").passed
     assert 0 < len(calls) <= 626
     assert len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize("identity, name, bound", [
+    # filtering intervals with refines and enumerating NC(n) through all
+    # growth strings, these cold runs made 62,011 and 17,934 refines calls
+    # and 5,575 from_labels calls
+    ("kreweras", "refines", 2387),
+    ("moebius", "refines", 1469),
+    # sum of Catalan(m) for m <= 8 and of Bell(m) for m <= 6
+    ("lattice-counts", "from_labels", 2335),
+])
+def test_partition_order_costs_integer_operations(monkeypatch, identity, name, bound):
+    # perf gate: intervals filter on pair bit sets, and NC(n) is walked
+    # without building a crossing partition
+    interval_list.cache_clear()
+    enumerate_partitions.cache_clear()
+    calls = []
+    fn = getattr(Partition, name)
+    counted = lambda *args: calls.append(1) or fn(*args)
+    monkeypatch.setattr(Partition, name, counted if name == "refines" else staticmethod(counted))
+    assert run_check(identity, seed=2024).passed
+    assert 0 < len(calls) <= bound
 
 
 def _add_unit(ctx, value):

@@ -14,7 +14,7 @@ import math
 import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import freecumulants.partitions
 from freecumulants.errors import (
@@ -137,6 +137,41 @@ def test_noncrossing_enumeration_is_the_noncrossing_slice():
     for n in range(7):
         nc = set(enumerate_partitions(n, NC))
         assert nc == {p for p in enumerate_partitions(n, FULL) if p.is_noncrossing}
+
+
+def test_noncrossing_walk_equals_the_filtered_growth_strings():
+    # the pruned walk keeps the order of filtering every growth string
+    for n in range(10):
+        filtered = tuple(p for p in map(Partition.from_labels, growth_strings(n)) if p.is_noncrossing)
+        assert enumerate_partitions(n, NC) == filtered, n
+
+
+def test_pair_bits_decide_refinement():
+    everything = enumerate_partitions(5, FULL)
+    for p, q in itertools.product(everything, repeat=2):
+        assert (not p._pairs & ~q._pairs) == p.refines(q), (p, q)
+
+
+def refines_filter(pi, sigma, kind):
+    return tuple(t for t in enumerate_partitions(pi.n, kind) if pi.refines(t) and t.refines(sigma))
+
+
+def test_interval_list_is_the_refines_filter():
+    for kind, n_max in ((NC, 6), (FULL, 5)):
+        for n in range(n_max + 1):
+            everything = enumerate_partitions(n, kind)
+            for pi, sigma in itertools.product(everything, repeat=2):
+                if pi.refines(sigma):
+                    assert interval_list(pi, sigma, kind) == refines_filter(pi, sigma, kind)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_interval_list_is_the_refines_filter_on_random_intervals(data):
+    n = data.draw(st.integers(7, 8))
+    pi, tau = (data.draw(st.sampled_from(enumerate_partitions(n, NC))) for _ in range(2))
+    sigma = join(pi, tau, NC)
+    assert interval_list(pi, sigma, NC) == refines_filter(pi, sigma, NC)
 
 
 def test_parse_format_roundtrip_exhaustive():
