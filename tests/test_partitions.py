@@ -134,16 +134,12 @@ def test_noncrossing_flag_matches_four_index_scan():
 
 
 def test_noncrossing_enumeration_is_the_noncrossing_slice():
-    for n in range(7):
-        nc = set(enumerate_partitions(n, NC))
-        assert nc == {p for p in enumerate_partitions(n, FULL) if p.is_noncrossing}
-
-
-def test_noncrossing_walk_equals_the_filtered_growth_strings():
-    # the pruned walk keeps the order of filtering every growth string
+    # both walks keep growth-string order; the noncrossing one is pruned
+    # as it goes, and must equal the filtered full walk
     for n in range(10):
-        filtered = tuple(p for p in map(Partition.from_labels, growth_strings(n)) if p.is_noncrossing)
-        assert enumerate_partitions(n, NC) == filtered, n
+        every = tuple(map(Partition.from_labels, growth_strings(n)))
+        assert enumerate_partitions(n, FULL) == every, n
+        assert enumerate_partitions(n, NC) == tuple(p for p in every if p.is_noncrossing), n
 
 
 def test_pair_bits_decide_refinement():
