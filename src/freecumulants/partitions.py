@@ -322,7 +322,7 @@ def enumerate_partitions(
     if n > MAX_ENUM_N:
         raise CapacityError(f"enumeration over n={n} exceeds the bound MAX_ENUM_N={MAX_ENUM_N}")
     parts = map(Partition.from_labels, _growth_strings(n, kind is LatticeKind.NONCROSSING))
-    return tuple(p for p in parts if p.is_interval or not interval_only)
+    return tuple(p for p in parts if not interval_only or p.is_interval)
 
 
 def meet(pi: Partition, sigma: Partition) -> Partition:
