@@ -4,10 +4,9 @@ Everything in this package computes over the rationals, so ``Fraction``
 is the scalar type and every equality test is exact.  Polynomials live in
 a ring with a fixed, ordered variable universe declared up front; asking
 for a variable outside the universe is an error, which keeps silently
-growing monomial keys from masking model bugs.  Matrices are small dense
-squares; the entries of a product are Polys of one ring, while Fraction
-matrices only carry data (drawn coefficients, psi values before they are
-embedded).
+growing monomial keys from masking model bugs.  A matrix is one flat
+element of M_d(Q) (x) Q[x] over one ring, or of M_d(Q) as data (drawn
+coefficients, spec values).
 
 A polynomial is stored as integers.  Each monomial is packed into one
 int with one byte per variable, variable 0 in the most significant byte:
@@ -20,7 +19,9 @@ integer numerators over one positive denominator per polynomial, kept in
 lowest terms; ``Fraction`` values appear only at the boundary
 (``items``, ``constant_value``, ``to_data``, ``str``).  A
 ``LinearCombination`` of basis keys is stored the same way, and each of
-its operations sums integers over one denominator (``_accumulate``).
+its operations sums integers over one denominator (``_accumulate``).  So
+is a ``Matrix``: one numerator dict for all its entries, keyed by the
+monomial packed above the row and column of its basis element E_ij.
 """
 
 from __future__ import annotations
@@ -187,12 +188,23 @@ class Poly:
         return _combine(o, self, -1)
 
     def __mul__(self, other) -> Poly:
-        if isinstance(other, Poly):
-            return _sum_of_products(((self, other),))
         if isinstance(other, (int, Fraction)):
             num = other.numerator
             return _make(self.ring, {m: c * num for m, c in self.terms.items()}, self.den * other.denominator)
-        return NotImplemented
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        ring, guard, out = self.ring, self.ring.guard, {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in o.terms.items():
+                m = m1 + m2
+                if m & guard:
+                    raise ring.overflow(m)
+                if m in out:
+                    out[m] += c1 * c2
+                else:
+                    out[m] = c1 * c2
+        return _make(ring, out, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -292,33 +304,6 @@ def _make(ring: PolyRing, terms: dict[int, int], den: int) -> Poly:
     return _in_lowest_terms(p, terms, den)
 
 
-def _sum_of_products(pairs) -> Poly:
-    """The sum of a * b over the pairs (a, b) of Polys of one ring, built
-    as one Poly: every product's numerators are scaled to the pairs'
-    common denominator and accumulated in a single dict."""
-    ring = pairs[0][0].ring
-    guard = ring.guard
-    dens = [a.den * b.den for a, b in pairs]
-    den = lcm(*dens)
-    out: dict[int, int] = {}
-    for (a, b), d in zip(pairs, dens):
-        if a.ring is not ring and a.ring != ring or b.ring is not ring and b.ring != ring:
-            raise DimensionMismatchError("polynomials from different rings")
-        f = den // d
-        bt = b.terms
-        for m1, c1 in a.terms.items():
-            c1 *= f
-            for m2, c2 in bt.items():
-                m = m1 + m2
-                if m & guard:
-                    raise ring.overflow(m)
-                if m in out:
-                    out[m] += c1 * c2
-                else:
-                    out[m] = c1 * c2
-    return _make(ring, out, den)
-
-
 def _combine(a: Poly, b: Poly, sign: int) -> Poly:
     """a + sign * b."""
     if a.den == b.den:
@@ -383,26 +368,52 @@ class LinearCombination:
 
 
 class Matrix:
-    """Square matrix of Polys, or of Fractions as data.
+    """Square d x d matrix of Polys of one ring, or of Fractions as data
+    (``ring`` None), stored flat in the basis E_ij (x) monomial: ``terms``
+    maps each packed key ``monomial << 8 | i << 4 | j`` to its nonzero integer
+    numerator over one ``den`` > 0, in lowest terms as for a Poly, so the
+    dimension is at most 16.  A product runs over the left factor's terms and
+    the right factor's row j, grouped once and kept; the keys add, and the
+    guard bits catch an exponent overflow.  ``entries`` rebuilds the rows.
+    Nothing changes a Matrix after it is built."""
 
-    A product takes Polys of one ring in both factors and builds each of its
-    entries as one Poly; sums and scaling take entries of either type.
-    Nothing changes a Matrix after it is built.
-    """
-
-    __slots__ = ("entries",)
+    __slots__ = ("ring", "dimension", "terms", "den", "_rows", "_hash")
 
     def __init__(self, entries: Iterable[Iterable]):
-        rows = tuple(tuple(r) for r in entries)
+        rows = [list(r) for r in entries]
         d = len(rows)
-        for r in rows:
+        if d > 16:
+            raise CapacityError(f"matrix dimension {d} exceeds 16, the most the packed keys hold")
+        self.ring = next((a.ring for r in rows for a in r if isinstance(a, Poly)), None)
+        self.dimension, parts = d, []
+        for i, r in enumerate(rows):
             if len(r) != d:
                 raise DimensionMismatchError(f"row of length {len(r)} in {d}x{d} matrix")
-        self.entries = rows
+            for j, a in enumerate(r):
+                if not isinstance(a, Poly):
+                    a = as_fraction(a)
+                    a = _make(self.ring, {0: a.numerator}, a.denominator)
+                elif a.ring != self.ring:
+                    raise DimensionMismatchError("polynomials from different rings")
+                parts.append((1, a.den, {m << 8 | i << 4 | j: c for m, c in a.terms.items()}, None))
+        _in_lowest_terms(self, *_accumulate(parts))
+
+    @staticmethod
+    def from_numerators(ring: PolyRing | None, d: int, terms: dict[int, int], den: int) -> Matrix:
+        """The d x d matrix of the numerators ``terms`` over ``den`` > 0, keyed
+        as above, with zero numerators dropped and the fraction reduced."""
+        m = object.__new__(Matrix)
+        m.ring, m.dimension = ring, d
+        return _in_lowest_terms(m, terms, den)
 
     @property
-    def dimension(self) -> int:
-        return len(self.entries)
+    def entries(self) -> tuple[tuple, ...]:
+        cells = [[{} for _ in range(self.dimension)] for _ in range(self.dimension)]
+        for k, c in self.terms.items():
+            cells[k >> 4 & 0xF][k & 0xF][k >> 8] = c
+        if self.ring is None:
+            return tuple(tuple(Fraction(t.get(0, 0), self.den) for t in row) for row in cells)
+        return tuple(tuple(_make(self.ring, t, self.den) for t in row) for row in cells)
 
     @staticmethod
     def identity(d: int, one) -> Matrix:
@@ -411,57 +422,65 @@ class Matrix:
 
     def _check(self, other: Matrix) -> None:
         if self.dimension != other.dimension:
-            raise DimensionMismatchError(
-                f"matrices of dimension {self.dimension} and {other.dimension}"
-            )
+            raise DimensionMismatchError(f"matrices of dimension {self.dimension} and {other.dimension}")
+        if self.ring is not other.ring and self.ring != other.ring:
+            raise DimensionMismatchError("matrices over different rings")
+
+    def _by_row(self) -> list[list[tuple[int, int]]]:
+        """The terms grouped by their row i, each key with its row field cleared."""
+        try:
+            return self._rows
+        except AttributeError:
+            rows = self._rows = [[] for _ in range(self.dimension)]
+            for k, c in self.terms.items():
+                rows[k >> 4 & 0xF].append((k & ~0xF0, c))
+            return rows
 
     def __add__(self, other: Matrix) -> Matrix:
         self._check(other)
-        return Matrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ]
-        )
+        return Matrix.from_numerators(self.ring, self.dimension, *_accumulate(
+            ((1, self.den, self.terms, None), (1, other.den, other.terms, None))))
 
     def __sub__(self, other: Matrix) -> Matrix:
-        self._check(other)
-        return Matrix(
-            [
-                [a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ]
-        )
+        return self + other.scale(-1)
 
     def __mul__(self, other):
-        if isinstance(other, Matrix):
-            self._check(other)
-            cols = list(zip(*other.entries))
-            return Matrix([[_sum_of_products(tuple(zip(row, col))) for col in cols]
-                           for row in self.entries])
-        return self.scale(other)
+        if not isinstance(other, Matrix):
+            return self.scale(other)
+        self._check(other)
+        ring, rows, out = self.ring, other._by_row(), {}
+        guard = 0 if ring is None else ring.guard << 8
+        for k1, c1 in self.terms.items():
+            base = k1 & ~0xF
+            for k2, c2 in rows[k1 & 0xF]:
+                k = base + k2
+                if k & guard:
+                    raise ring.overflow(k >> 8)
+                if k in out:
+                    out[k] += c1 * c2
+                else:
+                    out[k] = c1 * c2
+        return Matrix.from_numerators(ring, self.dimension, out, self.den * other.den)
 
-    def __rmul__(self, other) -> Matrix:
-        return self.scale(other)
+    def scale(self, c: Scalar) -> Matrix:
+        if c == 1:
+            return self
+        num = c.numerator
+        return Matrix.from_numerators(self.ring, self.dimension, {k: v * num for k, v in self.terms.items()},
+                                      self.den * c.denominator)
 
-    def scale(self, c) -> Matrix:
-        return self if c == 1 else Matrix([[a * c for a in r] for r in self.entries])
+    __rmul__ = scale
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Matrix) and self.entries == other.entries
+        return (isinstance(other, Matrix) and self.den == other.den and self.terms == other.terms
+                and self.dimension == other.dimension and self.ring == other.ring)
 
     def __hash__(self) -> int:
-        return hash(self.entries)
-
-    def trace(self):
-        acc = self.entries[0][0]
-        for i in range(1, self.dimension):
-            acc = acc + self.entries[i][i]
-        return acc
-
-    def normalized_trace(self):
-        """tr_d = (1/d) * sum of diagonal entries; tr_d(identity) = 1."""
-        return self.trace() * Fraction(1, self.dimension)
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.dimension, self.den, frozenset(self.terms.items())))
+            return self._hash
 
     def __str__(self) -> str:
         return "[" + "; ".join(", ".join(str(a) for a in r) for r in self.entries) + "]"

@@ -41,6 +41,7 @@ DEFAULT_MAX_ORDER = 8
 TABLE_CAP = 4096
 # most words a drawn cumulant table may hold; the default tables hold 1,020
 MAX_CUMULANT_WORDS = 2**16
+_ZERO = Fraction(0)  # the cumulant of every word that mixes families
 
 
 def _keep(table: dict, key, value) -> None:
@@ -92,9 +93,6 @@ class ProbabilityContext:
         return self.embed_scalar(self.phi_scalar(x))
 
     def phi_scalar(self, x) -> Fraction:
-        raise NotImplementedError
-
-    def in_b(self, x) -> bool:
         raise NotImplementedError
 
     def in_c(self, x) -> bool:
@@ -231,42 +229,38 @@ class ClassicalSpec:
         )
 
 
+def _integrate(spec: ClassicalSpec, terms: dict[int, int], kept_mask: int, shift: int = 0) -> dict[int, int]:
+    """The numerators over ``spec.den`` of the expectation of ``terms``: each
+    packed key's ``kept_mask`` bits stay, and the monomial of the rest,
+    shifted right by ``shift``, factors over the moment table."""
+    table, n = spec.table, len(spec.variables)
+    out: dict[int, int] = {}
+    try:
+        for k, c in terms.items():
+            kept = k & kept_mask
+            out[kept] = out.get(kept, 0) + c * prod(map(getitem, table, ((k ^ kept) >> shift).to_bytes(n, "big")))
+    except IndexError:
+        raise _beyond_capacity(spec, [(k & ~kept_mask) >> shift for k in terms]) from None
+    return out
+
+
 def classical_expect(spec: ClassicalSpec, p: Poly) -> Fraction:
     """E[p] for independent variables: factor each monomial over moments."""
-    table, n = spec.table, len(spec.variables)
-    num = 0
-    try:
-        for m, c in p.terms.items():
-            num += c * prod(map(getitem, table, m.to_bytes(n, "big")))
-    except IndexError:
-        raise _beyond_capacity(spec, p.terms, 0) from None
-    return Fraction(num, p.den * spec.den)
+    return Fraction(_integrate(spec, p.terms, 0).get(0, 0), p.den * spec.den)
 
 
 def classical_conditional_expect(spec: ClassicalSpec, p: Poly, keep: frozenset[str]) -> Poly:
     """E[p | keep]: integrate out every variable outside ``keep``."""
-    table, n = spec.table, len(spec.variables)
-    kept_mask = spec.ring.mask(keep)
-    out: dict[int, int] = {}
-    try:
-        for m, c in p.terms.items():
-            kept = m & kept_mask
-            total = out.get(kept, 0) + c * prod(map(getitem, table, (m ^ kept).to_bytes(n, "big")))
-            if total:
-                out[kept] = total
-            else:
-                out.pop(kept, None)
-    except IndexError:
-        raise _beyond_capacity(spec, p.terms, kept_mask) from None
-    return Poly.from_numerators(spec.ring, out, p.den * spec.den)
+    return Poly.from_numerators(spec.ring, _integrate(spec, p.terms, spec.ring.mask(keep)), p.den * spec.den)
 
 
-def _beyond_capacity(spec: ClassicalSpec, terms, kept_mask: int) -> CapacityError:
-    """The error ``spec.moment`` raises for the first integrated exponent
-    beyond ``max_order``, in term order and then variable order."""
+def _beyond_capacity(spec: ClassicalSpec, monomials) -> CapacityError:
+    """The error ``spec.moment`` raises for the first exponent of the
+    integrated ``monomials`` beyond ``max_order``, in their order and then
+    variable order."""
     try:
-        for m in terms:
-            for name, e in zip(spec.variables, spec.ring.exponents(m & ~kept_mask)):
+        for m in monomials:
+            for name, e in zip(spec.variables, spec.ring.exponents(m)):
                 spec.moment(name, e)
     except CapacityError as exc:
         return exc
@@ -285,7 +279,6 @@ class ClassicalContext(ProbabilityContext):
             raise ValueError(f"keep names unknown variables {sorted(unknown)}")
         self.spec = spec
         self.keep = frozenset(keep)
-        self._integrated = ~spec.ring.mask(self.keep)
 
     def unit(self):
         return self.spec.ring.one
@@ -308,9 +301,6 @@ class ClassicalContext(ProbabilityContext):
     def phi_scalar(self, x):
         return classical_expect(self.spec, x)
 
-    def in_b(self, x):
-        return not any(m & self._integrated for m in x.terms)
-
     def in_c(self, x):
         return x.is_constant
 
@@ -319,19 +309,31 @@ class ClassicalContext(ProbabilityContext):
 # matrix model: d x d matrices of independent scalar entries
 
 
+MAX_DIMENSION = 11  # from d = 12 on, the entries (1, 11) and (11, 1) of g would both be g_111
+
+
+def _matrix_dimension(d) -> int:
+    d = int(d)
+    if d < 1:
+        raise ValueError(f"matrix dimension must be at least 1, got {d}")
+    if d > MAX_DIMENSION:
+        raise CapacityError(f"matrix dimension {d} exceeds MAX_DIMENSION={MAX_DIMENSION}, "
+                            f"the largest at which the entry names <generator>_<i><j> stay distinct")
+    return d
+
+
 class MatrixModel:
     """Generators are d x d matrices whose entries are independent variables.
 
     psi takes entrywise (conditional-on-nothing) expectation, landing in
     the constant matrices B = M_d(Q); phi is the normalized trace of psi.
-    The entry variables of generator g are named ``g_ij`` (0-based).
+    The entry variables of generator g are named ``g_ij`` (0-based), and d
+    is at most ``MAX_DIMENSION``, checked before anything is drawn.
     """
 
     def __init__(self, spec: ClassicalSpec, dimension: int, generator_names: tuple[str, ...]):
         self.spec = spec
-        self.d = int(dimension)
-        if self.d < 1:
-            raise ValueError(f"matrix dimension must be at least 1, got {self.d}")
+        self.d = _matrix_dimension(dimension)
         self.generator_names = tuple(generator_names)
         self.ring = spec.ring
         self.generators: dict[str, Matrix] = {}
@@ -351,7 +353,8 @@ class MatrixModel:
         seed: int = 0,
     ) -> MatrixModel:
         names = tuple(f"g{k}" for k in range(1, generator_count + 1))
-        variables = [f"{g}_{i}{j}" for g in names for i in range(dimension) for j in range(dimension)]
+        d = _matrix_dimension(dimension)
+        variables = [f"{g}_{i}{j}" for g in names for i in range(d) for j in range(d)]
         spec = ClassicalSpec.random(variables, max_order, seed)
         return cls(spec, dimension, names)
 
@@ -370,10 +373,10 @@ class MatrixModel:
                 raise AssertionError("psi is not bimodular")
 
     def embed_b(self, m: Matrix) -> Matrix:
-        """Constant rational matrix, entered into the polynomial algebra."""
-        if m.dimension != self.d:
-            raise DimensionMismatchError(f"expected {self.d}x{self.d} matrix")
-        return Matrix([[self.ring.const(a) for a in row] for row in m.entries])
+        """Rational data matrix, entered into the polynomial algebra."""
+        if m.dimension != self.d or m.ring is not None:
+            raise DimensionMismatchError(f"expected a rational {self.d}x{self.d} matrix")
+        return Matrix.from_numerators(self.ring, self.d, m.terms, m.den)
 
     def to_data(self) -> dict:
         data = self.spec.to_data()
@@ -387,15 +390,16 @@ class MatrixModel:
 
 
 def matrix_psi(model: MatrixModel, x: Matrix) -> Matrix:
-    """Entrywise expectation, a constant matrix in B = M_d(Q)."""
-    return Matrix(
-        [[classical_expect(model.spec, a) for a in row] for row in x.entries]
-    )
+    """Entrywise expectation, psi = id (x) E: one pass over the packed keys,
+    landing on their monomial-0 keys, the constant matrices B = M_d(Q)."""
+    return Matrix.from_numerators(model.ring, model.d, _integrate(model.spec, x.terms, 0xFF, 8),
+                                  x.den * model.spec.den)
 
 
 def matrix_phi(model: MatrixModel, x: Matrix) -> Fraction:
-    """Normalized trace after entrywise expectation."""
-    return matrix_psi(model, x).normalized_trace()
+    """Normalized trace of psi, read off its diagonal keys i << 4 | i."""
+    p = matrix_psi(model, x)
+    return Fraction(sum(p.terms.get(i << 4 | i, 0) for i in range(model.d)), p.den * model.d)
 
 
 class MatrixContext(ProbabilityContext):
@@ -403,7 +407,7 @@ class MatrixContext(ProbabilityContext):
         self.model = model
 
     def unit(self):
-        return Matrix.identity(self.model.d, self.model.ring.one)
+        return self.embed_scalar(1)
 
     def mul(self, x, y):
         return x * y
@@ -414,20 +418,23 @@ class MatrixContext(ProbabilityContext):
     def scale(self, c, x):
         return x.scale(as_fraction(c))
 
+    def sum(self, xs):
+        return Matrix.from_numerators(self.model.ring, self.model.d,
+                                      *_accumulate([(1, x.den, x.terms, None) for x in xs]))
+
     def psi(self, x):
-        return self.model.embed_b(matrix_psi(self.model, x))
+        return matrix_psi(self.model, x)
 
     def embed_scalar(self, c):
-        return Matrix.identity(self.model.d, self.model.ring.const(c))
+        c = as_fraction(c)
+        return Matrix.from_numerators(self.model.ring, self.model.d,
+                                      {i << 4 | i: c.numerator for i in range(self.model.d)}, c.denominator)
 
     def phi_scalar(self, x):
         return matrix_phi(self.model, x)
 
-    def in_b(self, x):
-        return all(a.is_constant for row in x.entries for a in row)
-
     def in_c(self, x):
-        return self.in_b(x) and x == self.phi(x)
+        return x == self.phi(x)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +506,7 @@ class ScalarFreeSpec:
             )
         fams = {self.family_of[g] for g in word}
         if len(fams) > 1:
-            return Fraction(0)
+            return _ZERO
         return self.cumulants[word]
 
     def to_data(self) -> dict:
@@ -593,8 +600,6 @@ class ScalarFreeContext(LinearCombinationContext):
 
     def in_c(self, x):
         return set(x.terms) <= {()}
-
-    in_b = in_c
 
     def describe(self, x) -> str:
         return " + ".join(f"{c}*{'.'.join(w) or '1'}" for w, c in sorted(x.items())) or "0"
@@ -718,9 +723,6 @@ class WordContext(LinearCombinationContext):
     def phi_scalar(self, x):
         return Fraction(*self._trace(self.psi(x)))
 
-    def in_b(self, x):
-        return all(not gens for gens, _ in x.terms)
-
     def in_c(self, x):
         return x == self.phi(x)
 
@@ -813,11 +815,8 @@ class TensorContext(LinearCombinationContext):
     def phi_scalar(self, x):
         return self.model.state(self._vector(self.psi(x)))
 
-    def in_b(self, x):
-        return all(not w for w, _ in x.terms)
-
     def in_c(self, x):
-        return self.in_b(x) and len(set(self._vector(x))) == 1
+        return all(not w for w, _ in x.terms) and len(set(self._vector(x))) == 1
 
     def describe(self, x) -> str:
         return " + ".join(f"{'.'.join(w) or '1'}(x)({', '.join(str(a) for a in self._vector(x, w))})"

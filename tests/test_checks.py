@@ -4,6 +4,7 @@ import contextlib
 import copy
 import functools
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -18,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 from freecumulants import checks, engine
 from freecumulants.checks import ALL_CHECKS, replay_report, run_check
 from freecumulants.cli import main
+from freecumulants.errors import CapacityError
 from freecumulants.models import (
     MatrixContext, MatrixModel, ScalarFreeContext, TensorContext, TensorModel, WordContext,
 )
@@ -364,6 +366,33 @@ def test_cli_huge_order_fails_before_drawing_arguments(capsys):
         assert f"setup: {needs} exceeds max_order=8" in capsys.readouterr().out
 
 
+def test_cli_matrix_dimension_beyond_the_bound_fails_before_drawing(tmp_path, capsys):
+    # from d = 12 on, the entry names g_ij collide ((1, 11) and (11, 1) are
+    # both g_111), so a fresh run, a spec and a replay all stop at the bound
+    why = "matrix dimension 12 exceeds MAX_DIMENSION=11"
+    t0 = time.perf_counter()
+    assert main(["check", "moment-cumulant", "--n", "2", "--dim", "12"]) == 1
+    assert time.perf_counter() - t0 < 2
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL moment-cumulant (0 cases") and f"setup: {why}" in out
+    spec = MatrixModel.random(1, 2, 8, 0).to_data()
+    spec["dimension"] = 12
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(spec))
+    assert main(["check", "moment-cumulant", "--n", "2", "--spec", str(path)]) == 1
+    assert f"setup: {why}" in capsys.readouterr().out
+    report = run_check("moment-cumulant", n=2).to_json()
+    for row in report["params"]["models"]:
+        row["model"]["dimension"] = 12
+    path.write_text(json.dumps(report))
+    assert main(["check", "--replay", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot replay {path}: {why}, the largest at which "
+                                       f"the entry names <generator>_<i><j> stay distinct\n")
+    with pytest.raises(CapacityError, match=why):
+        MatrixModel.random(1, 12, 2, 0)
+    assert MatrixModel.random(1, 11, 2, 0).d == 11
+
+
 def test_cli_tensor_order_of_two_letter_arguments_fails_before_drawing(capsys):
     # an argument has one or two letters, so a nested moment reaches order 2*n_max
     t0 = time.perf_counter()
@@ -590,6 +619,27 @@ def test_every_name_the_layer_tracer_wraps_resolves():
                           timeout=120)
     assert done.returncode == 0, done.stderr
     assert int(done.stdout) > 0
+
+
+def test_every_name_the_layer_tracer_wraps_is_defined(monkeypatch):
+    # read only: the tracer's tables are resolved with getattr and nothing is
+    # installed (nor a bytecode cache written), so a name the library drops
+    # fails here, not in a traced run
+    import freecumulants as fc
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+    spec = importlib.util.spec_from_file_location("layertrace_names", path)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    names = [(getattr(fc, layer), name) for table in (layertrace.COUNTED_FUNCTIONS, layertrace.TIMED_FUNCTIONS)
+             for layer, functions in table.items() for name in functions]
+    names += [(getattr(fc, cls), name) for _, cls, methods, _ in layertrace.METHODS for name in methods]
+    names += [(getattr(fc, cls), name) for cls in layertrace.CONTEXTS
+              for name in layertrace.CONTEXT_COUNTED + layertrace.CONTEXT_UNCOUNTED]
+    missing = [f"{getattr(owner, '__name__', owner)}.{name}" for owner, name in names
+               if not callable(getattr(owner, name, None))]
+    assert missing == []
+    assert {"matrix_psi", "matrix_phi"} <= set(layertrace.TIMED_FUNCTIONS["models"])
 
 
 def test_cli_moebius_beyond_the_enumeration_bound_exits_two(capsys):

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import operator
 import sys
 from fractions import Fraction
 
@@ -12,7 +13,8 @@ from freecumulants import exact
 from freecumulants.errors import CapacityError, DimensionMismatchError
 from freecumulants.exact import MAX_EXPONENT, Matrix, Poly, PolyRing, as_fraction
 from freecumulants.engine import Level, free_cumulant
-from freecumulants.models import ClassicalSpec, FactorizationModel, MatrixModel, WordContext, classical_expect
+from freecumulants.models import (ClassicalSpec, FactorizationModel, MatrixContext, MatrixModel, WordContext,
+                                  classical_expect, matrix_phi)
 from freecumulants.partitions import Partition
 
 RING = PolyRing(("u", "v"))
@@ -39,6 +41,11 @@ def polys(draw):
             term = term * RING.var("v")
         p = p + term
     return p
+
+
+def trace(m: Matrix):
+    """The sum of the diagonal entries."""
+    return sum((m.entries[i][i] for i in range(1, m.dimension)), m.entries[0][0])
 
 
 @st.composite
@@ -110,7 +117,7 @@ def test_matrix_ring_laws(a, b, c):
     assert a + b == b + a
     assert a * (b + c) == a * b + a * c
     assert (a * b) * c == a * (b * c)
-    assert (a * b).trace() == (b * a).trace()
+    assert trace(a * b) == trace(b * a)
     assert (a - a) * b == (one - one) * b
 
 
@@ -135,18 +142,47 @@ def test_a_poly_matrix_product_is_the_sum_of_its_entry_products(pair):
             assert hash(product.entries[i][j]) == hash(expected)
 
 
-def test_a_poly_matrix_product_builds_one_poly_per_entry(monkeypatch):
-    # perf gate: each entry accumulates its d products in one numerator dict
-    made = []
-    make = exact._make
+def test_a_poly_matrix_product_builds_no_poly_and_reduces_once(monkeypatch):
+    # perf gate: a product accumulates all its entries in one numerator dict
+    made, reduced = [], []
+    make, lowest = exact._make, exact._in_lowest_terms
     monkeypatch.setattr(exact, "_make", lambda *fields: made.append(1) or make(*fields))
+    monkeypatch.setattr(exact, "_in_lowest_terms", lambda *fields: reduced.append(1) or lowest(*fields))
     for d in (1, 2, 3):
         model = MatrixModel.random(generator_count=2, dimension=d, seed=5)
         b = model.embed_b(Matrix([[Fraction(i - j, 1 + i + j) for j in range(d)] for i in range(d)]))
         g1, g2 = model.generators["g1"] * b, model.generators["g2"]
         made.clear()
+        reduced.clear()
         g1 * g2
-        assert len(made) == d * d
+        assert made == [] and len(reduced) == 1
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 3).flatmap(lambda d: poly_matrices(d)))
+def test_a_matrix_rebuilt_from_its_entries_is_equal_and_hashes_alike(m):
+    again = Matrix(m.entries)
+    assert again == m and hash(again) == hash(m)
+    data = Matrix([[p.constant_value() if p.is_constant else Fraction(i - j, 3) for j, p in enumerate(row)]
+                   for i, row in enumerate(m.entries)])
+    assert data.ring is None and Matrix(data.entries) == data
+    assert hash(Matrix(data.entries)) == hash(data)
+
+
+def test_an_exponent_overflow_in_a_matrix_product_names_its_variable():
+    ring = PolyRing(("u", "v"))
+    high = Matrix([[ring.one, ring.zero], [ring.zero, Poly(ring, {(0, MAX_EXPONENT): 2})]])
+    v = Matrix.identity(2, ring.var("v"))
+    # the exponent at the limit stays exact, and the index fields do not carry
+    assert (Matrix.identity(2, ring.var("u")) * high).entries[1][1] == Poly(ring, {(1, MAX_EXPONENT): 2})
+    with pytest.raises(CapacityError, match="variable 'v' exceeds"):
+        v * high
+    with pytest.raises(CapacityError, match="variable 'v' exceeds"):
+        high * v
+    # the 4-bit row and column fields of a key hold 0..15
+    assert Matrix([[0] * 16] * 16).dimension == 16
+    with pytest.raises(CapacityError, match="dimension 17 exceeds 16"):
+        Matrix([[0] * 17] * 17)
 
 
 def test_a_matrix_product_rejects_polys_of_two_rings():
@@ -157,16 +193,16 @@ def test_a_matrix_product_rejects_polys_of_two_rings():
 
 
 def test_normalized_trace_is_unital():
-    one = Matrix.identity(3, RING.one)
-    assert one.normalized_trace() == RING.one
-    assert one.trace() == RING.const(Fraction(3))
+    model = MatrixModel.random(generator_count=1, dimension=3, seed=5)
+    assert matrix_phi(model, MatrixContext(model).unit()) == 1
+    assert trace(Matrix.identity(3, RING.one)) == RING.const(Fraction(3))
 
 
 def test_scalar_identities_multiply_like_their_scalars():
     a = Matrix.identity(2, RING.const(Fraction(2, 3)))
     b = Matrix.identity(2, RING.const(3))
     assert a * b == Matrix.identity(2, RING.const(2))
-    assert a.normalized_trace() == RING.const(Fraction(2, 3))
+    assert trace(a) * Fraction(1, 2) == RING.const(Fraction(2, 3))
 
 
 def test_scaling_a_matrix_by_one_returns_it():
@@ -181,6 +217,23 @@ def test_matrix_dimension_mismatch_is_rejected():
     b = Matrix.identity(3, RING.one)
     with pytest.raises(ValueError):
         a * b
+
+
+def test_matrices_of_two_dimensions_or_two_rings_do_not_combine():
+    other = PolyRing(("u", "w"))
+    two, three = Matrix.identity(2, RING.one), Matrix.identity(3, RING.one)
+    data, foreign = Matrix.identity(2, Fraction(1)), Matrix.identity(2, other.one)
+    for a, b, message in ((two, three, "dimension 2 and 3"), (two, data, "different rings"),
+                          (two, foreign, "different rings")):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(DimensionMismatchError, match=message):
+                op(a, b)
+            with pytest.raises(DimensionMismatchError, match=message.replace("2 and 3", "3 and 2")):
+                op(b, a)
+    with pytest.raises(DimensionMismatchError, match="different rings"):
+        Matrix([[RING.one, other.one], [RING.zero, RING.one]])
+    with pytest.raises(DimensionMismatchError, match="row of length 1"):
+        Matrix([[RING.one, RING.zero], [RING.one]])
 
 
 def assert_canonical(p):

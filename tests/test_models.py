@@ -39,6 +39,18 @@ from freecumulants.partitions import LatticeKind, enumerate_partitions
 F = Fraction
 
 
+def in_b(ctx, x) -> bool:
+    """x lies in the subalgebra B that the context's psi projects onto."""
+    if isinstance(ctx, MatrixContext):
+        return all(a.is_constant for row in x.entries for a in row)
+    if isinstance(ctx, ClassicalContext):
+        return not any(m & ~ctx.spec.ring.mask(ctx.keep) for m in x.terms)
+    if isinstance(ctx, ScalarFreeContext):
+        return ctx.in_c(x)
+    # the word and tensor models: no generator letter is left
+    return all(not letters for letters, _ in x.terms)
+
+
 def test_draw_fraction_stays_in_its_box():
     rng = random.Random(5)
     seen = {draw_fraction(rng) for _ in range(300)}
@@ -117,8 +129,8 @@ def test_matrix_psi_is_unital_bimodular_and_compatible_with_phi():
     assert ctx.psi(ctx.unit()) == ctx.unit()
     assert ctx.psi(b * x * c) == b * ctx.psi(x) * c
     assert ctx.phi_scalar(ctx.psi(x)) == ctx.phi_scalar(x)
-    assert ctx.in_b(ctx.psi(x * b * x))
-    assert not ctx.in_b(x)
+    assert in_b(ctx, ctx.psi(x * b * x))
+    assert not in_b(ctx, x)
 
 
 def test_matrix_model_rejects_wrong_dimension_coefficients():
@@ -272,7 +284,7 @@ def test_word_expectations_form_a_tower():
     b = ctx.embed_b(Matrix([[F(1), F(-1)], [F(2), F(0)]]))
     for w in (x, ctx.mul(x, b), ctx.mul(b, ctx.mul(x, ctx.mul(b, x)))):
         assert ctx.phi_scalar(ctx.psi(w)) == ctx.phi_scalar(w)
-        assert ctx.in_b(ctx.psi(w))
+        assert in_b(ctx, ctx.psi(w))
 
 
 def nc_sum_psi(ctx: WordContext, gens, units) -> dict:
@@ -462,7 +474,7 @@ def test_tower_property_on_fifty_random_elements_per_model():
         rng = random.Random(f"tower:{name}")
         for x in random_elements(ctx, gens, bs, rng, 50):
             assert ctx.phi_scalar(ctx.psi(x)) == ctx.phi_scalar(x), name
-            assert ctx.in_b(ctx.psi(x)), name
+            assert in_b(ctx, ctx.psi(x)), name
             assert ctx.in_c(ctx.phi(x)), name
 
 
