@@ -756,7 +756,7 @@ def check_freeness_characterization(suite: _Suite, fresh: bool, spec_data: dict 
                         for i in range(m)]
                 vpsi = free_cumulant(ctx, Partition.full(m), args, Level.PSI)
                 vphi = free_cumulant(ctx, Partition.full(m), args, Level.PHI)
-                suite.record(key, (ctx.in_c(vpsi), ctx.describe(vpsi)),
+                suite.record(key, (vpsi == ctx.phi(vpsi), ctx.describe(vpsi)),
                              (True, ctx.describe(vphi)))
 
             flat = []

@@ -138,10 +138,7 @@ def _nest(ctx, part: Partition, args: list, block_value, lo: int, hi: int):
 
 def _moebius_sum(ctx, lo: Partition, hi: Partition, value):
     """Sum over tau in [lo, hi] of mu(tau, hi) * value(tau)."""
-    return ctx.sum(
-        ctx.scale(Fraction(moebius(tau, hi, ctx.kind)), value(tau))
-        for tau in interval_list(lo, hi, ctx.kind)
-    )
+    return ctx.combine((moebius(tau, hi, ctx.kind), value(tau)) for tau in interval_list(lo, hi, ctx.kind))
 
 
 def _by_method(ctx, method: str, cross_check: bool, label: str, subject,
@@ -290,9 +287,8 @@ def _kappa_operator(ctx, args: tuple):
             spliced = _splice(ctx, args, block, lambda lo, hi: _psi_product(ctx, args[lo:hi]))
             term = _single_block(ctx, spliced, Level.PSI)
             tail = args[block[-1] + 1 :]
-            terms.append(ctx.mul(term, _psi_product(ctx, tail)) if tail else term)
-    value = _psi_product(ctx, args)
-    return ctx.sub(value, ctx.sum(terms)) if terms else value
+            terms.append((-1, ctx.mul(term, _psi_product(ctx, tail)) if tail else term))
+    return ctx.combine([*terms, (1, _psi_product(ctx, args))])
 
 
 def _psi_product(ctx, args: tuple):

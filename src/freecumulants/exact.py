@@ -21,7 +21,10 @@ lowest terms; ``Fraction`` values appear only at the boundary
 ``LinearCombination`` of basis keys is stored the same way, and each of
 its operations sums integers over one denominator (``_accumulate``).  So
 is a ``Matrix``: one numerator dict for all its entries, keyed by the
-monomial packed above the row and column of its basis element E_ij.
+monomial packed above the row and column of its basis element E_ij.  Each
+of the three builds an element of its own shape from numerators over a
+denominator (``_like``), so ``combine`` forms any rational linear
+combination of them in one accumulation.
 """
 
 from __future__ import annotations
@@ -149,11 +152,10 @@ class Poly:
         _in_lowest_terms(self, *_accumulate(
             [(*as_fraction(c).as_integer_ratio(), {ring.pack(m): 1}, None) for m, c in terms.items()]))
 
-    @staticmethod
-    def from_numerators(ring: PolyRing, terms: dict[int, int], den: int) -> Poly:
-        """The polynomial sum(terms[m] * m) / den over packed monomials, with
-        zero numerators dropped and the fraction reduced; ``den`` > 0."""
-        return _make(ring, terms, den)
+    def _like(self, terms: dict[int, int], den: int) -> Poly:
+        """The polynomial of this ring with the numerators ``terms`` over ``den``
+        > 0, with zero numerators dropped and the fraction reduced."""
+        return _make(self.ring, terms, den)
 
     def _coerce(self, other) -> Poly | None:
         if isinstance(other, Poly):
@@ -168,7 +170,7 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _combine(self, o, 1)
+        return combine(((1, self), (1, o)), self)
 
     __radd__ = __add__
 
@@ -179,13 +181,13 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _combine(self, o, -1)
+        return combine(((1, self), (-1, o)), self)
 
     def __rsub__(self, other) -> Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _combine(o, self, -1)
+        return combine(((1, o), (-1, self)), self)
 
     def __mul__(self, other) -> Poly:
         if isinstance(other, (int, Fraction)):
@@ -304,24 +306,6 @@ def _make(ring: PolyRing, terms: dict[int, int], den: int) -> Poly:
     return _in_lowest_terms(p, terms, den)
 
 
-def _combine(a: Poly, b: Poly, sign: int) -> Poly:
-    """a + sign * b."""
-    if a.den == b.den:
-        den, fb = a.den, sign
-        out = dict(a.terms)
-    else:
-        g = gcd(a.den, b.den)
-        fa, fb = b.den // g, sign * (a.den // g)
-        den = a.den * fa
-        out = {m: c * fa for m, c in a.terms.items()}
-    for m, c in b.terms.items():
-        if m in out:
-            out[m] += c * fb
-        else:
-            out[m] = c * fb
-    return _make(a.ring, out, den)
-
-
 def _accumulate(parts) -> tuple[dict, int]:
     """The sum over the sequence of parts (num, den, terms, key_map) of num /
     den times the numerator dict ``terms``, its keys sent through ``key_map``
@@ -337,6 +321,13 @@ def _accumulate(parts) -> tuple[dict, int]:
     return out, den
 
 
+def combine(pairs, like):
+    """The sum of c * x over the (int or Fraction c, element x) pairs in one
+    accumulation, built by ``like._like``: the x are Polys, Matrices or
+    LinearCombinations of ``like``'s ring and dimension."""
+    return like._like(*_accumulate([(c.numerator, c.denominator * x.den, x.terms, None) for c, x in pairs]))
+
+
 class LinearCombination:
     """A sum of basis keys with rational coefficients, stored like a Poly:
     ``terms`` maps each key to its nonzero integer numerator over ``den`` > 0,
@@ -347,6 +338,9 @@ class LinearCombination:
 
     def __init__(self, terms: dict, den: int = 1):
         _in_lowest_terms(self, terms, den)
+
+    def _like(self, terms: dict, den: int) -> LinearCombination:
+        return LinearCombination(terms, den)
 
     @classmethod
     def collect(cls, terms) -> LinearCombination:
@@ -406,6 +400,9 @@ class Matrix:
         m.ring, m.dimension = ring, d
         return _in_lowest_terms(m, terms, den)
 
+    def _like(self, terms: dict[int, int], den: int) -> Matrix:
+        return Matrix.from_numerators(self.ring, self.dimension, terms, den)
+
     @property
     def entries(self) -> tuple[tuple, ...]:
         cells = [[{} for _ in range(self.dimension)] for _ in range(self.dimension)]
@@ -438,11 +435,11 @@ class Matrix:
 
     def __add__(self, other: Matrix) -> Matrix:
         self._check(other)
-        return Matrix.from_numerators(self.ring, self.dimension, *_accumulate(
-            ((1, self.den, self.terms, None), (1, other.den, other.terms, None))))
+        return combine(((1, self), (1, other)), self)
 
     def __sub__(self, other: Matrix) -> Matrix:
-        return self + other.scale(-1)
+        self._check(other)
+        return combine(((1, self), (-1, other)), self)
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):

@@ -17,6 +17,11 @@ contexts here:
 * ``TensorContext``      simple tensors (word, vector) of a free family
   with a commutative d-point algebra; psi kills the word factor.
 
+A context supplies only ``unit``, ``psi``, ``phi_scalar`` and, for the
+linear combinations, ``mul``.  Every element (a ``Poly``, ``Matrix`` or
+``LinearCombination``) holds integer numerators ``terms`` over one ``den``
+and builds its like with ``_like``, so all contexts share ``combine``.
+
 All randomness is drawn from ``random.Random(seed)`` with numerators in
 [-9, 9] and denominators in {1, 2, 3}; drawn values travel in ``to_data``
 payloads so any run can be reproduced from its report alone.
@@ -27,12 +32,12 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from math import lcm, prod
 from operator import getitem
 
 from .errors import CapacityError, DimensionMismatchError
-from .exact import MAX_EXPONENT, LinearCombination, Matrix, Poly, PolyRing, _accumulate, as_fraction
+from .exact import MAX_EXPONENT, LinearCombination, Matrix, Poly, PolyRing, _accumulate, as_fraction, combine
 from .partitions import LatticeKind, first_blocks
 
 DEFAULT_MAX_ORDER = 8
@@ -57,9 +62,11 @@ def draw_fraction(rng: random.Random) -> Fraction:
 class ProbabilityContext:
     """Interface the cumulant engine works against.
 
-    Elements of A are opaque to the engine; a context supplies the ring
-    operations, the two expectations, and membership predicates for the
-    subalgebras.  ``phi`` returns the C-value embedded back into A so the
+    Elements of A are opaque to the engine.  A context supplies ``unit``,
+    ``psi``, ``phi_scalar`` and, when its elements have no ``*``, ``mul``.
+    Every element holds integer numerators ``terms`` over one ``den`` > 0
+    and builds its like with ``_like``, so every linear operation is one
+    ``combine``.  ``phi`` returns the C-value embedded back into A so the
     engine can keep multiplying; ``phi_scalar`` exposes the bare rational.
 
     Elements are immutable hashable values, so the engine keeps the
@@ -78,13 +85,7 @@ class ProbabilityContext:
         raise NotImplementedError
 
     def mul(self, x, y):
-        raise NotImplementedError
-
-    def add(self, x, y):
-        raise NotImplementedError
-
-    def scale(self, c: Fraction, x):
-        raise NotImplementedError
+        return x * y
 
     def psi(self, x):
         raise NotImplementedError
@@ -95,30 +96,32 @@ class ProbabilityContext:
     def phi_scalar(self, x) -> Fraction:
         raise NotImplementedError
 
-    def in_c(self, x) -> bool:
-        raise NotImplementedError
+    def combine(self, pairs):
+        """The sum of c * x over the (int or Fraction c, element x) pairs, in
+        one accumulation; the zero of the context when there are none."""
+        pairs = list(pairs)
+        return combine(pairs, pairs[0][1] if pairs else self.unit())
+
+    def add(self, x, y):
+        return self.combine(((1, x), (1, y)))
 
     def sub(self, x, y):
-        return self.add(x, self.scale(Fraction(-1), y))
+        return self.combine(((1, x), (-1, y)))
 
-    def embed_scalar(self, c) -> object:
-        return self.scale(as_fraction(c), self.unit())
+    def scale(self, c, x):
+        return self.combine(((c, x),))
 
-    def product(self, xs) -> object:
-        acc = self.unit()
-        for x in xs:
-            acc = self.mul(acc, x)
-        return acc
+    def sum(self, xs):
+        return self.combine((1, x) for x in xs)
 
-    def sum(self, xs) -> object:
-        """Left-to-right sum starting from the first term; zero when empty."""
+    def embed_scalar(self, c):
+        return self.combine(((c, self.unit()),))
+
+    def product(self, xs):
+        """The product of the factors from the first on; ``unit()`` when there are none."""
         xs = iter(xs)
-        total = next(xs, None)
-        if total is None:
-            return self.scale(Fraction(0), self.unit())
-        for x in xs:
-            total = self.add(total, x)
-        return total
+        first = next(xs, None)
+        return self.unit() if first is None else reduce(self.mul, xs, first)
 
     def describe(self, x) -> str:
         return str(x)
@@ -132,8 +135,8 @@ def centered(ctx: ProbabilityContext, x):
 class LinearCombinationContext(ProbabilityContext):
     """Elements are ``LinearCombination`` values over basis keys.
 
-    Ring operations are shared; a subclass supplies ``key_product``,
-    the product of two basis keys, which is ``None`` when it vanishes.
+    ``mul`` is shared; a subclass supplies ``key_product``, the product
+    of two basis keys, which is ``None`` when it vanishes.
     """
 
     def key_product(self, k1, k2):
@@ -143,16 +146,6 @@ class LinearCombinationContext(ProbabilityContext):
         key_product, den = self.key_product, x.den * y.den
         return LinearCombination(*_accumulate([(c, den, y.terms, partial(key_product, k))
                                                for k, c in x.terms.items()]))
-
-    def add(self, x, y):
-        return self.sum((x, y))
-
-    def scale(self, c, x):
-        c = as_fraction(c)
-        return LinearCombination(*_accumulate(((c.numerator, c.denominator * x.den, x.terms, None),)))
-
-    def sum(self, xs):
-        return LinearCombination(*_accumulate([(1, x.den, x.terms, None) for x in xs]))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +244,7 @@ def classical_expect(spec: ClassicalSpec, p: Poly) -> Fraction:
 
 def classical_conditional_expect(spec: ClassicalSpec, p: Poly, keep: frozenset[str]) -> Poly:
     """E[p | keep]: integrate out every variable outside ``keep``."""
-    return Poly.from_numerators(spec.ring, _integrate(spec, p.terms, spec.ring.mask(keep)), p.den * spec.den)
+    return p._like(_integrate(spec, p.terms, spec.ring.mask(keep)), p.den * spec.den)
 
 
 def _beyond_capacity(spec: ClassicalSpec, monomials) -> CapacityError:
@@ -283,26 +276,11 @@ class ClassicalContext(ProbabilityContext):
     def unit(self):
         return self.spec.ring.one
 
-    def mul(self, x, y):
-        return x * y
-
-    def add(self, x, y):
-        return x + y
-
-    def scale(self, c, x):
-        return x * as_fraction(c)
-
     def psi(self, x):
         return classical_conditional_expect(self.spec, x, self.keep)
 
-    def embed_scalar(self, c):
-        return self.spec.ring.const(c)
-
     def phi_scalar(self, x):
         return classical_expect(self.spec, x)
-
-    def in_c(self, x):
-        return x.is_constant
 
 
 # ---------------------------------------------------------------------------
@@ -407,34 +385,14 @@ class MatrixContext(ProbabilityContext):
         self.model = model
 
     def unit(self):
-        return self.embed_scalar(1)
-
-    def mul(self, x, y):
-        return x * y
-
-    def add(self, x, y):
-        return x + y
-
-    def scale(self, c, x):
-        return x.scale(as_fraction(c))
-
-    def sum(self, xs):
-        return Matrix.from_numerators(self.model.ring, self.model.d,
-                                      *_accumulate([(1, x.den, x.terms, None) for x in xs]))
+        d = self.model.d
+        return Matrix.from_numerators(self.model.ring, d, {i << 4 | i: 1 for i in range(d)}, 1)
 
     def psi(self, x):
         return matrix_psi(self.model, x)
 
-    def embed_scalar(self, c):
-        c = as_fraction(c)
-        return Matrix.from_numerators(self.model.ring, self.model.d,
-                                      {i << 4 | i: c.numerator for i in range(self.model.d)}, c.denominator)
-
     def phi_scalar(self, x):
         return matrix_phi(self.model, x)
-
-    def in_c(self, x):
-        return x == self.phi(x)
 
 
 # ---------------------------------------------------------------------------
@@ -598,9 +556,6 @@ class ScalarFreeContext(LinearCombinationContext):
 
     psi = ProbabilityContext.phi
 
-    def in_c(self, x):
-        return set(x.terms) <= {()}
-
     def describe(self, x) -> str:
         return " + ".join(f"{c}*{'.'.join(w) or '1'}" for w, c in sorted(x.items())) or "0"
 
@@ -723,9 +678,6 @@ class WordContext(LinearCombinationContext):
     def phi_scalar(self, x):
         return Fraction(*self._trace(self.psi(x)))
 
-    def in_c(self, x):
-        return x == self.phi(x)
-
     def describe(self, x) -> str:
         words = (f"{c}*E{u[0][0]}{u[0][1]}" + "".join(f".{g}.E{i}{j}" for g, (i, j) in zip(gens, u[1:]))
                  for (gens, u), c in sorted(x.items()))
@@ -734,6 +686,9 @@ class WordContext(LinearCombinationContext):
 
 # ---------------------------------------------------------------------------
 # tensor model: free family tensored with a commutative d-point algebra
+
+
+MAX_POINTS = 32  # check tensor-factorization at n = 4 takes 0.6 s with 32 points, 11 s with 300
 
 
 class TensorModel:
@@ -747,6 +702,8 @@ class TensorModel:
     def __init__(self, scalars: ScalarFreeSpec, weights: tuple[Fraction, ...]):
         if len(scalars.families) != 1 or not scalars.family_of:
             raise ValueError("a tensor model wants one scalar family, with a generator")
+        if len(weights) > MAX_POINTS:
+            raise CapacityError(f"a tensor model of {len(weights)} points exceeds MAX_POINTS={MAX_POINTS}")
         self.scalars = scalars
         self.weights = tuple(as_fraction(w) for w in weights)
         if sum(self.weights) != 1:
@@ -762,6 +719,8 @@ class TensorModel:
     ) -> TensorModel:
         if points < 1:
             raise ValueError(f"a tensor model needs at least one point, got {points}")
+        if points > MAX_POINTS:
+            raise CapacityError(f"a tensor model of {points} points exceeds MAX_POINTS={MAX_POINTS}")
         rng = random.Random(seed)
         spec = ScalarFreeSpec.random({"a": ("a",)}, max_order, seed)
         while True:
@@ -814,9 +773,6 @@ class TensorContext(LinearCombinationContext):
 
     def phi_scalar(self, x):
         return self.model.state(self._vector(self.psi(x)))
-
-    def in_c(self, x):
-        return all(not w for w, _ in x.terms) and len(set(self._vector(x))) == 1
 
     def describe(self, x) -> str:
         return " + ".join(f"{'.'.join(w) or '1'}(x)({', '.join(str(a) for a in self._vector(x, w))})"

@@ -393,6 +393,33 @@ def test_cli_matrix_dimension_beyond_the_bound_fails_before_drawing(tmp_path, ca
     assert MatrixModel.random(1, 11, 2, 0).d == 11
 
 
+def test_cli_tensor_points_beyond_the_bound_fail_before_drawing(tmp_path, capsys):
+    # the check's time grows linearly in the points (11 s at 300), so a fresh
+    # run, a spec and a replay all stop at the bound
+    for points in (33, 10**6):
+        t0 = time.perf_counter()
+        assert main(["check", "tensor-factorization", "--dim", str(points)]) == 1
+        assert time.perf_counter() - t0 < 2
+        out = capsys.readouterr().out
+        assert out.startswith("FAIL tensor-factorization (0 cases")
+        assert f"setup: a tensor model of {points} points exceeds MAX_POINTS=32" in out
+    why = "a tensor model of 33 points exceeds MAX_POINTS=32"
+    spec = TensorModel.random(2, 8, 0).to_data()
+    spec["weights"] = ["1/33"] * 33
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(spec))
+    assert main(["check", "tensor-factorization", "--n", "2", "--spec", str(path)]) == 1
+    assert f"setup: {why}" in capsys.readouterr().out
+    report = run_check("tensor-factorization", n=2).to_json()
+    report["params"]["model"]["weights"] = ["1/33"] * 33
+    path.write_text(json.dumps(report))
+    assert main(["check", "--replay", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot replay {path}: {why}\n")
+    with pytest.raises(CapacityError, match=why):
+        TensorModel.random(33, 8, 0)
+    assert TensorModel.random(32, 8, 0).points == 32
+
+
 def test_cli_tensor_order_of_two_letter_arguments_fails_before_drawing(capsys):
     # an argument has one or two letters, so a nested moment reaches order 2*n_max
     t0 = time.perf_counter()

@@ -239,6 +239,18 @@ def test_an_operator_valued_cumulant_takes_few_psi_calls(monkeypatch):
                                   method="moebius")
 
 
+def test_a_matrix_partial_cumulant_scales_no_matrix(monkeypatch, matrix_ctx):
+    # perf gate: the Moebius sum is one combination of the partitioned
+    # expectations; it built a scaled copy of each of the 14 before
+    args = gens(matrix_ctx, 4)
+    calls = []
+    scale = Matrix.scale
+    monkeypatch.setattr(Matrix, "scale", lambda self, c: calls.append(c) or scale(self, c))
+    value = partial_cumulant(matrix_ctx, Partition.discrete(4), Partition.full(4), args, Level.PSI)
+    assert calls == []
+    assert value == free_cumulant(matrix_ctx, Partition.full(4), args, Level.PSI)
+
+
 def test_a_word_cumulant_takes_one_trace_per_new_word(monkeypatch):
     # perf gate: the model keeps each word's trace beside its psi, so
     # psi-kappa_6 of an alternating word takes one trace per word it
@@ -676,6 +688,9 @@ def test_linear_combinations_obey_the_ring_laws_of_a_fraction_reference(name, da
     assert dict(x.items()) == rx and dict(y.items()) == ry
     assert dict(ctx.add(x, y).items()) == reference_sum([*rx.items(), *ry.items()])
     assert dict(ctx.scale(c, x).items()) == reference_sum((k, c * v) for k, v in rx.items())
+    assert dict(ctx.combine([(c, x), (-1, y), (2, z)]).items()) == reference_sum(
+        [*((k, c * v) for k, v in rx.items()), *((k, -v) for k, v in ry.items()),
+         *((k, 2 * v) for k, v in reference_sum(terms[2]).items())])
     assert dict(ctx.mul(x, y).items()) == reference_sum(
         (k, a * b) for k1, a in rx.items() for k2, b in ry.items()
         if (k := ctx.key_product(k1, k2)) is not None)

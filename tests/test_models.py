@@ -7,6 +7,7 @@ sums, the conditional-expectation factorization rule evaluated on a
 two-letter word, and the tensor split of a nested moment.
 """
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -39,6 +40,11 @@ from freecumulants.partitions import LatticeKind, enumerate_partitions
 F = Fraction
 
 
+def in_c(ctx, x) -> bool:
+    """x lies in the scalars C: it equals its own embedded expectation."""
+    return x == ctx.phi(x)
+
+
 def in_b(ctx, x) -> bool:
     """x lies in the subalgebra B that the context's psi projects onto."""
     if isinstance(ctx, MatrixContext):
@@ -46,7 +52,7 @@ def in_b(ctx, x) -> bool:
     if isinstance(ctx, ClassicalContext):
         return not any(m & ~ctx.spec.ring.mask(ctx.keep) for m in x.terms)
     if isinstance(ctx, ScalarFreeContext):
-        return ctx.in_c(x)
+        return in_c(ctx, x)
     # the word and tensor models: no generator letter is left
     return all(not letters for letters, _ in x.terms)
 
@@ -475,7 +481,57 @@ def test_tower_property_on_fifty_random_elements_per_model():
         for x in random_elements(ctx, gens, bs, rng, 50):
             assert ctx.phi_scalar(ctx.psi(x)) == ctx.phi_scalar(x), name
             assert in_b(ctx, ctx.psi(x)), name
-            assert ctx.in_c(ctx.phi(x)), name
+            assert in_c(ctx, ctx.phi(x)), name
+
+
+def fraction_items(x) -> dict:
+    """{key: Fraction} of an element, read through its Fraction boundary."""
+    if isinstance(x, Matrix):
+        return {(i, j, m): c for i, row in enumerate(x.entries)
+                for j, a in enumerate(row) for m, c in a.items()}
+    return dict(x.items())
+
+
+def test_combine_equals_a_fraction_reference_on_every_context():
+    for name, ctx, gens, bs in model_zoo():
+        rng = random.Random(f"combine:{name}")
+        xs = [*gens, *bs, *random_elements(ctx, gens, bs, rng, 4)]
+        zero = ctx.combine([])
+        assert fraction_items(zero) == {} and ctx.add(zero, xs[0]) == xs[0], name
+        assert fraction_items(ctx.mul(zero, xs[0])) == {}, name
+        cases = {
+            "one pair": [(F(-2, 3), xs[0])],
+            "zero coefficients": [(0, xs[0]), (F(0), xs[1]), (2, xs[2])],
+            "int and Fraction": [(rng.randint(-3, 3) if k % 2 else draw_fraction(rng), x)
+                                 for k, x in enumerate(xs)],
+            "cancelling": [(F(1, 2), xs[1]), (3, xs[2]), (F(-1, 2), xs[1]), (-3, xs[2])],
+        }
+        for case, pairs in cases.items():
+            want: dict = {}
+            for c, x in pairs:
+                for k, v in fraction_items(x).items():
+                    want[k] = want.get(k, 0) + c * v
+            got = ctx.combine(pairs)
+            assert fraction_items(got) == {k: v for k, v in want.items() if v}, (name, case)
+            assert got.den > 0 and 0 not in got.terms.values(), (name, case)
+        assert ctx.combine(cases["cancelling"]) == zero, name
+        assert ctx.combine([(1, xs[-1])]) == xs[-1], name
+
+
+def test_a_product_of_k_factors_multiplies_k_minus_1_times(monkeypatch):
+    # perf gate: a product folds from its first factor, with no multiply by
+    # the unit, and is the unit only when there is no factor
+    for name, ctx, gens, bs in model_zoo():
+        calls = []
+        mul = ctx.mul
+        monkeypatch.setattr(ctx, "mul", lambda x, y: calls.append(1) or mul(x, y))
+        pool = [*gens, *bs]
+        for k in range(5):
+            factors = [pool[i % len(pool)] for i in range(k)]
+            calls.clear()
+            value = ctx.product(factors)
+            assert len(calls) == max(k - 1, 0), (name, k)
+            assert value == functools.reduce(mul, factors, ctx.unit()), (name, k)
 
 
 def test_bimodule_law_on_random_sandwiches():
