@@ -48,6 +48,7 @@ from .models import (
     TensorContext,
     TensorModel,
     WordContext,
+    bound_word_dimension,
     centered,
     draw_fraction,
     free_moment,
@@ -703,6 +704,7 @@ def check_freeness_characterization(suite: _Suite, fresh: bool, spec_data: dict 
     params = suite.params
 
     def draw(model: FactorizationModel, rng: random.Random) -> dict:
+        bound_word_dimension(model.d, params["n_max"])  # before anything is drawn
         gens = [g for f in sorted(model.scalars.families) for g in model.scalars.families[f]]
         d = model.d
 
@@ -723,6 +725,7 @@ def check_freeness_characterization(suite: _Suite, fresh: bool, spec_data: dict 
         params, fresh, spec_data, FactorizationModel,
         lambda s: FactorizationModel.random(2, params["dimension"], params["max_order"], s), draw,
     ):
+        bound_word_dimension(model.d, params["n_max"])  # a replay draws nothing
         ctx = WordContext(model)
         sc = model.scalars
         for m in range(1, params["n_max"] + 1):

@@ -54,6 +54,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
+from math import gcd
 
 from .errors import CrossingPartitionError, DimensionMismatchError, OrderViolationError
 from .models import ProbabilityContext, _keep
@@ -214,15 +215,16 @@ def _single_block(ctx, args: tuple, level: Level):
             n = len(args)
             value = partial_cumulant(ctx, Partition.discrete(n), Partition.full(n), args, level)
         elif level is Level.PHI:
-            value = ctx.embed_scalar(_kappa_scalar(ctx, args, (1 << len(args)) - 1, {}, {}))
+            value = ctx.embed_scalar(Fraction(*_kappa_scalar(ctx, args, (1 << len(args)) - 1, {}, {})))
         else:
             value = _kappa_operator(ctx, args)
         _keep(table, key, value)
     return value
 
 
-def _kappa_scalar(ctx, args, mask: int, kappas: dict, moments: dict) -> Fraction:
-    """The phi-cumulant of the arguments at the set bits of ``mask``.
+def _kappa_scalar(ctx, args, mask: int, kappas: dict, moments: dict) -> tuple[int, int]:
+    """The phi-cumulant of the arguments at the set bits of ``mask``, as
+    (numerator, denominator) in lowest terms.
 
     Scalars commute out of every block, so m(S) = sum over the blocks V
     holding min S of kappa(V) times the moments of the gaps V leaves in
@@ -237,35 +239,39 @@ def _kappa_scalar(ctx, args, mask: int, kappas: dict, moments: dict) -> Fraction
     value = kappas.get(mask)
     if value is not None:
         return value
-    value = _moment_scalar(ctx, args, mask, moments)
+    num, den = _moment_scalar(ctx, args, mask, moments)
     low = mask & -mask
     rest = sub = mask ^ low
     while sub:  # V = low | sub for each proper subset sub of rest, the empty one last
         sub = (sub - 1) & rest
         block = low | sub
-        term = _kappa_scalar(ctx, args, block, kappas, moments)
+        t_num, t_den = _kappa_scalar(ctx, args, block, kappas, moments)
         gap, todo = 0, rest
-        while todo and term:
+        while todo and t_num:
             bit = todo & -todo
             todo ^= bit
             if bit & block:
                 if gap:
-                    term *= _moment_scalar(ctx, args, gap, moments)
+                    m_num, m_den = _moment_scalar(ctx, args, gap, moments)
+                    t_num, t_den = t_num * m_num, t_den * m_den
                 gap = 0
             else:
                 gap |= bit
-        if gap and term:
-            term *= _moment_scalar(ctx, args, gap, moments)
-        value -= term
-    kappas[mask] = value
+        if gap and t_num:
+            m_num, m_den = _moment_scalar(ctx, args, gap, moments)
+            t_num, t_den = t_num * m_num, t_den * m_den
+        if t_num:
+            num, den = num * t_den - t_num * den, den * t_den
+    g = gcd(num, den)
+    value = kappas[mask] = (num // g, den // g)
     return value
 
 
-def _moment_scalar(ctx, args, mask: int, moments: dict) -> Fraction:
+def _moment_scalar(ctx, args, mask: int, moments: dict) -> tuple[int, int]:
     value = moments.get(mask)
     if value is None:
         subset = (a for i, a in enumerate(args) if mask >> i & 1)
-        value = moments[mask] = ctx.phi_scalar(reduce(ctx.mul, subset))
+        value = moments[mask] = ctx.phi_scalar(reduce(ctx.mul, subset)).as_integer_ratio()
     return value
 
 

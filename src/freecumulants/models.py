@@ -33,7 +33,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import cached_property, partial, reduce
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import getitem
 
 from .errors import CapacityError, DimensionMismatchError
@@ -42,7 +42,7 @@ from .partitions import LatticeKind, first_blocks
 
 DEFAULT_MAX_ORDER = 8
 # most entries a context's phi_table or a factorization model's psi cache
-# keeps before it is cleared; a check fills at most 303 and 1,704
+# keeps before it is cleared; a check fills at most 303 and 456
 TABLE_CAP = 4096
 # most words a drawn cumulant table may hold; the default tables hold 1,020
 MAX_CUMULANT_WORDS = 2**16
@@ -564,6 +564,20 @@ class ScalarFreeContext(LinearCombinationContext):
 # factorization model: a free family inside d x d matrices
 
 
+# most d^(2n+1), which the word model's cost at word length n grows like: check
+# freeness-characterization at n = 4 takes 4.6 s at d = 3 (3^9) and 62 s at d = 4
+MAX_WORD_SPAN = 3**9
+
+
+def bound_word_dimension(d: int, n: int) -> None:
+    """Raise CapacityError when d^(2n+1) exceeds MAX_WORD_SPAN."""
+    bound = round(MAX_WORD_SPAN ** (1 / (2 * n + 1)))
+    bound -= bound ** (2 * n + 1) > MAX_WORD_SPAN
+    if d > bound:
+        raise CapacityError(f"a word model of dimension {d} exceeds the bound {bound} at n={n} "
+                            f"(d^(2n+1) <= MAX_WORD_SPAN={MAX_WORD_SPAN})")
+
+
 class FactorizationModel:
     """A scalar free family N sitting inside A = N * M_d(Q) (amalgamated
     over the scalars), with psi: A -> B = M_d(Q) *defined* by the
@@ -583,8 +597,8 @@ class FactorizationModel:
         self.d = int(dimension)
         if self.d < 1:
             raise ValueError(f"matrix dimension must be at least 1, got {self.d}")
-        # (psi, normalized trace of psi) of each basis word met so far, keyed
-        # on (gens, units); at TABLE_CAP entries it is cleared
+        # c of each basis word met so far, see WordContext._psi_word; at
+        # TABLE_CAP entries it is cleared
         self._psi_cache: dict = {}
 
     @classmethod
@@ -640,40 +654,46 @@ class WordContext(LinearCombinationContext):
         """Normalized trace of an element of B, as (numerator, denominator)."""
         return sum(c for (_, ((i, j),)), c in b.terms.items() if i == j), b.den * self.d
 
-    def _psi_word(self, gens, units) -> tuple:
-        """psi of the basis word E_{u0} X_{g1} E_{u1} ... X_{gk} E_{uk}, and
-        its normalized trace as ``_trace`` gives it, by the first-block
-        recursion (Nica-Speicher, Lecture 11): the sum, over the blocks V
-        holding the first generator, of kappa(g_V) times the trace of psi of
-        each gap V swallows, times E_{u0} psi(the word after V), by
-        bimodularity.  The model keeps the words' psi and trace, as the scalar
-        spec keeps its free moments, up to ``TABLE_CAP`` of them."""
-        key = (gens, units)
+    def _psi_word(self, gens, units) -> tuple[int, int]:
+        """The c, as (numerator, denominator) in lowest terms, with psi(E_{u0}
+        X_{g1} E_{u1} ... X_{gk} E_{uk}) = c E_{(u0.i, uk.j)}: psi is
+        B-bimodular (Speicher, Mem. AMS 627, 1998).  By the first-block
+        recursion (Nica-Speicher, Lecture 11), c is the sum over the blocks V
+        holding the first generator of kappa(g_V), times the trace c_gap
+        [u_{a+1}.i == u_b.j] / d of psi of each gap V swallows, times c_tail
+        [u0.j == u_{last+1}.i] for the word after V.  c depends on neither u0.i
+        nor uk.j, so the model keeps it under (gens, u0.j, inner units, uk.i),
+        as the scalar spec keeps its free moments, up to ``TABLE_CAP`` of them."""
         if not gens:
-            ((i, j),) = units
-            return LinearCombination({key: 1}), (int(i == j), self.d)
+            return 1, 1
+        key = (gens, units[0][1], units[1:-1], units[-1][0])
         memo = self.model._psi_cache
         entry = memo.get(key)
         if entry is not None:
             return entry
-        fuse, parts = partial(self.key_product, ((), units[:1])), []
+        num, den = 0, 1
         for block in first_blocks(0, len(gens)):
-            num, den = self.model.scalars.cumulant(tuple(gens[a] for a in block)).as_integer_ratio()
+            last = block[-1]
+            if units[last + 1][0] != key[1]:
+                continue
+            vn, vd = self.model.scalars.cumulant(tuple(gens[a] for a in block)).as_integer_ratio()
             for a, b in zip(block, block[1:]):
-                if not num:
+                if not vn or units[a + 1][0] != units[b][1]:
+                    vn = 0
                     break
-                t_num, t_den = self._psi_word(gens[a + 1 : b], units[a + 1 : b + 1])[1]
-                num, den = num * t_num, den * t_den
-            if num:
-                tail = self._psi_word(gens[block[-1] + 1 :], units[block[-1] + 1 :])[0]
-                parts.append((num, den * tail.den, tail.terms, fuse))
-        out = LinearCombination(*_accumulate(parts))
-        _keep(memo, key, (out, self._trace(out)))
+                t_num, t_den = self._psi_word(gens[a + 1 : b], units[a + 1 : b + 1])
+                vn, vd = vn * t_num, vd * t_den * self.d
+            if vn:
+                t_num, t_den = self._psi_word(gens[last + 1 :], units[last + 1 :])
+                num, den = num * vd * t_den + vn * t_num * den, den * vd * t_den
+        g = gcd(num, den)
+        _keep(memo, key, (num // g, den // g))
         return memo[key]
 
     def psi(self, x):
-        words = [(c, self._psi_word(*k)[0]) for k, c in x.terms.items()]
-        return LinearCombination(*_accumulate([(c, x.den * p.den, p.terms, None) for c, p in words]))
+        words = [(*self._psi_word(gens, u), c, u[0][0], u[-1][1]) for (gens, u), c in x.terms.items()]
+        return LinearCombination(*_accumulate([(num * c, den * x.den, {((), ((i, j),)): 1}, None)
+                                               for num, den, c, i, j in words]))
 
     def phi_scalar(self, x):
         return Fraction(*self._trace(self.psi(x)))

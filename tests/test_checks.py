@@ -21,7 +21,8 @@ from freecumulants.checks import ALL_CHECKS, replay_report, run_check
 from freecumulants.cli import main
 from freecumulants.errors import CapacityError
 from freecumulants.models import (
-    MatrixContext, MatrixModel, ScalarFreeContext, TensorContext, TensorModel, WordContext,
+    FactorizationModel, MatrixContext, MatrixModel, ScalarFreeContext, TensorContext, TensorModel, WordContext,
+    bound_word_dimension,
 )
 from freecumulants.partitions import (
     LatticeKind, Partition, enumerate_partitions, format_partition, interval_list,
@@ -391,6 +392,33 @@ def test_cli_matrix_dimension_beyond_the_bound_fails_before_drawing(tmp_path, ca
     with pytest.raises(CapacityError, match=why):
         MatrixModel.random(1, 12, 2, 0)
     assert MatrixModel.random(1, 11, 2, 0).d == 11
+
+
+def test_cli_word_dimension_beyond_the_bound_fails_before_drawing(tmp_path, capsys):
+    # the word model's cost grows like d^(2n+1) (62 s at n = 4, d = 4), so a
+    # fresh run, a spec and a replay all stop at the bound for their n
+    for n, d, bound in ((4, 4, 3), (2, 8, 7), (2, 16, 7), (5, 3, 2), (7, 2, 1), (3, 10**6, 4)):
+        t0 = time.perf_counter()
+        assert main(["check", "freeness-characterization", "--n", str(n), "--dim", str(d)]) == 1
+        assert time.perf_counter() - t0 < 2
+        out = capsys.readouterr().out
+        assert out.startswith("FAIL freeness-characterization (0 cases")
+        assert f"setup: a word model of dimension {d} exceeds the bound {bound} at n={n} " in out
+    why = "a word model of dimension 8 exceeds the bound 7 at n=2 (d^(2n+1) <= MAX_WORD_SPAN=19683)"
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(FactorizationModel.random(2, 8, 8, 0).to_data()))
+    assert main(["check", "freeness-characterization", "--n", "2", "--spec", str(path)]) == 1
+    assert f"setup: {why}" in capsys.readouterr().out
+    report = run_check("freeness-characterization", n=2).to_json()
+    for row in report["params"]["models"]:
+        row["model"]["dimension"] = 8
+    path.write_text(json.dumps(report))
+    assert main(["check", "--replay", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot replay {path}: {why}\n")
+    for n, bound in ((1, 27), (2, 7), (3, 4), (4, 3), (5, 2), (6, 2), (7, 1), (8, 1)):
+        bound_word_dimension(bound, n)
+        with pytest.raises(CapacityError, match=f"exceeds the bound {bound} at n={n} "):
+            bound_word_dimension(bound + 1, n)
 
 
 def test_cli_tensor_points_beyond_the_bound_fail_before_drawing(tmp_path, capsys):

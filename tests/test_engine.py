@@ -251,17 +251,33 @@ def test_a_matrix_partial_cumulant_scales_no_matrix(monkeypatch, matrix_ctx):
     assert value == free_cumulant(matrix_ctx, Partition.full(4), args, Level.PSI)
 
 
-def test_a_word_cumulant_takes_one_trace_per_new_word(monkeypatch):
-    # perf gate: the model keeps each word's trace beside its psi, so
-    # psi-kappa_6 of an alternating word takes one trace per word it
-    # memoises (1,032); recomputing each gap's trace took 23,760
-    calls = []
-    trace = WordContext._trace
-    monkeypatch.setattr(WordContext, "_trace", lambda self, b: calls.append(1) or trace(self, b))
+def test_a_word_cumulant_keeps_one_scalar_in_lowest_terms_per_word():
+    # perf gate: psi of a basis word is c E_{(u0.i, uk.j)}, so the model keeps
+    # only c, as an int pair in lowest terms; psi-kappa_6 of an alternating
+    # word keeps 1,032 of them, where it kept a LinearCombination and its trace
     model = FactorizationModel.random(2, dimension=2, max_order=8, seed=9301)
     ctx = WordContext(model)
     free_cumulant(ctx, Partition.full(6), [ctx.gen(g) for g in ("x2", "x1") * 3], Level.PSI)
-    assert 0 < len(calls) == len(model._psi_cache) <= 1100
+    assert 0 < len(model._psi_cache) <= 1100
+    for num, den in model._psi_cache.values():
+        assert type(num) is int and type(den) is int and den > 0 and math.gcd(num, den) == 1
+
+
+def test_basis_words_differing_only_in_u0_i_or_uk_j_share_one_psi_entry():
+    # c depends on neither u0.i nor uk.j, so the d^2 words below are one entry
+    model = FactorizationModel.random(2, dimension=3, max_order=8, seed=9301)
+    ctx = WordContext(model)
+    gens, inner = ("x1", "x2", "x1", "x2"), ((0, 1), (1, 1), (1, 0))
+
+    def word(i, j):
+        return LinearCombination({(gens, ((i, 0),) + inner + ((0, j),)): 1})
+
+    ((key, c),) = ctx.psi(word(0, 0)).items()
+    assert key == ((), ((0, 0),)) and c != 0
+    entries = len(model._psi_cache)
+    for i, j in itertools.product(range(3), repeat=2):
+        assert ctx.psi(word(i, j)) == LinearCombination.collect([(((), ((i, j),)), c)])
+    assert len(model._psi_cache) == entries
 
 
 def test_a_cumulant_leaves_no_reference_cycles():

@@ -13,8 +13,8 @@ from freecumulants import exact
 from freecumulants.errors import CapacityError, DimensionMismatchError
 from freecumulants.exact import MAX_EXPONENT, Matrix, Poly, PolyRing, as_fraction
 from freecumulants.engine import Level, free_cumulant
-from freecumulants.models import (ClassicalSpec, FactorizationModel, MatrixContext, MatrixModel, WordContext,
-                                  classical_expect, matrix_phi)
+from freecumulants.models import (ClassicalSpec, FactorizationModel, MatrixContext, MatrixModel, ScalarFreeContext,
+                                  ScalarFreeSpec, WordContext, classical_expect, matrix_phi)
 from freecumulants.partitions import Partition
 
 RING = PolyRing(("u", "v"))
@@ -320,3 +320,13 @@ def test_word_model_kappa_6_builds_few_fractions():
     args = [ctx.gen(g) for g in ("x1", "x2", "x1", "x2", "x1", "x2")]
     calls = fraction_calls(lambda: free_cumulant(ctx, Partition.full(6), args, Level.PSI))
     assert calls.count("__new__") <= 78
+
+
+def test_scalar_kappa_8_builds_few_fractions():
+    # perf gate: the phi-cumulant recursion keeps its kappas and moments as
+    # integer pairs, so scalar kappa_8 builds 343 Fractions (the free moments
+    # and phi values of its 255 subsets); with one Fraction per block it built 5,499
+    ctx = ScalarFreeContext(ScalarFreeSpec.random({"a": ("a1", "a2")}, 8, 2024))
+    args = [ctx.gen(g) for g in ("a1", "a2") * 4]
+    calls = fraction_calls(lambda: free_cumulant(ctx, Partition.full(8), args, Level.PHI))
+    assert calls.count("__new__") <= 400
