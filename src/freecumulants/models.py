@@ -570,9 +570,11 @@ MAX_WORD_SPAN = 3**9
 
 
 def bound_word_dimension(d: int, n: int) -> None:
-    """Raise CapacityError when d^(2n+1) exceeds MAX_WORD_SPAN."""
-    bound = round(MAX_WORD_SPAN ** (1 / (2 * n + 1)))
-    bound -= bound ** (2 * n + 1) > MAX_WORD_SPAN
+    """Raise CapacityError when d^(2n+1) exceeds MAX_WORD_SPAN; an n below 0
+    (a replayed report's, which then has no cases) counts as 0."""
+    span = 2 * max(n, 0) + 1
+    bound = round(MAX_WORD_SPAN ** (1 / span))
+    bound -= bound ** span > MAX_WORD_SPAN
     if d > bound:
         raise CapacityError(f"a word model of dimension {d} exceeds the bound {bound} at n={n} "
                             f"(d^(2n+1) <= MAX_WORD_SPAN={MAX_WORD_SPAN})")

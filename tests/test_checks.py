@@ -415,6 +415,10 @@ def test_cli_word_dimension_beyond_the_bound_fails_before_drawing(tmp_path, caps
     path.write_text(json.dumps(report))
     assert main(["check", "--replay", str(path)]) == 2
     assert capsys.readouterr() == ("", f"error: cannot replay {path}: {why}\n")
+    report["params"]["n_max"] = -1  # no cases, as before the bound
+    path.write_text(json.dumps(report))
+    assert main(["check", "--replay", str(path)]) == 1
+    assert "no cases" in capsys.readouterr().out
     for n, bound in ((1, 27), (2, 7), (3, 4), (4, 3), (5, 2), (6, 2), (7, 1), (8, 1)):
         bound_word_dimension(bound, n)
         with pytest.raises(CapacityError, match=f"exceeds the bound {bound} at n={n} "):
