@@ -270,6 +270,7 @@ def check_lattice_counts(suite: _Suite, fresh: bool, spec_data: dict | None) -> 
 def check_moebius(suite: _Suite, fresh: bool, spec_data: dict | None) -> None:
     """Top-interval Moebius values match their closed forms, and zeta * mu = delta."""
     params = suite.params
+    _enumerable(params)
     for m in range(1, params["nc_value_max"] + 1):
         key = {"part": "closed-form", "lattice": "nc", "n": m}
         if suite.wants(key):

@@ -20,8 +20,7 @@ arguments); a nested semicumulant only on its default route, so that
 operator-valued recursion also keeps there the psi of each argument
 tuple's product, under ("psi", arguments).  The arguments must be the
 context's own hashable elements.  The table lives as long as the
-context, which the checks build per model; at ``TABLE_CAP`` entries it
-is cleared.
+context, which the checks build per model, and is never cleared.
 
 Every cumulant is one Moebius sum over an interval [lo, hi] of the
 lattice.  The partitioned cumulant and the semi-nested cumulant also
@@ -57,7 +56,7 @@ from functools import reduce
 from math import gcd
 
 from .errors import CrossingPartitionError, DimensionMismatchError, OrderViolationError
-from .models import ProbabilityContext, _keep
+from .models import ProbabilityContext
 from .partitions import LatticeKind, Partition, first_blocks, interval_list, moebius
 
 
@@ -169,7 +168,7 @@ def phi_partitioned(ctx: ProbabilityContext, part: Partition, args, level: Level
     if value is None:
         _validate(ctx, part, len(args))
         value = _extract(ctx, part, args, lambda _, sub: expectation(ctx, ctx.product(sub), level))
-        _keep(table, key, value)
+        table[key] = value
     return value
 
 
@@ -218,7 +217,7 @@ def _single_block(ctx, args: tuple, level: Level):
             value = ctx.embed_scalar(Fraction(*_kappa_scalar(ctx, args, (1 << len(args)) - 1, {}, {})))
         else:
             value = _kappa_operator(ctx, args)
-        _keep(table, key, value)
+        table[key] = value
     return value
 
 
@@ -304,7 +303,7 @@ def _psi_product(ctx, args: tuple):
     value = table.get(key)
     if value is None:
         value = ctx.psi(reduce(ctx.mul, args))
-        _keep(table, key, value)
+        table[key] = value
     return value
 
 
@@ -370,7 +369,7 @@ def nested_semicumulant(
                 lambda pos, sub: ctx.phi(_cumulant_recursive(ctx, inner.restrict(pos), sub, Level.PSI)),
             ),
         )
-        _keep(table, key, value)
+        table[key] = value
     return value
 
 

@@ -81,10 +81,6 @@ class PolyRing:
         return f"PolyRing({self.variables!r})"
 
     @property
-    def zero(self) -> Poly:
-        return _make(self, {}, 1)
-
-    @property
     def one(self) -> Poly:
         return _make(self, {0: 1}, 1)
 
@@ -411,11 +407,6 @@ class Matrix:
         if self.ring is None:
             return tuple(tuple(Fraction(t.get(0, 0), self.den) for t in row) for row in cells)
         return tuple(tuple(_make(self.ring, t, self.den) for t in row) for row in cells)
-
-    @staticmethod
-    def identity(d: int, one) -> Matrix:
-        zero = one - one
-        return Matrix([[one if i == j else zero for j in range(d)] for i in range(d)])
 
     def _check(self, other: Matrix) -> None:
         if self.dimension != other.dimension:

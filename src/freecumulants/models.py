@@ -41,18 +41,9 @@ from .exact import MAX_EXPONENT, LinearCombination, Matrix, Poly, PolyRing, _acc
 from .partitions import LatticeKind, first_blocks
 
 DEFAULT_MAX_ORDER = 8
-# most entries a context's phi_table or a factorization model's psi cache
-# keeps before it is cleared; a check fills at most 303 and 456
-TABLE_CAP = 4096
 # most words a drawn cumulant table may hold; the default tables hold 1,020
 MAX_CUMULANT_WORDS = 2**16
 _ZERO = Fraction(0)  # the cumulant of every word that mixes families
-
-
-def _keep(table: dict, key, value) -> None:
-    if len(table) >= TABLE_CAP:
-        table.clear()
-    table[key] = value
 
 
 def draw_fraction(rng: random.Random) -> Fraction:
@@ -599,8 +590,7 @@ class FactorizationModel:
         self.d = int(dimension)
         if self.d < 1:
             raise ValueError(f"matrix dimension must be at least 1, got {self.d}")
-        # c of each basis word met so far, see WordContext._psi_word; at
-        # TABLE_CAP entries it is cleared
+        # c of each basis word met so far, see WordContext._psi_word
         self._psi_cache: dict = {}
 
     @classmethod
@@ -652,10 +642,6 @@ class WordContext(LinearCombinationContext):
             return None
         return (g1 + g2, u1[:-1] + ((a, d),) + u2[1:])
 
-    def _trace(self, b) -> tuple[int, int]:
-        """Normalized trace of an element of B, as (numerator, denominator)."""
-        return sum(c for (_, ((i, j),)), c in b.terms.items() if i == j), b.den * self.d
-
     def _psi_word(self, gens, units) -> tuple[int, int]:
         """The c, as (numerator, denominator) in lowest terms, with psi(E_{u0}
         X_{g1} E_{u1} ... X_{gk} E_{uk}) = c E_{(u0.i, uk.j)}: psi is
@@ -665,7 +651,7 @@ class WordContext(LinearCombinationContext):
         [u_{a+1}.i == u_b.j] / d of psi of each gap V swallows, times c_tail
         [u0.j == u_{last+1}.i] for the word after V.  c depends on neither u0.i
         nor uk.j, so the model keeps it under (gens, u0.j, inner units, uk.i),
-        as the scalar spec keeps its free moments, up to ``TABLE_CAP`` of them."""
+        as the scalar spec keeps its free moments, for as long as the model lives."""
         if not gens:
             return 1, 1
         key = (gens, units[0][1], units[1:-1], units[-1][0])
@@ -689,8 +675,8 @@ class WordContext(LinearCombinationContext):
                 t_num, t_den = self._psi_word(gens[last + 1 :], units[last + 1 :])
                 num, den = num * vd * t_den + vn * t_num * den, den * vd * t_den
         g = gcd(num, den)
-        _keep(memo, key, (num // g, den // g))
-        return memo[key]
+        memo[key] = entry = (num // g, den // g)
+        return entry
 
     def psi(self, x):
         words = [(*self._psi_word(gens, u), c, u[0][0], u[-1][1]) for (gens, u), c in x.terms.items()]
@@ -698,7 +684,8 @@ class WordContext(LinearCombinationContext):
                                                for num, den, c, i, j in words]))
 
     def phi_scalar(self, x):
-        return Fraction(*self._trace(self.psi(x)))
+        b = self.psi(x)  # phi is the normalized trace of psi
+        return Fraction(sum(c for (_, ((i, j),)), c in b.terms.items() if i == j), b.den * self.d)
 
     def describe(self, x) -> str:
         words = (f"{c}*E{u[0][0]}{u[0][1]}" + "".join(f".{g}.E{i}{j}" for g, (i, j) in zip(gens, u[1:]))

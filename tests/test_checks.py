@@ -314,7 +314,8 @@ def test_cli_order_beyond_capacity_fails_before_any_work(capsys):
     for argv, needs in ((["moment-cumulant", "--n", "12"], "n_max=12 exceeds max_order=8"),
                         (["freeness", "--n", "7", "--max-order", "6"], "moments of order 7 exceed max_order=6"),
                         (["lattice-counts", "--n", "11"], "enumeration over n=11 exceeds the bound MAX_ENUM_N=10"),
-                        (["kreweras", "--n", "11"], "enumeration over n=11 exceeds the bound MAX_ENUM_N=10")):
+                        (["kreweras", "--n", "11"], "enumeration over n=11 exceeds the bound MAX_ENUM_N=10"),
+                        (["moebius", "--n", "11"], "enumeration over n=11 exceeds the bound MAX_ENUM_N=10")):
         t0 = time.perf_counter()
         assert main(["check", *argv]) == 1
         assert time.perf_counter() - t0 < 2, argv

@@ -15,7 +15,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freecumulants import models
 from freecumulants.errors import CapacityError, DimensionMismatchError
 from freecumulants.exact import Matrix
 from freecumulants.models import (
@@ -142,7 +141,7 @@ def test_matrix_psi_is_unital_bimodular_and_compatible_with_phi():
 def test_matrix_model_rejects_wrong_dimension_coefficients():
     model = MatrixModel.random(dimension=2, seed=0)
     with pytest.raises(DimensionMismatchError):
-        model.embed_b(Matrix.identity(3, F(1)))
+        model.embed_b(Matrix([[F(1)] * 3] * 3))
 
 
 def test_matrix_model_roundtrip():
@@ -348,20 +347,6 @@ def test_word_psi_equals_the_sum_over_noncrossing_partitions(seed, word):
     d, gens, units = word
     ctx = WordContext(FactorizationModel.random(2, dimension=d, max_order=6, seed=seed))
     assert dict(ctx.psi(basis_word(ctx, gens, units)).items()) == nc_sum_psi(ctx, gens, units)
-
-
-def test_a_word_models_psi_cache_never_exceeds_its_cap(monkeypatch):
-    # the model keeps its words' psi across calls and contexts, so it is
-    # bounded like a context's table; clearing it changes no value
-    word = (("x1", "x2", "x1", "x2"), ((0, 0), (0, 1), (1, 0), (0, 1), (1, 1)))
-    first = WordContext(FactorizationModel.random(2, dimension=2, seed=5))
-    expected = first.psi(basis_word(first, *word))
-    monkeypatch.setattr(models, "TABLE_CAP", 5)
-    ctx = WordContext(FactorizationModel.random(2, dimension=2, seed=5))
-    x = basis_word(ctx, *word)
-    assert ctx.psi(x) == expected
-    assert 1 <= len(ctx.model._psi_cache) <= 5
-    assert ctx.psi(x) == expected
 
 
 def test_word_psi_of_a_length_6_word_evaluates_at_most_2_to_the_7_cumulants():
