@@ -88,8 +88,6 @@ def _validate(ctx: ProbabilityContext, part: Partition, nargs: int) -> None:
         raise DimensionMismatchError(f"partition of {part.n} applied to {nargs} arguments")
     if ctx.kind is LatticeKind.NONCROSSING and not part.is_noncrossing:
         raise CrossingPartitionError(f"{part} is crossing")
-    if ctx.kind is LatticeKind.FULL and not ctx.commutative:
-        raise ValueError("full-lattice functionals need a commutative context")
 
 
 def _validate_pair(ctx: ProbabilityContext, pair: NestedPair, nargs: int) -> None:

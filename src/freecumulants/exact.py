@@ -171,7 +171,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self) -> Poly:
-        return _make(self.ring, {m: -c for m, c in self.terms.items()}, self.den)
+        return combine(((-1, self),), self)
 
     def __sub__(self, other) -> Poly:
         o = self._coerce(other)
@@ -187,8 +187,7 @@ class Poly:
 
     def __mul__(self, other) -> Poly:
         if isinstance(other, (int, Fraction)):
-            num = other.numerator
-            return _make(self.ring, {m: c * num for m, c in self.terms.items()}, self.den * other.denominator)
+            return combine(((other, self),), self)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -453,9 +452,7 @@ class Matrix:
     def scale(self, c: Scalar) -> Matrix:
         if c == 1:
             return self
-        num = c.numerator
-        return Matrix.from_numerators(self.ring, self.dimension, {k: v * num for k, v in self.terms.items()},
-                                      self.den * c.denominator)
+        return combine(((c, self),), self)
 
     __rmul__ = scale
 

@@ -66,7 +66,6 @@ class ProbabilityContext:
     """
 
     kind: LatticeKind = LatticeKind.NONCROSSING
-    commutative: bool = False
 
     @cached_property
     def phi_table(self) -> dict:
@@ -255,7 +254,6 @@ class ClassicalContext(ProbabilityContext):
     """Polynomials in independent variables; psi conditions on ``keep``."""
 
     kind = LatticeKind.FULL
-    commutative = True
 
     def __init__(self, spec: ClassicalSpec, keep: frozenset[str] = frozenset()):
         unknown = set(keep) - set(spec.variables)

@@ -21,8 +21,8 @@ from freecumulants.checks import ALL_CHECKS, replay_report, run_check
 from freecumulants.cli import main
 from freecumulants.errors import CapacityError
 from freecumulants.models import (
-    FactorizationModel, MatrixContext, MatrixModel, ScalarFreeContext, TensorContext, TensorModel, WordContext,
-    bound_word_dimension,
+    ClassicalSpec, FactorizationModel, MatrixContext, MatrixModel, ScalarFreeContext, TensorContext, TensorModel,
+    WordContext, bound_word_dimension,
 )
 from freecumulants.partitions import (
     LatticeKind, Partition, enumerate_partitions, format_partition, interval_list,
@@ -307,21 +307,34 @@ def test_cli_tensor_spec_with_unnormalised_weights_exits_two(tmp_path, capsys):
     assert err == "error: tensor-factorization: state weights must sum to 1\n"
 
 
-def test_cli_order_beyond_capacity_fails_before_any_work(capsys):
-    # max_order=8 cannot reach order 12, nor max_order=6 order 7, and no
-    # lattice is enumerated past MAX_ENUM_N: a setup FAIL at once, not
-    # seconds or minutes of work on the sizes below the bound
+def test_cli_order_beyond_capacity_fails_before_any_work(tmp_path, capsys):
+    # max_order=8 cannot reach order 12, nor max_order=6 order 7, no lattice
+    # is enumerated past MAX_ENUM_N, and the classical check stops at n = 5
+    # (12 s at n = 6): a setup FAIL at once, not seconds or minutes of work
+    # on the sizes below the bound
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(ClassicalSpec.random(["f"] + [f"g{i}" for i in range(7)], 8, 0).to_data()))
+    classical = "n_max=6 exceeds the bound MAX_CLASSICAL_N=5"
     for argv, needs in ((["moment-cumulant", "--n", "12"], "n_max=12 exceeds max_order=8"),
                         (["freeness", "--n", "7", "--max-order", "6"], "moments of order 7 exceed max_order=6"),
                         (["lattice-counts", "--n", "11"], "enumeration over n=11 exceeds the bound MAX_ENUM_N=10"),
                         (["kreweras", "--n", "11"], "enumeration over n=11 exceeds the bound MAX_ENUM_N=10"),
-                        (["moebius", "--n", "11"], "enumeration over n=11 exceeds the bound MAX_ENUM_N=10")):
+                        (["moebius", "--n", "11"], "enumeration over n=11 exceeds the bound MAX_ENUM_N=10"),
+                        (["classical-total-cumulance", "--n", "6"], classical),
+                        (["classical-total-cumulance", "--n", "6", "--spec", str(path)], classical)):
         t0 = time.perf_counter()
         assert main(["check", *argv]) == 1
         assert time.perf_counter() - t0 < 2, argv
         out = capsys.readouterr().out
         assert out.startswith(f"FAIL {argv[0]} (0 cases"), argv
         assert f"setup: {needs}" in out, argv
+    report = run_check("classical-total-cumulance", n=2).to_json()
+    report["params"]["n_max"] = 6
+    path.write_text(json.dumps(report))
+    t0 = time.perf_counter()
+    assert main(["check", "--replay", str(path)]) == 2
+    assert time.perf_counter() - t0 < 2
+    assert capsys.readouterr() == ("", f"error: cannot replay {path}: {classical}\n")
 
 
 def test_free_checks_refuse_a_model_with_fewer_than_two_families(tmp_path, capsys):
@@ -424,6 +437,17 @@ def test_cli_word_dimension_beyond_the_bound_fails_before_drawing(tmp_path, caps
         bound_word_dimension(bound, n)
         with pytest.raises(CapacityError, match=f"exceeds the bound {bound} at n={n} "):
             bound_word_dimension(bound + 1, n)
+
+
+def test_cli_word_dimension_past_the_packed_keys_fails_at_the_first_case(capsys):
+    # within the word bound at n = 1 (27), d = 17 passes the draw, which
+    # records entry strings, and stops at the 16 the packed matrix keys hold
+    t0 = time.perf_counter()
+    assert main(["check", "freeness-characterization", "--n", "1", "--dim", "17"]) == 1
+    assert time.perf_counter() - t0 < 2
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL freeness-characterization (0 cases")
+    assert "setup: matrix dimension 17 exceeds 16, the most the packed keys hold" in out
 
 
 def test_cli_tensor_points_beyond_the_bound_fail_before_drawing(tmp_path, capsys):

@@ -120,9 +120,11 @@ def test_poly_data_format_is_monomial_keyed():
     assert p.to_data() == {"1": "7", "u^2 v^1": "3/2"}
 
 
-@given(matrices(), matrices(), matrices())
-def test_matrix_ring_laws(a, b, c):
+@given(matrices(), matrices(), matrices(), fractions)
+def test_matrix_ring_laws(a, b, c, k):
     one = identity(2, RING.one)
+    for x in (Fraction(0), Fraction(1), k):
+        assert a.scale(x) == x * a == a * identity(2, RING.const(x))
     assert a * one == a and one * a == a
     assert a + b == b + a
     assert a * (b + c) == a * b + a * c
@@ -256,6 +258,8 @@ def assert_canonical(p):
 def test_every_operation_keeps_the_canonical_form(a, b, c):
     for p in (a + b, a - b, c - a, a * b, -a, a * c, a + c, Poly.from_data(RING, a.to_data())):
         assert_canonical(p)
+    assert a * c == c * a == a * RING.const(c)
+    assert -a == a * -1
     assert_canonical(Poly(RING, {(1, 0): Fraction(1, 2), (0, 1): Fraction(-5, 6), (0, 0): 0}))
     assert_canonical(RING.const(Fraction(4, 6)) * RING.const(Fraction(3, 2)))
 
