@@ -48,7 +48,6 @@ from .models import (
     TensorContext,
     TensorModel,
     WordContext,
-    bound_word_dimension,
     centered,
     draw_fraction,
     free_moment,
@@ -69,7 +68,10 @@ from .partitions import (
 
 DEFAULT_SEED = 2024
 DEFAULT_DIMENSION = 2
-MAX_CLASSICAL_N = 5  # check classical-total-cumulance takes 1.2 s at n = 5 and 12 s at n = 6
+
+# the named bounds of the capacity rows; a row naming a cost bound gives its times on 2 cores
+CAPACITY = {"MAX_ENUM_N": MAX_ENUM_N, "MAX_CLASSICAL_N": 5, "MAX_MATRIX_SPAN": 6**6,
+            "MAX_NESTED_DIMENSION": 7, "MAX_WORD_SPAN": 3**9, "MAX_WORD_COST": 4**6}
 
 
 @dataclass
@@ -132,24 +134,55 @@ def _given(value, default):
     return value if value is not None else default
 
 
+def _capacity(model: dict) -> dict:
+    """The max_order and dimension (a tensor model's points) of model data, as from_data reads them."""
+    return {"max_order": model.get("max_order", DEFAULT_MAX_ORDER),
+            "dimension": model.get("dimension", len(model.get("weights", ())))}
+
+
+def _gate(limits, params: dict) -> None:
+    """Raise CapacityError at the first row whose quantity exceeds its bound,
+    under params and under the capacity of each model params records."""
+    models = [params["model"]] if "model" in params else [row["model"] for row in params.get("models", ())]
+    for scope in [{**params, **CAPACITY}, *({**params, **_capacity(m), **CAPACITY} for m in models)]:
+        for quantity, bound, *value in limits:
+            v = value[0](scope) if value else scope[quantity]
+            if v > scope[bound]:
+                raise CapacityError(f"{quantity}={v} exceeds {bound}={scope[bound]}")
+
+
+def _largest(*sizes: str):
+    """The row bounding the largest of the lattice ``sizes`` by MAX_ENUM_N."""
+    return f"max({', '.join(sizes)})", "MAX_ENUM_N", lambda p: max(p[k] for k in sizes)
+
+
+# the matrix model's cost grows like d^(n+2) in its dimension d and word length n: at
+# (n, d) = (4, 6), the largest MAX_MATRIX_SPAN admits, moment-cumulant takes 4.3 s,
+# total-cumulance 3.2 s and partial-cumulants 1.3 s; (5, 5) takes 8.3 s.  n is bounded
+# first, so the power stays small; an n below 0 (a replay's, without cases) counts as 0
+_MATRIX_LIMITS = [("n_max", "max_order"), ("n_max", "MAX_ENUM_N"),
+                  ("dimension^(n_max+2)", "MAX_MATRIX_SPAN", lambda p: p["dimension"] ** (max(p["n_max"], 0) + 2))]
+
+
 ALL_CHECKS: dict = {}
 
 
-def _check(identity: str, bounds, seeds: int | None = None):
+def _check(identity: str, bounds, seeds: int | None = None, model=None, limits=()):
     """Register the decorated body as the check ``identity``.
 
     ``bounds(**flags)`` returns the bounds of a fresh run; its parameters,
     with their defaults, are the flags the check reads; other flags but
     ``seed`` and a negative ``n`` raise ``ValueError``.  A check that draws
-    model data gives ``seeds``, how many consecutive seeds from the base
-    seed it draws with (0: the base seed alone, recorded as ``seed``); it
-    also reads ``max_order`` and ``spec_data``.  A check without ``seeds``
-    draws nothing and records no seed.  Neither ``max_order`` nor
-    ``dimension`` combines with ``spec_data``, because a spec carries its own.
-
-    The registered function keeps the public keyword signature and runs
-    ``body(suite, fresh, spec_data)``, where ``suite.params`` are the
-    recorded params of a replay, or fresh ones when ``fresh``.
+    data of a ``model`` class gives ``seeds``, how many consecutive seeds
+    from the base seed it draws with (0: the base seed alone, recorded as
+    ``seed``), and reads ``max_order`` and ``spec_data``, whose spec, parsed
+    here, gives ``bounds`` its own ``max_order`` and ``dimension`` (neither
+    flag combines with it).  ``limits`` are rows (quantity, bound, value):
+    the value, a function of params or else ``params[quantity]``, must not
+    exceed the bound, a params key or a ``CAPACITY`` name.  Every run, fresh,
+    from a spec or replayed, meets them before anything is drawn; the
+    registered function, with the public keyword signature, then runs
+    ``body(suite, params, fresh, spec)``; ``params`` are a replay's unless ``fresh``.
     """
     bound_flags = set(inspect.signature(bounds).parameters)
     reads = bound_flags | ({"max_order", "spec_data"} if seeds is not None else set())
@@ -170,18 +203,25 @@ def _check(identity: str, bounds, seeds: int | None = None):
                     if flag in given:
                         raise ValueError(f"{flag} does not combine with spec_data: "
                                          f"a spec carries its own {flag}")
-            fresh = params is None
+            fresh, spec = params is None, None
             if fresh:
+                if seeds is not None:
+                    given.setdefault("max_order", DEFAULT_MAX_ORDER)
+                    if spec_data is not None:
+                        spec = model.from_data(spec_data)
+                        given.update(_capacity(spec.to_data()))
                 params = bounds(**{k: v for k, v in given.items() if k in bound_flags})
                 if seeds is not None:
                     base = _given(seed, DEFAULT_SEED)
-                    params["max_order"] = _given(max_order, DEFAULT_MAX_ORDER)
+                    params["max_order"] = given["max_order"]
                     params.update({"seeds": [base + k for k in range(seeds)]} if seeds else {"seed": base})
+            _gate(limits, params)
             suite = _Suite(identity, params, only_instance)
-            body(suite, fresh, spec_data)
+            body(suite, params, fresh, spec)
             return suite.report()
 
         check.__name__, check.__qualname__, check.__doc__ = body.__name__, body.__qualname__, body.__doc__
+        check.limits = limits
         ALL_CHECKS[identity] = check
         return check
 
@@ -202,10 +242,6 @@ def _bell(n: int) -> int:
     return row[0]
 
 
-def _matrix_from_data(rows: list[list[str]]) -> Matrix:
-    return Matrix([[as_fraction(a) for a in row] for row in rows])
-
-
 def _nc(n: int) -> tuple[Partition, ...]:
     return enumerate_partitions(n, LatticeKind.NONCROSSING)
 
@@ -214,22 +250,13 @@ def _below(part: Partition, kind: LatticeKind) -> tuple[Partition, ...]:
     return interval_list(Partition.discrete(part.n), part, kind)
 
 
-def _enumerable(params: dict) -> None:
-    """Fail before any case when a size bound in ``params`` exceeds MAX_ENUM_N."""
-    n = max(params.values())
-    if n > MAX_ENUM_N:
-        raise CapacityError(f"enumeration over n={n} exceeds the bound MAX_ENUM_N={MAX_ENUM_N}")
-
-
-def _free_spec(params: dict, fresh: bool, spec_data: dict | None) -> ScalarFreeSpec:
+def _free_spec(params: dict, fresh: bool, spec: ScalarFreeSpec | None) -> ScalarFreeSpec:
     """The run's scalar free spec, which must hold the two free families a
     check compares; a fresh run records the given spec, or a drawn one."""
     if fresh:
-        spec = (ScalarFreeSpec.from_data(spec_data) if spec_data is not None
-                else ScalarFreeSpec.random({"a": ("a1", "a2"), "b": ("b1", "b2")},
-                                           params["max_order"], params["seed"]))
+        spec = spec or ScalarFreeSpec.random({"a": ("a1", "a2"), "b": ("b1", "b2")},
+                                             params["max_order"], params["seed"])
         params["model"] = spec.to_data()
-        params["max_order"] = spec.max_order
     spec = ScalarFreeSpec.from_data(params["model"])
     if len(spec.families) < 2:
         raise ValueError(f"the check needs at least two free families, the model has {len(spec.families)}")
@@ -240,11 +267,10 @@ def _free_spec(params: dict, fresh: bool, spec_data: dict | None) -> ScalarFreeS
 # lattice-layer checks (no randomness)
 
 
-@_check("lattice-counts", lambda n=8: {"nc_max": n, "full_max": min(n, 6)})
-def check_lattice_counts(suite: _Suite, fresh: bool, spec_data: dict | None) -> None:
+@_check("lattice-counts", lambda n=8: {"nc_max": n, "full_max": min(n, 6)},
+        limits=[_largest("nc_max", "full_max")])
+def check_lattice_counts(suite: _Suite, params: dict, fresh: bool, spec) -> None:
     """Enumeration sizes match the Catalan and Bell numbers."""
-    params = suite.params
-    _enumerable(params)
     for m in range(params["nc_max"] + 1):
         key = {"lattice": "nc", "n": m}
         if suite.wants(key):
@@ -256,11 +282,10 @@ def check_lattice_counts(suite: _Suite, fresh: bool, spec_data: dict | None) -> 
 
 
 @_check("moebius", lambda n=7: {"nc_value_max": n, "full_value_max": min(n, 6),
-                                 "nc_convolution_n": 5, "full_convolution_n": 4})
-def check_moebius(suite: _Suite, fresh: bool, spec_data: dict | None) -> None:
+                                 "nc_convolution_n": 5, "full_convolution_n": 4},
+        limits=[_largest("nc_value_max", "full_value_max", "nc_convolution_n", "full_convolution_n")])
+def check_moebius(suite: _Suite, params: dict, fresh: bool, spec) -> None:
     """Top-interval Moebius values match their closed forms, and zeta * mu = delta."""
-    params = suite.params
-    _enumerable(params)
     for m in range(1, params["nc_value_max"] + 1):
         key = {"part": "closed-form", "lattice": "nc", "n": m}
         if suite.wants(key):
@@ -285,12 +310,11 @@ def check_moebius(suite: _Suite, fresh: bool, spec_data: dict | None) -> None:
 
 
 @_check("kreweras", lambda n=None: {"size_max": _given(n, 7), "reversal_max": _given(n, 6),
-                                    "anti_max": _given(n, 6), "maximality_max": 4})
-def check_kreweras(suite: _Suite, fresh: bool, spec_data: dict | None) -> None:
+                                    "anti_max": _given(n, 6), "maximality_max": 4},
+        limits=[_largest("size_max", "reversal_max", "anti_max", "maximality_max")])
+def check_kreweras(suite: _Suite, params: dict, fresh: bool, spec) -> None:
     """Complement size identity, order reversal, interval anti-isomorphism,
     and the defining maximality of the complement."""
-    params = suite.params
-    _enumerable(params)
     # the complement of every pi in NC(m), m up to the largest bound, once
     kr = {pi: kreweras(pi) for m in range(max(params.values()) + 1) for pi in _nc(m)}
     for m in range(1, params["size_max"] + 1):
@@ -328,20 +352,13 @@ def check_kreweras(suite: _Suite, fresh: bool, spec_data: dict | None) -> None:
 # seeded models shared by several checks
 
 
-def _models(params: dict, fresh: bool, spec_data: dict | None, model_class, random_model, draw):
+def _models(params: dict, fresh: bool, spec, model_class, random_model, draw):
     """(seed, model, recorded row) for each seed.
 
-    A fresh run takes the spec, whose own ``max_order`` and ``dimension``
-    replace the bounds', or builds ``random_model(seed)``; it draws the
-    arguments as ``draw(model, rng)`` from a per-seed generator and records
-    ``{"seed", "model", **draws}``.  Every model is then rebuilt from the
-    record, so a replay uses the recorded values and never the seed.
-    Arguments longer than the capacity fail before anything is drawn."""
-    spec = model_class.from_data(spec_data) if fresh and spec_data is not None else None
-    if spec is not None:
-        params.update((k, v) for k, v in spec.to_data().items() if k in ("max_order", "dimension"))
-    if params["n_max"] > params["max_order"]:
-        raise CapacityError(f"n_max={params['n_max']} exceeds max_order={params['max_order']}")
+    A fresh run takes the spec or builds ``random_model(seed)``; it draws
+    the arguments as ``draw(model, rng)`` from a per-seed generator and
+    records ``{"seed", "model", **draws}``.  Every model is then rebuilt
+    from the record, so a replay uses the recorded values and never the seed."""
     if fresh:
         rows = []
         for s in params["seeds"]:
@@ -351,14 +368,14 @@ def _models(params: dict, fresh: bool, spec_data: dict | None, model_class, rand
     return [(row["seed"], model_class.from_data(row["model"]), row) for row in params["models"]]
 
 
-def _matrix_bundles(params: dict, fresh: bool, spec_data: dict | None):
+def _matrix_bundles(params: dict, fresh: bool, spec: MatrixModel | None):
     """(seed, context, {m: arguments}) for each matrix model, the arguments
     one generator word of every length m up to n_max."""
     return [
         (s, MatrixContext(model), {int(m): [model.generators[g] for g in word]
                                    for m, word in row["args"].items()})
         for s, model, row in _models(
-            params, fresh, spec_data, MatrixModel,
+            params, fresh, spec, MatrixModel,
             lambda s: MatrixModel.random(params["generator_count"], params["dimension"],
                                          params["max_order"], s),
             lambda model, rng: {"args": {
@@ -370,12 +387,12 @@ def _matrix_bundles(params: dict, fresh: bool, spec_data: dict | None):
 
 
 @_check("moment-cumulant", lambda n=5, dimension=DEFAULT_DIMENSION:
-        {"n_max": n, "dimension": dimension, "generator_count": 3}, seeds=5)
-def check_moment_cumulant(suite: _Suite, fresh: bool, spec_data: dict | None) -> None:
+        {"n_max": n, "dimension": dimension, "generator_count": 3},
+        seeds=5, model=MatrixModel, limits=_MATRIX_LIMITS)
+def check_moment_cumulant(suite: _Suite, params: dict, fresh: bool, spec) -> None:
     """Moment-cumulant inversion: phi_sigma equals the sum of partitioned
     cumulants below sigma, for every noncrossing sigma."""
-    params = suite.params
-    for s, ctx, words in _matrix_bundles(params, fresh, spec_data):
+    for s, ctx, words in _matrix_bundles(params, fresh, spec):
         for m in range(1, params["n_max"] + 1):
             args = words[m]
             table: dict[Partition, Matrix] = {}
@@ -392,13 +409,13 @@ def check_moment_cumulant(suite: _Suite, fresh: bool, spec_data: dict | None) ->
 
 
 @_check("total-cumulance", lambda n=4, dimension=DEFAULT_DIMENSION:
-        {"n_max": n, "dimension": dimension, "generator_count": 3}, seeds=5)
-def check_total_cumulance(suite: _Suite, fresh: bool, spec_data: dict | None) -> None:
+        {"n_max": n, "dimension": dimension, "generator_count": 3},
+        seeds=5, model=MatrixModel, limits=_MATRIX_LIMITS)
+def check_total_cumulance(suite: _Suite, params: dict, fresh: bool, spec) -> None:
     """The law of total cumulance on the noncrossing lattice, with its two
     supporting identities: the generalized moment-cumulant formula and the
     Moebius consistency of the nested functionals."""
-    params = suite.params
-    for s, ctx, words in _matrix_bundles(params, fresh, spec_data):
+    for s, ctx, words in _matrix_bundles(params, fresh, spec):
         for m in range(1, params["n_max"] + 1):
             args = words[m]
             top = Partition.full(m)
@@ -426,12 +443,12 @@ def check_total_cumulance(suite: _Suite, fresh: bool, spec_data: dict | None) ->
 
 
 @_check("partial-cumulants", lambda n=5, dimension=DEFAULT_DIMENSION:
-        {"n_max": n, "interval_base_max": 4, "dimension": dimension, "generator_count": 3}, seeds=1)
-def check_partial_cumulants(suite: _Suite, fresh: bool, spec_data: dict | None) -> None:
+        {"n_max": n, "interval_base_max": 4, "dimension": dimension, "generator_count": 3},
+        seeds=1, model=MatrixModel, limits=_MATRIX_LIMITS)
+def check_partial_cumulants(suite: _Suite, params: dict, fresh: bool, spec) -> None:
     """Join formula for partial cumulants, their boundary collapses, and
     the interval-base reduction to a quotient cumulant of block products."""
-    params = suite.params
-    for s, ctx, words in _matrix_bundles(params, fresh, spec_data):
+    for s, ctx, words in _matrix_bundles(params, fresh, spec):
         for m in range(1, params["n_max"] + 1):
             args = words[m]
             everything = _nc(m)
@@ -473,12 +490,14 @@ def check_partial_cumulants(suite: _Suite, fresh: bool, spec_data: dict | None) 
                                          rhs, render=ctx.describe)
 
 
+# MAX_NESTED_DIMENSION: d = 7 takes 3.6 s and d = 8 9.8 s
 @_check("nested-closed-forms", lambda dimension=DEFAULT_DIMENSION:
-        {"n_max": 8, "dimension": dimension, "generator_count": 3}, seeds=1)
-def check_nested_closed_forms(suite: _Suite, fresh: bool, spec_data: dict | None) -> None:
+        {"n_max": 8, "dimension": dimension, "generator_count": 3},
+        seeds=1, model=MatrixModel, limits=[("n_max", "max_order"), ("dimension", "MAX_NESTED_DIMENSION")])
+def check_nested_closed_forms(suite: _Suite, params: dict, fresh: bool, spec) -> None:
     """The worked eight-argument nesting displays and the three-argument
     correction-term closed form, evaluated literally against the engine."""
-    for s, ctx, words in _matrix_bundles(suite.params, fresh, spec_data):
+    for s, ctx, words in _matrix_bundles(params, fresh, spec):
         X = words[8]
         X1, X2, X3, X4, X5, X6, X7, X8 = X
         pi = parse_partition("{1,2,7,8}{3,4}{5,6}")
@@ -524,12 +543,13 @@ def check_nested_closed_forms(suite: _Suite, fresh: bool, spec_data: dict | None
 # classical lattice
 
 
-@_check("classical-total-cumulance", lambda n=4: {"n_max": n}, seeds=3)
-def check_classical_total_cumulance(suite: _Suite, fresh: bool, spec_data: dict | None) -> None:
+# MAX_CLASSICAL_N: 1.2 s at n = 5, 12 s at n = 6
+@_check("classical-total-cumulance", lambda n=4: {"n_max": n}, seeds=3, model=ClassicalSpec,
+        limits=[("n_max", "max_order"), ("n_max", "MAX_CLASSICAL_N")])
+def check_classical_total_cumulance(suite: _Suite, params: dict, fresh: bool, spec) -> None:
     """The classical law of total cumulance over all set partitions, the
     closed form for nested conditional cumulants, and the rearrangement of
     partial cumulants into quotient cumulants of block products."""
-    params = suite.params
     n_max = params["n_max"]
 
     def draw(spec: ClassicalSpec, rng: random.Random) -> dict:
@@ -547,10 +567,7 @@ def check_classical_total_cumulance(suite: _Suite, fresh: bool, spec_data: dict 
         names = ["f"] + [f"g{i}" for i in range(n_max + 1)]
         return ClassicalSpec.random(names, params["max_order"], s)
 
-    models = _models(params, fresh, spec_data, ClassicalSpec, random_spec, draw)
-    if n_max > MAX_CLASSICAL_N:  # after the max_order bound, before any case
-        raise CapacityError(f"n_max={n_max} exceeds the bound MAX_CLASSICAL_N={MAX_CLASSICAL_N}")
-    for s, spec, row in models:
+    for s, spec, row in _models(params, fresh, spec, ClassicalSpec, random_spec, draw):
         ctx = ClassicalContext(spec, frozenset(row["keep"]))
         plain = ClassicalContext(spec)
         polys = [Poly.from_data(spec.ring, d) for d in row["polys"]]
@@ -589,19 +606,17 @@ def check_classical_total_cumulance(suite: _Suite, fresh: bool, spec_data: dict 
 # scalar free families
 
 
-@_check("freeness", lambda n=4: {"mixed_max": n, "alternating_max": 6,
-                                 "quadratic_max": 3, "quadratic_trials": 4}, seeds=0)
-def check_freeness(suite: _Suite, fresh: bool, spec_data: dict | None) -> None:
+# alternating words follow the model's capacity
+@_check("freeness", lambda n=4, max_order=DEFAULT_MAX_ORDER:
+        {"mixed_max": n, "alternating_max": min(6, max_order),
+         "quadratic_max": min(3, max_order // 2), "quadratic_trials": 4},
+        seeds=0, model=ScalarFreeSpec,
+        limits=[("max(mixed_max, alternating_max, 2*quadratic_max)", "max_order",
+                 lambda p: max(p["mixed_max"], p["alternating_max"], 2 * p["quadratic_max"]))])
+def check_freeness(suite: _Suite, params: dict, fresh: bool, spec) -> None:
     """Freeness certificates: cumulants mixing families vanish, and
     alternating products of centered elements have zero expectation."""
-    params = suite.params
-    spec = _free_spec(params, fresh, spec_data)
-    if fresh:  # alternating words follow the spec's capacity
-        params["alternating_max"] = min(params["alternating_max"], spec.max_order)
-        params["quadratic_max"] = min(params["quadratic_max"], spec.max_order // 2)
-    order = max(params["mixed_max"], params["alternating_max"], 2 * params["quadratic_max"])
-    if order > spec.max_order:
-        raise CapacityError(f"moments of order {order} exceed max_order={spec.max_order}")
+    spec = _free_spec(params, fresh, spec)
     fams = sorted(spec.families)
     if fresh:
         rng = random.Random(f"{params['seed']}:quadratic")
@@ -645,16 +660,14 @@ def check_freeness(suite: _Suite, fresh: bool, spec_data: dict | None) -> None:
                 suite.record(key, ctx.phi_scalar(prod), Fraction(0))
 
 
-@_check("product-formula", lambda n=4: {"n_max": n}, seeds=0)
-def check_product_formula(suite: _Suite, fresh: bool, spec_data: dict | None) -> None:
+# each argument is a product of two letters
+@_check("product-formula", lambda n=4: {"n_max": n}, seeds=0, model=ScalarFreeSpec,
+        limits=[("2*n_max", "max_order", lambda p: 2 * p["n_max"])])
+def check_product_formula(suite: _Suite, params: dict, fresh: bool, spec) -> None:
     """Cumulants of products of free variables expand over interweaved
     partitions pi joined with their Kreweras complements."""
-    params = suite.params
-    spec = _free_spec(params, fresh, spec_data)
+    spec = _free_spec(params, fresh, spec)
     if fresh:
-        # each argument is a product of two letters
-        if 2 * params["n_max"] > params["max_order"]:
-            raise CapacityError(f"2*n_max={2 * params['n_max']} exceeds max_order={params['max_order']}")
         rng = random.Random(f"{params['seed']}:words")
         fams = sorted(spec.families)
         params["words"] = {
@@ -685,18 +698,23 @@ def check_product_formula(suite: _Suite, fresh: bool, spec_data: dict | None) ->
 # factorization model
 
 
+# the word model's cost grows like d^(2n+1): MAX_WORD_SPAN admits (n, d) = (4, 3), 3.0 s, and
+# (2, 7), 4.0 s, not (4, 4), 59 s.  Its interweave cases grow about 4-fold with n: MAX_WORD_COST
+# admits (6, 1), 1.1 s, and (5, 2), 0.8 s, not (6, 2), 5.2 s, (7, 1), 5.5 s, or (8, 1), 44 s
 @_check("freeness-characterization", lambda n=4, dimension=DEFAULT_DIMENSION:
-        {"n_max": n, "dimension": dimension}, seeds=3)
-def check_freeness_characterization(suite: _Suite, fresh: bool, spec_data: dict | None) -> None:
+        {"n_max": n, "dimension": dimension}, seeds=3, model=FactorizationModel,
+        limits=[("n_max", "max_order"), ("n_max", "MAX_ENUM_N"),
+                ("dimension^(2*n_max+1)", "MAX_WORD_SPAN",
+                 lambda p: p["dimension"] ** (2 * max(p["n_max"], 0) + 1)),
+                ("dimension^2*4^n_max", "MAX_WORD_COST", lambda p: p["dimension"] ** 2 * 4 ** p["n_max"])])
+def check_freeness_characterization(suite: _Suite, params: dict, fresh: bool, spec) -> None:
     """In the model whose conditional expectation is defined by the
     factorization rule: the rule round-trips through the engine,
     alternating centered words vanish, scalar-coefficient cumulants stay
     scalar and match the plain ones, and nested cumulants flatten onto the
     interweave of the inner partition with its Kreweras complement."""
-    params = suite.params
 
     def draw(model: FactorizationModel, rng: random.Random) -> dict:
-        bound_word_dimension(model.d, params["n_max"])  # before anything is drawn
         gens = [g for f in sorted(model.scalars.families) for g in model.scalars.families[f]]
         d = model.d
 
@@ -714,17 +732,16 @@ def check_freeness_characterization(suite: _Suite, fresh: bool, spec_data: dict 
         }}
 
     for s, model, recorded in _models(
-        params, fresh, spec_data, FactorizationModel,
+        params, fresh, spec, FactorizationModel,
         lambda s: FactorizationModel.random(2, params["dimension"], params["max_order"], s), draw,
     ):
-        bound_word_dimension(model.d, params["n_max"])  # a replay draws nothing
         ctx = WordContext(model)
         sc = model.scalars
         for m in range(1, params["n_max"] + 1):
             row = recorded["draws"][str(m)]
             gens = row["gens"]
-            bs = [ctx.embed_b(_matrix_from_data(rows)) for rows in row["bs"]]
-            b0 = ctx.embed_b(_matrix_from_data(row["b0"]))
+            bs = [ctx.embed_b(Matrix(rows)) for rows in row["bs"]]
+            b0 = ctx.embed_b(Matrix(row["b0"]))
             cs = [as_fraction(c) for c in row["cs"]]
 
             key = {"part": "factorization-rule", "seed": s, "n": m}
@@ -772,23 +789,18 @@ def check_freeness_characterization(suite: _Suite, fresh: bool, spec_data: dict 
 # tensor model
 
 
-@_check("tensor-factorization", lambda n=4, dimension=3: {"n_max": n, "points": dimension}, seeds=0)
-def check_tensor_factorization(suite: _Suite, fresh: bool, spec_data: dict | None) -> None:
+# an argument carries one or two letters
+@_check("tensor-factorization", lambda n=4, dimension=3: {"n_max": n, "points": dimension},
+        seeds=0, model=TensorModel, limits=[("2*n_max", "max_order", lambda p: 2 * p["n_max"])])
+def check_tensor_factorization(suite: _Suite, params: dict, fresh: bool, spec) -> None:
     """Nested functionals of simple tensors split into a word-factor
     functional indexed by the inner partition and a point-factor
     functional indexed by the outer one; reference values come from
     direct partition sums, not the engine."""
-    params = suite.params
     if fresh:
-        base = params["seed"]
-        model = (TensorModel.from_data(spec_data) if spec_data is not None
-                 else TensorModel.random(params["points"], params["max_order"], base))
+        model = spec or TensorModel.random(params["points"], params["max_order"], params["seed"])
         params["model"] = model.to_data()
-        params["max_order"], params["points"] = model.scalars.max_order, model.points
-        # each argument carries up to two letters
-        if 2 * params["n_max"] > params["max_order"]:
-            raise CapacityError(f"2*n_max={2 * params['n_max']} exceeds max_order={params['max_order']}")
-        rng = random.Random(f"{base}:args")
+        rng = random.Random(f"{params['seed']}:args")
         gen = next(iter(model.scalars.family_of))
         params["args"] = {
             str(m): [

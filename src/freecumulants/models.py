@@ -553,22 +553,6 @@ class ScalarFreeContext(LinearCombinationContext):
 # factorization model: a free family inside d x d matrices
 
 
-# most d^(2n+1), which the word model's cost at word length n grows like: check
-# freeness-characterization at n = 4 takes 4.6 s at d = 3 (3^9) and 62 s at d = 4
-MAX_WORD_SPAN = 3**9
-
-
-def bound_word_dimension(d: int, n: int) -> None:
-    """Raise CapacityError when d^(2n+1) exceeds MAX_WORD_SPAN; an n below 0
-    (a replayed report's, which then has no cases) counts as 0."""
-    span = 2 * max(n, 0) + 1
-    bound = round(MAX_WORD_SPAN ** (1 / span))
-    bound -= bound ** span > MAX_WORD_SPAN
-    if d > bound:
-        raise CapacityError(f"a word model of dimension {d} exceeds the bound {bound} at n={n} "
-                            f"(d^(2n+1) <= MAX_WORD_SPAN={MAX_WORD_SPAN})")
-
-
 class FactorizationModel:
     """A scalar free family N sitting inside A = N * M_d(Q) (amalgamated
     over the scalars), with psi: A -> B = M_d(Q) *defined* by the

@@ -8,6 +8,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -21,8 +22,7 @@ from freecumulants.checks import ALL_CHECKS, replay_report, run_check
 from freecumulants.cli import main
 from freecumulants.errors import CapacityError
 from freecumulants.models import (
-    ClassicalSpec, FactorizationModel, MatrixContext, MatrixModel, ScalarFreeContext, TensorContext, TensorModel,
-    WordContext, bound_word_dimension,
+    FactorizationModel, MatrixContext, MatrixModel, ScalarFreeContext, TensorContext, TensorModel, WordContext,
 )
 from freecumulants.partitions import (
     LatticeKind, Partition, enumerate_partitions, format_partition, interval_list,
@@ -307,34 +307,110 @@ def test_cli_tensor_spec_with_unnormalised_weights_exits_two(tmp_path, capsys):
     assert err == "error: tensor-factorization: state weights must sum to 1\n"
 
 
-def test_cli_order_beyond_capacity_fails_before_any_work(tmp_path, capsys):
-    # max_order=8 cannot reach order 12, nor max_order=6 order 7, no lattice
-    # is enumerated past MAX_ENUM_N, and the classical check stops at n = 5
-    # (12 s at n = 6): a setup FAIL at once, not seconds or minutes of work
-    # on the sizes below the bound
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps(ClassicalSpec.random(["f"] + [f"g{i}" for i in range(7)], 8, 0).to_data()))
-    classical = "n_max=6 exceeds the bound MAX_CLASSICAL_N=5"
-    for argv, needs in ((["moment-cumulant", "--n", "12"], "n_max=12 exceeds max_order=8"),
-                        (["freeness", "--n", "7", "--max-order", "6"], "moments of order 7 exceed max_order=6"),
-                        (["lattice-counts", "--n", "11"], "enumeration over n=11 exceeds the bound MAX_ENUM_N=10"),
-                        (["kreweras", "--n", "11"], "enumeration over n=11 exceeds the bound MAX_ENUM_N=10"),
-                        (["moebius", "--n", "11"], "enumeration over n=11 exceeds the bound MAX_ENUM_N=10"),
-                        (["classical-total-cumulance", "--n", "6"], classical),
-                        (["classical-total-cumulance", "--n", "6", "--spec", str(path)], classical)):
+# a run one step past each capacity row, at --n 1000000 past max_order, and at
+# the runs the cost bounds were fitted to refuse: (identity, flags, message)
+PAST_THE_BOUNDS = [
+    ("lattice-counts", {"n": 11}, "max(nc_max, full_max)=11 exceeds MAX_ENUM_N=10"),
+    ("moebius", {"n": 11}, "max(nc_value_max, full_value_max, nc_convolution_n, full_convolution_n)=11 "
+                           "exceeds MAX_ENUM_N=10"),
+    ("kreweras", {"n": 11}, "max(size_max, reversal_max, anti_max, maximality_max)=11 exceeds MAX_ENUM_N=10"),
+    *[(identity, flags, why) for identity in ("moment-cumulant", "total-cumulance", "partial-cumulants",
+                                              "classical-total-cumulance", "freeness-characterization")
+      for flags, why in (({"n": 9}, "n_max=9 exceeds max_order=8"),
+                         ({"n": 10**6}, "n_max=1000000 exceeds max_order=8"))],
+    *[(identity, {"n": 11, "max_order": 11, "dimension": 1}, "n_max=11 exceeds MAX_ENUM_N=10")
+      for identity in ("moment-cumulant", "total-cumulance", "partial-cumulants", "freeness-characterization")],
+    ("moment-cumulant", {"dimension": 5}, "dimension^(n_max+2)=78125 exceeds MAX_MATRIX_SPAN=46656"),
+    ("moment-cumulant", {"dimension": 6}, "dimension^(n_max+2)=279936 exceeds MAX_MATRIX_SPAN=46656"),
+    ("total-cumulance", {"dimension": 7}, "dimension^(n_max+2)=117649 exceeds MAX_MATRIX_SPAN=46656"),
+    ("partial-cumulants", {"dimension": 5}, "dimension^(n_max+2)=78125 exceeds MAX_MATRIX_SPAN=46656"),
+    ("nested-closed-forms", {"max_order": 7}, "n_max=8 exceeds max_order=7"),
+    ("nested-closed-forms", {"dimension": 8}, "dimension=8 exceeds MAX_NESTED_DIMENSION=7"),
+    ("classical-total-cumulance", {"n": 6}, "n_max=6 exceeds MAX_CLASSICAL_N=5"),
+    ("freeness", {"n": 7, "max_order": 6}, "max(mixed_max, alternating_max, 2*quadratic_max)=7 exceeds max_order=6"),
+    ("freeness", {"n": 10**6}, "max(mixed_max, alternating_max, 2*quadratic_max)=1000000 exceeds max_order=8"),
+    ("freeness-characterization", {"dimension": 4}, "dimension^(2*n_max+1)=262144 exceeds MAX_WORD_SPAN=19683"),
+    ("freeness-characterization", {"n": 7, "dimension": 1}, "dimension^2*4^n_max=16384 exceeds MAX_WORD_COST=4096"),
+    ("freeness-characterization", {"n": 8, "dimension": 1}, "dimension^2*4^n_max=65536 exceeds MAX_WORD_COST=4096"),
+    ("freeness-characterization", {"n": 6, "dimension": 2}, "dimension^2*4^n_max=16384 exceeds MAX_WORD_COST=4096"),
+    *[(identity, flags, why) for identity in ("product-formula", "tensor-factorization")
+      for flags, why in (({"n": 5}, "2*n_max=10 exceeds max_order=8"),
+                         ({"n": 10**6}, "2*n_max=2000000 exceeds max_order=8"))],
+]
+
+
+def gated_params(identity: str, flags: dict) -> dict:
+    """The params a fresh run with ``flags`` hands the capacity gate."""
+    seen = []
+    gate = checks._gate
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(checks, "_gate", lambda limits, params: seen.append(copy.deepcopy(params)) or gate(limits, params))
+        with pytest.raises(CapacityError):
+            run_check(identity, **flags)
+    return seen[0]
+
+
+def test_each_capacity_row_fails_one_step_past_its_bound(monkeypatch, tmp_path, capsys):
+    # every declared row is met fresh, from a spec (model data carrying the
+    # flags' max_order and dimension) and by a replay whose params and
+    # recorded models carry them: each a setup FAIL, or as a replay an exit 2,
+    # in under 2 s with no case run
+    rows = {(identity, quantity, bound) for identity, fn in ALL_CHECKS.items() for quantity, bound, *_ in fn.limits}
+    met = {(identity, why.split("=")[0], why.split(" exceeds ")[1].split("=")[0])
+           for identity, _, why in PAST_THE_BOUNDS}
+    assert met == rows
+    cases = []
+    for identity, flags, why in PAST_THE_BOUNDS:
+        capacity = {k: flags[k] for k in ("max_order", "dimension") if k in flags}
+        spec = None
+        if "max_order" in READS[identity]:  # nested-closed-forms reads no n: its models from partial-cumulants
+            source = identity if "n" in READS[identity] else "partial-cumulants"
+            params = run_check(source, n=0, **capacity).params
+            spec = params["model"] if "model" in params else params["models"][0]["model"]
+        base = run_check(identity, **({"n": 0} if "n" in READS[identity] else {})).to_json()
+        base["params"].update(gated_params(identity, flags))
+        for model in [base["params"]["model"]] if "model" in base["params"] else [
+                row["model"] for row in base["params"].get("models", ())]:
+            model.update((k, v) for k, v in capacity.items() if k in model)
+        cases.append((identity, flags, why, spec, base))
+    monkeypatch.setattr(checks._Suite, "record", lambda *args: pytest.fail("a case ran"))
+    path = tmp_path / "input.json"
+    for identity, flags, why, spec, report in cases:
+        n = ["--n", str(flags["n"])] if "n" in flags else []
+        argv = [*n, *(["--dim", str(flags["dimension"])] if "dimension" in flags else []),
+                *(["--max-order", str(flags["max_order"])] if "max_order" in flags else [])]
+        runs = [["check", identity, *argv]]
+        if spec is not None:
+            spec_path = tmp_path / "spec.json"
+            spec_path.write_text(json.dumps(spec))
+            runs.append(["check", identity, *n, "--spec", str(spec_path)])
+        for run in runs:
+            t0 = time.perf_counter()
+            assert main(run) == 1, run
+            assert time.perf_counter() - t0 < 2, run
+            out = capsys.readouterr().out
+            assert out.startswith(f"FAIL {identity} (0 cases") and f"     error: setup: {why}\n" in out, run
+        path.write_text(json.dumps(report))
         t0 = time.perf_counter()
-        assert main(["check", *argv]) == 1
-        assert time.perf_counter() - t0 < 2, argv
-        out = capsys.readouterr().out
-        assert out.startswith(f"FAIL {argv[0]} (0 cases"), argv
-        assert f"setup: {needs}" in out, argv
-    report = run_check("classical-total-cumulance", n=2).to_json()
-    report["params"]["n_max"] = 6
-    path.write_text(json.dumps(report))
-    t0 = time.perf_counter()
-    assert main(["check", "--replay", str(path)]) == 2
-    assert time.perf_counter() - t0 < 2
-    assert capsys.readouterr() == ("", f"error: cannot replay {path}: {classical}\n")
+        assert main(["check", "--replay", str(path)]) == 2, (identity, flags)
+        assert time.perf_counter() - t0 < 2, (identity, flags)
+        assert capsys.readouterr() == ("", f"error: cannot replay {path}: {why}\n"), (identity, flags)
+    # the largest word dimension MAX_WORD_SPAN admits at each n
+    span = next(row[2] for row in ALL_CHECKS["freeness-characterization"].limits if row[1] == "MAX_WORD_SPAN")
+    for n, d in ((1, 27), (2, 7), (3, 4), (4, 3), (5, 2), (6, 2), (7, 1), (8, 1)):
+        assert span({"n_max": n, "dimension": d}) <= 3**9 < span({"n_max": n, "dimension": d + 1}), n
+
+
+def test_every_bound_is_named_in_the_documents():
+    # README's Bounds section is the one list of the bounds, and the spec
+    # format refers to it by name
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    bounds = readme[readme.index("## Bounds"):readme.index("## Tests")]
+    specs = (root / "docs" / "model_specs.md").read_text()
+    names = {bound for fn in ALL_CHECKS.values() for _, bound, *_ in fn.limits} | set(checks.CAPACITY)
+    for name in names:
+        assert re.search(rf"\b{name}\b", bounds) and re.search(rf"\b{name}\b", specs), name
 
 
 def test_free_checks_refuse_a_model_with_fewer_than_two_families(tmp_path, capsys):
@@ -368,19 +444,6 @@ def test_a_stray_cumulant_word_exits_2(tmp_path, capsys, word, value):
     assert capsys.readouterr() == ("", f"error: freeness: {why}\n")
 
 
-def test_cli_huge_order_fails_before_drawing_arguments(capsys):
-    # the arguments drawn grow as n_max^2, so the capacity must be checked first
-    for identity, needs in (("moment-cumulant", "n_max=1000000"),
-                            ("classical-total-cumulance", "n_max=1000000"),
-                            ("freeness-characterization", "n_max=1000000"),
-                            ("product-formula", "2*n_max=2000000"),
-                            ("tensor-factorization", "2*n_max=2000000")):
-        t0 = time.perf_counter()
-        assert main(["check", identity, "--n", str(10**6)]) == 1
-        assert time.perf_counter() - t0 < 2, identity
-        assert f"setup: {needs} exceeds max_order=8" in capsys.readouterr().out
-
-
 def test_cli_matrix_dimension_beyond_the_bound_fails_before_drawing(tmp_path, capsys):
     # from d = 12 on, the entry names g_ij collide ((1, 11) and (11, 1) are
     # both g_111), so a fresh run, a spec and a replay all stop at the bound
@@ -409,16 +472,17 @@ def test_cli_matrix_dimension_beyond_the_bound_fails_before_drawing(tmp_path, ca
 
 
 def test_cli_word_dimension_beyond_the_bound_fails_before_drawing(tmp_path, capsys):
-    # the word model's cost grows like d^(2n+1) (62 s at n = 4, d = 4), so a
-    # fresh run, a spec and a replay all stop at the bound for their n
-    for n, d, bound in ((4, 4, 3), (2, 8, 7), (2, 16, 7), (5, 3, 2), (7, 2, 1), (3, 10**6, 4)):
+    # the word model's cost grows like d^(2n+1) (59 s at n = 4, d = 4), so a
+    # fresh run, a spec and a replay whose recorded models alone carry the
+    # dimension all stop at the bound for their n
+    for n, d in ((4, 4), (2, 8), (2, 16), (5, 3), (7, 2), (3, 10**6)):
         t0 = time.perf_counter()
         assert main(["check", "freeness-characterization", "--n", str(n), "--dim", str(d)]) == 1
         assert time.perf_counter() - t0 < 2
         out = capsys.readouterr().out
         assert out.startswith("FAIL freeness-characterization (0 cases")
-        assert f"setup: a word model of dimension {d} exceeds the bound {bound} at n={n} " in out
-    why = "a word model of dimension 8 exceeds the bound 7 at n=2 (d^(2n+1) <= MAX_WORD_SPAN=19683)"
+        assert f"setup: dimension^(2*n_max+1)={d ** (2 * n + 1)} exceeds MAX_WORD_SPAN=19683\n" in out
+    why = "dimension^(2*n_max+1)=32768 exceeds MAX_WORD_SPAN=19683"
     path = tmp_path / "model.json"
     path.write_text(json.dumps(FactorizationModel.random(2, 8, 8, 0).to_data()))
     assert main(["check", "freeness-characterization", "--n", "2", "--spec", str(path)]) == 1
@@ -433,10 +497,6 @@ def test_cli_word_dimension_beyond_the_bound_fails_before_drawing(tmp_path, caps
     path.write_text(json.dumps(report))
     assert main(["check", "--replay", str(path)]) == 1
     assert "no cases" in capsys.readouterr().out
-    for n, bound in ((1, 27), (2, 7), (3, 4), (4, 3), (5, 2), (6, 2), (7, 1), (8, 1)):
-        bound_word_dimension(bound, n)
-        with pytest.raises(CapacityError, match=f"exceeds the bound {bound} at n={n} "):
-            bound_word_dimension(bound + 1, n)
 
 
 def test_cli_word_dimension_past_the_packed_keys_fails_at_the_first_case(capsys):
@@ -475,16 +535,6 @@ def test_cli_tensor_points_beyond_the_bound_fail_before_drawing(tmp_path, capsys
     with pytest.raises(CapacityError, match=why):
         TensorModel.random(33, 8, 0)
     assert TensorModel.random(32, 8, 0).points == 32
-
-
-def test_cli_tensor_order_of_two_letter_arguments_fails_before_drawing(capsys):
-    # an argument has one or two letters, so a nested moment reaches order 2*n_max
-    t0 = time.perf_counter()
-    assert main(["check", "tensor-factorization", "--n", "5"]) == 1
-    assert time.perf_counter() - t0 < 2
-    out = capsys.readouterr().out
-    assert out.startswith("FAIL tensor-factorization (0 cases")
-    assert "setup: 2*n_max=10 exceeds max_order=8" in out
 
 
 def test_cli_cumulant_tables_beyond_the_bound_fail_before_drawing(capsys):
