@@ -22,7 +22,7 @@ from freecumulants.checks import ALL_CHECKS, replay_report, run_check
 from freecumulants.cli import main
 from freecumulants.errors import CapacityError
 from freecumulants.models import (
-    FactorizationModel, MatrixContext, MatrixModel, ScalarFreeContext, TensorContext, TensorModel, WordContext,
+    ClassicalSpec, FactorizationModel, MatrixContext, MatrixModel, ScalarFreeContext, TensorContext, TensorModel, WordContext,
 )
 from freecumulants.partitions import (
     LatticeKind, Partition, enumerate_partitions, format_partition, interval_list,
@@ -400,6 +400,62 @@ def test_each_capacity_row_fails_one_step_past_its_bound(monkeypatch, tmp_path, 
     for n, d in ((1, 27), (2, 7), (3, 4), (4, 3), (5, 2), (6, 2), (7, 1), (8, 1)):
         assert span({"n_max": n, "dimension": d}) <= 3**9 < span({"n_max": n, "dimension": d + 1}), n
 
+
+
+def test_cli_order_beyond_capacity_fails_before_any_work(tmp_path, capsys):
+    # max_order=8 cannot reach order 12, nor max_order=6 order 7, no lattice
+    # is enumerated past MAX_ENUM_N, and the classical check stops at n = 5
+    # (12 s at n = 6): a setup FAIL at once, not seconds or minutes of work
+    # on the sizes below the bound
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(ClassicalSpec.random(["f"] + [f"g{i}" for i in range(7)], 8, 0).to_data()))
+    classical = "n_max=6 exceeds MAX_CLASSICAL_N=5"
+    for argv, needs in ((["moment-cumulant", "--n", "12"], "n_max=12 exceeds max_order=8"),
+                        (["freeness", "--n", "7", "--max-order", "6"],
+                         "max(mixed_max, alternating_max, 2*quadratic_max)=7 exceeds max_order=6"),
+                        (["lattice-counts", "--n", "11"], "max(nc_max, full_max)=11 exceeds MAX_ENUM_N=10"),
+                        (["kreweras", "--n", "11"],
+                         "max(size_max, reversal_max, anti_max, maximality_max)=11 exceeds MAX_ENUM_N=10"),
+                        (["moebius", "--n", "11"], "max(nc_value_max, full_value_max, nc_convolution_n, "
+                                                   "full_convolution_n)=11 exceeds MAX_ENUM_N=10"),
+                        (["classical-total-cumulance", "--n", "6"], classical),
+                        (["classical-total-cumulance", "--n", "6", "--spec", str(path)], classical)):
+        t0 = time.perf_counter()
+        assert main(["check", *argv]) == 1
+        assert time.perf_counter() - t0 < 2, argv
+        out = capsys.readouterr().out
+        assert out.startswith(f"FAIL {argv[0]} (0 cases"), argv
+        assert f"setup: {needs}" in out, argv
+    report = run_check("classical-total-cumulance", n=2).to_json()
+    report["params"]["n_max"] = 6
+    path.write_text(json.dumps(report))
+    t0 = time.perf_counter()
+    assert main(["check", "--replay", str(path)]) == 2
+    assert time.perf_counter() - t0 < 2
+    assert capsys.readouterr() == ("", f"error: cannot replay {path}: {classical}\n")
+
+
+def test_cli_huge_order_fails_before_drawing_arguments(capsys):
+    # the arguments drawn grow as n_max^2, so the capacity must be checked first
+    for identity, needs in (("moment-cumulant", "n_max=1000000"),
+                            ("classical-total-cumulance", "n_max=1000000"),
+                            ("freeness-characterization", "n_max=1000000"),
+                            ("product-formula", "2*n_max=2000000"),
+                            ("tensor-factorization", "2*n_max=2000000")):
+        t0 = time.perf_counter()
+        assert main(["check", identity, "--n", str(10**6)]) == 1
+        assert time.perf_counter() - t0 < 2, identity
+        assert f"setup: {needs} exceeds max_order=8" in capsys.readouterr().out
+
+
+def test_cli_tensor_order_of_two_letter_arguments_fails_before_drawing(capsys):
+    # an argument has one or two letters, so a nested moment reaches order 2*n_max
+    t0 = time.perf_counter()
+    assert main(["check", "tensor-factorization", "--n", "5"]) == 1
+    assert time.perf_counter() - t0 < 2
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL tensor-factorization (0 cases")
+    assert "setup: 2*n_max=10 exceeds max_order=8" in out
 
 def test_every_bound_is_named_in_the_documents():
     # README's Bounds section is the one list of the bounds, and the spec
