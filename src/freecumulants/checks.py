@@ -71,7 +71,8 @@ DEFAULT_DIMENSION = 2
 
 # the named bounds of the capacity rows; a row naming a cost bound gives its times on 2 cores
 CAPACITY = {"MAX_ENUM_N": MAX_ENUM_N, "MAX_CLASSICAL_N": 5, "MAX_MATRIX_SPAN": 6**6,
-            "MAX_NESTED_DIMENSION": 7, "MAX_WORD_SPAN": 3**9, "MAX_WORD_COST": 4**6}
+            "MAX_NESTED_DIMENSION": 7, "MAX_WORD_SPAN": 3**3 * 5**6, "MAX_WORD_COST": 4**6,
+            "MAX_MIXED_WORDS": 4**6}
 
 
 @dataclass
@@ -135,9 +136,11 @@ def _given(value, default):
 
 
 def _capacity(model: dict) -> dict:
-    """The max_order and dimension (a tensor model's points) of model data, as from_data reads them."""
+    """The max_order, dimension (a tensor model's points) and count of free generators of
+    model data, as from_data reads them."""
     return {"max_order": model.get("max_order", DEFAULT_MAX_ORDER),
-            "dimension": model.get("dimension", len(model.get("weights", ())))}
+            "dimension": model.get("dimension", len(model.get("weights", ()))),
+            "generators": sum(len(row.get("generators", [row.get("name")])) for row in model.get("families", ()))}
 
 
 def _gate(limits, params: dict) -> None:
@@ -178,8 +181,9 @@ def _check(identity: str, bounds, seeds: int | None = None, model=None, limits=(
     ``seed``), and reads ``max_order`` and ``spec_data``, whose spec, parsed
     here, gives ``bounds`` its own ``max_order`` and ``dimension`` (neither
     flag combines with it).  ``limits`` are rows (quantity, bound, value):
-    the value, a function of params or else ``params[quantity]``, must not
-    exceed the bound, a params key or a ``CAPACITY`` name.  Every run, fresh,
+    the value, a function of params (with a spec's ``_capacity`` under them)
+    or else ``params[quantity]``, must not exceed the bound, a params key or
+    a ``CAPACITY`` name.  Every run, fresh,
     from a spec or replayed, meets them before anything is drawn; the
     registered function, with the public keyword signature, then runs
     ``body(suite, params, fresh, spec)``; ``params`` are a replay's unless ``fresh``.
@@ -203,19 +207,20 @@ def _check(identity: str, bounds, seeds: int | None = None, model=None, limits=(
                     if flag in given:
                         raise ValueError(f"{flag} does not combine with spec_data: "
                                          f"a spec carries its own {flag}")
-            fresh, spec = params is None, None
+            fresh, spec, capacity = params is None, None, {}
             if fresh:
                 if seeds is not None:
                     given.setdefault("max_order", DEFAULT_MAX_ORDER)
                     if spec_data is not None:
                         spec = model.from_data(spec_data)
-                        given.update(_capacity(spec.to_data()))
+                        capacity = _capacity(spec.to_data())
+                        given.update(capacity)
                 params = bounds(**{k: v for k, v in given.items() if k in bound_flags})
                 if seeds is not None:
                     base = _given(seed, DEFAULT_SEED)
                     params["max_order"] = given["max_order"]
                     params.update({"seeds": [base + k for k in range(seeds)]} if seeds else {"seed": base})
-            _gate(limits, params)
+            _gate(limits, {**capacity, **params})
             suite = _Suite(identity, params, only_instance)
             body(suite, params, fresh, spec)
             return suite.report()
@@ -606,13 +611,15 @@ def check_classical_total_cumulance(suite: _Suite, params: dict, fresh: bool, sp
 # scalar free families
 
 
-# alternating words follow the model's capacity
+# alternating words follow the model's capacity.  The mixed words grow like generators^n, four
+# generators when drawn: MAX_MIXED_WORDS admits n = 6, 3.8 s, not n = 7, 52 s
 @_check("freeness", lambda n=4, max_order=DEFAULT_MAX_ORDER:
         {"mixed_max": n, "alternating_max": min(6, max_order),
          "quadratic_max": min(3, max_order // 2), "quadratic_trials": 4},
         seeds=0, model=ScalarFreeSpec,
         limits=[("max(mixed_max, alternating_max, 2*quadratic_max)", "max_order",
-                 lambda p: max(p["mixed_max"], p["alternating_max"], 2 * p["quadratic_max"]))])
+                 lambda p: max(p["mixed_max"], p["alternating_max"], 2 * p["quadratic_max"])),
+                ("generators^mixed_max", "MAX_MIXED_WORDS", lambda p: p.get("generators", 4) ** p["mixed_max"])])
 def check_freeness(suite: _Suite, params: dict, fresh: bool, spec) -> None:
     """Freeness certificates: cumulants mixing families vanish, and
     alternating products of centered elements have zero expectation."""
@@ -650,14 +657,13 @@ def check_freeness(suite: _Suite, params: dict, fresh: bool, spec) -> None:
             for word in itertools.product(*choices):
                 key = {"part": "alternating", "word": " ".join(word)}
                 if suite.wants(key):
-                    prod = ctx.product(centered(ctx, ctx.gen(g)) for g in word)
-                    suite.record(key, ctx.phi_scalar(prod), Fraction(0))
+                    suite.record(key, ctx.phi_scalar_product(centered(ctx, ctx.gen(g)) for g in word), Fraction(0))
     for L, rows in params["quadratic_words"].items():
         for t, letters in enumerate(rows):
             key = {"part": "alternating-quadratic", "length": int(L), "trial": t}
             if suite.wants(key):
-                prod = ctx.product(centered(ctx, ctx.mul(ctx.gen(g), ctx.gen(h))) for g, h in letters)
-                suite.record(key, ctx.phi_scalar(prod), Fraction(0))
+                word = [centered(ctx, ctx.mul(ctx.gen(g), ctx.gen(h))) for g, h in letters]
+                suite.record(key, ctx.phi_scalar_product(word), Fraction(0))
 
 
 # each argument is a product of two letters
@@ -698,15 +704,15 @@ def check_product_formula(suite: _Suite, params: dict, fresh: bool, spec) -> Non
 # factorization model
 
 
-# the word model's cost grows like d^(2n+1): MAX_WORD_SPAN admits (n, d) = (4, 3), 3.0 s, and
-# (2, 7), 4.0 s, not (4, 4), 59 s.  Its interweave cases grow about 4-fold with n: MAX_WORD_COST
-# admits (6, 1), 1.1 s, and (5, 2), 0.8 s, not (6, 2), 5.2 s, (7, 1), 5.5 s, or (8, 1), 44 s
+# the word model takes psi over simple tensors, so its cost grows about like d^3 5^n: MAX_WORD_SPAN
+# admits (n, d) = (6, 3), 3.7 s, (5, 5), 2.8 s, (4, 8), 2.4 s, and (3, 15), 3.8 s, not (6, 4), 8.3 s,
+# (5, 6), 4.4 s, (4, 11), 7.9 s, or (3, 16), 4.6 s.  At d = 1 its interweave cases grow about
+# 5-fold with n: MAX_WORD_COST admits (6, 1), 1.2 s, not (7, 1), 6.3 s, or (8, 1), 38 s
 @_check("freeness-characterization", lambda n=4, dimension=DEFAULT_DIMENSION:
         {"n_max": n, "dimension": dimension}, seeds=3, model=FactorizationModel,
         limits=[("n_max", "max_order"), ("n_max", "MAX_ENUM_N"),
-                ("dimension^(2*n_max+1)", "MAX_WORD_SPAN",
-                 lambda p: p["dimension"] ** (2 * max(p["n_max"], 0) + 1)),
-                ("dimension^2*4^n_max", "MAX_WORD_COST", lambda p: p["dimension"] ** 2 * 4 ** p["n_max"])])
+                ("dimension^3*5^n_max", "MAX_WORD_SPAN", lambda p: p["dimension"] ** 3 * 5 ** max(p["n_max"], 0)),
+                ("4^n_max", "MAX_WORD_COST", lambda p: 4 ** p["n_max"])])
 def check_freeness_characterization(suite: _Suite, params: dict, fresh: bool, spec) -> None:
     """In the model whose conditional expectation is defined by the
     factorization rule: the rule round-trips through the engine,
@@ -760,7 +766,7 @@ def check_freeness_characterization(suite: _Suite, params: dict, fresh: bool, sp
                 for i in range(m):
                     word.append(centered(ctx, ctx.gen(gens[i])))
                     word.append(centered(ctx, bs[i]) if i < m - 1 else bs[i])
-                suite.record(key, ctx.phi_scalar(ctx.product(word)), Fraction(0))
+                suite.record(key, ctx.phi_scalar_product(word), Fraction(0))
 
             key = {"part": "scalar-coefficients", "seed": s, "n": m}
             if suite.wants(key):

@@ -39,6 +39,14 @@ comes from
 The Moebius sum is the reference route that ``cross_check`` compares
 the recursion against.
 
+The engine never forms a product only to take its expectation: the
+block expectation of ``phi_partitioned``, ``_psi_product`` and
+``_moment_scalar`` hand the factors to the context's hook,
+``psi_product`` or ``phi_scalar_product`` (see models.py), as the
+freeness checks do for their alternating words.  The default hook is
+psi or phi_scalar of the product; the word model takes it over simple
+tensors instead of basis words.
+
 Nested functionals compose two levels of the tower: ``nested_moment`` is
 the outer partitioned expectation wrapped around inner psi-partitioned
 values, ``nested_semicumulant`` wraps inner psi-cumulants, and
@@ -52,7 +60,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import reduce
 from math import gcd
 
 from .errors import CrossingPartitionError, DimensionMismatchError, OrderViolationError
@@ -165,7 +172,8 @@ def phi_partitioned(ctx: ProbabilityContext, part: Partition, args, level: Level
     value = table.get(key)
     if value is None:
         _validate(ctx, part, len(args))
-        value = _extract(ctx, part, args, lambda _, sub: expectation(ctx, ctx.product(sub), level))
+        value = _extract(ctx, part, args, lambda _, sub: ctx.psi_product(sub) if level is Level.PSI
+                         else ctx.embed_scalar(ctx.phi_scalar_product(sub)))
         table[key] = value
     return value
 
@@ -268,7 +276,7 @@ def _moment_scalar(ctx, args, mask: int, moments: dict) -> tuple[int, int]:
     value = moments.get(mask)
     if value is None:
         subset = (a for i, a in enumerate(args) if mask >> i & 1)
-        value = moments[mask] = ctx.phi_scalar(reduce(ctx.mul, subset)).as_integer_ratio()
+        value = moments[mask] = ctx.phi_scalar_product(subset).as_integer_ratio()
     return value
 
 
@@ -300,7 +308,7 @@ def _psi_product(ctx, args: tuple):
     table, key = ctx.phi_table, ("psi", args)
     value = table.get(key)
     if value is None:
-        value = ctx.psi(reduce(ctx.mul, args))
+        value = ctx.psi_product(args)
         table[key] = value
     return value
 

@@ -22,6 +22,16 @@ linear combinations, ``mul``.  Every element (a ``Poly``, ``Matrix`` or
 ``LinearCombination``) holds integer numerators ``terms`` over one ``den``
 and builds its like with ``_like``, so all contexts share ``combine``.
 
+The expectation of a product goes through one hook, ``psi_product(xs)``,
+and its scalar twin ``phi_scalar_product(xs)``: by default psi and
+phi_scalar of ``product(xs)``.  Four sites build a product only to take
+its expectation, and call them: ``engine._psi_product``, the block
+expectation of ``engine.phi_partitioned``, ``engine._moment_scalar`` and
+the alternating words of the freeness checks.  ``WordContext`` overrides
+both with psi over simple tensors b0 X b1 ... X bk, a recursion over
+intervals with d x d matrices in place of the d^(2k+1) basis words of the
+product; its ``psi`` stays the flat route, the reference for the hook.
+
 All randomness is drawn from ``random.Random(seed)`` with numerators in
 [-9, 9] and denominators in {1, 2, 3}; drawn values travel in ``to_data``
 payloads so any run can be reproduced from its report alone.
@@ -32,7 +42,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from functools import cached_property, partial, reduce
+from functools import cache, cached_property, partial, reduce
 from math import gcd, lcm, prod
 from operator import getitem
 
@@ -54,11 +64,13 @@ class ProbabilityContext:
     """Interface the cumulant engine works against.
 
     Elements of A are opaque to the engine.  A context supplies ``unit``,
-    ``psi``, ``phi_scalar`` and, when its elements have no ``*``, ``mul``.
-    Every element holds integer numerators ``terms`` over one ``den`` > 0
-    and builds its like with ``_like``, so every linear operation is one
-    ``combine``.  ``phi`` returns the C-value embedded back into A so the
-    engine can keep multiplying; ``phi_scalar`` exposes the bare rational.
+    ``psi``, ``phi_scalar`` and, when its elements have no ``*``, ``mul``;
+    it may override ``psi_product`` and ``phi_scalar_product`` with a
+    route that never forms the product.  Every element holds integer
+    numerators ``terms`` over one ``den`` > 0 and builds its like with
+    ``_like``, so every linear operation is one ``combine``.  ``phi``
+    returns the C-value embedded back into A so the engine can keep
+    multiplying; ``phi_scalar`` exposes the bare rational.
 
     Elements are immutable hashable values, so the engine keeps the
     partitioned expectations it computes on the context in ``phi_table``
@@ -80,11 +92,19 @@ class ProbabilityContext:
     def psi(self, x):
         raise NotImplementedError
 
+    def psi_product(self, xs):
+        """psi of the product of the factors ``xs``."""
+        return self.psi(self.product(xs))
+
     def phi(self, x):
         return self.embed_scalar(self.phi_scalar(x))
 
     def phi_scalar(self, x) -> Fraction:
         raise NotImplementedError
+
+    def phi_scalar_product(self, xs) -> Fraction:
+        """phi_scalar of the product of the factors ``xs``."""
+        return self.phi_scalar(self.product(xs))
 
     def combine(self, pairs):
         """The sum of c * x over the (int or Fraction c, element x) pairs, in
@@ -574,6 +594,9 @@ class FactorizationModel:
             raise ValueError(f"matrix dimension must be at least 1, got {self.d}")
         # c of each basis word met so far, see WordContext._psi_word
         self._psi_cache: dict = {}
+        # the cumulants as integer numerators over their common denominator, see WordContext._psi_simple
+        self.kappa_den = lcm(*(c.denominator for c in scalars.cumulants.values()))
+        self.kappa_num = {w: c.numerator * (self.kappa_den // c.denominator) for w, c in scalars.cumulants.items()}
 
     @classmethod
     def random(
@@ -594,6 +617,56 @@ class FactorizationModel:
     @classmethod
     def from_data(cls, data: dict) -> FactorizationModel:
         return cls(ScalarFreeSpec.from_data(data), data["dimension"])
+
+
+@cache
+def _identity(d: int) -> tuple[int, ...]:
+    return tuple(int(i == j) for i in range(d) for j in range(d))
+
+
+def _matmul(d: int, a, b):
+    """The product of two flat d x d integer matrices, where None is the unit."""
+    if a is None or b is None:
+        return b if a is None else a
+    return tuple(sum(a[i + k] * b[k * d + j] for k in range(d)) for i in range(0, d * d, d) for j in range(d))
+
+
+def _primitive(entries: list[int], d: int) -> tuple[int, tuple | None]:
+    """(g, m) with g * m == entries, m a flat d x d matrix whose entries have
+    gcd 1, or None when m is the unit."""
+    g = gcd(*entries)
+    m = tuple(c // g for c in entries)
+    return g, None if m == _identity(d) else m
+
+
+def _rank_one_terms(entries: dict, d: int) -> list:
+    """The nonzero integer array ``entries`` {(u0, u1): c} over the d^2 x
+    d^2 index pairs as terms (num, den, left, right), num/den times the
+    outer product of two ``_primitive`` matrices: each pivot p = entries[u0,
+    u1] splits off the outer product of its column and row over p, and
+    leaves p * entries less that product, the integer array of the rest
+    (fraction-free elimination), one term per unit of the rank."""
+    terms, den = [], 1
+    while entries:
+        (p, q), pivot = next(iter(entries.items()))
+        column, row = [0] * (d * d), [0] * (d * d)
+        for (u0, u1), c in entries.items():
+            if u1 == q:
+                column[u0] = c
+            if u0 == p:
+                row[u1] = c
+        den *= pivot
+        (g_left, left), (g_right, right) = _primitive(column, d), _primitive(row, d)
+        num = g_left * g_right if den > 0 else -g_left * g_right
+        g = gcd(num, den)
+        terms.append((num // g, abs(den) // g, left, right))
+        rest = {key: pivot * c for key, c in entries.items()}
+        for u0, a in enumerate(column):
+            for u1, b in enumerate(row if a else ()):
+                if b:
+                    rest[u0, u1] = rest.get((u0, u1), 0) - a * b
+        entries = {key: c for key, c in rest.items() if c}
+    return terms
 
 
 class WordContext(LinearCombinationContext):
@@ -665,8 +738,100 @@ class WordContext(LinearCombinationContext):
         return LinearCombination(*_accumulate([(num * c, den * x.den, {((), ((i, j),)): 1}, None)
                                                for num, den, c, i, j in words]))
 
+    def psi_product(self, xs):
+        """psi of the product of the factors ``xs``, summed over the simple
+        tensors b0 X_{g1} b1 ... X_{gk} bk the product expands into, each
+        factor given by ``_simple_terms``; a factor with a term of two or
+        more generators takes the flat route, psi(product(xs))."""
+        xs = list(xs)
+        factors = [self._simple_terms(x) for x in xs]
+        if None in factors:
+            return self.psi(self.product(xs))
+        d = self.d
+        tensors = [(1, 1, (), (None,))]  # (num, den, gens, mats): mats[-1] still takes factors on the right
+        for pieces in factors:
+            grown = []
+            for num, den, gens, mats in tensors:
+                for p_num, p_den, g, (b, *rest) in pieces:
+                    last = _matmul(d, mats[-1], b)
+                    if last is None or any(last):
+                        grown.append((num * p_num, den * p_den, gens + g, (*mats[:-1], last, *rest)))
+            tensors = grown
+        dk = d * self.model.kappa_den
+        keys = [((), ((i, j),)) for i in range(d) for j in range(d)]
+        return LinearCombination(*_accumulate([
+            (num, den * dk ** len(gens), dict(zip(keys, self._psi_simple(gens, mats))), None)
+            for num, den, gens, mats in tensors]))
+
+    def _simple_terms(self, x) -> list | None:
+        """x as a sum of simple tensors (num, den, gens, mats), each num/den
+        times mats[0] X_g mats[1] for gens (g,), or the matrix mats[0] for
+        gens (); a matrix is a flat tuple of integers, or None for the unit.
+        The terms of one generator factor by integer elimination of their
+        coefficients over (u0, u1), rank 1 for gen and gen.b; None if a term
+        holds two or more generators."""
+        d, groups = self.d, {}
+        for (gens, units), c in x.terms.items():
+            if len(gens) > 1:
+                return None
+            groups.setdefault(gens, {})[tuple(i * d + j for i, j in units)] = c
+        pieces = []
+        for gens, entries in groups.items():
+            if gens:
+                pieces += [(num, den * x.den, gens, (left, right))
+                           for num, den, left, right in _rank_one_terms(entries, d)]
+            else:
+                b = [0] * (d * d)
+                for (u,), c in entries.items():
+                    b[u] = c
+                g, b = _primitive(b, d)
+                pieces.append((g, x.den, gens, (b,)))
+        return pieces
+
+    def _psi_simple(self, gens, mats) -> tuple[int, ...]:
+        """The numerators over (d K)^k, K = ``kappa_den``, of psi(b0 X_{g1}
+        b1 ... X_{gk} bk) for the k ``gens`` and k + 1 ``mats``, as a flat
+        matrix.  F(s, t) = psi(b_s X_{g_s+1} ... X_{g_t} b_t) is b_s times the
+        sum over the blocks V holding generator s + 1 of kappa(g_V), the
+        normalized traces of F of the gaps V swallows, and F(last of V, t):
+        the factorization rule (Nica-Shlyakhtenko-Speicher) on the first-block
+        recursion, as ``_psi_word`` takes it per basis word.  The scalar
+        c(s, e) of the blocks from s + 1 to e does not depend on t."""
+        d, k = self.d, len(gens)
+        kappa_den, kappas = self.model.kappa_den, self.model.kappa_num
+        identity = _identity(d)
+        num, trace = {}, {}  # F(s, t) over (d K)^(t - s), and its trace
+        for s in range(k, -1, -1):
+            c = [0] * (k + 1)
+            stack = [(s + 1, gens[s:s + 1], d)] if s < k else []
+            while stack:  # blocks V as (last, g_V, d K^(|V| - 1) times the traces of its gaps)
+                last, word, weight = stack.pop()
+                kappa = kappas.get(word)
+                if kappa is None:  # beyond max_order: raises CapacityError
+                    self.model.scalars.cumulant(word)
+                c[last] += kappa * weight
+                stack += [(nxt, word + gens[nxt - 1:nxt], weight * kappa_den * trace[last, nxt - 1])
+                          for nxt in range(last + 1, k + 1) if trace[last, nxt - 1]]
+            for t in range(s, k + 1) if s else (k,):
+                if t == s:
+                    value = mats[s] or identity
+                else:
+                    total = [0] * (d * d)
+                    for e in range(s + 1, t + 1):
+                        if c[e]:
+                            total = [a + c[e] * b for a, b in zip(total, num[e, t])]
+                    value = _matmul(d, mats[s], tuple(total))
+                num[s, t], trace[s, t] = value, sum(value[::d + 1])
+        return num[0, k]
+
     def phi_scalar(self, x):
-        b = self.psi(x)  # phi is the normalized trace of psi
+        return self._normalized_trace(self.psi(x))
+
+    def phi_scalar_product(self, xs):
+        return self._normalized_trace(self.psi_product(xs))
+
+    def _normalized_trace(self, b) -> Fraction:
+        """phi of the B element b: its normalized trace."""
         return Fraction(sum(c for (_, ((i, j),)), c in b.terms.items() if i == j), b.den * self.d)
 
     def describe(self, x) -> str:

@@ -22,7 +22,8 @@ from freecumulants.checks import ALL_CHECKS, replay_report, run_check
 from freecumulants.cli import main
 from freecumulants.errors import CapacityError
 from freecumulants.models import (
-    ClassicalSpec, FactorizationModel, MatrixContext, MatrixModel, ScalarFreeContext, TensorContext, TensorModel, WordContext,
+    ClassicalSpec, FactorizationModel, MatrixContext, MatrixModel, ScalarFreeContext, ScalarFreeSpec, TensorContext,
+    TensorModel, WordContext,
 )
 from freecumulants.partitions import (
     LatticeKind, Partition, enumerate_partitions, format_partition, interval_list,
@@ -329,10 +330,12 @@ PAST_THE_BOUNDS = [
     ("classical-total-cumulance", {"n": 6}, "n_max=6 exceeds MAX_CLASSICAL_N=5"),
     ("freeness", {"n": 7, "max_order": 6}, "max(mixed_max, alternating_max, 2*quadratic_max)=7 exceeds max_order=6"),
     ("freeness", {"n": 10**6}, "max(mixed_max, alternating_max, 2*quadratic_max)=1000000 exceeds max_order=8"),
-    ("freeness-characterization", {"dimension": 4}, "dimension^(2*n_max+1)=262144 exceeds MAX_WORD_SPAN=19683"),
-    ("freeness-characterization", {"n": 7, "dimension": 1}, "dimension^2*4^n_max=16384 exceeds MAX_WORD_COST=4096"),
-    ("freeness-characterization", {"n": 8, "dimension": 1}, "dimension^2*4^n_max=65536 exceeds MAX_WORD_COST=4096"),
-    ("freeness-characterization", {"n": 6, "dimension": 2}, "dimension^2*4^n_max=16384 exceeds MAX_WORD_COST=4096"),
+    ("freeness", {"n": 7}, "generators^mixed_max=16384 exceeds MAX_MIXED_WORDS=4096"),
+    ("freeness-characterization", {"dimension": 9}, "dimension^3*5^n_max=455625 exceeds MAX_WORD_SPAN=421875"),
+    ("freeness-characterization", {"n": 6, "dimension": 4}, "dimension^3*5^n_max=1000000 exceeds MAX_WORD_SPAN=421875"),
+    ("freeness-characterization", {"n": 5, "dimension": 6}, "dimension^3*5^n_max=675000 exceeds MAX_WORD_SPAN=421875"),
+    ("freeness-characterization", {"n": 7, "dimension": 1}, "4^n_max=16384 exceeds MAX_WORD_COST=4096"),
+    ("freeness-characterization", {"n": 8, "dimension": 1}, "4^n_max=65536 exceeds MAX_WORD_COST=4096"),
     *[(identity, flags, why) for identity in ("product-formula", "tensor-factorization")
       for flags, why in (({"n": 5}, "2*n_max=10 exceeds max_order=8"),
                          ({"n": 10**6}, "2*n_max=2000000 exceeds max_order=8"))],
@@ -397,8 +400,8 @@ def test_each_capacity_row_fails_one_step_past_its_bound(monkeypatch, tmp_path, 
         assert capsys.readouterr() == ("", f"error: cannot replay {path}: {why}\n"), (identity, flags)
     # the largest word dimension MAX_WORD_SPAN admits at each n
     span = next(row[2] for row in ALL_CHECKS["freeness-characterization"].limits if row[1] == "MAX_WORD_SPAN")
-    for n, d in ((1, 27), (2, 7), (3, 4), (4, 3), (5, 2), (6, 2), (7, 1), (8, 1)):
-        assert span({"n_max": n, "dimension": d}) <= 3**9 < span({"n_max": n, "dimension": d + 1}), n
+    for n, d in ((1, 43), (2, 25), (3, 15), (4, 8), (5, 5), (6, 3), (7, 1), (8, 1)):
+        assert span({"n_max": n, "dimension": d}) <= 3**3 * 5**6 < span({"n_max": n, "dimension": d + 1}), n
 
 
 
@@ -469,6 +472,27 @@ def test_every_bound_is_named_in_the_documents():
         assert re.search(rf"\b{name}\b", bounds) and re.search(rf"\b{name}\b", specs), name
 
 
+def test_freeness_bounds_the_mixed_words_by_the_generators_of_its_spec(tmp_path, capsys):
+    # two families of three generators give 6^5 mixed words at n = 5, where
+    # the four drawn generators give 4^5: a spec and a replay recording it
+    # stop at the gate, and n = 4 (6^4 words) runs
+    spec = ScalarFreeSpec.random({"a": ("a1", "a2", "a3"), "b": ("b1", "b2", "b3")}, max_order=5, seed=0).to_data()
+    why = "generators^mixed_max=7776 exceeds MAX_MIXED_WORDS=4096"
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(spec))
+    t0 = time.perf_counter()
+    assert main(["check", "freeness", "--n", "5", "--spec", str(path)]) == 1
+    assert time.perf_counter() - t0 < 2
+    assert f"setup: {why}" in capsys.readouterr().out
+    report = run_check("freeness", n=4, spec_data=spec)
+    assert report.passed
+    report = report.to_json()
+    report["params"]["mixed_max"] = 5
+    path.write_text(json.dumps(report))
+    assert main(["check", "--replay", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot replay {path}: {why}\n")
+
+
 def test_free_checks_refuse_a_model_with_fewer_than_two_families(tmp_path, capsys):
     # freeness compares families: with one, an alternating word a1 a1 is no
     # certificate, and with none there is nothing to alternate
@@ -528,24 +552,24 @@ def test_cli_matrix_dimension_beyond_the_bound_fails_before_drawing(tmp_path, ca
 
 
 def test_cli_word_dimension_beyond_the_bound_fails_before_drawing(tmp_path, capsys):
-    # the word model's cost grows like d^(2n+1) (59 s at n = 4, d = 4), so a
-    # fresh run, a spec and a replay whose recorded models alone carry the
-    # dimension all stop at the bound for their n
-    for n, d in ((4, 4), (2, 8), (2, 16), (5, 3), (7, 2), (3, 10**6)):
+    # the word model's cost grows about like d^3 5^n (7.9 s at n = 4, d = 11),
+    # so a fresh run, a spec and a replay whose recorded models alone carry
+    # the dimension all stop at the bound for their n
+    for n, d in ((4, 9), (2, 26), (3, 16), (5, 6), (6, 4), (7, 2), (3, 10**6)):
         t0 = time.perf_counter()
         assert main(["check", "freeness-characterization", "--n", str(n), "--dim", str(d)]) == 1
         assert time.perf_counter() - t0 < 2
         out = capsys.readouterr().out
         assert out.startswith("FAIL freeness-characterization (0 cases")
-        assert f"setup: dimension^(2*n_max+1)={d ** (2 * n + 1)} exceeds MAX_WORD_SPAN=19683\n" in out
-    why = "dimension^(2*n_max+1)=32768 exceeds MAX_WORD_SPAN=19683"
+        assert f"setup: dimension^3*5^n_max={d ** 3 * 5 ** n} exceeds MAX_WORD_SPAN=421875\n" in out
+    why = "dimension^3*5^n_max=512000 exceeds MAX_WORD_SPAN=421875"
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(FactorizationModel.random(2, 8, 8, 0).to_data()))
-    assert main(["check", "freeness-characterization", "--n", "2", "--spec", str(path)]) == 1
+    path.write_text(json.dumps(FactorizationModel.random(2, 16, 8, 0).to_data()))
+    assert main(["check", "freeness-characterization", "--n", "3", "--spec", str(path)]) == 1
     assert f"setup: {why}" in capsys.readouterr().out
-    report = run_check("freeness-characterization", n=2).to_json()
+    report = run_check("freeness-characterization", n=3).to_json()
     for row in report["params"]["models"]:
-        row["model"]["dimension"] = 8
+        row["model"]["dimension"] = 16
     path.write_text(json.dumps(report))
     assert main(["check", "--replay", str(path)]) == 2
     assert capsys.readouterr() == ("", f"error: cannot replay {path}: {why}\n")
@@ -556,7 +580,7 @@ def test_cli_word_dimension_beyond_the_bound_fails_before_drawing(tmp_path, caps
 
 
 def test_cli_word_dimension_past_the_packed_keys_fails_at_the_first_case(capsys):
-    # within the word bound at n = 1 (27), d = 17 passes the draw, which
+    # within the word bound at n = 1 (43), d = 17 passes the draw, which
     # records entry strings, and stops at the 16 the packed matrix keys hold
     t0 = time.perf_counter()
     assert main(["check", "freeness-characterization", "--n", "1", "--dim", "17"]) == 1
@@ -617,12 +641,25 @@ def test_cli_max_order_beyond_the_largest_exponent_fails_before_drawing(capsys):
 
 
 def psi_calls(monkeypatch, identity, cls) -> int:
-    """The ``cls.psi`` calls of one passing default run of ``identity``."""
-    calls = []
-    psi = cls.psi
-    monkeypatch.setattr(cls, "psi", lambda self, x: calls.append(1) or psi(self, x))
+    """The psi values one passing default run of ``identity`` takes: its
+    ``cls.psi`` and ``cls.psi_product`` calls, where a psi inside
+    psi_product (the default route) is not counted again."""
+    calls, inside = [], []
+
+    def counted(method):
+        def wrapper(self, x):
+            calls.append(not inside)
+            inside.append(1)
+            try:
+                return method(self, x)
+            finally:
+                inside.pop()
+        return wrapper
+
+    monkeypatch.setattr(cls, "psi", counted(cls.psi))
+    monkeypatch.setattr(cls, "psi_product", counted(cls.psi_product))
     assert run_check(identity).passed
-    return len(calls)
+    return sum(calls)
 
 
 def test_total_cumulance_shares_its_partitioned_moments(monkeypatch):
@@ -650,6 +687,21 @@ def test_word_and_tensor_checks_share_their_partitioned_moments(monkeypatch, ide
 ])
 def test_psi_cumulants_share_their_psi_values(monkeypatch, identity, cls, bound):
     assert 0 < psi_calls(monkeypatch, identity, cls) <= bound
+
+
+def test_the_word_model_forms_no_product_to_take_its_expectation(monkeypatch):
+    # perf gate: freeness-characterization takes psi of a product 865 times,
+    # each over simple tensors with no fallback to the flat route, so no
+    # product of word-model elements is ever formed; its other 483 psi values
+    # are of single elements, on the flat route
+    counts = {"product": 0, "psi_product": 0, "_psi_simple": 0}
+    for name in counts:
+        method = getattr(WordContext, name)
+        monkeypatch.setattr(WordContext, name, lambda self, *args, name=name, method=method:
+                            counts.__setitem__(name, counts[name] + 1) or method(self, *args))
+    assert run_check("freeness-characterization").passed
+    assert counts["product"] == 0
+    assert 0 < counts["psi_product"] <= 865 <= counts["_psi_simple"]
 
 
 def test_freeness_tables_its_cumulants_only(monkeypatch):

@@ -29,6 +29,7 @@ from freecumulants.models import (
     FactorizationModel,
     MatrixContext,
     MatrixModel,
+    ProbabilityContext,
     ScalarFreeContext,
     ScalarFreeSpec,
     TensorContext,
@@ -251,15 +252,28 @@ def test_a_matrix_partial_cumulant_scales_no_matrix(monkeypatch, matrix_ctx):
     assert value == free_cumulant(matrix_ctx, Partition.full(4), args, Level.PSI)
 
 
-def test_a_word_cumulant_keeps_one_scalar_in_lowest_terms_per_word():
-    # perf gate: psi of a basis word is c E_{(u0.i, uk.j)}, so the model keeps
-    # only c, as an int pair in lowest terms; psi-kappa_6 of an alternating
-    # word keeps 1,032 of them, where it kept a LinearCombination and its trace
+def test_a_word_cumulant_keeps_one_scalar_in_lowest_terms_per_word(monkeypatch):
+    # perf gate: psi-kappa_6 of an alternating word takes psi of each of its
+    # 116 argument products over one simple tensor, and evaluates no basis
+    # word.  On the flat route, the reference, psi of a basis word is
+    # c E_{(u0.i, uk.j)}, so the model keeps only c, as an int pair in lowest
+    # terms: the same cumulant keeps 1,032 of them
+    word = ("x2", "x1") * 3
+    tensors = []
+    psi_simple = WordContext._psi_simple
+    monkeypatch.setattr(WordContext, "_psi_simple",
+                        lambda self, gens, mats: tensors.append(gens) or psi_simple(self, gens, mats))
     model = FactorizationModel.random(2, dimension=2, max_order=8, seed=9301)
     ctx = WordContext(model)
-    free_cumulant(ctx, Partition.full(6), [ctx.gen(g) for g in ("x2", "x1") * 3], Level.PSI)
-    assert 0 < len(model._psi_cache) <= 1100
-    for num, den in model._psi_cache.values():
+    value = free_cumulant(ctx, Partition.full(6), [ctx.gen(g) for g in word], Level.PSI)
+    assert value == ctx.embed_scalar(model.scalars.cumulant(word))
+    assert model._psi_cache == {} and 0 < len(tensors) <= 116
+    monkeypatch.setattr(WordContext, "psi_product", ProbabilityContext.psi_product)
+    flat = FactorizationModel.random(2, dimension=2, max_order=8, seed=9301)
+    ctx = WordContext(flat)
+    assert free_cumulant(ctx, Partition.full(6), [ctx.gen(g) for g in word], Level.PSI) == value
+    assert 0 < len(flat._psi_cache) <= 1100
+    for num, den in flat._psi_cache.values():
         assert type(num) is int and type(den) is int and den > 0 and math.gcd(num, den) == 1
 
 

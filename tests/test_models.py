@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freecumulants.errors import CapacityError, DimensionMismatchError
-from freecumulants.exact import Matrix
+from freecumulants.exact import LinearCombination, Matrix
 from freecumulants.models import (
     ClassicalContext,
     ClassicalSpec,
@@ -358,6 +358,56 @@ def test_word_psi_of_a_length_6_word_evaluates_at_most_2_to_the_7_cumulants():
     units = ((0, 0), (1, 1), (0, 0), (0, 0), (1, 1), (1, 1), (0, 0))
     ctx.psi(basis_word(ctx, gens, units))
     assert 2**5 <= len(calls) <= 2**7
+
+
+WORD_FACTOR_SHAPES = ("gen", "gen.b", "scaled gen", "centered gen", "b", "rank above 1",
+                      "one generator", "two generators")
+
+
+def word_factor(ctx: WordContext, shape: str, rng: random.Random):
+    """A random factor of ``shape``: "rank above 1" is E00 X E00 + E_{d-1,d-1}
+    X E_{0,d-1}, "one generator" any combination of basis words E X E."""
+    d, x = ctx.d, ctx.gen(rng.choice(("x1", "x2")))
+
+    def b():
+        return ctx.embed_b(Matrix([[draw_fraction(rng) for _ in range(d)] for _ in range(d)]))
+
+    def unit(i, j):
+        return LinearCombination({((), ((i, j),)): 1})
+
+    def pair():
+        return rng.randrange(d), rng.randrange(d)
+
+    return {
+        "gen": lambda: x,
+        "gen.b": lambda: ctx.mul(x, b()),
+        "scaled gen": lambda: ctx.scale(F(rng.randint(1, 9), rng.choice((1, 2, 3))), x),
+        "centered gen": lambda: centered(ctx, x),
+        "b": b,
+        "rank above 1": lambda: ctx.add(ctx.product([unit(0, 0), x, unit(0, 0)]),
+                                        ctx.product([unit(d - 1, d - 1), x, unit(0, d - 1)])),
+        "one generator": lambda: ctx.sum(ctx.product([unit(*pair()), ctx.gen(g), unit(*pair())])
+                                         for g in rng.choices(("x1", "x2"), k=rng.randint(1, 2 * d))),
+        "two generators": lambda: ctx.mul(x, ctx.gen("x1")),
+    }[shape]()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_word_psi_of_a_product_equals_psi_of_the_expanded_product(d):
+    # the simple-tensor route against the flat route, its reference, on
+    # products of up to 5 factors of every shape (4 at d = 3, where the flat
+    # expansion of 5 holds up to 3^11 basis words)
+    ctx = WordContext(FactorizationModel.random(2, dimension=d, max_order=8, seed=40 + d))
+    rng = random.Random(d)
+    simple = [ctx._simple_terms(word_factor(ctx, shape, rng)) for shape in WORD_FACTOR_SHAPES]
+    assert [len(pieces) for pieces in simple[:5]] == [1, 1, 1, 2, 1]
+    assert len(simple[5]) == (1 if d == 1 else 2) and simple[7] is None
+    for _ in range(40):
+        shapes = rng.choices(WORD_FACTOR_SHAPES, k=rng.randint(0, 5 if d < 3 else 4))
+        xs = [word_factor(ctx, shape, rng) for shape in shapes]
+        flat = ctx.product(xs)
+        assert ctx.psi_product(xs) == ctx.psi(flat), shapes
+        assert ctx.phi_scalar_product(xs) == ctx.phi_scalar(flat), shapes
 
 
 def test_factorization_model_roundtrip():
