@@ -183,10 +183,10 @@ def _check(identity: str, bounds, seeds: int | None = None, model=None, limits=(
     flag combines with it).  ``limits`` are rows (quantity, bound, value):
     the value, a function of params (with a spec's ``_capacity`` under them)
     or else ``params[quantity]``, must not exceed the bound, a params key or
-    a ``CAPACITY`` name.  Every run, fresh,
-    from a spec or replayed, meets them before anything is drawn; the
-    registered function, with the public keyword signature, then runs
-    ``body(suite, params, fresh, spec)``; ``params`` are a replay's unless ``fresh``.
+    a ``CAPACITY`` name.  Every run, fresh, from a spec or replayed, meets
+    them before anything is drawn; the registered function, with the public
+    keyword signature, then runs ``body(suite, params, fresh, spec)``;
+    ``params`` are a replay's unless ``fresh``.
     """
     bound_flags = set(inspect.signature(bounds).parameters)
     reads = bound_flags | ({"max_order", "spec_data"} if seeds is not None else set())
