@@ -23,10 +23,11 @@ context's own hashable elements.  The table lives as long as the
 context, which the checks build per model, and is never cleared.
 
 Every cumulant is one Moebius sum over an interval [lo, hi] of the
-lattice.  The partitioned cumulant and the semi-nested cumulant also
-have a multiplicative recursion, selected by ``method``: nest the
-single-block cumulants of the blocks the same way.  A single-block cumulant
-comes from
+lattice, weighted by the interval's row ``partitions.moebius_row``: the
+weights depend on the lattice alone, so every context shares the row.
+The partitioned cumulant and the semi-nested cumulant also have a
+multiplicative recursion, selected by ``method``: nest the single-block
+cumulants of the blocks the same way.  A single-block cumulant comes from
 
 * the full lattice: its Moebius sum over the partitions of its block;
 * the noncrossing lattice at ``Level.PHI``: the first-block form of the
@@ -44,8 +45,9 @@ block expectation of ``phi_partitioned``, ``_psi_product`` and
 ``_moment_scalar`` hand the factors to the context's hook,
 ``psi_product`` or ``phi_scalar_product`` (see models.py), as the
 freeness checks do for their alternating words.  The default hook is
-psi or phi_scalar of the product; the word model takes it over simple
-tensors instead of basis words.
+psi or phi_scalar of the product; the word model takes both over simple
+tensors instead of basis words, and the scalar-free model takes
+``phi_scalar_product`` as one free moment per word of the product.
 
 Nested functionals compose two levels of the tower: ``nested_moment`` is
 the outer partitioned expectation wrapped around inner psi-partitioned
@@ -64,7 +66,7 @@ from math import gcd
 
 from .errors import CrossingPartitionError, DimensionMismatchError, OrderViolationError
 from .models import ProbabilityContext
-from .partitions import LatticeKind, Partition, first_blocks, interval_list, moebius
+from .partitions import LatticeKind, Partition, first_blocks, moebius_row
 
 
 class Level(Enum):
@@ -142,8 +144,9 @@ def _nest(ctx, part: Partition, args: list, block_value, lo: int, hi: int):
 
 
 def _moebius_sum(ctx, lo: Partition, hi: Partition, value):
-    """Sum over tau in [lo, hi] of mu(tau, hi) * value(tau)."""
-    return ctx.combine((moebius(tau, hi, ctx.kind), value(tau)) for tau in interval_list(lo, hi, ctx.kind))
+    """Sum over tau in [lo, hi] of mu(tau, hi) * value(tau), over the
+    interval's one row of weights."""
+    return ctx.combine((mu, value(tau)) for mu, tau in moebius_row(lo, hi, ctx.kind))
 
 
 def _by_method(ctx, method: str, cross_check: bool, label: str, subject,

@@ -31,6 +31,8 @@ the alternating words of the freeness checks.  ``WordContext`` overrides
 both with psi over simple tensors b0 X b1 ... X bk, a recursion over
 intervals with d x d matrices in place of the d^(2k+1) basis words of the
 product; its ``psi`` stays the flat route, the reference for the hook.
+``ScalarFreeContext`` overrides ``phi_scalar_product`` alone: it sums the
+coefficients of the product per word and takes one free moment per word.
 
 All randomness is drawn from ``random.Random(seed)`` with numerators in
 [-9, 9] and denominators in {1, 2, 3}; drawn values travel in ``to_data``
@@ -562,6 +564,25 @@ class ScalarFreeContext(LinearCombinationContext):
         total, den = _accumulate([(*free_moment(self.spec, w).as_integer_ratio(), {(): c}, None)
                                   for w, c in x.terms.items()])
         return Fraction(total.get((), 0), den * x.den)
+
+    def phi_scalar_product(self, xs):
+        """phi of the product of the factors ``xs``, which is never formed:
+        the coefficients are summed per concatenated word over each choice
+        of one term per factor, and each word of nonzero coefficient takes
+        one free moment, accumulated as integers over a common denominator."""
+        xs = list(xs)
+        coefficients: dict = {}
+        for choice in itertools.product(*(x.terms.items() for x in xs)):
+            word = tuple(itertools.chain.from_iterable(w for w, _ in choice))
+            coefficients[word] = coefficients.get(word, 0) + prod(c for _, c in choice)
+        num, den = 0, 1
+        for word, c in coefficients.items():
+            if c:
+                m = free_moment(self.spec, word)
+                common = lcm(den, m.denominator)
+                num = num * (common // den) + c * m.numerator * (common // m.denominator)
+                den = common
+        return Fraction(num, den * prod(x.den for x in xs))
 
     psi = ProbabilityContext.phi
 

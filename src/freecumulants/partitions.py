@@ -10,8 +10,9 @@ blocks are ordered by their minima.  Two text formats are understood:
 The refinement order ``pi <= sigma`` ("every pi-block sits inside a
 sigma-block") makes the set of all partitions a lattice; the noncrossing
 partitions form a sub-poset that is again a lattice, with the same meet
-but a coarser join.  Intervals test the order in integers: pi <= sigma
-exactly when pi's bit set of same-block pairs lies inside sigma's.
+but a coarser join.  The order is decided in integers, by ``refines``
+and by the interval filter alike: pi <= sigma exactly when pi's bit set
+of same-block pairs lies inside sigma's.
 Enumeration walks restricted growth strings, pruned to the noncrossing
 ones for NC(n), and is deliberately capped at ``MAX_ENUM_N = 10``
 (115975 strings); every consumer in this package needs n <= 8.
@@ -20,7 +21,10 @@ The Moebius function takes no enumeration: mu(pi, sigma) is the product
 of (-1)^{|c|-1} Catalan(|c|-1) over the cycles c of pi^{-1} . sigma on
 the noncrossing lattice, and of (-1)^{k-1} (k-1)! over the sigma-blocks
 holding k pi-blocks on the full one (Kreweras 1972; Nica-Speicher,
-Lectures on the Combinatorics of Free Probability, Lecture 10).
+Lectures on the Combinatorics of Free Probability, Lecture 10).  The
+weights depend on the lattice alone, so ``moebius_row`` keeps each
+interval's row of them, under the bound ``INTERVAL_MEMO_SIZE`` that
+``interval_list`` shares.
 """
 
 from __future__ import annotations
@@ -41,6 +45,8 @@ from .errors import (
 )
 
 MAX_ENUM_N = 10
+# most intervals that interval_list, and moebius_row, each keep
+INTERVAL_MEMO_SIZE = 4096
 
 
 class LatticeKind(Enum):
@@ -172,8 +178,7 @@ class Partition:
         """
         if self.n != other.n:
             raise DimensionMismatchError(f"cannot compare partitions of {self.n} and {other.n}")
-        lab = other.labels
-        return all(all(lab[i - 1] == lab[b[0] - 1] for i in b) for b in self.blocks)
+        return not self._pairs & ~other._pairs
 
     def restrict(self, positions: tuple[int, ...]) -> Partition:
         """Intersect blocks with ``positions`` and relabel those to 1..len.
@@ -460,14 +465,15 @@ def _check_interval(pi: Partition, sigma: Partition, kind: LatticeKind, what: st
                 raise CrossingPartitionError(f"{what} endpoint {p} is crossing")
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=INTERVAL_MEMO_SIZE)
 def interval_list(pi: Partition, sigma: Partition, kind: LatticeKind) -> tuple[Partition, ...]:
     """All tau with pi <= tau <= sigma in the chosen lattice.
 
     It filters ``enumerate_partitions`` with two integer operations per tau
     on the same-block pair bit sets (at most MAX_ENUM_N^2 = 100 bits).  The
-    memo keeps the 4096 most recent intervals; a full ``check-all`` asks
-    for fewer than 700 distinct ones."""
+    memo keeps the INTERVAL_MEMO_SIZE most recent intervals, the bound
+    ``moebius_row`` keeps its rows under; a full ``check-all`` asks for
+    fewer than 700 distinct ones."""
     _check_interval(pi, sigma, kind, "interval")
     lo, hi = pi._pairs, sigma._pairs
     return tuple(tau for tau in enumerate_partitions(pi.n, kind)
@@ -494,3 +500,17 @@ def moebius(pi: Partition, sigma: Partition, kind: LatticeKind) -> int:
         return math.prod((-1) ** (k - 1) * math.factorial(k - 1) for k in counts.values())
     sizes = map(len, _cycles(pi, sigma.blocks))
     return math.prod((-1) ** (k - 1) * (math.comb(2 * k - 2, k - 1) // k) for k in sizes)
+
+
+@lru_cache(maxsize=INTERVAL_MEMO_SIZE)
+def moebius_row(pi: Partition, sigma: Partition, kind: LatticeKind) -> tuple[tuple[int, Partition], ...]:
+    """The pairs (mu(tau, sigma), tau) over ``interval_list(pi, sigma, kind)``:
+    the weights of a Moebius inversion onto sigma, which depend on the
+    lattice alone.  Each mu is taken once per row through ``moebius``; the
+    memo keeps the INTERVAL_MEMO_SIZE most recent rows, as ``interval_list``
+    keeps its intervals.
+
+    >>> [(mu, str(tau)) for mu, tau in moebius_row(Partition.discrete(2), Partition.full(2), LatticeKind.FULL)]
+    [(1, '{1,2}'), (-1, '{1}{2}')]
+    """
+    return tuple((moebius(tau, sigma, kind), tau) for tau in interval_list(pi, sigma, kind))

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from freecumulants import checks, engine
+from freecumulants import checks, engine, partitions
 from freecumulants.checks import ALL_CHECKS, replay_report, run_check
 from freecumulants.cli import main
 from freecumulants.errors import CapacityError
@@ -790,6 +790,65 @@ def test_partition_order_costs_integer_operations(monkeypatch, identity, name, b
     monkeypatch.setattr(Partition, name, counted if name == "refines" else staticmethod(counted))
     assert run_check(identity, seed=2024).passed
     assert 0 < len(calls) <= bound
+
+
+@pytest.fixture
+def cold_partition_memos():
+    """Empty the partition memos before the test and again after it, so no
+    value computed under a patch outlives the test."""
+    memos = (partitions.enumerate_partitions, partitions.interval_list, partitions.moebius_row)
+    for memo in memos:
+        memo.cache_clear()
+    yield
+    for memo in memos:
+        memo.cache_clear()
+
+
+@pytest.mark.parametrize("identity, bound", [
+    # perf gate: an interval's weights are one row, so mu runs once per tau
+    # of each distinct interval; taken per term, these cold runs made 1,985
+    # and 2,211 moebius calls
+    ("total-cumulance", 167),
+    ("classical-total-cumulance", 181),
+])
+def test_each_interval_takes_its_moebius_weights_once(monkeypatch, cold_partition_memos, identity, bound):
+    runs = []
+    moebius = partitions.moebius
+    monkeypatch.setattr(partitions, "moebius", lambda *args: runs[-1].append(args) or moebius(*args))
+    for _ in range(2):
+        partitions.moebius_row.cache_clear()
+        runs.append([])
+        assert run_check(identity, seed=2024).passed
+    assert 0 < len(runs[0]) <= bound
+    assert runs[0] == runs[1]
+
+
+def test_freeness_forms_few_products(monkeypatch):
+    # perf gate: phi of a product sums the factors' terms per word; forming
+    # each product first, the check made 5,120 ScalarFreeContext.mul calls
+    calls = []
+    mul = ScalarFreeContext.mul
+    monkeypatch.setattr(ScalarFreeContext, "mul", lambda self, x, y: calls.append(1) or mul(self, x, y))
+    assert run_check("freeness").passed
+    assert len(calls) <= 20
+
+
+def test_a_wrong_moebius_weight_fails_the_moebius_sums(monkeypatch, cold_partition_memos):
+    # the partition layer's fault row: NC mu(0_4, 1_4) with its sign flipped.
+    # Patched on partitions.moebius alone it also fails freeness-characterization
+    # and tensor-factorization, and the moebius check when checks.moebius is
+    # patched too.  The row is warm before the patch and the memos are
+    # cleared after it, as a patch must clear them
+    lo, hi, nc = Partition.discrete(4), Partition.full(4), LatticeKind.NONCROSSING
+    right = partitions.moebius_row(lo, hi, nc)
+    moebius = partitions.moebius
+    monkeypatch.setattr(partitions, "moebius", lambda pi, sigma, kind: moebius(pi, sigma, kind)
+                        * (-1 if (pi, sigma, kind) == (lo, hi, nc) else 1))
+    partitions.interval_list.cache_clear()
+    partitions.moebius_row.cache_clear()
+    assert partitions.moebius_row(lo, hi, nc)[-1] == (-right[-1][0], lo)
+    for identity in ("total-cumulance", "partial-cumulants"):
+        assert run_check(identity, seed=2024).status == "fail", identity
 
 
 def _add_unit(ctx, value):

@@ -211,12 +211,13 @@ def test_deep_cumulant_routes_agree(deep_route_models, data):
 
 @pytest.mark.parametrize("n", [6, 7, 8])
 def test_a_scalar_cumulant_evaluates_each_subset_once(monkeypatch, n):
-    # perf gate: one phi_scalar call per nonempty subset of the arguments,
-    # against one phi_partitioned call per element of NC(n) on the Moebius route
+    # perf gate: one phi_scalar_product call per nonempty subset of the
+    # arguments, against one phi_partitioned call per element of NC(n) on
+    # the Moebius route
     calls = []
-    phi_scalar = ScalarFreeContext.phi_scalar
-    monkeypatch.setattr(ScalarFreeContext, "phi_scalar",
-                        lambda self, x: calls.append(1) or phi_scalar(self, x))
+    phi_scalar_product = ScalarFreeContext.phi_scalar_product
+    monkeypatch.setattr(ScalarFreeContext, "phi_scalar_product",
+                        lambda self, xs: calls.append(1) or phi_scalar_product(self, xs))
     spec = ScalarFreeSpec.random({"a": ("a1", "a2")}, seed=n)
     ctx = ScalarFreeContext(spec)
     word = ("a1", "a2") * 4

@@ -23,6 +23,7 @@ from freecumulants.models import (
     FactorizationModel,
     MatrixContext,
     MatrixModel,
+    ProbabilityContext,
     ScalarFreeContext,
     ScalarFreeSpec,
     TensorContext,
@@ -234,6 +235,39 @@ def test_scalar_free_spec_roundtrip_and_compact_form():
     )
     assert compact.cumulant(("s", "s")) == F(1, 2)
     assert free_moment(compact, ("s", "s")) == F(3, 2)
+
+
+SCALAR_FACTOR_SHAPES = ("gen", "centered gen", "scaled product", "scaled unit", "zero")
+
+
+def scalar_factor(ctx, shape, rng):
+    """A factor of the named shape, drawn from ``rng``."""
+    x, y = (ctx.gen(rng.choice(("a1", "a2", "b1"))) for _ in range(2))
+    return {
+        "gen": lambda: x,
+        "centered gen": lambda: centered(ctx, x),
+        "scaled product": lambda: ctx.scale(draw_fraction(rng) or 1, ctx.mul(x, y)),
+        "scaled unit": lambda: ctx.scale(draw_fraction(rng) or 1, ctx.unit()),
+        "zero": lambda: ctx.sub(x, x),
+    }[shape]()
+
+
+def test_scalar_free_phi_of_a_product_equals_phi_of_the_formed_product():
+    # the word-sum hook against the default route, phi_scalar of the
+    # product, on up to 4 factors (8 letters, max_order) of every shape
+    ctx = ScalarFreeContext(ScalarFreeSpec.random({"a": ("a1", "a2"), "b": ("b1",)}, max_order=8, seed=23))
+    default = functools.partial(ProbabilityContext.phi_scalar_product, ctx)
+    rng = random.Random(23)
+    assert ctx.phi_scalar_product([]) == default([]) == 1
+    for _ in range(80):
+        shapes = rng.choices(SCALAR_FACTOR_SHAPES, k=rng.randint(0, 4))
+        xs = [scalar_factor(ctx, shape, rng) for shape in shapes]
+        assert ctx.phi_scalar_product(xs) == default(xs), shapes
+    # a zero factor leaves no word to evaluate, however long the product
+    assert ctx.phi_scalar_product([ctx.sub(ctx.unit(), ctx.unit())] + [ctx.gen("a1")] * 9) == 0
+    for route in (ctx.phi_scalar_product, default):
+        with pytest.raises(CapacityError):
+            route([centered(ctx, ctx.gen("a1"))] * 5 + [ctx.gen("b1")] * 4)
 
 
 def test_scalar_free_context_multiplies_words():

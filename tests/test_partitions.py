@@ -3,7 +3,8 @@
 Every nontrivial algorithm here is cross-checked against a brute-force
 or closed-form oracle that shares no code with the implementation:
 counts against Catalan/Bell, the noncrossing test against the
-four-index scan, the Kreweras complement and both lattice operations
+four-index scan, refinement against a scan of block labels, the Kreweras
+complement and both lattice operations
 against exhaustive search, and the Moebius function against the bare
 convolution recursion.
 """
@@ -20,6 +21,7 @@ import freecumulants.partitions
 from freecumulants.errors import (
     CapacityError,
     CrossingPartitionError,
+    DimensionMismatchError,
     OrderViolationError,
     PartitionParseError,
 )
@@ -34,6 +36,7 @@ from freecumulants.partitions import (
     kreweras,
     meet,
     moebius,
+    moebius_row,
     parse_partition,
     quotient,
 )
@@ -142,14 +145,35 @@ def test_noncrossing_enumeration_is_the_noncrossing_slice():
         assert enumerate_partitions(n, NC) == tuple(p for p in every if p.is_noncrossing), n
 
 
+def refines_oracle(p: Partition, q: Partition) -> bool:
+    """Every block of p lies inside a block of q, read off q's labels."""
+    lab = q.labels
+    return all(all(lab[i - 1] == lab[b[0] - 1] for i in b) for b in p.blocks)
+
+
 def test_pair_bits_decide_refinement():
-    everything = enumerate_partitions(5, FULL)
-    for p, q in itertools.product(everything, repeat=2):
-        assert (not p._pairs & ~q._pairs) == p.refines(q), (p, q)
+    for n in range(6):
+        everything = enumerate_partitions(n, FULL)
+        for p, q in itertools.product(everything, repeat=2):
+            assert p.refines(q) == refines_oracle(p, q), (p, q)
+    with pytest.raises(DimensionMismatchError):
+        Partition.full(3).refines(Partition.full(4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pair_bits_decide_refinement_on_random_pairs(data):
+    n = data.draw(st.integers(7, 8))
+    p, q = (data.draw(st.sampled_from(enumerate_partitions(n, FULL))) for _ in range(2))
+    assert p.refines(q) == refines_oracle(p, q)
+    # a pair drawn at random rarely refines; its meet always does
+    m = meet(p, q)
+    assert m.refines(q) and refines_oracle(m, q)
 
 
 def refines_filter(pi, sigma, kind):
-    return tuple(t for t in enumerate_partitions(pi.n, kind) if pi.refines(t) and t.refines(sigma))
+    return tuple(t for t in enumerate_partitions(pi.n, kind)
+                 if refines_oracle(pi, t) and refines_oracle(t, sigma))
 
 
 def test_interval_list_is_the_refines_filter():
@@ -398,10 +422,25 @@ def test_interval_list_validates_its_endpoints():
         interval_list(Partition.discrete(4), parse_partition("{1,3}{2,4}"), NC)
 
 
+def test_moebius_row_weighs_its_interval():
+    for kind, n_max in ((NC, 5), (FULL, 4)):
+        for n in range(n_max + 1):
+            everything = enumerate_partitions(n, kind)
+            for pi, sigma in itertools.product(everything, repeat=2):
+                if pi.refines(sigma):
+                    row = moebius_row(pi, sigma, kind)
+                    assert row == tuple((moebius(t, sigma, kind), t) for t in interval_list(pi, sigma, kind))
+    with pytest.raises(OrderViolationError):
+        moebius_row(Partition.full(3), Partition.discrete(3), NC)
+    with pytest.raises(CrossingPartitionError):
+        moebius_row(Partition.discrete(4), parse_partition("{1,3}{2,4}"), NC)
+
+
 def test_interval_memo_is_bounded():
-    # every interval of both lattices up to n = 6: 4,679 distinct keys
-    info = interval_list.cache_info()
-    assert info.maxsize == 4096
+    # every interval of both lattices up to n = 6: 4,679 distinct keys, so
+    # both memos, which share one bound, must evict
+    bound = freecumulants.partitions.INTERVAL_MEMO_SIZE
+    assert bound == 4096
     calls = 0
     for n in range(7):
         for kind in LatticeKind:
@@ -409,10 +448,12 @@ def test_interval_memo_is_bounded():
             for pi in everything:
                 for sigma in everything:
                     if pi.refines(sigma):
-                        interval_list(pi, sigma, kind)
+                        moebius_row(pi, sigma, kind)
                         calls += 1
-    assert calls > info.maxsize
-    assert interval_list.cache_info().currsize <= info.maxsize
+    assert calls > bound
+    for memo in (interval_list, moebius_row):
+        info = memo.cache_info()
+        assert info.maxsize == bound and info.currsize <= bound, memo
 
 
 def test_quotient_collapses_blocks_by_minimum():
