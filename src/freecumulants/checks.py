@@ -72,7 +72,7 @@ DEFAULT_DIMENSION = 2
 # the named bounds of the capacity rows; a row naming a cost bound gives its times on 2 cores
 CAPACITY = {"MAX_ENUM_N": MAX_ENUM_N, "MAX_CLASSICAL_N": 5, "MAX_MATRIX_SPAN": 6**6,
             "MAX_NESTED_DIMENSION": 7, "MAX_WORD_SPAN": 3**3 * 5**6, "MAX_WORD_COST": 4**6,
-            "MAX_MIXED_WORDS": 4**6}
+            "MAX_MIXED_WORDS": 4**6, "MAX_JOIN_PAIRS": 132**2}
 
 
 @dataclass
@@ -447,9 +447,12 @@ def check_total_cumulance(suite: _Suite, params: dict, fresh: bool, spec) -> Non
                                      total, render=ctx.describe)
 
 
+# MAX_JOIN_PAIRS: the join formula walks Catalan(n)^2 pairs (tau, rho), whatever d: (6, 2) takes
+# 0.9 s and (6, 3) 1.1 s, not (7, 2), 7.2 s, (7, 3), 7.8 s, or (8, 2), past 60 s
 @_check("partial-cumulants", lambda n=5, dimension=DEFAULT_DIMENSION:
         {"n_max": n, "interval_base_max": 4, "dimension": dimension, "generator_count": 3},
-        seeds=1, model=MatrixModel, limits=_MATRIX_LIMITS)
+        seeds=1, model=MatrixModel, limits=[*_MATRIX_LIMITS, (
+            "catalan(n_max)^2", "MAX_JOIN_PAIRS", lambda p: _catalan(max(p["n_max"], 0)) ** 2)])
 def check_partial_cumulants(suite: _Suite, params: dict, fresh: bool, spec) -> None:
     """Join formula for partial cumulants, their boundary collapses, and
     the interval-base reduction to a quotient cumulant of block products."""
@@ -548,7 +551,7 @@ def check_nested_closed_forms(suite: _Suite, params: dict, fresh: bool, spec) ->
 # classical lattice
 
 
-# MAX_CLASSICAL_N: 1.2 s at n = 5, 12 s at n = 6
+# MAX_CLASSICAL_N: 0.6 s at n = 5, 6.2 s at n = 6
 @_check("classical-total-cumulance", lambda n=4: {"n_max": n}, seeds=3, model=ClassicalSpec,
         limits=[("n_max", "max_order"), ("n_max", "MAX_CLASSICAL_N")])
 def check_classical_total_cumulance(suite: _Suite, params: dict, fresh: bool, spec) -> None:

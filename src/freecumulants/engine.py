@@ -17,10 +17,11 @@ semicumulants, so every context keeps a table of the ones computed on
 it, under (partition, level, arguments), (level, arguments) and (pair,
 arguments); a nested semicumulant only on its default route, so that
 ``method="moebius"`` and ``cross_check`` stay independent oracles.  The
-operator-valued recursion also keeps there the psi of each argument
-tuple's product, under ("psi", arguments).  The arguments must be the
-context's own hashable elements.  The table lives as long as the
-context, which the checks build per model, and is never cleared.
+expectation of an argument tuple's product that a block or a recursion
+takes is kept there once too, under (level.value, arguments).  The
+arguments must be the context's own hashable elements.  The table lives
+as long as the context, which the checks build per model, and is never
+cleared.
 
 Every cumulant is one Moebius sum over an interval [lo, hi] of the
 lattice, weighted by the interval's row ``partitions.moebius_row``: the
@@ -29,7 +30,8 @@ The partitioned cumulant and the semi-nested cumulant also have a
 multiplicative recursion, selected by ``method``: nest the single-block
 cumulants of the blocks the same way.  A single-block cumulant comes from
 
-* the full lattice: its Moebius sum over the partitions of its block;
+* the full lattice: the commutative first-block form over subsets,
+  2^(n-1) terms where its Moebius sum has Bell(n);
 * the noncrossing lattice at ``Level.PHI``: the first-block form of the
   moment-cumulant relation over index subsets, one ``phi_scalar`` call
   per subset of the arguments, since scalar values commute out;
@@ -40,12 +42,11 @@ cumulants of the blocks the same way.  A single-block cumulant comes from
 The Moebius sum is the reference route that ``cross_check`` compares
 the recursion against.
 
-The engine never forms a product only to take its expectation: the
-block expectation of ``phi_partitioned``, ``_psi_product`` and
-``_moment_scalar`` hand the factors to the context's hook,
-``psi_product`` or ``phi_scalar_product`` (see models.py), as the
-freeness checks do for their alternating words.  The default hook is
-psi or phi_scalar of the product; the word model takes both over simple
+The engine never forms a product only to take its expectation:
+``_block_moment`` and ``_moment_scalar`` hand the factors to the
+context's hook, ``psi_product`` or ``phi_scalar_product`` (see
+models.py), as the freeness checks do for their alternating words.  The
+default hook is psi or phi_scalar of the product; the word model takes both over simple
 tensors instead of basis words, and the scalar-free model takes
 ``phi_scalar_product`` as one free moment per word of the product.
 
@@ -175,8 +176,7 @@ def phi_partitioned(ctx: ProbabilityContext, part: Partition, args, level: Level
     value = table.get(key)
     if value is None:
         _validate(ctx, part, len(args))
-        value = _extract(ctx, part, args, lambda _, sub: ctx.psi_product(sub) if level is Level.PSI
-                         else ctx.embed_scalar(ctx.phi_scalar_product(sub)))
+        value = _extract(ctx, part, args, lambda _, sub: _block_moment(ctx, tuple(sub), level))
         table[key] = value
     return value
 
@@ -192,10 +192,10 @@ def free_cumulant(
     """Partitioned cumulant: Moebius inversion of phi_partitioned over [0, part].
 
     ``method="moebius"`` evaluates that sum.  ``method="recursion"`` nests
-    the single-block cumulants of the blocks of ``part``: a Moebius sum on
-    the full lattice, and on the noncrossing one a first-block recursion,
-    over index subsets at ``Level.PHI`` and over argument tuples at
-    ``Level.PSI`` (see ``_single_block``).
+    the single-block cumulants of the blocks of ``part``, each by a
+    first-block recursion: over subsets on the full lattice, and on the
+    noncrossing one over index subsets at ``Level.PHI`` and over argument
+    tuples at ``Level.PSI`` (see ``_single_block``).
     """
     args = list(args)
     _validate(ctx, part, len(args))
@@ -211,17 +211,28 @@ def _cumulant_recursive(ctx, part, args, level):
     return _extract(ctx, part, args, lambda _, sub: _single_block(ctx, tuple(sub), level))
 
 
+def _block_moment(ctx, args: tuple, level: Level):
+    """The expectation at ``level`` of the product of ``args``: psi of it,
+    or phi of it embedded in A; the value comes from, or goes into, the
+    context's table under (level.value, args)."""
+    table, key = ctx.phi_table, (level.value, args)
+    value = table.get(key)
+    if value is None:
+        value = table[key] = (ctx.psi_product(args) if level is Level.PSI
+                              else ctx.embed_scalar(ctx.phi_scalar_product(args)))
+    return value
+
+
 def _single_block(ctx, args: tuple, level: Level):
-    """kappa_n(args) for one block of all n arguments, by the route the
-    module docstring names for the lattice and level; the value comes
-    from, or goes into, the context's table under (level, args)."""
+    """kappa_n(args) for one block of all n arguments, by the first-block
+    recursion the module docstring names for the lattice and level; the
+    value comes from, or goes into, the context's table under (level, args)."""
     table = ctx.phi_table
     key = (level, args)
     value = table.get(key)
     if value is None:
         if ctx.kind is LatticeKind.FULL:
-            n = len(args)
-            value = partial_cumulant(ctx, Partition.discrete(n), Partition.full(n), args, level)
+            value = _kappa_commutative(ctx, args, level)
         elif level is Level.PHI:
             value = ctx.embed_scalar(Fraction(*_kappa_scalar(ctx, args, (1 << len(args)) - 1, {}, {})))
         else:
@@ -283,6 +294,21 @@ def _moment_scalar(ctx, args, mask: int, moments: dict) -> tuple[int, int]:
     return value
 
 
+def _kappa_commutative(ctx, args: tuple, level: Level):
+    """kappa_n(args) in a commutative context: m(S) less kappa(V) m(S - V)
+    over the blocks V != S holding min S (Leonov and Shiryaev, On a method
+    of calculation of semi-invariants, 1959).  Each smaller kappa comes
+    through ``_single_block`` and each m through ``_block_moment``."""
+    n = len(args)
+    terms = [(1, _block_moment(ctx, args, level))]
+    for block in first_blocks(0, n):
+        if len(block) < n:
+            rest = tuple(a for i, a in enumerate(args) if i not in block)
+            kappa = _single_block(ctx, tuple(args[i] for i in block), level)
+            terms.append((-1, ctx.mul(kappa, _block_moment(ctx, rest, level))))
+    return ctx.combine(terms)
+
+
 def _kappa_operator(ctx, args: tuple):
     """The psi-cumulant kappa_n(args), operator-valued.
 
@@ -292,28 +318,17 @@ def _kappa_operator(ctx, args: tuple):
     and Operator-Valued Free Probability Theory, Mem. AMS 627, 1998), so
     kappa_n(args) is psi(a_1 ... a_n) less the terms of the other blocks.
     Each smaller kappa comes through ``_single_block`` and each psi through
-    ``_psi_product``, so both stay in the context's table.
+    ``_block_moment``, so both stay in the context's table.
     """
     n = len(args)
     terms = []
     for block in first_blocks(0, n):
         if len(block) < n:
-            spliced = _splice(ctx, args, block, lambda lo, hi: _psi_product(ctx, args[lo:hi]))
+            spliced = _splice(ctx, args, block, lambda lo, hi: _block_moment(ctx, args[lo:hi], Level.PSI))
             term = _single_block(ctx, spliced, Level.PSI)
             tail = args[block[-1] + 1 :]
-            terms.append((-1, ctx.mul(term, _psi_product(ctx, tail)) if tail else term))
-    return ctx.combine([*terms, (1, _psi_product(ctx, args))])
-
-
-def _psi_product(ctx, args: tuple):
-    """psi(a_1 ... a_n); the value comes from, or goes into, the context's
-    table under ("psi", args)."""
-    table, key = ctx.phi_table, ("psi", args)
-    value = table.get(key)
-    if value is None:
-        value = ctx.psi_product(args)
-        table[key] = value
-    return value
+            terms.append((-1, ctx.mul(term, _block_moment(ctx, tail, Level.PSI)) if tail else term))
+    return ctx.combine([*terms, (1, _block_moment(ctx, args, Level.PSI))])
 
 
 def partial_cumulant(

@@ -24,13 +24,13 @@ and builds its like with ``_like``, so all contexts share ``combine``.
 
 The expectation of a product goes through one hook, ``psi_product(xs)``,
 and its scalar twin ``phi_scalar_product(xs)``: by default psi and
-phi_scalar of ``product(xs)``.  Four sites build a product only to take
-its expectation, and call them: ``engine._psi_product``, the block
-expectation of ``engine.phi_partitioned``, ``engine._moment_scalar`` and
-the alternating words of the freeness checks.  ``WordContext`` overrides
-both with psi over simple tensors b0 X b1 ... X bk, a recursion over
-intervals with d x d matrices in place of the d^(2k+1) basis words of the
-product; its ``psi`` stays the flat route, the reference for the hook.
+phi_scalar of ``product(xs)``.  Three sites build a product only to take
+its expectation, and call them: ``engine._block_moment``,
+``engine._moment_scalar`` and the alternating words of the freeness
+checks.  ``WordContext`` overrides both with psi over simple tensors
+b0 X b1 ... X bk, a recursion over intervals with d x d matrices in place
+of the d^(2k+1) basis words of the product; its ``psi`` stays the flat
+route, the reference for the hook.
 ``ScalarFreeContext`` overrides ``phi_scalar_product`` alone: it sums the
 coefficients of the product per word and takes one free moment per word.
 

@@ -22,7 +22,7 @@ from freecumulants.checks import ALL_CHECKS, replay_report, run_check
 from freecumulants.cli import main
 from freecumulants.errors import CapacityError
 from freecumulants.models import (
-    ClassicalSpec, FactorizationModel, MatrixContext, MatrixModel, ScalarFreeContext, ScalarFreeSpec, TensorContext,
+    ClassicalContext, ClassicalSpec, FactorizationModel, MatrixContext, MatrixModel, ScalarFreeContext, ScalarFreeSpec, TensorContext,
     TensorModel, WordContext,
 )
 from freecumulants.partitions import (
@@ -325,6 +325,7 @@ PAST_THE_BOUNDS = [
     ("moment-cumulant", {"dimension": 6}, "dimension^(n_max+2)=279936 exceeds MAX_MATRIX_SPAN=46656"),
     ("total-cumulance", {"dimension": 7}, "dimension^(n_max+2)=117649 exceeds MAX_MATRIX_SPAN=46656"),
     ("partial-cumulants", {"dimension": 5}, "dimension^(n_max+2)=78125 exceeds MAX_MATRIX_SPAN=46656"),
+    ("partial-cumulants", {"n": 7}, "catalan(n_max)^2=184041 exceeds MAX_JOIN_PAIRS=17424"),
     ("nested-closed-forms", {"max_order": 7}, "n_max=8 exceeds max_order=7"),
     ("nested-closed-forms", {"dimension": 8}, "dimension=8 exceeds MAX_NESTED_DIMENSION=7"),
     ("classical-total-cumulance", {"n": 6}, "n_max=6 exceeds MAX_CLASSICAL_N=5"),
@@ -408,7 +409,7 @@ def test_each_capacity_row_fails_one_step_past_its_bound(monkeypatch, tmp_path, 
 def test_cli_order_beyond_capacity_fails_before_any_work(tmp_path, capsys):
     # max_order=8 cannot reach order 12, nor max_order=6 order 7, no lattice
     # is enumerated past MAX_ENUM_N, and the classical check stops at n = 5
-    # (12 s at n = 6): a setup FAIL at once, not seconds or minutes of work
+    # (6.2 s at n = 6): a setup FAIL at once, not seconds or minutes of work
     # on the sizes below the bound
     path = tmp_path / "model.json"
     path.write_text(json.dumps(ClassicalSpec.random(["f"] + [f"g{i}" for i in range(7)], 8, 0).to_data()))
@@ -436,6 +437,28 @@ def test_cli_order_beyond_capacity_fails_before_any_work(tmp_path, capsys):
     assert main(["check", "--replay", str(path)]) == 2
     assert time.perf_counter() - t0 < 2
     assert capsys.readouterr() == ("", f"error: cannot replay {path}: {classical}\n")
+
+
+def test_cli_join_pairs_beyond_the_bound_fail_before_any_work(tmp_path, capsys):
+    # partial-cumulants' join formula walks Catalan(n)^2 pairs whatever d: at
+    # n = 8 (1430^2 pairs) it ran past 60 s, so a fresh run, a spec and a
+    # replay all stop at the bound
+    why = "catalan(n_max)^2=2044900 exceeds MAX_JOIN_PAIRS=17424"
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(MatrixModel.random(3, 2, 8, 0).to_data()))
+    for argv in (["--n", "8", "--dim", "2"], ["--n", "8", "--spec", str(path)]):
+        t0 = time.perf_counter()
+        assert main(["check", "partial-cumulants", *argv]) == 1
+        assert time.perf_counter() - t0 < 2, argv
+        out = capsys.readouterr().out
+        assert out.startswith("FAIL partial-cumulants (0 cases") and f"setup: {why}" in out, argv
+    report = run_check("partial-cumulants", n=2).to_json()
+    report["params"]["n_max"] = 8
+    path.write_text(json.dumps(report))
+    t0 = time.perf_counter()
+    assert main(["check", "--replay", str(path)]) == 2
+    assert time.perf_counter() - t0 < 2
+    assert capsys.readouterr() == ("", f"error: cannot replay {path}: {why}\n")
 
 
 def test_cli_huge_order_fails_before_drawing_arguments(capsys):
@@ -678,12 +701,16 @@ def test_word_and_tensor_checks_share_their_partitioned_moments(monkeypatch, ide
 
 
 @pytest.mark.parametrize("identity, cls, bound", [
-    # perf gate: a psi-cumulant keeps the psi of each argument tuple's product
-    # and each smaller psi-cumulant in the context's table; with a memo per
-    # psi-cumulant these runs made 2,580, 767 and 1,706 psi calls
-    ("moment-cumulant", MatrixContext, 1273),
-    ("tensor-factorization", TensorContext, 668),
+    # perf gate: a cumulant keeps the psi of each argument tuple's product and
+    # each smaller cumulant in the context's table, and a partitioned
+    # expectation the psi of each block.  With a memo per psi-cumulant these
+    # runs made 2,580, 767 and 1,706 psi calls; with the psi of each block
+    # taken again per partition, and classical cumulants summed over P(n),
+    # 1,273, 668, 1,348 and 297
+    ("moment-cumulant", MatrixContext, 398),
+    ("tensor-factorization", TensorContext, 539),
     ("freeness-characterization", WordContext, 1348),
+    ("classical-total-cumulance", ClassicalContext, 45),
 ])
 def test_psi_cumulants_share_their_psi_values(monkeypatch, identity, cls, bound):
     assert 0 < psi_calls(monkeypatch, identity, cls) <= bound
@@ -849,6 +876,28 @@ def test_a_wrong_moebius_weight_fails_the_moebius_sums(monkeypatch, cold_partiti
     assert partitions.moebius_row(lo, hi, nc)[-1] == (-right[-1][0], lo)
     for identity in ("total-cumulance", "partial-cumulants"):
         assert run_check(identity, seed=2024).status == "fail", identity
+
+
+def test_a_wrong_commutative_recursion_fails_the_classical_check(monkeypatch):
+    # the engine's fault row for the full lattice's single blocks: the
+    # commutative recursion with m(S - V) dropped from its term of V = {min S}
+    # when |S| = 3.  Of the twelve checks at their default bounds only
+    # classical-total-cumulance runs on the full lattice, and it fails at
+    # its law of total cumulance for n = 3
+    right = engine._kappa_commutative
+
+    def faulty(ctx, args, level):
+        value = right(ctx, args, level)
+        if len(args) != 3:
+            return value
+        kappa = engine._single_block(ctx, args[:1], level)
+        dropped = ctx.mul(kappa, engine._block_moment(ctx, args[1:], level))
+        return ctx.combine([(1, value), (1, dropped), (-1, kappa)])
+
+    monkeypatch.setattr(engine, "_kappa_commutative", faulty)
+    report = run_check("classical-total-cumulance")
+    assert report.status == "fail"
+    assert report.witness["instance"] == {"part": "total-cumulance", "seed": 2024, "n": 3}
 
 
 def _add_unit(ctx, value):

@@ -195,6 +195,21 @@ def test_cumulant_routes_agree(route_models):
                     assert free_cumulant(ctx, part, args, level, cross_check=True) == a, name
 
 
+@pytest.mark.parametrize("keep", [frozenset(), frozenset({"f"})], ids=["plain", "keep-f"])
+def test_full_lattice_cumulant_routes_agree(classical, keep):
+    # every set partition up to n = 5: the Moebius sum over P(n) against the
+    # blocks' first-block recursion over subsets, on a fresh context
+    spec, polys = classical
+    ctx = ClassicalContext(spec, keep)
+    for n in range(1, 6):
+        args = cycle(polys, n)
+        for part in enumerate_partitions(n, LatticeKind.FULL):
+            for level in Level:
+                a = free_cumulant(ctx, part, args, level, method="moebius")
+                assert free_cumulant(ctx, part, args, level, method="recursion") == a, (part, level)
+                assert free_cumulant(ctx, part, args, level, cross_check=True) == a, (part, level)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_deep_cumulant_routes_agree(deep_route_models, data):
@@ -415,12 +430,17 @@ def test_unknown_method_is_rejected(matrix_ctx):
         free_cumulant(matrix_ctx, Partition.full(2), gens(matrix_ctx, 2), method="guess")
 
 
-def test_a_disagreeing_recursion_fails_the_cross_check(monkeypatch):
+@pytest.mark.parametrize("lattice", ["noncrossing", "full"])
+def test_a_disagreeing_recursion_fails_the_cross_check(monkeypatch, classical, lattice):
     # the Moebius routes never call _cumulant_recursive, so a fault there
-    # shows up as a disagreement rendered by the tensor context
-    ctx = TensorContext(TensorModel.random(points=2, seed=12))
-    args = [ctx.simple(("a",), (F(1), F(2))), ctx.simple(("a", "a"), (F(-1), F(1, 3))),
-            ctx.simple(("a",), (F(2), F(0)))]
+    # shows up as a disagreement rendered by the tensor or classical context
+    if lattice == "full":
+        spec, polys = classical
+        ctx, args = ClassicalContext(spec, frozenset({"f"})), list(polys)
+    else:
+        ctx = TensorContext(TensorModel.random(points=2, seed=12))
+        args = [ctx.simple(("a",), (F(1), F(2))), ctx.simple(("a", "a"), (F(-1), F(1, 3))),
+                ctx.simple(("a",), (F(2), F(0)))]
     part, pair = Partition.full(3), NestedPair(parse_partition("{1,3}{2}"), Partition.full(3))
     right = engine._cumulant_recursive
     monkeypatch.setattr(engine, "_cumulant_recursive",
@@ -628,9 +648,15 @@ def test_nested_moment_restricts_the_inner_partition(matrix_ctx):
 
 
 def test_a_context_table_keeps_every_entry_as_long_as_the_context():
-    # 4^4 argument tuples x NC(4) x both levels are 7,168 distinct entries;
-    # none is ever dropped, so the first value computed comes back itself
+    # 4^4 argument tuples x NC(4) x both levels are 7,168 partitioned
+    # expectations; their blocks take 2,000 distinct block expectations, each
+    # through the context's hook once.  None is ever dropped, so the first
+    # value computed comes back itself
     ctx = ScalarFreeContext(ScalarFreeSpec.random({"a": ("a1", "a2"), "b": ("b1", "b2")}, seed=12))
+    hooked = []
+    for name, level in (("psi_product", Level.PSI), ("phi_scalar_product", Level.PHI)):
+        hook = getattr(ctx, name)
+        setattr(ctx, name, lambda xs, hook=hook, tag=level.value: hooked.append((tag, xs)) or hook(xs))
     pool = [ctx.gen(g) for g in ("a1", "a2", "b1", "b2")]
     parts = enumerate_partitions(4, NC)
     first = phi_partitioned(ctx, parts[0], pool, Level.PSI)
@@ -638,11 +664,18 @@ def test_a_context_table_keeps_every_entry_as_long_as_the_context():
         for part in parts:
             for level in Level:
                 phi_partitioned(ctx, part, args, level)
-    assert len(ctx.phi_table) == 4**4 * len(parts) * len(Level) == 7168
+    partitioned = {(part, level, args) for args in itertools.product(pool, repeat=4)
+                   for part in parts for level in Level}
+    assert len(partitioned) == 4**4 * len(parts) * len(Level) == 7168
+    assert len(hooked) == len(set(hooked)) == 2000
+    assert set(ctx.phi_table) == partitioned | set(hooked)
     assert phi_partitioned(ctx, parts[0], pool, Level.PSI) is first
 
 
 def test_every_context_keeps_a_table(classical):
+    # the partitioned expectation and the psi of each of its blocks: on the
+    # full lattice the blocks' own arguments, on the noncrossing one the
+    # block {1,3} takes psi(x2) into its first argument
     spec, polys = classical
     part = parse_partition("{1,3}{2}")
     classical_model = ("classical", ClassicalContext(spec, frozenset({"f"})), polys)
@@ -650,7 +683,9 @@ def test_every_context_keeps_a_table(classical):
         args = cycle(pool, 3)
         value = phi_partitioned(ctx, part, args, Level.PSI)
         assert value == ctx.psi(ctx.mul(ctx.mul(args[0], ctx.psi(args[1])), args[2])), name
-        assert ctx.phi_table == {(part, Level.PSI, tuple(args)): value}, name
+        outer = (args[0], args[2]) if ctx.kind is LatticeKind.FULL else (ctx.mul(args[0], ctx.psi(args[1])), args[2])
+        blocks = {("psi", (args[1],)): ctx.psi(args[1]), ("psi", outer): ctx.psi(ctx.product(outer))}
+        assert ctx.phi_table == {(part, Level.PSI, tuple(args)): value, **blocks}, name
         assert phi_partitioned(ctx, part, args, Level.PSI) is value, name
 
 
