@@ -448,7 +448,7 @@ def check_total_cumulance(suite: _Suite, params: dict, fresh: bool, spec) -> Non
 
 
 # MAX_JOIN_PAIRS: the join formula walks Catalan(n)^2 pairs (tau, rho), whatever d: (6, 2) takes
-# 0.9 s and (6, 3) 1.1 s, not (7, 2), 7.2 s, (7, 3), 7.8 s, or (8, 2), past 60 s
+# 0.9 s and (6, 3) 1.1 s, not (7, 2), 7.2 s, (7, 3), 7.8 s, or (8, 1), past 60 s
 @_check("partial-cumulants", lambda n=5, dimension=DEFAULT_DIMENSION:
         {"n_max": n, "interval_base_max": 4, "dimension": dimension, "generator_count": 3},
         seeds=1, model=MatrixModel, limits=[*_MATRIX_LIMITS, (
@@ -551,7 +551,7 @@ def check_nested_closed_forms(suite: _Suite, params: dict, fresh: bool, spec) ->
 # classical lattice
 
 
-# MAX_CLASSICAL_N: 0.6 s at n = 5, 6.2 s at n = 6
+# MAX_CLASSICAL_N: 0.45 s at n = 5, 4.0 s at n = 6
 @_check("classical-total-cumulance", lambda n=4: {"n_max": n}, seeds=3, model=ClassicalSpec,
         limits=[("n_max", "max_order"), ("n_max", "MAX_CLASSICAL_N")])
 def check_classical_total_cumulance(suite: _Suite, params: dict, fresh: bool, spec) -> None:

@@ -22,8 +22,8 @@ from freecumulants.checks import ALL_CHECKS, replay_report, run_check
 from freecumulants.cli import main
 from freecumulants.errors import CapacityError
 from freecumulants.models import (
-    ClassicalContext, ClassicalSpec, FactorizationModel, MatrixContext, MatrixModel, ScalarFreeContext, ScalarFreeSpec, TensorContext,
-    TensorModel, WordContext,
+    ClassicalContext, ClassicalSpec, FactorizationModel, MatrixContext, MatrixModel, ScalarFreeContext, ScalarFreeSpec,
+    TensorContext, TensorModel, WordContext,
 )
 from freecumulants.partitions import (
     LatticeKind, Partition, enumerate_partitions, format_partition, interval_list,
@@ -409,7 +409,7 @@ def test_each_capacity_row_fails_one_step_past_its_bound(monkeypatch, tmp_path, 
 def test_cli_order_beyond_capacity_fails_before_any_work(tmp_path, capsys):
     # max_order=8 cannot reach order 12, nor max_order=6 order 7, no lattice
     # is enumerated past MAX_ENUM_N, and the classical check stops at n = 5
-    # (6.2 s at n = 6): a setup FAIL at once, not seconds or minutes of work
+    # (4.0 s at n = 6): a setup FAIL at once, not seconds or minutes of work
     # on the sizes below the bound
     path = tmp_path / "model.json"
     path.write_text(json.dumps(ClassicalSpec.random(["f"] + [f"g{i}" for i in range(7)], 8, 0).to_data()))
@@ -706,9 +706,9 @@ def test_word_and_tensor_checks_share_their_partitioned_moments(monkeypatch, ide
     # expectation the psi of each block.  With a memo per psi-cumulant these
     # runs made 2,580, 767 and 1,706 psi calls; with the psi of each block
     # taken again per partition, and classical cumulants summed over P(n),
-    # 1,273, 668, 1,348 and 297
+    # 1,273, 668, 1,348 and 297 (tensor-factorization now makes 539)
     ("moment-cumulant", MatrixContext, 398),
-    ("tensor-factorization", TensorContext, 539),
+    ("tensor-factorization", TensorContext, 668),
     ("freeness-characterization", WordContext, 1348),
     ("classical-total-cumulance", ClassicalContext, 45),
 ])

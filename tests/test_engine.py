@@ -430,32 +430,31 @@ def test_unknown_method_is_rejected(matrix_ctx):
         free_cumulant(matrix_ctx, Partition.full(2), gens(matrix_ctx, 2), method="guess")
 
 
-@pytest.mark.parametrize("lattice", ["noncrossing", "full"])
-def test_a_disagreeing_recursion_fails_the_cross_check(monkeypatch, classical, lattice):
+def test_a_disagreeing_recursion_fails_the_cross_check(monkeypatch, classical):
     # the Moebius routes never call _cumulant_recursive, so a fault there
-    # shows up as a disagreement rendered by the tensor or classical context
-    if lattice == "full":
-        spec, polys = classical
-        ctx, args = ClassicalContext(spec, frozenset({"f"})), list(polys)
-    else:
-        ctx = TensorContext(TensorModel.random(points=2, seed=12))
-        args = [ctx.simple(("a",), (F(1), F(2))), ctx.simple(("a", "a"), (F(-1), F(1, 3))),
-                ctx.simple(("a",), (F(2), F(0)))]
+    # shows up as a disagreement rendered by the context, on the noncrossing
+    # lattice of the tensor context and on the full one of the classical
+    spec, polys = classical
+    tensor = TensorContext(TensorModel.random(points=2, seed=12))
+    models = [(tensor, [tensor.simple(("a",), (F(1), F(2))), tensor.simple(("a", "a"), (F(-1), F(1, 3))),
+                        tensor.simple(("a",), (F(2), F(0)))]),
+              (ClassicalContext(spec, frozenset({"f"})), list(polys))]
     part, pair = Partition.full(3), NestedPair(parse_partition("{1,3}{2}"), Partition.full(3))
     right = engine._cumulant_recursive
     monkeypatch.setattr(engine, "_cumulant_recursive",
                         lambda ctx, *rest: ctx.add(right(ctx, *rest), ctx.unit()))
-    reference = free_cumulant(ctx, part, args, Level.PSI, method="moebius")
-    with pytest.raises(RuntimeError, match="cumulant cross-check failed") as failed:
-        free_cumulant(ctx, part, args, Level.PSI, cross_check=True)
-    wrong = ctx.add(reference, ctx.unit())
-    assert str(failed.value).endswith(f"{ctx.describe(reference)} vs {ctx.describe(wrong)}")
-    reference = nested_semicumulant(ctx, pair, args, method="moebius")
-    with pytest.raises(RuntimeError, match="nested cross-check failed") as failed:
-        nested_semicumulant(ctx, pair, args, cross_check=True)
-    recursion = nested_semicumulant(ctx, pair, args, method="recursion")
-    assert recursion != reference
-    assert str(failed.value).endswith(f"{ctx.describe(reference)} vs {ctx.describe(recursion)}")
+    for ctx, args in models:
+        reference = free_cumulant(ctx, part, args, Level.PSI, method="moebius")
+        with pytest.raises(RuntimeError, match="cumulant cross-check failed") as failed:
+            free_cumulant(ctx, part, args, Level.PSI, cross_check=True)
+        wrong = ctx.add(reference, ctx.unit())
+        assert str(failed.value).endswith(f"{ctx.describe(reference)} vs {ctx.describe(wrong)}")
+        reference = nested_semicumulant(ctx, pair, args, method="moebius")
+        with pytest.raises(RuntimeError, match="nested cross-check failed") as failed:
+            nested_semicumulant(ctx, pair, args, cross_check=True)
+        recursion = nested_semicumulant(ctx, pair, args, method="recursion")
+        assert recursion != reference
+        assert str(failed.value).endswith(f"{ctx.describe(reference)} vs {ctx.describe(recursion)}")
 
 
 def test_terminal_interval_block_multiplies_from_the_right(matrix_ctx):
