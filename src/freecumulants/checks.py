@@ -72,7 +72,7 @@ DEFAULT_DIMENSION = 2
 # the named bounds of the capacity rows; a row naming a cost bound gives its times on 2 cores
 CAPACITY = {"MAX_ENUM_N": MAX_ENUM_N, "MAX_CLASSICAL_N": 5, "MAX_MATRIX_SPAN": 6**6,
             "MAX_NESTED_DIMENSION": 7, "MAX_WORD_SPAN": 3**3 * 5**6, "MAX_WORD_COST": 4**6,
-            "MAX_MIXED_WORDS": 4**6, "MAX_JOIN_PAIRS": 132**2}
+            "MAX_MIXED_WORDS": 4**6, "MAX_JOIN_PAIRS": 132**2, "MAX_TOTAL_N": 6}
 
 
 @dataclass
@@ -413,9 +413,11 @@ def check_moment_cumulant(suite: _Suite, params: dict, fresh: bool, spec) -> Non
                              ctx.sum(table[pi] for pi in below), render=ctx.describe)
 
 
+# MAX_TOTAL_N: its cases grow about 5-fold with n whatever d: n = 6 takes 1.9 s at d = 1, 2.7 s
+# at d = 2 and 4.9 s at d = 3, not n = 7, 29.9 s at d = 1 and 31.0 s at d = 2
 @_check("total-cumulance", lambda n=4, dimension=DEFAULT_DIMENSION:
         {"n_max": n, "dimension": dimension, "generator_count": 3},
-        seeds=5, model=MatrixModel, limits=_MATRIX_LIMITS)
+        seeds=5, model=MatrixModel, limits=[*_MATRIX_LIMITS, ("n_max", "MAX_TOTAL_N")])
 def check_total_cumulance(suite: _Suite, params: dict, fresh: bool, spec) -> None:
     """The law of total cumulance on the noncrossing lattice, with its two
     supporting identities: the generalized moment-cumulant formula and the
@@ -615,7 +617,7 @@ def check_classical_total_cumulance(suite: _Suite, params: dict, fresh: bool, sp
 
 
 # alternating words follow the model's capacity.  The mixed words grow like generators^n, four
-# generators when drawn: MAX_MIXED_WORDS admits n = 6, 3.8 s, not n = 7, 52 s
+# generators when drawn: MAX_MIXED_WORDS admits n = 6, 0.7-1.0 s, not n = 7, 4.1-6.1 s, not always under 5 s
 @_check("freeness", lambda n=4, max_order=DEFAULT_MAX_ORDER:
         {"mixed_max": n, "alternating_max": min(6, max_order),
          "quadratic_max": min(3, max_order // 2), "quadratic_trials": 4},
@@ -645,6 +647,7 @@ def check_freeness(suite: _Suite, params: dict, fresh: bool, spec) -> None:
         params["quadratic_words"] = quad
     ctx = ScalarFreeContext(spec)
     gens = [g for f in fams for g in spec.families[f]]
+    elements = {g: ctx.gen(g) for g in gens}  # one element per generator: table keys then match by identity
     zero = ctx.scale(0, ctx.unit())
     for m in range(2, params["mixed_max"] + 1):
         for word in itertools.product(gens, repeat=m):
@@ -652,7 +655,7 @@ def check_freeness(suite: _Suite, params: dict, fresh: bool, spec) -> None:
                 continue
             key = {"part": "mixed-cumulant", "word": " ".join(word)}
             if suite.wants(key):
-                got = free_cumulant(ctx, Partition.full(m), [ctx.gen(g) for g in word], Level.PHI)
+                got = free_cumulant(ctx, Partition.full(m), [elements[g] for g in word], Level.PHI)
                 suite.record(key, got, zero, render=ctx.describe)
     for L in range(2, params["alternating_max"] + 1):
         for start in range(len(fams)):

@@ -31,8 +31,9 @@ checks.  ``WordContext`` overrides both with psi over simple tensors
 b0 X b1 ... X bk, a recursion over intervals with d x d matrices in place
 of the d^(2k+1) basis words of the product; its ``psi`` stays the flat
 route, the reference for the hook.
-``ScalarFreeContext`` overrides ``phi_scalar_product`` alone: it sums the
-coefficients of the product per word and takes one free moment per word.
+``ScalarFreeContext`` overrides ``phi_scalar_product`` alone: it folds in
+the factors one at a time, summing the coefficients per word, and takes
+one free moment per word.
 
 All randomness is drawn from ``random.Random(seed)`` with numerators in
 [-9, 9] and denominators in {1, 2, 3}; drawn values travel in ``to_data``
@@ -445,7 +446,7 @@ class ScalarFreeSpec:
                 for word in itertools.product(gens, repeat=k):
                     if word not in self.cumulants:
                         raise ValueError(f"missing cumulant for word {word}")
-        self._moment_cache: dict[tuple[str, ...], Fraction] = {(): Fraction(1)}
+        self._moment_cache: dict[tuple[str, ...], tuple[int, int]] = {(): (1, 1)}
 
     @classmethod
     def random(
@@ -520,26 +521,34 @@ def free_moment(spec: ScalarFreeSpec, word: tuple[str, ...]) -> Fraction:
     Lecture 11): the sum, over the blocks V holding the first letter, of
     kappa(w_V) times the moments of the gaps V leaves, the tail after V
     included.  Blocks mixing families contribute zero, which is exactly
-    freeness of the families with respect to this functional.
+    freeness of the families with respect to this functional, so only the
+    blocks of letters from the first letter's family are enumerated.
     """
-    word = tuple(word)
-    if len(word) > spec.max_order:
-        raise CapacityError(f"moment of order {len(word)} exceeds max_order={spec.max_order}")
+    return Fraction(*_free_moment(spec, tuple(word)))
+
+
+def _free_moment(spec: ScalarFreeSpec, word: tuple[str, ...]) -> tuple[int, int]:
+    """``free_moment`` as an integer pair in lowest terms, kept in the spec's ``_moment_cache``."""
     cached = spec._moment_cache.get(word)
     if cached is not None:
         return cached
+    n, family_of = len(word), spec.family_of
+    if n > spec.max_order:
+        raise CapacityError(f"moment of order {n} exceeds max_order={spec.max_order}")
+    own = [i for i in range(n) if family_of[word[i]] == family_of[word[0]]]
     num, den = 0, 1  # the sum, kept as integers until it is complete
-    for block in first_blocks(0, len(word)):
-        value = spec.cumulant(tuple(word[i] for i in block))
-        vn, vd = value.numerator, value.denominator
-        for a, b in zip(block, block[1:] + (len(word),)):
+    for picks in first_blocks(0, len(own)):
+        block = tuple(map(own.__getitem__, picks))
+        vn, vd = spec.cumulant(tuple(map(word.__getitem__, block))).as_integer_ratio()
+        for a, b in zip(block, block[1:] + (n,)):
             if not vn:
                 break
-            m = free_moment(spec, word[a + 1 : b])
-            vn, vd = vn * m.numerator, vd * m.denominator
+            m_num, m_den = _free_moment(spec, word[a + 1 : b])
+            vn, vd = vn * m_num, vd * m_den
         if vn:
             num, den = num * vd + vn * den, den * vd
-    total = spec._moment_cache[word] = Fraction(num, den)
+    g = gcd(num, den)
+    total = spec._moment_cache[word] = (num // g, den // g)
     return total
 
 
@@ -561,28 +570,28 @@ class ScalarFreeContext(LinearCombinationContext):
         return w1 + w2
 
     def phi_scalar(self, x):
-        total, den = _accumulate([(*free_moment(self.spec, w).as_integer_ratio(), {(): c}, None)
+        total, den = _accumulate([(*_free_moment(self.spec, w), {(): c}, None)
                                   for w, c in x.terms.items()])
         return Fraction(total.get((), 0), den * x.den)
 
     def phi_scalar_product(self, xs):
-        """phi of the product of the factors ``xs``, which is never formed:
-        the coefficients are summed per concatenated word over each choice
-        of one term per factor, and each word of nonzero coefficient takes
-        one free moment, accumulated as integers over a common denominator."""
-        xs = list(xs)
-        coefficients: dict = {}
-        for choice in itertools.product(*(x.terms.items() for x in xs)):
-            word = tuple(itertools.chain.from_iterable(w for w, _ in choice))
-            coefficients[word] = coefficients.get(word, 0) + prod(c for _, c in choice)
-        num, den = 0, 1
+        """phi of the product of the factors ``xs``, never formed: the integer
+        coefficients are folded in one factor at a time, equal words merged,
+        and each word of nonzero coefficient takes one free moment."""
+        coefficients, den = {(): 1}, 1
+        for x in xs:
+            folded: dict = {}
+            for w, c in coefficients.items():
+                for v, d in x.terms.items():
+                    folded[w + v] = folded.get(w + v, 0) + c * d
+            coefficients, den = folded, den * x.den
+        num, common = 0, 1
         for word, c in coefficients.items():
             if c:
-                m = free_moment(self.spec, word)
-                common = lcm(den, m.denominator)
-                num = num * (common // den) + c * m.numerator * (common // m.denominator)
-                den = common
-        return Fraction(num, den * prod(x.den for x in xs))
+                m_num, m_den = _free_moment(self.spec, word)
+                lcd = lcm(common, m_den)
+                num, common = num * (lcd // common) + c * m_num * (lcd // m_den), lcd
+        return Fraction(num, common * den)
 
     psi = ProbabilityContext.phi
 
@@ -944,9 +953,9 @@ class TensorContext(LinearCombinationContext):
 
     def psi(self, x):
         """Integrate out the word factor: sum of free moments times vectors."""
-        moments = [(free_moment(self.model.scalars, w), k, c) for (w, k), c in x.terms.items()]
-        return LinearCombination(*_accumulate([(m.numerator, m.denominator * x.den, {((), k): c}, None)
-                                               for m, k, c in moments]))
+        moments = [(*_free_moment(self.model.scalars, w), k, c) for (w, k), c in x.terms.items()]
+        return LinearCombination(*_accumulate([(num, den * x.den, {((), k): c}, None)
+                                               for num, den, k, c in moments]))
 
     def phi_scalar(self, x):
         return self.model.state(self._vector(self.psi(x)))

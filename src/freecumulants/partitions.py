@@ -196,8 +196,13 @@ class Partition:
             raise ValueError(f"positions {positions} are not distinct indices of 1..{self.n}")
         return Partition._canonical(len(rank), tuple(sorted(blocks)))
 
-    def __str__(self) -> str:
+    @cached_property
+    def _text(self) -> str:
+        """The block notation, formatted once per partition."""
         return format_partition(self)
+
+    def __str__(self) -> str:
+        return self._text
 
 
 def parse_partition(text: str) -> Partition:

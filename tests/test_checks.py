@@ -1,5 +1,6 @@
 """Report plumbing and the command line surface."""
 
+import collections
 import contextlib
 import copy
 import functools
@@ -12,12 +13,13 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from freecumulants import checks, engine, partitions
+from freecumulants import checks, engine, models, partitions
 from freecumulants.checks import ALL_CHECKS, replay_report, run_check
 from freecumulants.cli import main
 from freecumulants.errors import CapacityError
@@ -324,6 +326,8 @@ PAST_THE_BOUNDS = [
     ("moment-cumulant", {"dimension": 5}, "dimension^(n_max+2)=78125 exceeds MAX_MATRIX_SPAN=46656"),
     ("moment-cumulant", {"dimension": 6}, "dimension^(n_max+2)=279936 exceeds MAX_MATRIX_SPAN=46656"),
     ("total-cumulance", {"dimension": 7}, "dimension^(n_max+2)=117649 exceeds MAX_MATRIX_SPAN=46656"),
+    ("total-cumulance", {"n": 7, "dimension": 1}, "n_max=7 exceeds MAX_TOTAL_N=6"),
+    ("total-cumulance", {"n": 7, "dimension": 2}, "n_max=7 exceeds MAX_TOTAL_N=6"),
     ("partial-cumulants", {"dimension": 5}, "dimension^(n_max+2)=78125 exceeds MAX_MATRIX_SPAN=46656"),
     ("partial-cumulants", {"n": 7}, "catalan(n_max)^2=184041 exceeds MAX_JOIN_PAIRS=17424"),
     ("nested-closed-forms", {"max_order": 7}, "n_max=8 exceeds max_order=7"),
@@ -717,10 +721,12 @@ def test_psi_cumulants_share_their_psi_values(monkeypatch, identity, cls, bound)
 
 
 def test_the_word_model_forms_no_product_to_take_its_expectation(monkeypatch):
-    # perf gate: freeness-characterization takes psi of a product 865 times,
+    # perf gate: freeness-characterization takes psi of a product 597 times,
     # each over simple tensors with no fallback to the flat route, so no
     # product of word-model elements is ever formed; its other 483 psi values
-    # are of single elements, on the flat route
+    # are of single elements, on the flat route.  With the scalar moments of
+    # its phi-cumulants taken per cumulant instead of per context, it took
+    # psi of a product 865 times
     counts = {"product": 0, "psi_product": 0, "_psi_simple": 0}
     for name in counts:
         method = getattr(WordContext, name)
@@ -728,19 +734,45 @@ def test_the_word_model_forms_no_product_to_take_its_expectation(monkeypatch):
                             counts.__setitem__(name, counts[name] + 1) or method(self, *args))
     assert run_check("freeness-characterization").passed
     assert counts["product"] == 0
-    assert 0 < counts["psi_product"] <= 865 <= counts["_psi_simple"]
+    assert 0 < counts["psi_product"] <= 597 <= counts["_psi_simple"]
 
 
 def test_freeness_tables_its_cumulants_only(monkeypatch):
     # the check asks only for single-block cumulants, which the scalar
     # route computes without a partitioned moment: the context keeps 280
-    # cumulants, where the Moebius route kept 3,392 partitioned moments
+    # cumulants, where the Moebius route kept 3,392 partitioned moments,
+    # and the integer pairs of the 308 scalar cumulants and 308 moments of
+    # the argument tuples the recursion met, keyed on positions of the four
+    # generators
     made = []
     init = ScalarFreeContext.__init__
     monkeypatch.setattr(ScalarFreeContext, "__init__",
                         lambda self, spec: made.append(self) or init(self, spec))
     assert run_check("freeness").passed
-    assert made and max(len(ctx.phi_table) for ctx in made) <= 280
+    assert len(made) == 1
+    table = made[0].phi_table
+    assert len(table.pop("arguments")) == 4  # the generators, each once
+    kinds = collections.Counter(key[0] for key in table)
+    assert set(kinds) == {engine.Level.PHI, "kappa", "moment"}
+    assert 0 < kinds[engine.Level.PHI] <= 280
+    assert kinds["kappa"] == kinds["moment"] == 308
+
+
+@pytest.mark.parametrize("identity, bound", [
+    # perf gate: the scalar cumulants share their moments through the
+    # context's table, and phi of a product folds its factors one at a time,
+    # equal words merged; with per-cumulant subset tables these runs made
+    # 3,976 and 190 phi_scalar_product calls
+    ("freeness", 564),
+    ("product-formula", 86),
+])
+def test_the_scalar_checks_take_each_moment_once(monkeypatch, identity, bound):
+    calls = []
+    hook = ScalarFreeContext.phi_scalar_product
+    monkeypatch.setattr(ScalarFreeContext, "phi_scalar_product",
+                        lambda self, xs: calls.append(1) or hook(self, xs))
+    assert run_check(identity).passed
+    assert 0 < len(calls) <= bound
 
 
 def test_moment_cumulant_restricts_no_partition(monkeypatch):
@@ -898,6 +930,60 @@ def test_a_wrong_commutative_recursion_fails_the_classical_check(monkeypatch):
     report = run_check("classical-total-cumulance")
     assert report.status == "fail"
     assert report.witness["instance"] == {"part": "total-cumulance", "seed": 2024, "n": 3}
+
+
+def faulty_free_moment(fault: str):
+    """``models._free_moment`` with one fault: "family" draws the first
+    block from the last letter's family instead of the first's, "tail"
+    drops the moment of the tail after the first block."""
+    def moment(spec, word):
+        cached = spec._moment_cache.get(word)
+        if cached is not None:
+            return cached
+        n, family_of = len(word), spec.family_of
+        family = family_of[word[-1] if fault == "family" else word[0]]
+        own = [0] + [i for i in range(1, n) if family_of[word[i]] == family]
+        num, den = 0, 1
+        for picks in partitions.first_blocks(0, len(own)):
+            block = tuple(own[j] for j in picks)
+            vn, vd = spec.cumulant(tuple(word[i] for i in block)).as_integer_ratio()
+            for a, b in zip(block, block[1:] + ((n,) if fault != "tail" else ())):
+                if vn and b > a + 1:
+                    m_num, m_den = moment(spec, word[a + 1 : b])
+                    vn, vd = vn * m_num, vd * m_den
+            num, den = num * vd + vn * den, den * vd
+        value = spec._moment_cache[word] = Fraction(num, den).as_integer_ratio()
+        return value
+    return moment
+
+
+def kappa_scalar_without_its_gap(right):
+    """``engine._kappa_scalar`` with the moment of the gap dropped from the
+    term of the block {1, 3} of three arguments."""
+    def kappa(ctx, args):
+        value = right(ctx, args)
+        if len(args) != 3:
+            return value
+        block = Fraction(*right(ctx, (args[0], args[2])))
+        gap = Fraction(*engine._moment_scalar(ctx, args[1:2]))
+        return (Fraction(*value) + block * gap - block).as_integer_ratio()
+    return kappa
+
+
+@pytest.mark.parametrize("module, name, fault, failing", [
+    # the scalar route's fault rows: every check at its default bounds, and
+    # the set of those that fail, as measured.  A wrong free_moment that
+    # stays a moment functional of one family is a valid state, so no check
+    # over one family (tensor-factorization) can see it; the model tests
+    # compare free_moment with the sum over NC(n)
+    (models, "_free_moment", faulty_free_moment("family"), {"freeness", "product-formula"}),
+    (models, "_free_moment", faulty_free_moment("tail"), {"freeness", "product-formula"}),
+    (engine, "_kappa_scalar", kappa_scalar_without_its_gap(engine._kappa_scalar),
+     {"total-cumulance", "freeness", "product-formula", "freeness-characterization"}),
+], ids=["free-moment-family", "free-moment-tail", "kappa-scalar-gap"])
+def test_a_wrong_scalar_route_fails_the_checks_that_use_it(monkeypatch, module, name, fault, failing):
+    monkeypatch.setattr(module, name, fault)
+    assert {identity for identity in ALL_CHECKS if not run_check(identity).passed} >= failing
 
 
 def _add_unit(ctx, value):

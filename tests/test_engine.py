@@ -224,6 +224,29 @@ def test_deep_cumulant_routes_agree(deep_route_models, data):
     assert free_cumulant(ctx, part, args, level, cross_check=True) == a, name
 
 
+def test_the_scalar_recursion_equals_the_moebius_sum_on_cold_and_warm_tables():
+    # the tuple-keyed phi-cumulants against the Moebius sum on every
+    # partition of NC(n), n <= 5, over two families with repeated arguments:
+    # cold, a fresh context and spec per partition; warm, one context whose
+    # table first took the cumulants of other words over the same arguments
+    def spec():
+        return ScalarFreeSpec.random({"a": ("a1", "a2"), "b": ("b1",)}, seed=31)
+
+    warm = ScalarFreeContext(spec())
+    a1, a2, b1 = (warm.gen(g) for g in ("a1", "a2", "b1"))
+    pool = [a1, warm.sub(b1, warm.phi(b1)), a1, warm.add(a2, warm.mul(a1, b1)), warm.sub(b1, warm.phi(b1))]
+    for n in range(1, 6):
+        free_cumulant(warm, Partition.full(n), pool[::-1][:n], Level.PHI)
+        free_cumulant(warm, Partition.full(n), (pool[1:] + pool[:1])[:n], Level.PHI)
+    for n in range(1, 6):
+        args = pool[:n]
+        for part in enumerate_partitions(n, NC):
+            reference = free_cumulant(ScalarFreeContext(spec()), part, args, Level.PHI, method="moebius")
+            assert free_cumulant(ScalarFreeContext(spec()), part, args, Level.PHI) == reference, part
+            assert free_cumulant(warm, part, args, Level.PHI) == reference, part
+            assert free_cumulant(warm, part, args, Level.PHI, cross_check=True) == reference, part
+
+
 @pytest.mark.parametrize("n", [6, 7, 8])
 def test_a_scalar_cumulant_evaluates_each_subset_once(monkeypatch, n):
     # perf gate: one phi_scalar_product call per nonempty subset of the
