@@ -413,8 +413,8 @@ def check_moment_cumulant(suite: _Suite, params: dict, fresh: bool, spec) -> Non
                              ctx.sum(table[pi] for pi in below), render=ctx.describe)
 
 
-# MAX_TOTAL_N: its cases grow about 5-fold with n whatever d: n = 6 takes 1.9 s at d = 1, 2.7 s
-# at d = 2 and 4.9 s at d = 3, not n = 7, 29.9 s at d = 1 and 31.0 s at d = 2
+# MAX_TOTAL_N: its cases grow about 5-fold with n whatever d: n = 6 takes 1.9-3.0 s at d = 1, 2.7-3.5 s
+# at d = 2 and 4.9-5.4 s at d = 3, not n = 7, 30-37 s at d = 1 and 31-42 s at d = 2
 @_check("total-cumulance", lambda n=4, dimension=DEFAULT_DIMENSION:
         {"n_max": n, "dimension": dimension, "generator_count": 3},
         seeds=5, model=MatrixModel, limits=[*_MATRIX_LIMITS, ("n_max", "MAX_TOTAL_N")])
@@ -617,7 +617,7 @@ def check_classical_total_cumulance(suite: _Suite, params: dict, fresh: bool, sp
 
 
 # alternating words follow the model's capacity.  The mixed words grow like generators^n, four
-# generators when drawn: MAX_MIXED_WORDS admits n = 6, 0.7-1.0 s, not n = 7, 4.1-6.1 s, not always under 5 s
+# generators when drawn: MAX_MIXED_WORDS admits n = 6, 0.7-1.0 s, not n = 7, 4.4-6.3 s, not always under 5 s
 @_check("freeness", lambda n=4, max_order=DEFAULT_MAX_ORDER:
         {"mixed_max": n, "alternating_max": min(6, max_order),
          "quadratic_max": min(3, max_order // 2), "quadratic_trials": 4},
