@@ -15,6 +15,7 @@ tolerances anywhere.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import itertools
 import json
@@ -48,6 +49,7 @@ from .models import (
     TensorContext,
     TensorModel,
     WordContext,
+    _field,
     centered,
     draw_fraction,
     free_moment,
@@ -138,8 +140,8 @@ def _given(value, default):
 def _capacity(model: dict) -> dict:
     """The max_order, dimension (a tensor model's points) and count of free generators of
     model data, as from_data reads them."""
-    return {"max_order": model.get("max_order", DEFAULT_MAX_ORDER),
-            "dimension": model.get("dimension", len(model.get("weights", ()))),
+    return {"max_order": _field(model, "max_order", int, DEFAULT_MAX_ORDER),
+            "dimension": _field(model, "dimension", int, len(_field(model, "weights", list, []))),
             "generators": sum(len(row.get("generators", [row.get("name")])) for row in model.get("families", ()))}
 
 
@@ -255,14 +257,19 @@ def _below(part: Partition, kind: LatticeKind) -> tuple[Partition, ...]:
     return interval_list(Partition.discrete(part.n), part, kind)
 
 
+def _model(params: dict, fresh: bool, spec, model_class, random_data):
+    """The model of ``params["model"]``, built once, from its record: a fresh
+    run records the given spec, or ``random_data(params["seed"])``."""
+    if fresh:
+        params["model"] = random_data(params["seed"]) if spec is None else spec.to_data()
+    return spec if fresh and spec is not None else model_class.from_data(params["model"])
+
+
 def _free_spec(params: dict, fresh: bool, spec: ScalarFreeSpec | None) -> ScalarFreeSpec:
     """The run's scalar free spec, which must hold the two free families a
     check compares; a fresh run records the given spec, or a drawn one."""
-    if fresh:
-        spec = spec or ScalarFreeSpec.random({"a": ("a1", "a2"), "b": ("b1", "b2")},
-                                             params["max_order"], params["seed"])
-        params["model"] = spec.to_data()
-    spec = ScalarFreeSpec.from_data(params["model"])
+    spec = _model(params, fresh, spec, ScalarFreeSpec, lambda s: ScalarFreeSpec.random_data(
+        {"a": ("a1", "a2"), "b": ("b1", "b2")}, params["max_order"], s))
     if len(spec.families) < 2:
         raise ValueError(f"the check needs at least two free families, the model has {len(spec.families)}")
     return spec
@@ -357,20 +364,20 @@ def check_kreweras(suite: _Suite, params: dict, fresh: bool, spec) -> None:
 # seeded models shared by several checks
 
 
-def _models(params: dict, fresh: bool, spec, model_class, random_model, draw):
-    """(seed, model, recorded row) for each seed.
-
-    A fresh run takes the spec or builds ``random_model(seed)``; it draws
-    the arguments as ``draw(model, rng)`` from a per-seed generator and
-    records ``{"seed", "model", **draws}``.  Every model is then rebuilt
-    from the record, so a replay uses the recorded values and never the seed."""
+def _models(params: dict, fresh: bool, spec, model_class, random_data, draw):
+    """(seed, model, recorded row) for each seed, each model built once, from
+    its record (``_model``).  A fresh run records ``{"seed", "model",
+    **draws}``, the arguments drawn as ``draw(model, rng)`` from a per-seed
+    generator, so a replay uses the recorded values and never the seed."""
     if fresh:
-        rows = []
-        for s in params["seeds"]:
-            model = spec if spec is not None else random_model(s)
-            rows.append({"seed": s, "model": model.to_data(), **draw(model, random.Random(f"{s}:args"))})
-        params["models"] = rows
-    return [(row["seed"], model_class.from_data(row["model"]), row) for row in params["models"]]
+        params["models"] = [{"seed": s} for s in params["seeds"]]
+    out = []
+    for row in params["models"]:
+        model = _model(row, fresh, spec, model_class, random_data)
+        if fresh:
+            row.update(draw(model, random.Random(f"{row['seed']}:args")))
+        out.append((row["seed"], model, row))
+    return out
 
 
 def _matrix_bundles(params: dict, fresh: bool, spec: MatrixModel | None):
@@ -381,8 +388,8 @@ def _matrix_bundles(params: dict, fresh: bool, spec: MatrixModel | None):
                                    for m, word in row["args"].items()})
         for s, model, row in _models(
             params, fresh, spec, MatrixModel,
-            lambda s: MatrixModel.random(params["generator_count"], params["dimension"],
-                                         params["max_order"], s),
+            lambda s: MatrixModel.random_data(params["generator_count"], params["dimension"],
+                                              params["max_order"], s),
             lambda model, rng: {"args": {
                 str(m): [rng.choice(model.generator_names) for _ in range(m)]
                 for m in range(1, params["n_max"] + 1)
@@ -573,11 +580,11 @@ def check_classical_total_cumulance(suite: _Suite, params: dict, fresh: bool, sp
                          + ring.var(f"g{i-1}") * ring.var(f"g{i}") * d)
         return {"keep": ["f"], "polys": [p.to_data() for p in polys]}
 
-    def random_spec(s: int) -> ClassicalSpec:
+    def random_data(s: int) -> dict:
         names = ["f"] + [f"g{i}" for i in range(n_max + 1)]
-        return ClassicalSpec.random(names, params["max_order"], s)
+        return ClassicalSpec.random_data(names, params["max_order"], s)
 
-    for s, spec, row in _models(params, fresh, spec, ClassicalSpec, random_spec, draw):
+    for s, spec, row in _models(params, fresh, spec, ClassicalSpec, random_data, draw):
         ctx = ClassicalContext(spec, frozenset(row["keep"]))
         plain = ClassicalContext(spec)
         polys = [Poly.from_data(spec.ring, d) for d in row["polys"]]
@@ -648,6 +655,7 @@ def check_freeness(suite: _Suite, params: dict, fresh: bool, spec) -> None:
     ctx = ScalarFreeContext(spec)
     gens = [g for f in fams for g in spec.families[f]]
     elements = {g: ctx.gen(g) for g in gens}  # one element per generator: table keys then match by identity
+    centered_gens = {g: centered(ctx, x) for g, x in elements.items()}
     zero = ctx.scale(0, ctx.unit())
     for m in range(2, params["mixed_max"] + 1):
         for word in itertools.product(gens, repeat=m):
@@ -663,7 +671,7 @@ def check_freeness(suite: _Suite, params: dict, fresh: bool, spec) -> None:
             for word in itertools.product(*choices):
                 key = {"part": "alternating", "word": " ".join(word)}
                 if suite.wants(key):
-                    suite.record(key, ctx.phi_scalar_product(centered(ctx, ctx.gen(g)) for g in word), Fraction(0))
+                    suite.record(key, ctx.phi_scalar_product(centered_gens[g] for g in word), Fraction(0))
     for L, rows in params["quadratic_words"].items():
         for t, letters in enumerate(rows):
             key = {"part": "alternating-quadratic", "length": int(L), "trial": t}
@@ -745,7 +753,7 @@ def check_freeness_characterization(suite: _Suite, params: dict, fresh: bool, sp
 
     for s, model, recorded in _models(
         params, fresh, spec, FactorizationModel,
-        lambda s: FactorizationModel.random(2, params["dimension"], params["max_order"], s), draw,
+        lambda s: FactorizationModel.random_data(2, params["dimension"], params["max_order"], s), draw,
     ):
         ctx = WordContext(model)
         sc = model.scalars
@@ -809,9 +817,9 @@ def check_tensor_factorization(suite: _Suite, params: dict, fresh: bool, spec) -
     functional indexed by the inner partition and a point-factor
     functional indexed by the outer one; reference values come from
     direct partition sums, not the engine."""
+    model = _model(params, fresh, spec, TensorModel,
+                   lambda s: TensorModel.random_data(params["points"], params["max_order"], s))
     if fresh:
-        model = spec or TensorModel.random(params["points"], params["max_order"], params["seed"])
-        params["model"] = model.to_data()
         rng = random.Random(f"{params['seed']}:args")
         gen = next(iter(model.scalars.family_of))
         params["args"] = {
@@ -824,7 +832,6 @@ def check_tensor_factorization(suite: _Suite, params: dict, fresh: bool, spec) -
             ]
             for m in range(1, params["n_max"] + 1)
         }
-    model = TensorModel.from_data(params["model"])
     ctx = TensorContext(model)
     sc = model.scalars
     for m in range(1, params["n_max"] + 1):
@@ -833,18 +840,22 @@ def check_tensor_factorization(suite: _Suite, params: dict, fresh: bool, spec) -
         bvecs = [tuple(as_fraction(v) for v in r["vec"]) for r in rows]
         args = [ctx.simple(awords[i], bvecs[i]) for i in range(m)]
 
+        # the reference values of each partition, taken once per n
+        @functools.cache
         def m_word(part: Partition) -> Fraction:
             out = Fraction(1)
             for blk in part.blocks:
                 out *= free_moment(sc, tuple(x for i in blk for x in awords[i - 1]))
             return out
 
+        @functools.cache
         def c_word(part: Partition) -> Fraction:
             return sum(
                 Fraction(moebius(t, part, LatticeKind.NONCROSSING)) * m_word(t)
                 for t in _below(part, LatticeKind.NONCROSSING)
             )
 
+        @functools.cache
         def m_point(part: Partition) -> Fraction:
             out = Fraction(1)
             for blk in part.blocks:

@@ -42,11 +42,17 @@ _GUARD = 0x80
 
 
 def as_fraction(value: int | str | Fraction) -> Fraction:
-    """Coerce ints, Fractions and strings like '-3/2' to Fraction."""
+    """Coerce ints, Fractions and strings like '-3/2' to Fraction.  The form
+    ``str(Fraction)`` writes, ``-?[0-9]+(/[0-9]+)?``, is read with ``int``;
+    any other string goes to ``Fraction``, whose errors it keeps."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)):
         try:
+            if isinstance(value, str):
+                num, slash, den = value.partition("/")
+                if value.isascii() and (num[1:] if num[:1] == "-" else num).isdigit() and (not slash or den.isdigit()):
+                    return Fraction(int(num), int(den)) if slash else Fraction(int(num))
             return Fraction(value)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None

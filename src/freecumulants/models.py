@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 from functools import cache, cached_property, partial, reduce
 from math import gcd, lcm, prod
@@ -61,6 +62,32 @@ _ZERO = Fraction(0)  # the cumulant of every word that mixes families
 
 def draw_fraction(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
+
+
+_KINDS = {int: "an integer", str: "a string", list: "a list", (dict, list): "an object or a list"}
+
+
+def _field(data, key: str, kind, default=None):
+    """``data[key]`` of a model record, which must be of ``kind`` and not a
+    bool; ``default`` stands for an absent key, and without one it is an error."""
+    if not isinstance(data, dict):
+        raise TypeError(f"a model record must be an object, got {data!r:.40}")
+    value = data.get(key, default)
+    if value is None:
+        raise ValueError(f"model field {key!r} is missing or null")
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise TypeError(f"model field {key!r} must be {_KINDS[kind]}, got {value!r:.40}")
+    return value
+
+
+class _Recorded:
+    """A model drawn as its record: ``random_data(...)`` draws the dict
+    ``to_data`` writes, each capacity error raised before anything is drawn,
+    and ``random(...)`` is ``from_data(random_data(...))``."""
+
+    @classmethod
+    def random(cls, *args, **kwargs):
+        return cls.from_data(cls.random_data(*args, **kwargs))
 
 
 class ProbabilityContext:
@@ -165,7 +192,7 @@ class LinearCombinationContext(ProbabilityContext):
 # classical: independent scalar variables with prescribed moments
 
 
-class ClassicalSpec:
+class ClassicalSpec(_Recorded):
     """Independent scalar random variables given by moment sequences.
 
     ``moments[v][k-1]`` is E[v^k]; every sequence carries ``max_order``
@@ -195,19 +222,15 @@ class ClassicalSpec:
             self.table.append((d, *(m.numerator * (d // m.denominator) for m in seq)))
             self.den *= d
 
-    @classmethod
-    def random(
-        cls, variables, max_order: int = DEFAULT_MAX_ORDER, seed: int = 0
-    ) -> ClassicalSpec:
+    @staticmethod
+    def random_data(variables, max_order: int = DEFAULT_MAX_ORDER, seed: int = 0) -> dict:
         if max_order > MAX_EXPONENT:
             # no monomial reaches a moment beyond the largest exponent
             raise CapacityError(f"max_order={max_order} exceeds MAX_EXPONENT={MAX_EXPONENT}, "
                                 f"the largest exponent a monomial can carry")
         rng = random.Random(seed)
-        return cls(
-            {v: tuple(draw_fraction(rng) for _ in range(max_order)) for v in variables},
-            max_order,
-        )
+        return {"max_order": max_order, "variables": [
+            {"name": v, "moments": [str(draw_fraction(rng)) for _ in range(max_order)]} for v in variables]}
 
     def moment(self, name: str, k: int) -> Fraction:
         if k == 0:
@@ -229,10 +252,11 @@ class ClassicalSpec:
 
     @classmethod
     def from_data(cls, data: dict) -> ClassicalSpec:
-        return cls(
-            {row["name"]: tuple(row["moments"]) for row in data["variables"]},
-            data.get("max_order", DEFAULT_MAX_ORDER),
-        )
+        rows = _field(data, "variables", list)
+        moments = {_field(row, "name", str): tuple(_field(row, "moments", list)) for row in rows}
+        if len(moments) < len(rows):
+            raise ValueError("model field 'variables' repeats a name")
+        return cls(moments, _field(data, "max_order", int, DEFAULT_MAX_ORDER))
 
 
 def _integrate(spec: ClassicalSpec, terms: dict[int, int], kept_mask: int, shift: int = 0) -> dict[int, int]:
@@ -312,7 +336,7 @@ def _matrix_dimension(d) -> int:
     return d
 
 
-class MatrixModel:
+class MatrixModel(_Recorded):
     """Generators are d x d matrices whose entries are independent variables.
 
     psi takes entrywise (conditional-on-nothing) expectation, landing in
@@ -325,6 +349,8 @@ class MatrixModel:
         self.spec = spec
         self.d = _matrix_dimension(dimension)
         self.generator_names = tuple(generator_names)
+        if len(set(self.generator_names)) < len(self.generator_names):
+            raise ValueError(f"model field 'generators' repeats a name: {list(self.generator_names)}")
         self.ring = spec.ring
         self.generators: dict[str, Matrix] = {}
         for g in self.generator_names:
@@ -334,19 +360,13 @@ class MatrixModel:
             self.generators[g] = Matrix(rows)
         self._spot_check()
 
-    @classmethod
-    def random(
-        cls,
-        generator_count: int = 2,
-        dimension: int = 2,
-        max_order: int = DEFAULT_MAX_ORDER,
-        seed: int = 0,
-    ) -> MatrixModel:
-        names = tuple(f"g{k}" for k in range(1, generator_count + 1))
+    @staticmethod
+    def random_data(generator_count: int = 2, dimension: int = 2, max_order: int = DEFAULT_MAX_ORDER,
+                    seed: int = 0) -> dict:
+        names = [f"g{k}" for k in range(1, generator_count + 1)]
         d = _matrix_dimension(dimension)
         variables = [f"{g}_{i}{j}" for g in names for i in range(d) for j in range(d)]
-        spec = ClassicalSpec.random(variables, max_order, seed)
-        return cls(spec, dimension, names)
+        return {**ClassicalSpec.random_data(variables, max_order, seed), "dimension": d, "generators": names}
 
     def _spot_check(self) -> None:
         # unitality and bimodularity certify the tower before any use
@@ -376,7 +396,8 @@ class MatrixModel:
 
     @classmethod
     def from_data(cls, data: dict) -> MatrixModel:
-        return cls(ClassicalSpec.from_data(data), data["dimension"], tuple(data["generators"]))
+        return cls(ClassicalSpec.from_data(data), _field(data, "dimension", int),
+                   tuple(_field(data, "generators", list)))
 
 
 def matrix_psi(model: MatrixModel, x: Matrix) -> Matrix:
@@ -411,7 +432,7 @@ class MatrixContext(ProbabilityContext):
 # scalar free families
 
 
-class ScalarFreeSpec:
+class ScalarFreeSpec(_Recorded):
     """Free families of scalar variables with prescribed joint cumulants.
 
     ``families`` maps a family name to its generator names; ``cumulants``
@@ -433,7 +454,7 @@ class ScalarFreeSpec:
         for f, gens in self.families.items():
             for g in gens:
                 if g in self.family_of:
-                    raise ValueError(f"generator {g!r} appears in two families")
+                    raise ValueError(f"generator {g!r} is listed twice")
                 self.family_of[g] = f
         self.cumulants = {tuple(w): as_fraction(c) for w, c in cumulants.items()}
         for word in self.cumulants:
@@ -448,13 +469,8 @@ class ScalarFreeSpec:
                         raise ValueError(f"missing cumulant for word {word}")
         self._moment_cache: dict[tuple[str, ...], tuple[int, int]] = {(): (1, 1)}
 
-    @classmethod
-    def random(
-        cls,
-        families: dict[str, tuple[str, ...]],
-        max_order: int = DEFAULT_MAX_ORDER,
-        seed: int = 0,
-    ) -> ScalarFreeSpec:
+    @staticmethod
+    def random_data(families: dict[str, tuple[str, ...]], max_order: int = DEFAULT_MAX_ORDER, seed: int = 0) -> dict:
         words = 0
         for k in range(1, max_order + 1):
             words += sum(len(gens) ** k for gens in families.values())
@@ -462,12 +478,11 @@ class ScalarFreeSpec:
                 raise CapacityError(f"a cumulant table to max_order={max_order} exceeds MAX_CUMULANT_WORDS="
                                     f"{MAX_CUMULANT_WORDS}: orders 1..{k} alone hold {words} words")
         rng = random.Random(seed)
-        cumulants = {}
-        for f in sorted(families):
-            for k in range(1, max_order + 1):
-                for word in itertools.product(families[f], repeat=k):
-                    cumulants[word] = draw_fraction(rng)
-        return cls(families, cumulants, max_order)
+        return {"max_order": max_order, "families": [
+            {"name": f, "generators": list(families[f]),
+             "cumulants": {" ".join(word): str(draw_fraction(rng)) for k in range(1, max_order + 1)
+                           for word in itertools.product(families[f], repeat=k)}}
+            for f in sorted(families)]}
 
     def cumulant(self, word: tuple[str, ...]) -> Fraction:
         if len(word) > self.max_order:
@@ -492,16 +507,16 @@ class ScalarFreeSpec:
 
     @classmethod
     def from_data(cls, data: dict) -> ScalarFreeSpec:
-        max_order = data.get("max_order", DEFAULT_MAX_ORDER)
+        max_order = _field(data, "max_order", int, DEFAULT_MAX_ORDER)
         families = {}
-        cumulants: dict[tuple[str, ...], Fraction] = {}
-        for row in data["families"]:
-            name = row["name"]
-            table = row["cumulants"]
+        cumulants = {}  # the values as recorded, which the constructor reads
+        for row in _field(data, "families", list):
+            name = _field(row, "name", str)
+            table = _field(row, "cumulants", (dict, list))
             if isinstance(table, dict):
-                families[name] = tuple(row["generators"])
-                for key, val in table.items():
-                    cumulants[tuple(key.split())] = as_fraction(val)
+                families[name] = tuple(_field(row, "generators", list))
+                for key, val in table.items():  # each letter interned: one str per generator for every word
+                    cumulants[tuple(map(sys.intern, key.split()))] = val
             else:
                 # compact form: one generator named like its family,
                 # cumulants[k-1] is the order-k cumulant
@@ -511,7 +526,7 @@ class ScalarFreeSpec:
                         f"family {name!r} lists {len(table)} cumulants, needs {max_order}"
                     )
                 for k in range(1, max_order + 1):
-                    cumulants[(name,) * k] = as_fraction(table[k - 1])
+                    cumulants[(name,) * k] = table[k - 1]
         return cls(families, cumulants, max_order)
 
 
@@ -603,7 +618,7 @@ class ScalarFreeContext(LinearCombinationContext):
 # factorization model: a free family inside d x d matrices
 
 
-class FactorizationModel:
+class FactorizationModel(_Recorded):
     """A scalar free family N sitting inside A = N * M_d(Q) (amalgamated
     over the scalars), with psi: A -> B = M_d(Q) *defined* by the
     factorization rule: a cumulant block contributes its scalar family
@@ -628,16 +643,11 @@ class FactorizationModel:
         self.kappa_den = lcm(*(c.denominator for c in scalars.cumulants.values()))
         self.kappa_num = {w: c.numerator * (self.kappa_den // c.denominator) for w, c in scalars.cumulants.items()}
 
-    @classmethod
-    def random(
-        cls,
-        generator_count: int = 1,
-        dimension: int = 2,
-        max_order: int = DEFAULT_MAX_ORDER,
-        seed: int = 0,
-    ) -> FactorizationModel:
+    @staticmethod
+    def random_data(generator_count: int = 1, dimension: int = 2, max_order: int = DEFAULT_MAX_ORDER,
+                    seed: int = 0) -> dict:
         names = tuple(f"x{k}" for k in range(1, generator_count + 1))
-        return cls(ScalarFreeSpec.random({"n": names}, max_order, seed), dimension)
+        return {**ScalarFreeSpec.random_data({"n": names}, max_order, seed), "dimension": int(dimension)}
 
     def to_data(self) -> dict:
         data = self.scalars.to_data()
@@ -646,7 +656,7 @@ class FactorizationModel:
 
     @classmethod
     def from_data(cls, data: dict) -> FactorizationModel:
-        return cls(ScalarFreeSpec.from_data(data), data["dimension"])
+        return cls(ScalarFreeSpec.from_data(data), _field(data, "dimension", int))
 
 
 @cache
@@ -877,7 +887,7 @@ class WordContext(LinearCombinationContext):
 MAX_POINTS = 32  # check tensor-factorization at n = 4 takes 0.6 s with 32 points, 11 s with 300
 
 
-class TensorModel:
+class TensorModel(_Recorded):
     """A (x) B with A spanned by words of one free family and B = Q^p.
 
     The conditional expectation onto B integrates out the word factor via
@@ -896,25 +906,20 @@ class TensorModel:
             raise ValueError("state weights must sum to 1")
         self.points = len(self.weights)
 
-    @classmethod
-    def random(
-        cls,
-        points: int = 2,
-        max_order: int = DEFAULT_MAX_ORDER,
-        seed: int = 0,
-    ) -> TensorModel:
+    @staticmethod
+    def random_data(points: int = 2, max_order: int = DEFAULT_MAX_ORDER, seed: int = 0) -> dict:
         if points < 1:
             raise ValueError(f"a tensor model needs at least one point, got {points}")
         if points > MAX_POINTS:
             raise CapacityError(f"a tensor model of {points} points exceeds MAX_POINTS={MAX_POINTS}")
         rng = random.Random(seed)
-        spec = ScalarFreeSpec.random({"a": ("a",)}, max_order, seed)
+        data = ScalarFreeSpec.random_data({"a": ("a",)}, max_order, seed)
         while True:
             raw = [draw_fraction(rng) for _ in range(points)]
             if sum(raw) != 0:
                 break
         total = sum(raw)
-        return cls(spec, tuple(w / total for w in raw))
+        return {**data, "weights": [str(w / total) for w in raw]}
 
     def state(self, vec: tuple[Fraction, ...]) -> Fraction:
         return sum((w * v for w, v in zip(self.weights, vec)), Fraction(0))
@@ -926,7 +931,7 @@ class TensorModel:
 
     @classmethod
     def from_data(cls, data: dict) -> TensorModel:
-        return cls(ScalarFreeSpec.from_data(data), tuple(data["weights"]))
+        return cls(ScalarFreeSpec.from_data(data), tuple(_field(data, "weights", list)))
 
 
 class TensorContext(LinearCombinationContext):

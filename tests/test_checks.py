@@ -551,6 +551,55 @@ def test_a_stray_cumulant_word_exits_2(tmp_path, capsys, word, value):
     assert capsys.readouterr() == ("", f"error: freeness: {why}\n")
 
 
+def set_field(path, value):
+    """A mutation of model data: the field at ``path`` set to ``value``, or deleted when it is ``...``."""
+    def mutate(doc):
+        *head, last = path
+        parent = functools.reduce(lambda d, k: d[k], head, doc)
+        if value is ...:
+            del parent[last]
+        else:
+            parent[last] = value
+    return mutate
+
+
+# (check, its model's record, a malformed field, the error's text): each was misread or
+# failed unclearly when from_data read its fields unchecked
+MALFORMED_FIELDS = [
+    ("moment-cumulant", lambda: MatrixModel.random_data(3, 2, 8, 0), set_field(["dimension"], 2.7),
+     "model field 'dimension' must be an integer, got 2.7"),
+    ("moment-cumulant", lambda: MatrixModel.random_data(3, 2, 8, 0), set_field(["variables", 0, "moments"], "12345678"),
+     "model field 'moments' must be a list, got '12345678'"),
+    ("tensor-factorization", lambda: TensorModel.random_data(1, 8, 0), set_field(["weights"], "1"),
+     "model field 'weights' must be a list, got '1'"),
+    ("moment-cumulant", lambda: MatrixModel.random_data(3, 2, 8, 0), set_field(["generators"], ["g1", "g1"]),
+     "model field 'generators' repeats a name: ['g1', 'g1']"),
+    ("moment-cumulant", lambda: MatrixModel.random_data(3, 2, 8, 0), set_field(["dimension"], ...),
+     "model field 'dimension' is missing or null"),
+    ("moment-cumulant", lambda: MatrixModel.random_data(3, 2, 8, 0), set_field(["variables", 1, "name"], "g1_00"),
+     "model field 'variables' repeats a name"),
+    ("freeness-characterization", lambda: FactorizationModel.random_data(2, 2, 8, 0), set_field(["dimension"], True),
+     "model field 'dimension' must be an integer, got True"),
+]
+
+
+@pytest.mark.parametrize("identity, record, mutate, why", MALFORMED_FIELDS,
+                         ids=["float-dimension", "string-moments", "string-weights", "repeated-generator",
+                              "missing-dimension", "repeated-variable", "bool-dimension"])
+def test_a_malformed_model_field_exits_2_naming_it(tmp_path, capsys, identity, record, mutate, why):
+    # as a spec file and as the recorded model of a replayed report
+    path, report = tmp_path / "input.json", run_check(identity, n=2).to_json()
+    spec = record()
+    mutate(spec)
+    path.write_text(json.dumps(spec))
+    assert main(["check", identity, "--n", "2", "--spec", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {identity}: {why}\n")
+    mutate(report["params"]["models"][0]["model"] if "models" in report["params"] else report["params"]["model"])
+    path.write_text(json.dumps(report))
+    assert main(["check", "--replay", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot replay {path}: {why}\n")
+
+
 def test_cli_matrix_dimension_beyond_the_bound_fails_before_drawing(tmp_path, capsys):
     # from d = 12 on, the entry names g_ij collide ((1, 11) and (11, 1) are
     # both g_111), so a fresh run, a spec and a replay all stop at the bound
@@ -882,6 +931,26 @@ def test_each_interval_takes_its_moebius_weights_once(monkeypatch, cold_partitio
     assert runs[0] == runs[1]
 
 
+# (check, model class, method called once per build, builds of a fresh run at its default bounds)
+BUILDS = [("moment-cumulant", MatrixModel, "_spot_check", 5), ("freeness", ScalarFreeSpec, "__init__", 1),
+          ("freeness-characterization", FactorizationModel, "__init__", 3),
+          ("classical-total-cumulance", ClassicalSpec, "__init__", 3)]
+
+
+@pytest.mark.parametrize("identity, cls, name, builds", BUILDS, ids=[row[0] for row in BUILDS])
+def test_each_model_is_built_once_from_its_record(monkeypatch, identity, cls, name, builds):
+    # perf gate: a fresh run built each model twice, drawn and then rebuilt
+    # from its record; a replay of the report builds as many
+    calls = []
+    right = getattr(cls, name)
+    monkeypatch.setattr(cls, name, lambda self, *args: calls.append(1) or right(self, *args))
+    report = run_check(identity)
+    assert report.passed and len(calls) == builds
+    calls.clear()
+    assert replay_report(json.loads(json.dumps(report.to_json()))).passed
+    assert len(calls) == builds
+
+
 def test_freeness_forms_few_products(monkeypatch):
     # perf gate: phi of a product sums the factors' terms per word; forming
     # each product first, the check made 5,120 ScalarFreeContext.mul calls
@@ -894,9 +963,8 @@ def test_freeness_forms_few_products(monkeypatch):
 
 def test_a_wrong_moebius_weight_fails_the_moebius_sums(monkeypatch, cold_partition_memos):
     # the partition layer's fault row: NC mu(0_4, 1_4) with its sign flipped.
-    # Patched on partitions.moebius alone it also fails freeness-characterization
-    # and tensor-factorization, and the moebius check when checks.moebius is
-    # patched too.  The row is warm before the patch and the memos are
+    # Patched on partitions.moebius alone, it also fails the moebius check
+    # when checks.moebius is patched too.  The row is warm before the patch and the memos are
     # cleared after it, as a patch must clear them
     lo, hi, nc = Partition.discrete(4), Partition.full(4), LatticeKind.NONCROSSING
     right = partitions.moebius_row(lo, hi, nc)
@@ -906,7 +974,8 @@ def test_a_wrong_moebius_weight_fails_the_moebius_sums(monkeypatch, cold_partiti
     partitions.interval_list.cache_clear()
     partitions.moebius_row.cache_clear()
     assert partitions.moebius_row(lo, hi, nc)[-1] == (-right[-1][0], lo)
-    for identity in ("total-cumulance", "partial-cumulants"):
+    # tensor-factorization weights its reference sums with checks.moebius, never the row
+    for identity in ("total-cumulance", "partial-cumulants", "freeness-characterization", "tensor-factorization"):
         assert run_check(identity, seed=2024).status == "fail", identity
 
 
@@ -1240,6 +1309,14 @@ def mutated_files(draw):
     return argv, json.dumps(doc)
 
 
+def malformed_spec(k: int):
+    """The spec case of the k-th row of MALFORMED_FIELDS."""
+    identity, record, mutate, _ = MALFORMED_FIELDS[k]
+    spec = record()
+    mutate(spec)
+    return ["check", identity, "--n", "2", "--spec"], json.dumps(spec)
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=mutated_files())
 @example(case=(["check", "--replay"], '{"identity": "moebius", "params": null}'))
@@ -1252,6 +1329,13 @@ def mutated_files(draw):
 @example(case=(["check", "product-formula", "--n", "2", "--spec"], NO_FAMILY))
 @example(case=(["check", "freeness", "--n", "2", "--spec"], ZERO_DENOMINATOR))
 @example(case=(["check", "--replay"], '{"identity": "freeness", "params": {"model": %s}}' % ZERO_DENOMINATOR))
+@example(case=malformed_spec(0))
+@example(case=malformed_spec(1))
+@example(case=malformed_spec(2))
+@example(case=malformed_spec(3))
+@example(case=malformed_spec(4))
+@example(case=malformed_spec(5))
+@example(case=malformed_spec(6))
 def _file_cli_exits_cleanly(directory, case):
     argv, text = case
     path = directory / "input.json"

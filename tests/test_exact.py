@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from freecumulants import exact
 from freecumulants.errors import CapacityError, DimensionMismatchError
@@ -70,6 +70,37 @@ def test_as_fraction_accepts_ints_strings_and_fractions():
     # a zero denominator is malformed data, which the command line reports as such
     with pytest.raises(ValueError, match="zero denominator in '1/0'"):
         as_fraction("1/0")
+
+
+def fraction_or_error(s: str):
+    """``Fraction(s)``, or the (type, message) of the error ``as_fraction``
+    gives for ``s``: a zero denominator is a ValueError naming ``s``."""
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        return ValueError, f"zero denominator in {s!r}"
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789-+/_.e \u0663\uff11", max_size=8))
+@example("--3")
+@example("-0")
+@example("007")
+@example("3/-2")
+@example("1_0")
+@example("1/0")
+@example("-12/08")
+@example("1/")
+def test_as_fraction_reads_a_string_as_fraction_does(text):
+    # the canonical form is read with int, every other string by Fraction:
+    # the value, or the error and its message, is the same either way
+    try:
+        got = as_fraction(text)
+    except ValueError as exc:
+        got = ValueError, str(exc)
+    assert got == fraction_or_error(text), text
 
 
 def test_poly_basics():

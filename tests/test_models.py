@@ -8,6 +8,8 @@ two-letter word, and the tensor split of a nested moment.
 """
 
 import functools
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -511,6 +513,28 @@ def test_tensor_model_roundtrip():
     again = TensorModel.from_data(model.to_data())
     assert again.to_data() == model.to_data()
     assert sum(again.weights) == 1
+
+
+# (model class, random_data arguments but the seed, sha256 prefix of the drawn record's JSON
+# text, keys in their order, at seeds 0, 1312 and 2024), the records drawn as to_data wrote them
+# when random built each model directly
+RECORDS = [
+    (ClassicalSpec, (["f", "g0", "g1"], 4), ("7db59f690efdc630", "5c6c233328e10403", "fce7dc9711855dac")),
+    (MatrixModel, (3, 2, 4), ("7ee0ce385011a4f2", "8bea91e574946d7f", "f2925c21e9ad9644")),
+    (ScalarFreeSpec, ({"b": ("b1",), "a": ("a1", "a2")}, 4),
+     ("ea40dbffd33bf861", "027c305ed505c60c", "ba787531759b382e")),
+    (FactorizationModel, (2, 3, 4), ("a854b1495805dd21", "4a6bb9668841298b", "d1359d320d1e69a1")),
+    (TensorModel, (3, 4), ("56064b1461e09865", "48fcb095f79a9134", "a554ed4825424dd5")),
+]
+
+
+@pytest.mark.parametrize("cls, args, digests", RECORDS, ids=[row[0].__name__ for row in RECORDS])
+def test_a_drawn_record_is_what_its_model_writes(cls, args, digests):
+    for seed, digest in zip((0, 1312, 2024), digests):
+        data = cls.random_data(*args, seed=seed)
+        assert hashlib.sha256(json.dumps(data).encode()).hexdigest()[:16] == digest
+        assert cls.from_data(data).to_data() == data == cls.random_data(*args, seed=seed)
+        assert cls.random(*args, seed=seed).to_data() == data
 
 
 # ---------------------------------------------------------------------------
