@@ -142,7 +142,8 @@ def _capacity(model: dict) -> dict:
     model data, as from_data reads them."""
     return {"max_order": _field(model, "max_order", int, DEFAULT_MAX_ORDER),
             "dimension": _field(model, "dimension", int, len(_field(model, "weights", list, []))),
-            "generators": sum(len(row.get("generators", [row.get("name")])) for row in model.get("families", ()))}
+            "generators": sum(len(_field(row, "generators", list, [_field(row, "name", str)]))
+                              for row in _field(model, "families", list, []))}
 
 
 def _gate(limits, params: dict) -> None:

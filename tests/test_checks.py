@@ -580,12 +580,17 @@ MALFORMED_FIELDS = [
      "model field 'variables' repeats a name"),
     ("freeness-characterization", lambda: FactorizationModel.random_data(2, 2, 8, 0), set_field(["dimension"], True),
      "model field 'dimension' must be an integer, got True"),
+    ("product-formula", lambda: ScalarFreeSpec.random_data({"a": ("a1",), "b": ("b1",)}, 8, 0),
+     set_field(["families", 1, "generators"], 5), "model field 'generators' must be a list, got 5"),
+    ("product-formula", lambda: ScalarFreeSpec.random_data({"a": ("a1",), "b": ("b1",)}, 8, 0),
+     set_field(["families", 1], ["b1"]), "a model record must be an object, got ['b1']"),
 ]
 
 
 @pytest.mark.parametrize("identity, record, mutate, why", MALFORMED_FIELDS,
                          ids=["float-dimension", "string-moments", "string-weights", "repeated-generator",
-                              "missing-dimension", "repeated-variable", "bool-dimension"])
+                              "missing-dimension", "repeated-variable", "bool-dimension", "int-generators",
+                              "list-family"])
 def test_a_malformed_model_field_exits_2_naming_it(tmp_path, capsys, identity, record, mutate, why):
     # as a spec file and as the recorded model of a replayed report
     path, report = tmp_path / "input.json", run_check(identity, n=2).to_json()
@@ -962,10 +967,12 @@ def test_freeness_forms_few_products(monkeypatch):
 
 
 def test_a_wrong_moebius_weight_fails_the_moebius_sums(monkeypatch, cold_partition_memos):
-    # the partition layer's fault row: NC mu(0_4, 1_4) with its sign flipped.
-    # Patched on partitions.moebius alone, it also fails the moebius check
-    # when checks.moebius is patched too.  The row is warm before the patch and the memos are
-    # cleared after it, as a patch must clear them
+    # the partition layer's fault row: NC mu(0_4, 1_4) with its sign flipped,
+    # patched on partitions.moebius alone; the moebius check, and
+    # tensor-factorization's reference sums, read checks.moebius, which stays
+    # right (the moebius check fails too when that name is patched).  The
+    # row is warm before the patch and the memos are cleared after it, as a
+    # patch must clear them
     lo, hi, nc = Partition.discrete(4), Partition.full(4), LatticeKind.NONCROSSING
     right = partitions.moebius_row(lo, hi, nc)
     moebius = partitions.moebius
@@ -974,7 +981,6 @@ def test_a_wrong_moebius_weight_fails_the_moebius_sums(monkeypatch, cold_partiti
     partitions.interval_list.cache_clear()
     partitions.moebius_row.cache_clear()
     assert partitions.moebius_row(lo, hi, nc)[-1] == (-right[-1][0], lo)
-    # tensor-factorization weights its reference sums with checks.moebius, never the row
     for identity in ("total-cumulance", "partial-cumulants", "freeness-characterization", "tensor-factorization"):
         assert run_check(identity, seed=2024).status == "fail", identity
 
@@ -1336,6 +1342,8 @@ def malformed_spec(k: int):
 @example(case=malformed_spec(4))
 @example(case=malformed_spec(5))
 @example(case=malformed_spec(6))
+@example(case=malformed_spec(7))
+@example(case=malformed_spec(8))
 def _file_cli_exits_cleanly(directory, case):
     argv, text = case
     path = directory / "input.json"
