@@ -458,7 +458,7 @@ def check_total_cumulance(suite: _Suite, params: dict, fresh: bool, spec) -> Non
 
 
 # MAX_JOIN_PAIRS: the join formula walks Catalan(n)^2 pairs (tau, rho), whatever d: (6, 2) takes
-# 0.9 s and (6, 3) 1.1 s, not (7, 2), 7.2 s, (7, 3), 7.8 s, or (8, 1), past 60 s
+# 0.6-0.75 s and (6, 3) 1.0 s, not (7, 2), 5.2-5.9 s, (7, 3), 6.4-7.6 s, or (8, 1), past 60 s
 @_check("partial-cumulants", lambda n=5, dimension=DEFAULT_DIMENSION:
         {"n_max": n, "interval_base_max": 4, "dimension": dimension, "generator_count": 3},
         seeds=1, model=MatrixModel, limits=[*_MATRIX_LIMITS, (
@@ -470,15 +470,17 @@ def check_partial_cumulants(suite: _Suite, params: dict, fresh: bool, spec) -> N
         for m in range(1, params["n_max"] + 1):
             args = words[m]
             everything = _nc(m)
-            table, joins = {}, {}
+            table, groups = {}, {}
             for sigma in everything:
                 for rho in _below(sigma, LatticeKind.NONCROSSING):
                     key = {"part": "join-formula", "seed": s, "n": m,
                            "rho": str(rho), "sigma": str(sigma)}
                     if suite.wants(key):
-                        if rho not in joins:  # tau v rho for every tau, once per rho
-                            joins[rho] = [join(tau, rho, LatticeKind.NONCROSSING) for tau in everything]
-                        joined = [tau for tau, j in zip(everything, joins[rho]) if j == sigma]
+                        if rho not in groups:  # every tau, grouped by tau v rho, once per rho
+                            groups[rho] = by_join = {}
+                            for tau in everything:
+                                by_join.setdefault(join(tau, rho, LatticeKind.NONCROSSING), []).append(tau)
+                        joined = groups[rho].get(sigma, ())
                         for tau in joined:
                             if tau not in table:
                                 table[tau] = free_cumulant(ctx, tau, args, Level.PSI)

@@ -79,6 +79,8 @@ class Level(Enum):
     PSI = "psi"
     PHI = "phi"
 
+    __hash__ = object.__hash__
+
 
 def expectation(ctx: ProbabilityContext, x, level: Level):
     return ctx.psi(x) if level is Level.PSI else ctx.phi(x)

@@ -1,7 +1,13 @@
 """Set partitions of {1, ..., n} and the noncrossing partition lattice.
 
 A partition is stored canonically: every block is an ascending tuple and
-blocks are ordered by their minima.  Two text formats are understood:
+blocks are ordered by their minima.  Every constructor returns the one
+object per partition that the module's index (a plain dict keyed by those
+blocks) holds for the life of the process, so equality and hashing are by
+identity, and labels, pair bits and text are computed once per partition.
+The index is never cleared and grows by one entry per distinct partition
+built: a full ``check-all`` leaves 2,279, the largest of n = 8.  Two text
+formats are understood:
 
 * block notation  ``{1,3}{2}{4}``   (the formatter always emits this one)
 * bar notation    ``13|2|4``        (single-digit shorthand; use commas
@@ -32,7 +38,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 
@@ -47,6 +52,8 @@ from .errors import (
 MAX_ENUM_N = 10
 # most intervals that interval_list, and moebius_row, each keep
 INTERVAL_MEMO_SIZE = 4096
+# canonical blocks -> the one Partition object with those blocks
+_INDEX: dict[tuple, Partition] = {}
 
 
 class LatticeKind(Enum):
@@ -55,49 +62,64 @@ class LatticeKind(Enum):
     FULL = "full"
     NONCROSSING = "nc"
 
+    __hash__ = object.__hash__
 
-@dataclass(frozen=True)
+
 class Partition:
-    """A partition of {1, ..., n} into disjoint nonempty blocks.
+    """A partition of {1, ..., n} into disjoint nonempty blocks, one
+    object per partition: equality and hashing are by identity.
 
     >>> Partition(4, ((2,), (3, 1), (4,))).blocks
     ((1, 3), (2,), (4,))
     >>> Partition.full(3)
     Partition(n=3, blocks=((1, 2, 3),))
+    >>> Partition(3, ((3,), (1, 2))) is Partition.from_labels((0, 0, 1))
+    True
     """
 
     n: int
     blocks: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"partition size must be nonnegative, got {self.n}")
-        blocks = tuple(tuple(sorted(b)) for b in self.blocks)
-        for b in blocks:
-            if not b:
-                raise ValueError("empty block")
-        blocks = tuple(sorted(blocks, key=lambda b: b[0]))
-        seen: set[int] = set()
-        for b in blocks:
-            for i in b:
-                if i in seen:
-                    raise ValueError(f"duplicate index {i}")
-                seen.add(i)
-        expected = set(range(1, self.n + 1))
-        if seen != expected:
-            stray = sorted(seen - expected) + sorted(expected - seen)
-            raise ValueError(f"blocks do not partition 1..{self.n}: offending index {stray[0]}")
-        object.__setattr__(self, "blocks", blocks)
-
-    @classmethod
-    def _canonical(cls, n: int, blocks: tuple) -> Partition:
-        """A partition of blocks already canonical, built without
-        ``__post_init__``: only the size is checked."""
+    def __new__(cls, n: int, blocks) -> Partition:
         if n < 0:
             raise ValueError(f"partition size must be nonnegative, got {n}")
-        part = object.__new__(cls)
-        part.__dict__.update(n=n, blocks=blocks)
+        blocks = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[:1]))
+        if blocks and not blocks[0]:
+            raise ValueError("empty block")
+        seen: set[int] = set()
+        for i in itertools.chain.from_iterable(blocks):
+            if i in seen:
+                raise ValueError(f"duplicate index {i}")
+            seen.add(i)
+        expected = set(range(1, n + 1))
+        if seen != expected:
+            stray = sorted(seen - expected) + sorted(expected - seen)
+            raise ValueError(f"blocks do not partition 1..{n}: offending index {stray[0]}")
+        return cls._canonical(n, blocks)
+
+    @staticmethod
+    def _canonical(n: int, blocks: tuple) -> Partition:
+        """The indexed partition of blocks already canonical, made on first
+        use without validation: only the size is checked."""
+        if n < 0:
+            raise ValueError(f"partition size must be nonnegative, got {n}")
+        part = _INDEX.get(blocks)
+        if part is None:
+            part = _INDEX[blocks] = object.__new__(Partition)
+            part.__dict__.update(n=n, blocks=blocks)
         return part
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"partition field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        """Copies and pickles come back as the indexed object."""
+        return Partition, (self.n, self.blocks)
+
+    def __repr__(self) -> str:
+        return f"Partition(n={self.n!r}, blocks={self.blocks!r})"
 
     @staticmethod
     def discrete(n: int) -> Partition:
@@ -424,7 +446,7 @@ def interweave(pi: Partition, sigma: Partition) -> Partition:
         raise DimensionMismatchError(f"interweave of partitions of {pi.n} and {sigma.n}")
     blocks = [tuple(2 * i - 1 for i in b) for b in pi.blocks]
     blocks += [tuple(2 * i for i in b) for b in sigma.blocks]
-    return Partition(2 * pi.n, tuple(blocks))
+    return Partition._canonical(2 * pi.n, tuple(sorted(blocks)))
 
 
 def _cycles(pi: Partition, sigma_blocks):

@@ -850,9 +850,10 @@ def test_moment_cumulant_restricts_no_partition(monkeypatch):
 ])
 def test_lattice_values_are_computed_once_per_check(monkeypatch, identity, joins, nested):
     # perf gate: joins are tabulated once per rho, a nested semicumulant
-    # once per (pair, arguments), and canonical partitions skip validation
+    # once per (pair, arguments), and canonical partitions skip validation,
+    # which runs only in Partition.__new__, the public Partition(n, blocks)
     counts = {"validated": 0, "join": 0, "nested": 0}
-    post_init, join, by_method = Partition.__post_init__, checks.join, engine._by_method
+    validating, join, by_method = Partition.__new__, checks.join, engine._by_method
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -864,7 +865,7 @@ def test_lattice_values_are_computed_once_per_check(monkeypatch, identity, joins
         counts["nested"] += label == "nested"
         return by_method(ctx, method, cross_check, label, *rest)
 
-    monkeypatch.setattr(Partition, "__post_init__", counted("validated", post_init))
+    monkeypatch.setattr(Partition, "__new__", counted("validated", validating))
     monkeypatch.setattr(checks, "join", counted("join", join))
     monkeypatch.setattr(engine, "_by_method", routed)
     assert run_check(identity, seed=2024).passed
@@ -975,14 +976,72 @@ def test_a_wrong_moebius_weight_fails_the_moebius_sums(monkeypatch, cold_partiti
     # patch must clear them
     lo, hi, nc = Partition.discrete(4), Partition.full(4), LatticeKind.NONCROSSING
     right = partitions.moebius_row(lo, hi, nc)
-    moebius = partitions.moebius
-    monkeypatch.setattr(partitions, "moebius", lambda pi, sigma, kind: moebius(pi, sigma, kind)
-                        * (-1 if (pi, sigma, kind) == (lo, hi, nc) else 1))
+    monkeypatch.setattr(partitions, "moebius", flipped_top_weight(partitions.moebius))
     partitions.interval_list.cache_clear()
     partitions.moebius_row.cache_clear()
     assert partitions.moebius_row(lo, hi, nc)[-1] == (-right[-1][0], lo)
     for identity in ("total-cumulance", "partial-cumulants", "freeness-characterization", "tensor-factorization"):
         assert run_check(identity, seed=2024).status == "fail", identity
+
+
+def flipped_top_weight(right):
+    """``moebius`` with the sign of NC mu(0_4, 1_4) flipped."""
+    interval = (Partition.discrete(4), Partition.full(4), LatticeKind.NONCROSSING)
+    return lambda pi, sigma, kind: right(pi, sigma, kind) * (-1 if (pi, sigma, kind) == interval else 1)
+
+
+def join_onto_the_top(right):
+    """``join`` answering 1_3 for (0_3, {1,3}{2}), which join to {1,3}{2}."""
+    wrong = (Partition.discrete(3), Partition(3, ((1, 3), (2,))))
+    return lambda pi, sigma, kind: Partition.full(3) if (pi, sigma) == wrong else right(pi, sigma, kind)
+
+
+def restrict_onto_the_top(right):
+    """``Partition.restrict`` answering 1_3 for its two-block results on 3 points."""
+    def restrict(self, positions):
+        value = right(self, positions)
+        return Partition.full(3) if (value.n, value.size) == (3, 2) else value
+    return restrict
+
+
+RESTRICTING = ("total-cumulance", "nested-closed-forms", "classical-total-cumulance",
+               "freeness-characterization", "tensor-factorization")
+
+
+@pytest.mark.parametrize("owner, name, fault, runs, failing, instance", [
+    # the partition layer's constructor rows, at seed 2024: the checks run,
+    # and those among them that fail, as measured.  checks.moebius alone
+    # feeds the moebius check and tensor-factorization's reference, never
+    # the engine's moebius_row, so only those two of the twelve fail
+    (checks, "moebius", flipped_top_weight(checks.moebius), tuple(ALL_CHECKS),
+     {"moebius", "tensor-factorization"}, None),
+    (checks, "join", join_onto_the_top(checks.join), ("partial-cumulants",), {"partial-cumulants"},
+     {"part": "join-formula", "seed": 2024, "n": 3, "rho": "{1,3}{2}", "sigma": "{1,2,3}"}),
+    (Partition, "restrict", restrict_onto_the_top(Partition.restrict), RESTRICTING, set(RESTRICTING), None),
+], ids=["checks-moebius", "join", "restrict"])
+def test_a_wrong_partition_fails_the_checks_that_build_it(monkeypatch, owner, name, fault, runs,
+                                                          failing, instance):
+    monkeypatch.setattr(owner, name, fault)
+    reports = {identity: run_check(identity, seed=2024) for identity in runs}
+    assert {identity for identity, report in reports.items() if not report.passed} == failing
+    if instance is not None:
+        assert [reports[identity].witness["instance"] for identity in failing] == [instance]
+
+
+def test_check_all_keeps_one_object_per_partition():
+    # perf gate: every constructor returns the indexed object, so a cold
+    # check-all at seed 2024 holds each of its distinct partitions once;
+    # before the index it built 10,842 Partition objects for these 2,279
+    root = Path(__file__).resolve().parents[1]
+    code = ("from freecumulants import partitions\n"
+            "from freecumulants.checks import ALL_CHECKS\n"
+            "assert all(fn(seed=2024).passed for fn in ALL_CHECKS.values())\n"
+            "print(len(partitions._INDEX))\n")
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert 0 < int(done.stdout) <= 2279
 
 
 def test_a_wrong_commutative_recursion_fails_the_classical_check(monkeypatch):

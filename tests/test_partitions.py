@@ -9,9 +9,11 @@ against exhaustive search, and the Moebius function against the bare
 convolution recursion.
 """
 
+import copy
 import doctest
 import itertools
 import math
+import pickle
 import tracemalloc
 
 import pytest
@@ -229,6 +231,23 @@ def test_a_gap_is_found_without_allocating_up_to_the_largest_index():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_each_partition_is_one_object():
+    # every constructor returns the indexed object, so equality is identity
+    p, q = parse_partition("{1,3}{2}{4}"), parse_partition("2,4|1|3")
+    assert p is Partition(4, ((4,), (3, 1), (2,))) is Partition.from_labels((5, 2, 5, 7))
+    assert p in enumerate_partitions(4, NC) and p is meet(p, join(p, q, FULL))
+    assert quotient(p, Partition.discrete(4)) is p and kreweras(Partition.full(4)) is Partition.discrete(4)
+    assert parse_partition("{1,2,5}{3,4}").restrict((2, 3, 5)) is Partition(3, ((1, 3), (2,)))
+    assert interweave(p, q) is Partition(8, ((1, 5), (3,), (7,), (2,), (4, 8), (6,)))
+    for copied in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert copied is p
+    with pytest.raises(AttributeError):
+        p.n = 5
+    with pytest.raises(AttributeError):
+        del p.blocks
+    assert repr(p) == "Partition(n=4, blocks=((1, 3), (2,), (4,)))"
 
 
 def test_blocks_must_cover_the_ground_set():
