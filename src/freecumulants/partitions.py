@@ -106,7 +106,9 @@ class Partition:
         part = _INDEX.get(blocks)
         if part is None:
             part = _INDEX[blocks] = object.__new__(Partition)
-            part.__dict__.update(n=n, blocks=blocks)
+            # kept inline: no instance dict until a cached property needs one
+            object.__setattr__(part, "n", n)
+            object.__setattr__(part, "blocks", blocks)
         return part
 
     def __setattr__(self, name: str, *value) -> None:
