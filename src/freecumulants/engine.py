@@ -66,6 +66,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cache, partial
 from math import gcd
 
 from .errors import CrossingPartitionError, DimensionMismatchError, OrderViolationError
@@ -111,14 +112,12 @@ def _validate_pair(ctx: ProbabilityContext, pair: NestedPair, nargs: int) -> Non
         raise CrossingPartitionError(f"{pair.inner} is crossing")
 
 
-def _splice(ctx, args, block: tuple, gap_value) -> tuple:
+def _splice(args, block: tuple, factor) -> tuple:
     """The arguments of ``block`` (sorted 0-based positions into ``args``),
-    each one but the last multiplied on the right by ``gap_value(lo, hi)``,
-    the nested value of the nonempty gap ``args[lo:hi]`` after it."""
-    return tuple(
-        args[a] if b == a + 1 else ctx.mul(args[a], gap_value(a + 1, b))
-        for a, b in zip(block, block[1:])
-    ) + (args[block[-1]],)
+    each ``args[a]`` but the last that a nonempty gap ``args[a+1:b]`` follows
+    given as ``factor(a, b)``: ``args[a]`` times the nested value of that
+    gap, on the right."""
+    return tuple(args[a] if b == a + 1 else factor(a, b) for a, b in zip(block, block[1:])) + (args[block[-1]],)
 
 
 def _extract(ctx, part: Partition, args: list, block_value):
@@ -144,7 +143,7 @@ def _nest(ctx, part: Partition, args: list, block_value, lo: int, hi: int):
     positions = part.blocks[part.labels[lo]]
     block = tuple(i - 1 for i in positions)
     value = block_value(positions, _splice(
-        ctx, args, block, lambda a, b: _nest(ctx, part, args, block_value, a, b)))
+        args, block, lambda a, b: ctx.mul(args[a], _nest(ctx, part, args, block_value, a + 1, b))))
     tail = block[-1] + 1
     return ctx.mul(value, _nest(ctx, part, args, block_value, tail, hi)) if tail < hi else value
 
@@ -309,6 +308,11 @@ def _kappa_commutative(ctx, args: tuple, level: Level):
     return ctx.combine(terms)
 
 
+def _gap_factor(ctx, args: tuple, a: int, b: int):
+    """``args[a]`` times psi of the gap ``args[a+1:b]`` after it, a spliced argument of ``_kappa_operator``."""
+    return ctx.mul(args[a], _block_moment(ctx, args[a + 1 : b], Level.PSI))
+
+
 def _kappa_operator(ctx, args: tuple):
     """The psi-cumulant kappa_n(args), operator-valued.
 
@@ -318,14 +322,15 @@ def _kappa_operator(ctx, args: tuple):
     and Operator-Valued Free Probability Theory, Mem. AMS 627, 1998), so
     kappa_n(args) is psi(a_1 ... a_n) less the terms of the other blocks.
     Each smaller kappa comes through ``_single_block`` and each psi through
-    ``_block_moment``, so both stay in the context's table.
+    ``_block_moment``, so both stay in the context's table.  The factor
+    a_i psi(gap) of each gap (i, j), ``_gap_factor``, is formed once per
+    call, and every block V leaving that gap reads it.
     """
     n = len(args)
-    terms = []
+    terms, factor = [], cache(partial(_gap_factor, ctx, args))
     for block in first_blocks(0, n):
         if len(block) < n:
-            spliced = _splice(ctx, args, block, lambda lo, hi: _block_moment(ctx, args[lo:hi], Level.PSI))
-            term = _single_block(ctx, spliced, Level.PSI)
+            term = _single_block(ctx, _splice(args, block, factor), Level.PSI)
             tail = args[block[-1] + 1 :]
             terms.append((-1, ctx.mul(term, _block_moment(ctx, tail, Level.PSI)) if tail else term))
     return ctx.combine([*terms, (1, _block_moment(ctx, args, Level.PSI))])

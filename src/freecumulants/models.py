@@ -35,6 +35,11 @@ route, the reference for the hook.
 the factors one at a time, summing the coefficients per word, and takes
 one free moment per word.
 
+A ``ScalarFreeSpec`` keeps each word's free moment and a ``ClassicalSpec``
+each monomial's moment as long as the spec lives, so the classical
+expectations, ``matrix_psi`` and ``matrix_phi`` multiply out the moment
+table once per monomial.
+
 All randomness is drawn from ``random.Random(seed)`` with numerators in
 [-9, 9] and denominators in {1, 2, 3}; drawn values travel in ``to_data``
 payloads so any run can be reproduced from its report alone.
@@ -197,7 +202,10 @@ class ClassicalSpec(_Recorded):
 
     ``moments[v][k-1]`` is E[v^k]; every sequence carries ``max_order``
     entries and any request beyond that raises CapacityError naming the
-    variable, so degree overflows surface at the first bad monomial.
+    variable, so degree overflows surface at the first bad monomial.  The
+    spec keeps E[m] of each packed monomial m that ``_integrate`` meets, as
+    a numerator over ``den``, in ``_moment_cache`` for as long as it lives;
+    a monomial past ``max_order`` leaves no entry.
     """
 
     def __init__(self, moments: dict[str, tuple], max_order: int = DEFAULT_MAX_ORDER):
@@ -221,6 +229,7 @@ class ClassicalSpec(_Recorded):
             d = lcm(*(m.denominator for m in seq))
             self.table.append((d, *(m.numerator * (d // m.denominator) for m in seq)))
             self.den *= d
+        self._moment_cache: dict[int, int] = {}
 
     @staticmethod
     def random_data(variables, max_order: int = DEFAULT_MAX_ORDER, seed: int = 0) -> dict:
@@ -262,16 +271,27 @@ class ClassicalSpec(_Recorded):
 def _integrate(spec: ClassicalSpec, terms: dict[int, int], kept_mask: int, shift: int = 0) -> dict[int, int]:
     """The numerators over ``spec.den`` of the expectation of ``terms``: each
     packed key's ``kept_mask`` bits stay, and the monomial of the rest,
-    shifted right by ``shift``, factors over the moment table."""
-    table, n = spec.table, len(spec.variables)
+    shifted right by ``shift``, takes its ``_table_moment`` once per spec,
+    kept in the spec's ``_moment_cache``."""
+    moments = spec._moment_cache
     out: dict[int, int] = {}
     try:
         for k, c in terms.items():
             kept = k & kept_mask
-            out[kept] = out.get(kept, 0) + c * prod(map(getitem, table, ((k ^ kept) >> shift).to_bytes(n, "big")))
+            m = (k ^ kept) >> shift
+            moment = moments.get(m)
+            if moment is None:
+                moment = moments[m] = _table_moment(spec, m)
+            out[kept] = out.get(kept, 0) + c * moment
     except IndexError:
         raise _beyond_capacity(spec, [(k & ~kept_mask) >> shift for k in terms]) from None
     return out
+
+
+def _table_moment(spec: ClassicalSpec, m: int) -> int:
+    """E[m] over ``spec.den`` for the packed monomial ``m``: the product of one
+    moment-table entry per variable; IndexError past ``max_order``."""
+    return prod(map(getitem, spec.table, m.to_bytes(len(spec.variables), "big")))
 
 
 def classical_expect(spec: ClassicalSpec, p: Poly) -> Fraction:
@@ -710,9 +730,13 @@ def _rank_one_terms(entries: dict, d: int) -> list:
 
 
 class WordContext(LinearCombinationContext):
+    """Linear combinations of a ``FactorizationModel``'s basis words; ``_factors`` keeps
+    the simple tensors of each element ``psi_product`` meets, apart from ``phi_table``."""
+
     def __init__(self, model: FactorizationModel):
         self.model = model
         self.d = model.d
+        self._factors: dict = {}
 
     def unit(self):
         return LinearCombination(dict.fromkeys((((), ((i, i),)) for i in range(self.d)), 1))
@@ -781,10 +805,10 @@ class WordContext(LinearCombinationContext):
     def psi_product(self, xs):
         """psi of the product of the factors ``xs``, summed over the simple
         tensors b0 X_{g1} b1 ... X_{gk} bk the product expands into, each
-        factor given by ``_simple_terms``; a factor with a term of two or
-        more generators takes the flat route, psi(product(xs))."""
-        xs = list(xs)
-        factors = [self._simple_terms(x) for x in xs]
+        factor given by ``_simple_terms``, once per element; a factor with a
+        term of two or more generators takes the flat route, psi(product(xs))."""
+        xs, known = list(xs), self._factors
+        factors = [known[x] if x in known else known.setdefault(x, self._simple_terms(x)) for x in xs]
         if None in factors:
             return self.psi(self.product(xs))
         d = self.d

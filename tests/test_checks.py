@@ -1120,6 +1120,40 @@ def test_a_wrong_scalar_route_fails_the_checks_that_use_it(monkeypatch, module, 
     assert {identity for identity in ALL_CHECKS if not run_check(identity).passed} >= failing
 
 
+def gap_factor_on_the_left(right):
+    """``engine._gap_factor`` with psi of the gap (0, 2) multiplied on the
+    left of ``args[0]`` instead of the right."""
+    def factor(ctx, args, a, b):
+        if (a, b) != (0, 2):
+            return right(ctx, args, a, b)
+        return ctx.mul(engine._block_moment(ctx, args[1:2], engine.Level.PSI), args[0])
+    return factor
+
+
+def table_moment_off_on_two_variables(right):
+    """``models._table_moment`` one too large for every monomial with exactly two nonzero exponents."""
+    return lambda spec, m: right(spec, m) + spec.den * (sum(map(bool, spec.ring.exponents(m))) == 2)
+
+
+@pytest.mark.parametrize("module, name, fault, failing", [
+    # the fault rows of the factors formed once and read many times: the
+    # spliced factor of each gap in an operator-valued cumulant, and each
+    # monomial's moment in the spec's table.  Each row runs only the checks
+    # that fail under it at seed 2024, as measured over all twelve.  The
+    # matrix checks hold for any entrywise functional, so a wrong table
+    # moment fails only the classical check; in the matrix model
+    # test_a_wrong_table_moment_fails_the_integrate_oracle catches it
+    (engine, "_gap_factor", gap_factor_on_the_left(engine._gap_factor),
+     ("moment-cumulant", "total-cumulance", "partial-cumulants", "freeness-characterization")),
+    (models, "_table_moment", table_moment_off_on_two_variables(models._table_moment),
+     ("classical-total-cumulance",)),
+], ids=["gap-factor-side", "table-moment"])
+def test_a_wrong_shared_factor_fails_the_checks_that_read_it(monkeypatch, module, name, fault, failing):
+    monkeypatch.setattr(module, name, fault)
+    for identity in failing:
+        assert run_check(identity, seed=2024).status == "fail", identity
+
+
 def _add_unit(ctx, value):
     return ctx.add(value, ctx.unit())
 

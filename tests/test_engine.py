@@ -9,7 +9,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freecumulants import engine
+from freecumulants import engine, models
 from freecumulants.engine import (
     Level,
     NestedPair,
@@ -314,6 +314,40 @@ def test_a_word_cumulant_keeps_one_scalar_in_lowest_terms_per_word(monkeypatch):
     assert 0 < len(flat._psi_cache) <= 1100
     for num, den in flat._psi_cache.values():
         assert type(num) is int and type(den) is int and den > 0 and math.gcd(num, den) == 1
+
+
+def test_a_matrix_cumulant_takes_each_monomial_moment_and_splice_factor_once(monkeypatch):
+    # perf gate, on the matrix kappa_7 of the kappa-deep benchmark at seed
+    # 2024 (model seed 24, g2 and g3 alternating): the spec keeps each
+    # monomial's moment, so its 10,516 integrated terms take 1,297 table
+    # products, and each spliced factor is formed once per gap, so it makes
+    # 1,163 matrix products where it made 1,484
+    model = MatrixModel.random(3, 2, 8, 24)
+    args = [model.generators[g] for g in ("g2", "g3") * 3 + ("g2",)]
+    counts = {"prod": 0, "mul": 0}
+    prod, mul = models.prod, Matrix.__mul__
+    monkeypatch.setattr(models, "prod", lambda xs: counts.update(prod=counts["prod"] + 1) or prod(xs))
+    monkeypatch.setattr(Matrix, "__mul__", lambda x, y: counts.update(mul=counts["mul"] + 1) or mul(x, y))
+    value = free_cumulant(MatrixContext(model), Partition.full(7), args, Level.PSI)
+    assert 0 < counts["prod"] <= 1297 and 0 < counts["mul"] <= 1163
+    assert value == free_cumulant(MatrixContext(model), Partition.full(7), args, Level.PSI, method="moebius")
+
+
+def test_a_word_cumulant_factors_each_element_once(monkeypatch):
+    # perf gate, on the word-model kappa_6 of the kappa-deep benchmark at
+    # seed 2024: the context keeps the simple tensors of each element, so
+    # the 28 distinct elements psi_product meets are factored once each,
+    # where they were factored 331 times
+    word = ("x2", "x1") * 3
+    model = FactorizationModel.random(2, 2, 8, 2024)
+    ctx = WordContext(model)
+    factored = []
+    simple_terms = WordContext._simple_terms
+    monkeypatch.setattr(WordContext, "_simple_terms", lambda self, x: factored.append(x) or simple_terms(self, x))
+    value = free_cumulant(ctx, Partition.full(6), [ctx.gen(g) for g in word], Level.PSI)
+    assert value == ctx.embed_scalar(model.scalars.cumulant(word))
+    assert 0 < len(factored) == len(set(factored)) <= 28
+    assert set(ctx._factors) == set(factored)
 
 
 def test_basis_words_differing_only_in_u0_i_or_uk_j_share_one_psi_entry():

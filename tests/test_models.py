@@ -17,6 +17,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freecumulants import models
 from freecumulants.errors import CapacityError, DimensionMismatchError
 from freecumulants.exact import LinearCombination, Matrix
 from freecumulants.models import (
@@ -115,6 +116,89 @@ def test_classical_capacity_error_names_the_variable():
     g = ring.var("g")
     with pytest.raises(CapacityError, match="'g'"):
         classical_expect(spec, g * g * g * g * g)
+
+
+def dense_integrate(spec: ClassicalSpec, terms: dict, kept_mask: int, shift: int = 0) -> dict:
+    """The reference for ``models._integrate``: each term's moment as the
+    product of one moment-table entry for every variable, exponent 0
+    included, with nothing kept between terms or calls; past ``max_order``
+    the error of ``spec.moment`` for the first such exponent, in term order
+    and then variable order."""
+    out = {}
+    for k, c in terms.items():
+        kept = k & kept_mask
+        exponents = spec.ring.exponents((k ^ kept) >> shift)
+        for name, e in zip(spec.variables, exponents):
+            spec.moment(name, e)
+        out[kept] = out.get(kept, 0) + c * math.prod(row[e] for row, e in zip(spec.table, exponents))
+    return out
+
+
+def integrate_cases(seed: int, count: int = 24):
+    """(spec, terms, kept mask, shift) for random polynomials over four
+    variables, exponents at 0 and at ``max_order`` drawn often, each either
+    with a random kept mask or keyed as matrix entries (shift 8, the
+    entry's 8 bits kept), as ``matrix_psi`` integrates them."""
+    rng = random.Random(seed)
+    spec = ClassicalSpec.random(("u", "v", "w", "z"), max_order=3, seed=seed)
+    top = spec.max_order
+    for _ in range(count):
+        terms = {spec.ring.pack([rng.choice((0, 0, 1, top, rng.randint(0, top))) for _ in spec.variables]):
+                 rng.randint(1, 9) * rng.choice((-1, 1)) for _ in range(rng.randint(1, 8))}
+        if rng.random() < 0.5:
+            yield spec, {m << 8 | rng.randrange(3) << 4 | rng.randrange(3): c for m, c in terms.items()}, 0xFF, 8
+        else:
+            yield spec, terms, spec.ring.mask(rng.sample(spec.variables, rng.randint(0, 4))), 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_integrate_equals_the_dense_product_over_the_moment_table(monkeypatch, seed):
+    # the oracle of the spec's monomial table: a cold call takes one table
+    # product per monomial it has not met, a warm call none, and both equal
+    # the dense product
+    products = []
+    right = models._table_moment
+    monkeypatch.setattr(models, "_table_moment", lambda spec, m: products.append(m) or right(spec, m))
+    met = set()
+    for spec, terms, mask, shift in integrate_cases(seed):
+        monomials = {(k & ~mask) >> shift for k in terms}
+        products.clear()
+        assert models._integrate(spec, terms, mask, shift) == dense_integrate(spec, terms, mask, shift)
+        assert sorted(products) == sorted(monomials - met)
+        met |= monomials
+        products.clear()
+        assert models._integrate(spec, terms, mask, shift) == dense_integrate(spec, terms, mask, shift)
+        assert products == []
+    assert set(spec._moment_cache) == met
+    assert spec._moment_cache == {m: right(spec, m) for m in met}
+
+
+def test_a_wrong_table_moment_fails_the_integrate_oracle(monkeypatch):
+    # a moment one too large for every monomial of exactly two nonzero
+    # exponents: the matrix checks hold for any entrywise functional and
+    # pass under it, so the oracle above is what catches it on matrix keys
+    right = models._table_moment
+    monkeypatch.setattr(models, "_table_moment", lambda spec, m: right(spec, m) + spec.den
+                        * (sum(map(bool, spec.ring.exponents(m))) == 2))
+    assert any(models._integrate(spec, terms, mask, shift) != dense_integrate(spec, terms, mask, shift)
+               for spec, terms, mask, shift in integrate_cases(0) if shift == 8)
+
+
+def test_integrate_past_max_order_raises_the_dense_error_and_tables_nothing_for_it():
+    spec = toy_classical()
+    pack = spec.ring.pack
+    # the first exponent past max_order is g's in the second term, before f's in the third;
+    # the third call finds the table warm
+    terms = {pack((4, 4)): 1, pack((2, 5)): 2, pack((5, 1)): 3}
+    for mask in (0, spec.ring.mask({"f"}), 0):
+        with pytest.raises(CapacityError, match="order 5 of variable 'g'") as want:
+            dense_integrate(spec, terms, mask)
+        with pytest.raises(CapacityError) as got:
+            models._integrate(spec, terms, mask)
+        assert str(got.value) == str(want.value)
+    # the monomials met before the failed one stay, E[f^4 g^4] = 4 * 3 and
+    # E[g^4] = 3 over den 1, and the failed ones, g^5 with and without f^2, leave nothing
+    assert spec._moment_cache == {pack((4, 4)): 12, pack((0, 4)): 3}
 
 
 def test_classical_spec_roundtrip():
