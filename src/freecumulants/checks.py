@@ -163,9 +163,9 @@ def _largest(*sizes: str):
 
 
 # the matrix model's cost grows like d^(n+2) in its dimension d and word length n: at
-# (n, d) = (4, 6), the largest MAX_MATRIX_SPAN admits, moment-cumulant takes 4.3 s,
-# total-cumulance 3.2 s and partial-cumulants 1.3 s; (5, 5) takes 8.3 s.  n is bounded
-# first, so the power stays small; an n below 0 (a replay's, without cases) counts as 0
+# (n, d) = (4, 6), the largest MAX_MATRIX_SPAN admits, moment-cumulant takes 1.2-2.0 s,
+# total-cumulance 1.9-2.4 s and partial-cumulants 0.5-0.6 s; (5, 5) 2.9-4.6 s.  n is
+# bounded first, so the power stays small; an n below 0 (a replay's, without cases) counts as 0
 _MATRIX_LIMITS = [("n_max", "max_order"), ("n_max", "MAX_ENUM_N"),
                   ("dimension^(n_max+2)", "MAX_MATRIX_SPAN", lambda p: p["dimension"] ** (max(p["n_max"], 0) + 2))]
 
@@ -510,7 +510,7 @@ def check_partial_cumulants(suite: _Suite, params: dict, fresh: bool, spec) -> N
                                          rhs, render=ctx.describe)
 
 
-# MAX_NESTED_DIMENSION: d = 7 takes 3.6 s and d = 8 9.8 s
+# MAX_NESTED_DIMENSION: d = 7 takes 1.7-2.0 s at 84 MB and d = 8 4.6-6.2 s at 186 MB
 @_check("nested-closed-forms", lambda dimension=DEFAULT_DIMENSION:
         {"n_max": 8, "dimension": dimension, "generator_count": 3},
         seeds=1, model=MatrixModel, limits=[("n_max", "max_order"), ("dimension", "MAX_NESTED_DIMENSION")])
