@@ -127,11 +127,16 @@ def dense_integrate(spec: ClassicalSpec, terms: dict, kept_mask: int, shift: int
     out = {}
     for k, c in terms.items():
         kept = k & kept_mask
-        exponents = spec.ring.exponents((k ^ kept) >> shift)
-        for name, e in zip(spec.variables, exponents):
+        m = (k ^ kept) >> shift
+        for name, e in zip(spec.variables, spec.ring.exponents(m)):
             spec.moment(name, e)
-        out[kept] = out.get(kept, 0) + c * math.prod(row[e] for row, e in zip(spec.table, exponents))
+        out[kept] = out.get(kept, 0) + c * dense_moment(spec, m)
     return out
+
+
+def dense_moment(spec: ClassicalSpec, m: int) -> int:
+    """E[m] over ``spec.den``: one moment-table entry for every variable, multiplied out."""
+    return math.prod(row[e] for row, e in zip(spec.table, spec.ring.exponents(m)))
 
 
 def integrate_cases(seed: int, count: int = 24):
@@ -170,7 +175,7 @@ def test_integrate_equals_the_dense_product_over_the_moment_table(monkeypatch, s
         assert models._integrate(spec, terms, mask, shift) == dense_integrate(spec, terms, mask, shift)
         assert products == []
     assert set(spec._moment_cache) == met
-    assert spec._moment_cache == {m: right(spec, m) for m in met}
+    assert spec._moment_cache == {m: dense_moment(spec, m) for m in met}
 
 
 def test_a_wrong_table_moment_fails_the_integrate_oracle(monkeypatch):
