@@ -421,8 +421,9 @@ def check_moment_cumulant(suite: _Suite, params: dict, fresh: bool, spec) -> Non
                              ctx.sum(table[pi] for pi in below), render=ctx.describe)
 
 
-# MAX_TOTAL_N: its cases grow about 5-fold with n whatever d: n = 6 takes 1.9-3.0 s at d = 1, 2.7-3.5 s
-# at d = 2 and 4.9-5.4 s at d = 3, not n = 7, 30-37 s at d = 1 and 31-42 s at d = 2
+# MAX_TOTAL_N: its cases grow about 5-fold with n whatever d: n = 6 takes 1.4-1.7 s at d = 1 (32 MB peak
+# RSS), 2.0-2.1 s at d = 2 (39 MB) and 2.6-3.3 s at d = 3 (57 MB), not n = 7, 13-16 s at d = 1 (83 MB)
+# and 17-18 s at d = 2 (113 MB)
 @_check("total-cumulance", lambda n=4, dimension=DEFAULT_DIMENSION:
         {"n_max": n, "dimension": dimension, "generator_count": 3},
         seeds=5, model=MatrixModel, limits=[*_MATRIX_LIMITS, ("n_max", "MAX_TOTAL_N")])

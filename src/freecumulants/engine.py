@@ -17,10 +17,16 @@ semicumulants, so every context keeps a table of the ones computed on
 it, under (partition, level, arguments), (level, arguments) and (pair,
 arguments); a nested semicumulant only on its default route, so that
 ``method="moebius"`` and ``cross_check`` stay independent oracles.  The
-expectation of an argument tuple's product that a block or a recursion
-takes is kept there once too, under (level.value, arguments), and each
-scalar phi-cumulant and moment as an integer pair, under ("kappa", ids)
-and ("moment", ids), ids the arguments' positions in "arguments".  The
+recursion keeps its partitioned cumulants of more than one block under
+("cumulant", partition, level, arguments), and ``nested_cumulant`` its
+values under ("nested-cumulant", pair, arguments); a partitioned
+expectation or cumulant takes each gap and tail as the same functional
+of the partition restricted to that window, so windows are entries too.
+The expectation of an argument tuple's product that a block or a
+recursion takes is kept there once too, under (level.value, arguments),
+and each scalar phi-cumulant and moment as an integer pair, under
+("kappa", ids) and ("moment", ids), ids the arguments' positions in
+"arguments"; a block's phi reads the same moment pair.  The
 arguments must be the context's own hashable elements.  The table lives
 as long as the context, which the checks build per model, and is never
 cleared.
@@ -46,8 +52,8 @@ The Moebius sum is the reference route that ``cross_check`` compares
 the recursion against.
 
 The engine never forms a product only to take its expectation:
-``_block_moment`` and ``_moment_scalar`` hand the factors to the
-context's hook, ``psi_product`` or ``phi_scalar_product`` (see
+``_block_moment`` and ``_moment_scalar`` (which a block's phi reads)
+hand the factors to the context's hook, ``psi_product`` or ``phi_scalar_product`` (see
 models.py), as the freeness checks do for their alternating words.  The
 default hook is psi or phi_scalar of the product; the word model takes both over simple
 tensors instead of basis words, and the scalar-free model takes
@@ -66,12 +72,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache, partial
 from math import gcd
 
 from .errors import CrossingPartitionError, DimensionMismatchError, OrderViolationError
 from .models import ProbabilityContext
-from .partitions import LatticeKind, Partition, first_blocks, moebius_row
+from .partitions import LatticeKind, Partition, first_blocks, moebius_row, restrict_blocks
 
 
 class Level(Enum):
@@ -120,32 +125,37 @@ def _splice(args, block: tuple, factor) -> tuple:
     return tuple(args[a] if b == a + 1 else factor(a, b) for a, b in zip(block, block[1:])) + (args[block[-1]],)
 
 
-def _extract(ctx, part: Partition, args: list, block_value):
+def _extract(ctx, part: Partition, args: tuple, block_value, whole=None):
     """Nest ``block_value`` along the blocks of ``part``.
 
     ``block_value(positions, sub_args)`` maps a block, given by the
     original positions of its arguments and the arguments themselves, to
     its value.  On the full lattice the blocks' values multiply; on the
     noncrossing one they nest by the block holding the first argument
-    (``_nest``).
+    (``_nest``).  ``whole(sub_part, sub_args)``, when given, is the
+    functional being computed, and each gap and tail takes its value as
+    ``whole`` of the partition restricted to it, so a tabled functional
+    reads it from the table; the nested routes give none, because their
+    block values read positions of ``part``.
     """
     if ctx.kind is LatticeKind.FULL:
-        return ctx.product(block_value(b, [args[i - 1] for i in b]) for b in part.blocks)
-    return _nest(ctx, part, args, block_value, 0, part.n) if part.n else ctx.unit()
+        return ctx.product(block_value(b, tuple(args[i - 1] for i in b)) for b in part.blocks)
+    return _nest(ctx, part, args, block_value, 0, part.n, whole) if part.n else ctx.unit()
 
 
-def _nest(ctx, part: Partition, args: list, block_value, lo: int, hi: int):
+def _nest(ctx, part: Partition, args: tuple, block_value, lo: int, hi: int, whole):
     """The nested value of ``args[lo:hi]``, a union of blocks of ``part``:
     the value of the block V holding position lo + 1, on V's arguments
     spliced with the nested values of its gaps, times the nested value of
     the tail after V.  A noncrossing V leaves each gap and the tail a
     union of blocks."""
+    nested = ((lambda a, b: _nest(ctx, part, args, block_value, a, b, None)) if whole is None
+              else (lambda a, b: whole(restrict_blocks(part, range(a + 1, b + 1)), args[a:b])))
     positions = part.blocks[part.labels[lo]]
     block = tuple(i - 1 for i in positions)
-    value = block_value(positions, _splice(
-        args, block, lambda a, b: ctx.mul(args[a], _nest(ctx, part, args, block_value, a + 1, b))))
+    value = block_value(positions, _splice(args, block, lambda a, b: ctx.mul(args[a], nested(a + 1, b))))
     tail = block[-1] + 1
-    return ctx.mul(value, _nest(ctx, part, args, block_value, tail, hi)) if tail < hi else value
+    return ctx.mul(value, nested(tail, hi)) if tail < hi else value
 
 
 def _moebius_sum(ctx, lo: Partition, hi: Partition, value):
@@ -175,13 +185,13 @@ def _by_method(ctx, method: str, cross_check: bool, label: str, subject,
 def phi_partitioned(ctx: ProbabilityContext, part: Partition, args, level: Level = Level.PSI):
     """The partitioned expectation: nest the expectation along the blocks;
     the value comes from, or goes into, the context's table."""
-    args = list(args)
-    table, key = ctx.phi_table, (part, level, tuple(args))
+    args = tuple(args)
+    table, key = ctx.phi_table, (part, level, args)
     value = table.get(key)
     if value is None:
         _validate(ctx, part, len(args))
-        value = _extract(ctx, part, args, lambda _, sub: _block_moment(ctx, tuple(sub), level))
-        table[key] = value
+        value = table[key] = _extract(ctx, part, args, lambda _, sub: _block_moment(ctx, sub, level),
+                                      lambda sub_part, sub_args: phi_partitioned(ctx, sub_part, sub_args, level))
     return value
 
 
@@ -201,7 +211,7 @@ def free_cumulant(
     noncrossing one over argument sub-tuples at ``Level.PHI`` and over
     spliced argument tuples at ``Level.PSI`` (see ``_single_block``).
     """
-    args = list(args)
+    args = tuple(args)
     _validate(ctx, part, len(args))
     return _by_method(
         ctx, method, cross_check, "cumulant", part,
@@ -210,20 +220,30 @@ def free_cumulant(
     )
 
 
-def _cumulant_recursive(ctx, part, args, level):
-    # nest the single-block cumulants of the blocks
-    return _extract(ctx, part, args, lambda _, sub: _single_block(ctx, tuple(sub), level))
+def _cumulant_recursive(ctx, part, args: tuple, level):
+    """Nest the single-block cumulants of the blocks of ``part``; a value of
+    more than one block comes from, or goes into, the context's table
+    under ("cumulant", part, level, args)."""
+    if part.size == 1:
+        return _single_block(ctx, args, level)
+    table, key = ctx.phi_table, ("cumulant", part, level, args)
+    value = table.get(key)
+    if value is None:
+        value = table[key] = _extract(ctx, part, args, lambda _, sub: _single_block(ctx, sub, level),
+                                      lambda sub_part, sub_args: _cumulant_recursive(ctx, sub_part, sub_args, level))
+    return value
 
 
 def _block_moment(ctx, args: tuple, level: Level):
     """The expectation at ``level`` of the product of ``args``: psi of it,
-    or phi of it embedded in A; the value comes from, or goes into, the
-    context's table under (level.value, args)."""
+    or phi of it embedded in A, the scalar shared with ``_moment_scalar``;
+    the value comes from, or goes into, the context's table under
+    (level.value, args)."""
     table, key = ctx.phi_table, (level.value, args)
     value = table.get(key)
     if value is None:
         value = table[key] = (ctx.psi_product(args) if level is Level.PSI
-                              else ctx.embed_scalar(ctx.phi_scalar_product(args)))
+                              else ctx.embed_scalar(Fraction(*_moment_scalar(ctx, _ids(ctx, args)))))
     return value
 
 
@@ -238,13 +258,18 @@ def _single_block(ctx, args: tuple, level: Level):
         if ctx.kind is LatticeKind.FULL:
             value = _kappa_commutative(ctx, args, level)
         elif level is Level.PHI:
-            index = table.setdefault("arguments", {})  # each distinct argument's position, in order met
-            ids = tuple(index.setdefault(a, len(index)) for a in args)
-            value = ctx.embed_scalar(Fraction(*_kappa_scalar(ctx, ids)))
+            value = ctx.embed_scalar(Fraction(*_kappa_scalar(ctx, _ids(ctx, args))))
         else:
             value = _kappa_operator(ctx, args)
         table[key] = value
     return value
+
+
+def _ids(ctx, args: tuple) -> tuple:
+    """The positions of ``args`` in the table's "arguments", each distinct
+    argument's position in the order the context met it."""
+    index = ctx.phi_table.setdefault("arguments", {})
+    return tuple(index.setdefault(a, len(index)) for a in args)
 
 
 def _kappa_scalar(ctx, ids: tuple) -> tuple[int, int]:
@@ -327,10 +352,10 @@ def _kappa_operator(ctx, args: tuple):
     call, and every block V leaving that gap reads it.
     """
     n = len(args)
-    terms, factor = [], cache(partial(_gap_factor, ctx, args))
+    terms, factors = [], {(a, b): _gap_factor(ctx, args, a, b) for a in range(n) for b in range(a + 2, n)}
     for block in first_blocks(0, n):
         if len(block) < n:
-            term = _single_block(ctx, _splice(args, block, factor), Level.PSI)
+            term = _single_block(ctx, _splice(args, block, lambda a, b: factors[a, b]), Level.PSI)
             tail = args[block[-1] + 1 :]
             terms.append((-1, ctx.mul(term, _block_moment(ctx, tail, Level.PSI)) if tail else term))
     return ctx.combine([*terms, (1, _block_moment(ctx, args, Level.PSI))])
@@ -349,7 +374,7 @@ def partial_cumulant(
     At lower = discrete this is the partitioned cumulant; at lower = upper
     it collapses to phi_partitioned.
     """
-    args = list(args)
+    args = tuple(args)
     _validate(ctx, upper, len(args))
     if not lower.refines(upper):
         raise OrderViolationError(f"{lower} does not refine {upper}")
@@ -363,7 +388,7 @@ def nested_moment(ctx: ProbabilityContext, pair: NestedPair, args):
     value is phi applied to the inner psi-partitioned expectation of the
     block's arguments.
     """
-    args = list(args)
+    args = tuple(args)
     _validate_pair(ctx, pair, len(args))
     return _extract(
         ctx, pair.outer, args,
@@ -380,9 +405,9 @@ def nested_semicumulant(
 ):
     """phi along the outer partition of inner psi-cumulants:
     the Moebius inversion of nested_moment in its inner slot."""
-    args = list(args)
+    args = tuple(args)
     table = ctx.phi_table if method == "recursion" and not cross_check else {}
-    key = (pair, tuple(args))
+    key = (pair, args)
     value = table.get(key)
     if value is None:
         _validate_pair(ctx, pair, len(args))
@@ -404,10 +429,14 @@ def nested_semicumulant(
 
 def nested_cumulant(ctx: ProbabilityContext, pair: NestedPair, args):
     """Outer phi-cumulant of inner psi-cumulants:
-    sum of nested_semicumulant over rho in [inner, outer] against mu(rho, outer)."""
-    args = list(args)
-    _validate(ctx, pair.outer, len(args))
-    return _moebius_sum(
-        ctx, pair.inner, pair.outer,
-        lambda rho: nested_semicumulant(ctx, NestedPair(pair.inner, rho), args),
-    )
+    sum of nested_semicumulant over rho in [inner, outer] against mu(rho, outer);
+    the value comes from, or goes into, the context's table under
+    ("nested-cumulant", pair, args)."""
+    args = tuple(args)
+    table, key = ctx.phi_table, ("nested-cumulant", pair, args)
+    value = table.get(key)
+    if value is None:
+        _validate(ctx, pair.outer, len(args))
+        value = table[key] = _moebius_sum(ctx, pair.inner, pair.outer,
+                                          lambda rho: nested_semicumulant(ctx, NestedPair(pair.inner, rho), args))
+    return value

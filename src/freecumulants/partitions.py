@@ -30,7 +30,8 @@ holding k pi-blocks on the full one (Kreweras 1972; Nica-Speicher,
 Lectures on the Combinatorics of Free Probability, Lecture 10).  The
 weights depend on the lattice alone, so ``moebius_row`` keeps each
 interval's row of them, under the bound ``INTERVAL_MEMO_SIZE`` that
-``interval_list`` shares.
+``interval_list`` shares, and assembles a missed row from the rows of
+top intervals [pi|B, 1_B], kept once per partition and never evicted.
 """
 
 from __future__ import annotations
@@ -531,15 +532,56 @@ def moebius(pi: Partition, sigma: Partition, kind: LatticeKind) -> int:
     return math.prod((-1) ** (k - 1) * (math.comb(2 * k - 2, k - 1) // k) for k in sizes)
 
 
+def restrict_blocks(part: Partition, positions) -> Partition:
+    """The restriction of ``part`` to ``positions``, an ascending union of
+    its blocks, relabelled 1..len: ``Partition.restrict`` without its
+    sorting and checks, for callers that hold such a union already.
+
+    >>> str(restrict_blocks(parse_partition("{1,4}{2,3}{5}"), (2, 3, 5)))
+    '{1,2}{3}'
+    """
+    rank = {p: r for r, p in enumerate(positions, start=1)}
+    return Partition._canonical(len(rank), tuple(tuple(map(rank.__getitem__, b))
+                                                 for b in part.blocks if b[0] in rank))
+
+
+@lru_cache(maxsize=None)
+def _top_row(part: Partition, kind: LatticeKind) -> tuple[tuple[int, Partition], ...]:
+    """The pairs (mu(tau, 1_k), tau) over [part, 1_k], by the interval filter
+    and ``moebius``; at most one row per partition and kind is ever kept."""
+    top = Partition.full(part.n)
+    return tuple((moebius(tau, top, kind), tau) for tau in interval_list(part, top, kind))
+
+
+def _assemble(n: int, placed) -> tuple[tuple[int, Partition], ...]:
+    """The row of [pi, sigma] from the pairs (B, top row of pi|B) over the
+    blocks B of sigma: each tau joins one tau_B per block, carried to B's
+    positions, with the product of their mu; in the filter's order."""
+    factors = [[(mu, [tuple(block[i - 1] for i in b) for b in tau.blocks]) for mu, tau in row]
+               for block, row in placed]
+    row = [(math.prod(mu for mu, _ in choice),
+            Partition._canonical(n, tuple(sorted(itertools.chain.from_iterable(b for _, b in choice)))))
+           for choice in itertools.product(*factors)]
+    return tuple(sorted(row, key=lambda entry: entry[1].labels))
+
+
 @lru_cache(maxsize=INTERVAL_MEMO_SIZE)
 def moebius_row(pi: Partition, sigma: Partition, kind: LatticeKind) -> tuple[tuple[int, Partition], ...]:
-    """The pairs (mu(tau, sigma), tau) over ``interval_list(pi, sigma, kind)``:
-    the weights of a Moebius inversion onto sigma, which depend on the
-    lattice alone.  Each mu is taken once per row through ``moebius``; the
-    memo keeps the INTERVAL_MEMO_SIZE most recent rows, as ``interval_list``
-    keeps its intervals.
+    """The pairs (mu(tau, sigma), tau) over ``interval_list(pi, sigma, kind)``,
+    in its order: the weights of a Moebius inversion onto sigma, which
+    depend on the lattice alone.
+
+    [pi, sigma] is the product of the top intervals [pi|B, 1_B] over the
+    blocks B of sigma, and mu is multiplicative over it (Speicher, Math.
+    Ann. 298, 1994; Nica-Speicher, Lectures 9-10), so a missed row is
+    assembled from top rows (``_top_row``) and filters no NC(n).
+    ``interval_list`` keeps its filter, since routing it through the rows
+    measured slower, and this memo keeps INTERVAL_MEMO_SIZE rows, as
+    ``interval_list`` keeps its intervals, since assembling on every call
+    measured slower still (see CHANGES.md).
 
     >>> [(mu, str(tau)) for mu, tau in moebius_row(Partition.discrete(2), Partition.full(2), LatticeKind.FULL)]
     [(1, '{1,2}'), (-1, '{1}{2}')]
     """
-    return tuple((moebius(tau, sigma, kind), tau) for tau in interval_list(pi, sigma, kind))
+    _check_interval(pi, sigma, kind, "interval")
+    return _assemble(pi.n, [(b, _top_row(restrict_blocks(pi, b), kind)) for b in sigma.blocks])

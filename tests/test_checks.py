@@ -22,7 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 from freecumulants import checks, engine, models, partitions
 from freecumulants.checks import ALL_CHECKS, replay_report, run_check
 from freecumulants.cli import main
-from freecumulants.errors import CapacityError
+from freecumulants.errors import CapacityError, OrderViolationError
 from freecumulants.models import (
     ClassicalContext, ClassicalSpec, FactorizationModel, MatrixContext, MatrixModel, ScalarFreeContext, ScalarFreeSpec,
     TensorContext, TensorModel, WordContext,
@@ -831,7 +831,8 @@ def test_the_scalar_checks_take_each_moment_once(monkeypatch, identity, bound):
 
 def test_moment_cumulant_restricts_no_partition(monkeypatch):
     # perf gate: phi_partitioned and the cumulant recursion nest by the
-    # block holding the first argument, on positions of the original word;
+    # block holding the first argument, and take each gap and tail, a union
+    # of blocks, through restrict_blocks, which neither sorts nor validates;
     # extracting interval blocks restricted the partition 1,750 times here
     calls = []
     restrict = Partition.restrict
@@ -910,7 +911,8 @@ def test_partition_order_costs_integer_operations(monkeypatch, identity, name, b
 def cold_partition_memos():
     """Empty the partition memos before the test and again after it, so no
     value computed under a patch outlives the test."""
-    memos = (partitions.enumerate_partitions, partitions.interval_list, partitions.moebius_row)
+    memos = (partitions.enumerate_partitions, partitions.interval_list, partitions.moebius_row,
+             partitions._top_row)
     for memo in memos:
         memo.cache_clear()
     yield
@@ -919,11 +921,12 @@ def cold_partition_memos():
 
 
 @pytest.mark.parametrize("identity, bound", [
-    # perf gate: an interval's weights are one row, so mu runs once per tau
-    # of each distinct interval; taken per term, these cold runs made 1,985
-    # and 2,211 moebius calls
-    ("total-cumulance", 167),
-    ("classical-total-cumulance", 181),
+    # perf gate: a row is assembled from top rows, so mu runs once per tau
+    # of each distinct top interval [pi|B, 1_B]; with a row per interval
+    # these cold runs made 167 and 181 moebius calls, and taken per term
+    # 1,985 and 2,211
+    ("total-cumulance", 71),
+    ("classical-total-cumulance", 76),
 ])
 def test_each_interval_takes_its_moebius_weights_once(monkeypatch, cold_partition_memos, identity, bound):
     runs = []
@@ -931,10 +934,77 @@ def test_each_interval_takes_its_moebius_weights_once(monkeypatch, cold_partitio
     monkeypatch.setattr(partitions, "moebius", lambda *args: runs[-1].append(args) or moebius(*args))
     for _ in range(2):
         partitions.moebius_row.cache_clear()
+        partitions._top_row.cache_clear()
         runs.append([])
         assert run_check(identity, seed=2024).passed
     assert 0 < len(runs[0]) <= bound
     assert runs[0] == runs[1]
+
+
+def test_a_cold_nested_closed_forms_run_enumerates_no_partition_of_8(monkeypatch, cold_partition_memos):
+    # perf gate: its one interval of NC(8), [{1,2,7,8}{3,4}{5,6}, {1,2,7,8}{3,4,5,6}],
+    # is the product of two top intervals of NC(4); filtered as one row, it
+    # enumerated all 1,430 partitions of NC(8)
+    sizes = []
+    right = partitions.enumerate_partitions
+    monkeypatch.setattr(partitions, "enumerate_partitions",
+                        lambda n, kind, *rest: sizes.append(n) or right(n, kind, *rest))
+    assert run_check("nested-closed-forms", seed=2024).passed
+    assert sizes and max(sizes) < 8
+
+
+def test_total_cumulance_sums_each_nested_cumulant_once(monkeypatch):
+    # perf gate: the context keeps each nested cumulant, so its Moebius sum
+    # over [pi, rho] runs once per (pair, arguments); untabled, the check's
+    # 945 nested_cumulant calls ran 945 sums for 355 distinct ones
+    asked, sums = [], []
+    nested_cumulant, moebius_sum = checks.nested_cumulant, engine._moebius_sum
+
+    def nested(ctx, pair, args):
+        asked.append((ctx, pair, tuple(args)))
+        return nested_cumulant(ctx, pair, args)
+
+    def summed(ctx, lo, hi, value):
+        ctx_, pair, args = asked[-1]
+        assert (ctx_, pair.inner, pair.outer) == (ctx, lo, hi)
+        sums.append(asked[-1])
+        return moebius_sum(ctx, lo, hi, value)
+
+    monkeypatch.setattr(checks, "nested_cumulant", nested)
+    monkeypatch.setattr(engine, "_moebius_sum", summed)
+    assert run_check("total-cumulance", seed=2024).passed
+    assert 0 < len(sums) == len(set(sums)) == len(set(asked)) < len(asked)
+
+
+def test_moment_cumulant_nests_each_partitioned_cumulant_once(monkeypatch):
+    # perf gate: the recursion keeps each partitioned cumulant of more than
+    # one block in the context's table, and its gaps and tails are read as
+    # the cumulants of their windows, so each is nested once per
+    # (partition, level, arguments) on a context
+    nested = []
+    extract = engine._extract
+
+    def counted(ctx, part, args, block_value, *rest):
+        if block_value.__qualname__.startswith("_cumulant_recursive."):
+            nested.append((ctx, part, tuple(args)))
+        return extract(ctx, part, args, block_value, *rest)
+
+    monkeypatch.setattr(engine, "_extract", counted)
+    assert run_check("moment-cumulant", seed=2024).passed
+    assert 0 < len(nested) == len(set(nested))
+    assert all(part.size > 1 for _, part, _ in nested)
+
+
+def test_total_cumulance_takes_one_phi_per_argument_tuple(monkeypatch):
+    # perf gate: a block's phi and a scalar recursion's moment share one
+    # integer pair per argument tuple on each context; taken apart, the
+    # check made 158 phi_scalar_product calls for these 102 tuples
+    calls = []
+    hook = MatrixContext.phi_scalar_product
+    monkeypatch.setattr(MatrixContext, "phi_scalar_product",
+                        lambda self, xs: calls.append(1) or hook(self, xs))
+    assert run_check("total-cumulance", seed=2024).passed
+    assert len(calls) == 102
 
 
 # (check, model class, method called once per build, builds of a fresh run at its default bounds)
@@ -979,6 +1049,7 @@ def test_a_wrong_moebius_weight_fails_the_moebius_sums(monkeypatch, cold_partiti
     monkeypatch.setattr(partitions, "moebius", flipped_top_weight(partitions.moebius))
     partitions.interval_list.cache_clear()
     partitions.moebius_row.cache_clear()
+    partitions._top_row.cache_clear()
     assert partitions.moebius_row(lo, hi, nc)[-1] == (-right[-1][0], lo)
     for identity in ("total-cumulance", "partial-cumulants", "freeness-characterization", "tensor-factorization"):
         assert run_check(identity, seed=2024).status == "fail", identity
@@ -1152,6 +1223,53 @@ def test_a_wrong_shared_factor_fails_the_checks_that_read_it(monkeypatch, module
     monkeypatch.setattr(module, name, fault)
     for identity in failing:
         assert run_check(identity, seed=2024).status == "fail", identity
+
+
+def assembled_through_the_wrong_block(right):
+    """``partitions._assemble`` with the top rows of sigma's first two blocks
+    exchanged when those blocks have the same size, so that each is carried
+    to the positions of the other block."""
+    def assemble(n, placed):
+        placed = list(placed)
+        if len(placed) > 1 and len(placed[0][0]) == len(placed[1][0]):
+            (first, first_row), (second, second_row) = placed[:2]
+            placed[:2] = [(first, second_row), (second, first_row)]
+        return right(n, placed)
+    return assemble
+
+
+def window_shifted_by_one(right):
+    """``engine.restrict_blocks``, the window partition of a gap or tail,
+    shifted by one position, cyclically: i becomes i + 1, and the last 1."""
+    def restrict(part, positions):
+        window = right(part, positions)
+        return Partition(window.n, [tuple(i % window.n + 1 for i in b) for b in window.blocks])
+    return restrict
+
+
+@pytest.mark.parametrize("module, name, fault, outcomes", [
+    # the fault rows of the values assembled from parts formed once: a
+    # Moebius row from the top rows of sigma's blocks, and a nested value
+    # from the partitioned values of its windows.  Each row runs only the
+    # checks that fail under it at seed 2024, as measured over all twelve:
+    # a row through the wrong block holds some tau outside [pi, sigma], so
+    # the checks that build NestedPair(pi, tau) from it stop there
+    (partitions, "_assemble", assembled_through_the_wrong_block(partitions._assemble),
+     {"partial-cumulants": "fail", "total-cumulance": "raises", "nested-closed-forms": "raises",
+      "classical-total-cumulance": "raises", "tensor-factorization": "raises"}),
+    (engine, "restrict_blocks", window_shifted_by_one(engine.restrict_blocks),
+     dict.fromkeys(("moment-cumulant", "total-cumulance", "partial-cumulants", "nested-closed-forms",
+                    "product-formula", "freeness-characterization"), "fail")),
+], ids=["row-assembly", "window-shift"])
+def test_a_wrong_row_or_window_fails_the_checks_that_read_it(monkeypatch, cold_partition_memos, module,
+                                                             name, fault, outcomes):
+    monkeypatch.setattr(module, name, fault)
+    for identity, outcome in outcomes.items():
+        if outcome == "raises":
+            with pytest.raises(OrderViolationError):
+                run_check(identity, seed=2024)
+        else:
+            assert run_check(identity, seed=2024).status == outcome, identity
 
 
 def _add_unit(ctx, value):

@@ -703,16 +703,42 @@ def test_nested_moment_restricts_the_inner_partition(matrix_ctx):
     assert got == ctx.phi(ctx.psi(x1) * ctx.phi(ctx.psi(x2)) * ctx.psi(x3))
 
 
+def nested_windows(part):
+    """The position ranges whose partitioned expectations a noncrossing
+    partitioned expectation of ``part`` keeps: every nonempty suffix that is
+    a union of blocks, of the whole range or of a gap between two
+    consecutive elements of a block."""
+    blocks = [set(b) for b in part.blocks]
+    ranges = [(1, part.n)] + [(a + 1, b - 1) for b in part.blocks for a, b in zip(b, b[1:]) if b > a + 1]
+    out = set()
+    for first, last in ranges:
+        for lo in range(first, last + 1):
+            span = set(range(lo, last + 1))
+            if all(b <= span or not b & span for b in blocks):
+                out.add(tuple(range(lo, last + 1)))
+    return out
+
+
 def test_a_context_table_keeps_every_entry_as_long_as_the_context():
     # 4^4 argument tuples x NC(4) x both levels are 7,168 partitioned
-    # expectations; their blocks take 2,000 distinct block expectations, each
-    # through the context's hook once.  None is ever dropped, so the first
-    # value computed comes back itself
+    # expectations; each keeps the windows its nesting visits as
+    # partitioned expectations of their own.  Their blocks take 2,000
+    # distinct block expectations, each through the context's hook once,
+    # and the phi of each is kept as an integer pair under ("moment",
+    # positions) too.  None is ever dropped, so the first value computed
+    # comes back itself
     ctx = ScalarFreeContext(ScalarFreeSpec.random({"a": ("a1", "a2"), "b": ("b1", "b2")}, seed=12))
     hooked = []
+
+    def hooking(hook, tag):
+        def hooked_call(xs):
+            xs = tuple(xs)
+            hooked.append((tag, xs))
+            return hook(xs)
+        return hooked_call
+
     for name, level in (("psi_product", Level.PSI), ("phi_scalar_product", Level.PHI)):
-        hook = getattr(ctx, name)
-        setattr(ctx, name, lambda xs, hook=hook, tag=level.value: hooked.append((tag, xs)) or hook(xs))
+        setattr(ctx, name, hooking(getattr(ctx, name), level.value))
     pool = [ctx.gen(g) for g in ("a1", "a2", "b1", "b2")]
     parts = enumerate_partitions(4, NC)
     first = phi_partitioned(ctx, parts[0], pool, Level.PSI)
@@ -720,18 +746,25 @@ def test_a_context_table_keeps_every_entry_as_long_as_the_context():
         for part in parts:
             for level in Level:
                 phi_partitioned(ctx, part, args, level)
-    partitioned = {(part, level, args) for args in itertools.product(pool, repeat=4)
-                   for part in parts for level in Level}
-    assert len(partitioned) == 4**4 * len(parts) * len(Level) == 7168
+    whole = {(part, level, args) for args in itertools.product(pool, repeat=4)
+             for part in parts for level in Level}
+    assert len(whole) == 4**4 * len(parts) * len(Level) == 7168
+    partitioned = {(part.restrict(w), level, tuple(args[i - 1] for i in w))
+                   for part, level, args in whole for w in nested_windows(part)}
+    assert whole <= partitioned
     assert len(hooked) == len(set(hooked)) == 2000
-    assert set(ctx.phi_table) == partitioned | set(hooked)
+    index = ctx.phi_table["arguments"]
+    moments = {("moment", tuple(index[x] for x in xs)) for tag, xs in hooked if tag == "phi"}
+    assert len(moments) == len(hooked) - sum(tag == "psi" for tag, _ in hooked)
+    assert set(ctx.phi_table) == partitioned | set(hooked) | moments | {"arguments"}
     assert phi_partitioned(ctx, parts[0], pool, Level.PSI) is first
 
 
 def test_every_context_keeps_a_table(classical):
     # the partitioned expectation and the psi of each of its blocks: on the
     # full lattice the blocks' own arguments, on the noncrossing one the
-    # block {1,3} takes psi(x2) into its first argument
+    # block {1,3} takes psi(x2) into its first argument, and the gap {2} is
+    # kept as the partitioned expectation of its own window
     spec, polys = classical
     part = parse_partition("{1,3}{2}")
     classical_model = ("classical", ClassicalContext(spec, frozenset({"f"})), polys)
@@ -741,6 +774,8 @@ def test_every_context_keeps_a_table(classical):
         assert value == ctx.psi(ctx.mul(ctx.mul(args[0], ctx.psi(args[1])), args[2])), name
         outer = (args[0], args[2]) if ctx.kind is LatticeKind.FULL else (ctx.mul(args[0], ctx.psi(args[1])), args[2])
         blocks = {("psi", (args[1],)): ctx.psi(args[1]), ("psi", outer): ctx.psi(ctx.product(outer))}
+        if ctx.kind is LatticeKind.NONCROSSING:
+            blocks[Partition.full(1), Level.PSI, (args[1],)] = ctx.psi(args[1])
         assert ctx.phi_table == {(part, Level.PSI, tuple(args)): value, **blocks}, name
         assert phi_partitioned(ctx, part, args, Level.PSI) is value, name
 

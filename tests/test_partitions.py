@@ -441,14 +441,28 @@ def test_interval_list_validates_its_endpoints():
         interval_list(Partition.discrete(4), parse_partition("{1,3}{2,4}"), NC)
 
 
-def test_moebius_row_weighs_its_interval():
-    for kind, n_max in ((NC, 5), (FULL, 4)):
-        for n in range(n_max + 1):
+def every_interval(n_max):
+    for n in range(n_max + 1):
+        for kind in LatticeKind:
             everything = enumerate_partitions(n, kind)
             for pi, sigma in itertools.product(everything, repeat=2):
                 if pi.refines(sigma):
-                    row = moebius_row(pi, sigma, kind)
-                    assert row == tuple((moebius(t, sigma, kind), t) for t in interval_list(pi, sigma, kind))
+                    yield pi, sigma, kind
+
+
+def test_moebius_row_weighs_its_interval():
+    # a row is assembled from the top rows of pi's restrictions to sigma's
+    # blocks; the interval filter and moebius per tau are its oracle, in the
+    # filter's order, with every memo cold and again with the top rows warm
+    partitions = freecumulants.partitions
+    oracle = {(pi, sigma, kind): tuple((moebius(t, sigma, kind), t) for t in interval_list(pi, sigma, kind))
+              for pi, sigma, kind in every_interval(6)}
+    for memo in (partitions.interval_list, partitions.moebius_row, partitions._top_row):
+        memo.cache_clear()
+    for state in ("cold", "warm"):
+        partitions.moebius_row.cache_clear()
+        for (pi, sigma, kind), row in oracle.items():
+            assert moebius_row(pi, sigma, kind) == row, (state, str(pi), str(sigma), kind)
     with pytest.raises(OrderViolationError):
         moebius_row(Partition.full(3), Partition.discrete(3), NC)
     with pytest.raises(CrossingPartitionError):
@@ -457,22 +471,22 @@ def test_moebius_row_weighs_its_interval():
 
 def test_interval_memo_is_bounded():
     # every interval of both lattices up to n = 6: 4,679 distinct keys, so
-    # both memos, which share one bound, must evict
+    # both memos, which share one bound, must evict; the top rows are not
+    # evicted, and hold at most one row per partition of each size and kind
     bound = freecumulants.partitions.INTERVAL_MEMO_SIZE
     assert bound == 4096
+    freecumulants.partitions._top_row.cache_clear()
     calls = 0
-    for n in range(7):
-        for kind in LatticeKind:
-            everything = enumerate_partitions(n, kind)
-            for pi in everything:
-                for sigma in everything:
-                    if pi.refines(sigma):
-                        moebius_row(pi, sigma, kind)
-                        calls += 1
+    for pi, sigma, kind in every_interval(6):
+        moebius_row(pi, sigma, kind)
+        calls += 1
     assert calls > bound
     for memo in (interval_list, moebius_row):
         info = memo.cache_info()
         assert info.maxsize == bound and info.currsize <= bound, memo
+    top_rows = freecumulants.partitions._top_row.cache_info()
+    assert top_rows.maxsize is None
+    assert 0 < top_rows.currsize <= sum(catalan(k) + bell(k) for k in range(7))
 
 
 def test_quotient_collapses_blocks_by_minimum():
