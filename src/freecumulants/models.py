@@ -57,7 +57,7 @@ from operator import getitem
 
 from .errors import CapacityError, DimensionMismatchError
 from .exact import MAX_EXPONENT, LinearCombination, Matrix, Poly, PolyRing, _accumulate, as_fraction, combine
-from .partitions import LatticeKind, first_blocks
+from .partitions import LatticeKind, first_blocks, outer_blocks
 
 DEFAULT_MAX_ORDER = 8
 # most words a drawn cumulant table may hold; the default tables hold 1,020
@@ -488,6 +488,7 @@ class ScalarFreeSpec(_Recorded):
                     if word not in self.cumulants:
                         raise ValueError(f"missing cumulant for word {word}")
         self._moment_cache: dict[tuple[str, ...], tuple[int, int]] = {(): (1, 1)}
+        self._boolean_cache: dict[tuple[str, ...], tuple[int, int]] = {}
 
     @staticmethod
     def random_data(families: dict[str, tuple[str, ...]], max_order: int = DEFAULT_MAX_ORDER, seed: int = 0) -> dict:
@@ -551,13 +552,16 @@ class ScalarFreeSpec(_Recorded):
 
 
 def free_moment(spec: ScalarFreeSpec, word: tuple[str, ...]) -> Fraction:
-    """The noncrossing moment-cumulant sum by its first-block recursion
+    """The noncrossing moment-cumulant sum, split at the Boolean cumulants
+    (Lehner, Free cumulants and enumeration of connected partitions,
+    European J. Combin. 23, 2002): m(w) is the sum over 1 <= l <= n of
+    b(w[:l]) m(w[l:]), where b(w) sums, over the blocks V holding the first
+    and the last letter, kappa(w_V) times the moments of the gaps V leaves
     (Nica-Speicher, Lectures on the Combinatorics of Free Probability,
-    Lecture 11): the sum, over the blocks V holding the first letter, of
-    kappa(w_V) times the moments of the gaps V leaves, the tail after V
-    included.  Blocks mixing families contribute zero, which is exactly
+    Lecture 11).  Blocks mixing families contribute zero, which is exactly
     freeness of the families with respect to this functional, so only the
-    blocks of letters from the first letter's family are enumerated.
+    blocks of letters from the first letter's family are enumerated, and b
+    of a word whose ends lie in two families is zero.
     """
     return Fraction(*_free_moment(spec, tuple(word)))
 
@@ -567,23 +571,42 @@ def _free_moment(spec: ScalarFreeSpec, word: tuple[str, ...]) -> tuple[int, int]
     cached = spec._moment_cache.get(word)
     if cached is not None:
         return cached
-    n, family_of = len(word), spec.family_of
+    n = len(word)
     if n > spec.max_order:
         raise CapacityError(f"moment of order {n} exceeds max_order={spec.max_order}")
-    own = [i for i in range(n) if family_of[word[i]] == family_of[word[0]]]
     num, den = 0, 1  # the sum, kept as integers until it is complete
-    for picks in first_blocks(0, len(own)):
-        block = tuple(map(own.__getitem__, picks))
-        vn, vd = spec.cumulant(tuple(map(word.__getitem__, block))).as_integer_ratio()
-        for a, b in zip(block, block[1:] + (n,)):
-            if not vn:
-                break
-            m_num, m_den = _free_moment(spec, word[a + 1 : b])
-            vn, vd = vn * m_num, vd * m_den
-        if vn:
-            num, den = num * vd + vn * den, den * vd
+    for l in range(1, n + 1):
+        bn, bd = _free_boolean(spec, word[:l])
+        if bn:
+            m_num, m_den = _free_moment(spec, word[l:])
+            num, den = num * bd * m_den + bn * m_num * den, den * bd * m_den
     g = gcd(num, den)
     total = spec._moment_cache[word] = (num // g, den // g)
+    return total
+
+
+def _free_boolean(spec: ScalarFreeSpec, word: tuple[str, ...]) -> tuple[int, int]:
+    """b(word) of ``free_moment``, an integer pair in lowest terms kept in the spec's ``_boolean_cache``."""
+    cached = spec._boolean_cache.get(word)
+    if cached is not None:
+        return cached
+    family_of = spec.family_of
+    own = [i for i, g in enumerate(word) if family_of[g] == family_of[word[0]]]
+    num, den = 0, 1
+    if own[-1] == len(word) - 1:
+        for picks in outer_blocks(len(own)):
+            block = tuple(map(own.__getitem__, picks))
+            vn, vd = spec.cumulant(tuple(map(word.__getitem__, block))).as_integer_ratio()
+            for a, b in zip(block, block[1:]):
+                if not vn:
+                    break
+                if b > a + 1:
+                    m_num, m_den = _free_moment(spec, word[a + 1 : b])
+                    vn, vd = vn * m_num, vd * m_den
+            if vn:
+                num, den = num * vd + vn * den, den * vd
+    g = gcd(num, den)
+    total = spec._boolean_cache[word] = (num // g, den // g)
     return total
 
 

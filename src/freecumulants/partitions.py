@@ -333,6 +333,16 @@ def first_blocks(i: int, j: int):
     return ((i, *subset) for r in range(len(rest) + 1) for subset in itertools.combinations(rest, r))
 
 
+def outer_blocks(n: int):
+    """The blocks holding both 0 and n-1 of the partitions of {0..n-1},
+    n >= 1, as sorted tuples: those of a Boolean cumulant.
+
+    >>> list(outer_blocks(4))
+    [(0, 3), (0, 1, 3), (0, 2, 3), (0, 1, 2, 3)]
+    """
+    return first_blocks(0, 1) if n == 1 else ((*block, n - 1) for block in first_blocks(0, n - 1))
+
+
 @lru_cache(maxsize=None)
 def enumerate_partitions(
     n: int, kind: LatticeKind, interval_only: bool = False

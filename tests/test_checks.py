@@ -335,7 +335,7 @@ PAST_THE_BOUNDS = [
     ("classical-total-cumulance", {"n": 6}, "n_max=6 exceeds MAX_CLASSICAL_N=5"),
     ("freeness", {"n": 7, "max_order": 6}, "max(mixed_max, alternating_max, 2*quadratic_max)=7 exceeds max_order=6"),
     ("freeness", {"n": 10**6}, "max(mixed_max, alternating_max, 2*quadratic_max)=1000000 exceeds max_order=8"),
-    ("freeness", {"n": 7}, "generators^mixed_max=16384 exceeds MAX_MIXED_WORDS=4096"),
+    ("freeness", {"n": 8}, "generators^mixed_max=65536 exceeds MAX_MIXED_WORDS=16384"),
     ("freeness-characterization", {"dimension": 9}, "dimension^3*5^n_max=455625 exceeds MAX_WORD_SPAN=421875"),
     ("freeness-characterization", {"n": 6, "dimension": 4}, "dimension^3*5^n_max=1000000 exceeds MAX_WORD_SPAN=421875"),
     ("freeness-characterization", {"n": 5, "dimension": 6}, "dimension^3*5^n_max=675000 exceeds MAX_WORD_SPAN=421875"),
@@ -500,21 +500,21 @@ def test_every_bound_is_named_in_the_documents():
 
 
 def test_freeness_bounds_the_mixed_words_by_the_generators_of_its_spec(tmp_path, capsys):
-    # two families of three generators give 6^5 mixed words at n = 5, where
-    # the four drawn generators give 4^5: a spec and a replay recording it
+    # two families of three generators give 6^6 mixed words at n = 6, where
+    # the four drawn generators give 4^6: a spec and a replay recording it
     # stop at the gate, and n = 4 (6^4 words) runs
-    spec = ScalarFreeSpec.random({"a": ("a1", "a2", "a3"), "b": ("b1", "b2", "b3")}, max_order=5, seed=0).to_data()
-    why = "generators^mixed_max=7776 exceeds MAX_MIXED_WORDS=4096"
+    spec = ScalarFreeSpec.random({"a": ("a1", "a2", "a3"), "b": ("b1", "b2", "b3")}, max_order=6, seed=0).to_data()
+    why = "generators^mixed_max=46656 exceeds MAX_MIXED_WORDS=16384"
     path = tmp_path / "model.json"
     path.write_text(json.dumps(spec))
     t0 = time.perf_counter()
-    assert main(["check", "freeness", "--n", "5", "--spec", str(path)]) == 1
+    assert main(["check", "freeness", "--n", "6", "--spec", str(path)]) == 1
     assert time.perf_counter() - t0 < 2
     assert f"setup: {why}" in capsys.readouterr().out
     report = run_check("freeness", n=4, spec_data=spec)
     assert report.passed
     report = report.to_json()
-    report["params"]["mixed_max"] = 5
+    report["params"]["mixed_max"] = 6
     path.write_text(json.dumps(report))
     assert main(["check", "--replay", str(path)]) == 2
     assert capsys.readouterr() == ("", f"error: cannot replay {path}: {why}\n")
@@ -795,9 +795,10 @@ def test_freeness_tables_its_cumulants_only(monkeypatch):
     # the check asks only for single-block cumulants, which the scalar
     # route computes without a partitioned moment: the context keeps 280
     # cumulants, where the Moebius route kept 3,392 partitioned moments,
-    # and the integer pairs of the 308 scalar cumulants and 308 moments of
-    # the argument tuples the recursion met, keyed on positions of the four
-    # generators
+    # and the integer pairs of the 304 scalar cumulants, 308 Boolean
+    # cumulants and 308 moments of the argument tuples the recursion met,
+    # keyed on positions of the four generators.  Before the split at the
+    # Boolean cumulants it kept 308 scalar cumulants and no Boolean one
     made = []
     init = ScalarFreeContext.__init__
     monkeypatch.setattr(ScalarFreeContext, "__init__",
@@ -807,9 +808,9 @@ def test_freeness_tables_its_cumulants_only(monkeypatch):
     table = made[0].phi_table
     assert len(table.pop("arguments")) == 4  # the generators, each once
     kinds = collections.Counter(key[0] for key in table)
-    assert set(kinds) == {engine.Level.PHI, "kappa", "moment"}
+    assert set(kinds) == {engine.Level.PHI, "kappa", "boolean", "moment"}
     assert 0 < kinds[engine.Level.PHI] <= 280
-    assert kinds["kappa"] == kinds["moment"] == 308
+    assert kinds["kappa"] == 304 and kinds["boolean"] == kinds["moment"] == 308
 
 
 @pytest.mark.parametrize("identity, bound", [
@@ -1220,6 +1221,55 @@ def table_moment_off_on_two_variables(right):
      ("classical-total-cumulance",)),
 ], ids=["gap-factor-side", "table-moment"])
 def test_a_wrong_shared_factor_fails_the_checks_that_read_it(monkeypatch, module, name, fault, failing):
+    monkeypatch.setattr(module, name, fault)
+    for identity in failing:
+        assert run_check(identity, seed=2024).status == "fail", identity
+
+
+def boolean_prefix_on_the_right(ctx, args):
+    """``engine._boolean_operator`` with each prefix's Boolean cumulant
+    multiplied on the right of psi of the suffix instead of the left."""
+    table, key = ctx.phi_table, ("boolean", args)
+    if key not in table:
+        psi = functools.partial(engine._block_moment, ctx, level=engine.Level.PSI)
+        terms = [(-1, ctx.mul(psi(args[l:]), boolean_prefix_on_the_right(ctx, args[:l]))) for l in range(1, len(args))]
+        table[key] = ctx.combine([(1, psi(args)), *terms])
+    return table[key]
+
+
+def boolean_scalar_without_its_first_term(right):
+    """``engine._boolean_scalar`` with its l = 1 term, b(args[:1]) m(args[1:]),
+    dropped at three arguments."""
+    def boolean(ctx, ids):
+        value = right(ctx, ids)
+        if len(ids) != 3:
+            return value
+        first = Fraction(*right(ctx, ids[:1])) * Fraction(*engine._moment_scalar(ctx, ids[1:]))
+        return (Fraction(*value) + first).as_integer_ratio()
+    return boolean
+
+
+def free_boolean_off_on_two_letters(right):
+    """``models._free_boolean`` one too large for every word of two letters."""
+    def boolean(spec, word):
+        value = right(spec, word)
+        return value if len(word) != 2 else (Fraction(*value) + 1).as_integer_ratio()
+    return boolean
+
+
+@pytest.mark.parametrize("module, name, fault, failing", [
+    # the Boolean split's fault rows: each row runs only the checks that
+    # fail under it at seed 2024, as measured over all twelve.  A wrong
+    # free b over one family is still a moment functional, so, as for the
+    # two _free_moment rows, tensor-factorization cannot see it
+    (engine, "_boolean_operator", boolean_prefix_on_the_right,
+     ("moment-cumulant", "total-cumulance", "partial-cumulants", "freeness-characterization")),
+    (engine, "_boolean_scalar", boolean_scalar_without_its_first_term(engine._boolean_scalar),
+     ("total-cumulance", "freeness", "product-formula", "freeness-characterization")),
+    (models, "_free_boolean", free_boolean_off_on_two_letters(models._free_boolean),
+     ("freeness", "product-formula")),
+], ids=["operator-prefix-side", "scalar-first-term", "free-two-letters"])
+def test_a_wrong_boolean_cumulant_fails_the_checks_that_read_it(monkeypatch, module, name, fault, failing):
     monkeypatch.setattr(module, name, fault)
     for identity in failing:
         assert run_check(identity, seed=2024).status == "fail", identity

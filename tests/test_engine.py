@@ -320,8 +320,9 @@ def test_a_matrix_cumulant_takes_each_monomial_moment_and_splice_factor_once(mon
     # perf gate, on the matrix kappa_7 of the kappa-deep benchmark at seed
     # 2024 (model seed 24, g2 and g3 alternating): the spec keeps each
     # monomial's moment, so its 10,516 integrated terms take 1,297 table
-    # products, and each spliced factor is formed once per gap, so it makes
-    # 1,163 matrix products where it made 1,484
+    # products, and each spliced factor is formed once per gap, so it made
+    # 1,163 matrix products where it made 1,484; split at the Boolean
+    # cumulants, it makes 865
     model = MatrixModel.random(3, 2, 8, 24)
     args = [model.generators[g] for g in ("g2", "g3") * 3 + ("g2",)]
     counts = {"prod": 0, "mul": 0}
@@ -329,8 +330,75 @@ def test_a_matrix_cumulant_takes_each_monomial_moment_and_splice_factor_once(mon
     monkeypatch.setattr(models, "prod", lambda xs: counts.update(prod=counts["prod"] + 1) or prod(xs))
     monkeypatch.setattr(Matrix, "__mul__", lambda x, y: counts.update(mul=counts["mul"] + 1) or mul(x, y))
     value = free_cumulant(MatrixContext(model), Partition.full(7), args, Level.PSI)
-    assert 0 < counts["prod"] <= 1297 and 0 < counts["mul"] <= 1163
+    assert 0 < counts["prod"] <= 1297 and 0 < counts["mul"] <= 865
     assert value == free_cumulant(MatrixContext(model), Partition.full(7), args, Level.PSI, method="moebius")
+
+
+@pytest.mark.parametrize("module, name, bound", [
+    # perf gate, on the scalar kappa_8 of the kappa-deep benchmark at seed
+    # 2024: the cumulant visits only the blocks holding both of its ends,
+    # each moment is a sum over the Boolean cumulants of its prefixes, and
+    # each call, a table hit included, counts.  The first-block recursions
+    # made 1,360 and 6,821 calls
+    (engine, "_kappa_scalar", 485),
+    (models, "_free_moment", 1711),
+], ids=["kappa-scalar", "free-moment"])
+def test_a_scalar_cumulant_splits_at_its_boolean_cumulants(monkeypatch, module, name, bound):
+    spec = ScalarFreeSpec.random({"a": ("a1", "a2")}, 8, 2024)
+    ctx = ScalarFreeContext(spec)
+    word = ("a1", "a2") * 4
+    calls = []
+    right = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(1) or right(*args))
+    value = free_cumulant(ctx, Partition.full(8), [ctx.gen(g) for g in word], Level.PHI)
+    assert value == ctx.embed_scalar(spec.cumulant(word))
+    assert 0 < len(calls) <= bound
+
+
+def ends_joined(n):
+    """The noncrossing partitions of n points whose first and last points share a block."""
+    return [p for p in enumerate_partitions(n, NC) if p.labels[0] == p.labels[-1]]
+
+
+def boolean_entries(ctx):
+    return {key[1]: value for key, value in ctx.phi_table.items() if key[0] == "boolean"}
+
+
+def test_each_boolean_cumulant_is_the_sum_over_the_partitions_joining_its_ends():
+    # oracle for the Boolean split of the three first-block recursions: each
+    # Boolean value kept is the sum of kappa_pi over the noncrossing
+    # partitions whose first and last points share a block (Lehner, European
+    # J. Combin. 23, 2002).  kappa_pi is taken on the Moebius route of a
+    # fresh context; for the free model's b it is the product of the
+    # declared cumulants, as the Moebius route of its moments reads b itself
+    spec = ScalarFreeSpec.random({"a": ("a1", "a2"), "b": ("b1",)}, max_order=8, seed=5)
+    ctx, oracle = ScalarFreeContext(spec), ScalarFreeContext(spec)
+    for n in range(1, 7):
+        for word in (("a1", "b1", "a2") * 2, ("a2", "a1", "b1", "a1", "a2", "b1"), ("b1", "a1") * 3):
+            free_cumulant(ctx, Partition.full(n), [ctx.gen(g) for g in word[:n]], Level.PHI)
+    known = list(ctx.phi_table["arguments"])
+    scalar = boolean_entries(ctx)
+    for ids, (num, den) in scalar.items():
+        args = [known[i] for i in ids]
+        assert math.gcd(num, den) == 1 and den > 0
+        assert F(num, den) == sum(oracle.phi_scalar(free_cumulant(oracle, p, args, Level.PHI, method="moebius"))
+                                  for p in ends_joined(len(ids))), ids
+    free = spec._boolean_cache
+    for word, (num, den) in free.items():
+        assert math.gcd(num, den) == 1 and den > 0
+        assert F(num, den) == sum(math.prod((spec.cumulant(tuple(word[i - 1] for i in b)) for b in p.blocks),
+                                            start=F(1)) for p in ends_joined(len(word))), word
+    model = MatrixModel.random(generator_count=3, dimension=2, max_order=8, seed=24)
+    ctx, oracle = MatrixContext(model), MatrixContext(model)
+    a, b, c = (model.generators[g] for g in ("g1", "g2", "g3"))
+    for args in ([a, b, a, b, a], [c, a, a, b, c]):
+        free_cumulant(ctx, Partition.full(5), args, Level.PSI)
+    matrix = boolean_entries(ctx)
+    for args, value in matrix.items():
+        assert value == oracle.combine((1, free_cumulant(oracle, p, args, Level.PSI, method="moebius"))
+                                       for p in ends_joined(len(args))), len(args)
+    for kept, n_max in ((scalar, 6), (free, 6), (matrix, 5)):
+        assert {len(k) for k in kept} == set(range(1, n_max + 1))
 
 
 def test_a_word_cumulant_factors_each_element_once(monkeypatch):
