@@ -296,26 +296,30 @@ def count_cumulant_calls(spec: ScalarFreeSpec) -> list:
 
 
 def test_a_cold_free_moment_of_length_n_evaluates_at_most_2_to_the_n_plus_1_cumulants():
-    # the sum over NC(8) evaluates up to 6,435 blocks; the first-block recursion
-    # reads one cumulant for each of the 2^(L-1) first blocks of each distinct
-    # sub-word of length L it meets, 366 reads here, and a word of one family
-    # leaves no block to prune, so the 2^7 blocks of the word itself are read
+    # the sum over NC(8) evaluates up to 6,435 blocks; the Boolean cumulant b
+    # of each distinct sub-word of length L it meets reads one cumulant for
+    # each of its 2^(L-2) blocks holding both ends, 246 reads here (the
+    # first-block recursion made 366), and a word of one family leaves no
+    # block to prune, so the b of its eight prefixes read 1 + 1 + 2 + ... +
+    # 2^6 = 2^7 blocks
     spec = ScalarFreeSpec.random({"a": ("a1", "a2")}, max_order=8, seed=3)
     calls = count_cumulant_calls(spec)
     free_moment(spec, ("a1", "a2", "a2", "a1", "a1", "a2", "a1", "a2"))
-    assert 2**7 <= len(calls) <= 366 <= 2**9
+    assert 2**7 <= len(calls) <= 246 <= 2**9
 
 
 def test_a_cold_alternating_free_moment_reads_only_blocks_of_one_family():
     # perf gate: a block mixing families is zero, so the recursion draws
-    # each first block from the first letter's family alone: 2^3 blocks of
-    # the word itself and 57 reads in all, where all 2^(L-1) first blocks of
-    # each sub-word made 330
+    # each block from the first letter's family alone, and b of a word
+    # whose ends lie in two families reads none: the b of the word's four
+    # prefixes that end in its first family read 1 + 1 + 2 + 4 = 2^3 blocks,
+    # and it makes 26 reads in all, where the first-block recursion over
+    # one family made 57, and all 2^(L-1) first blocks of each sub-word 330
     spec = ScalarFreeSpec.random({"a": ("a1", "a2"), "b": ("b1", "b2")}, max_order=8, seed=3)
     calls = count_cumulant_calls(spec)
     word = ("a1", "b1", "a2", "b2", "a1", "b2", "a2", "b1")
     value = free_moment(spec, word)
-    assert 2**3 <= len(calls) <= 57
+    assert 2**3 <= len(calls) <= 26
     assert all(len({spec.family_of[g] for g in block}) == 1 for block in calls)
     assert value == nc_sum_moment(spec, word)
 
