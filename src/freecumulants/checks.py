@@ -73,7 +73,7 @@ DEFAULT_DIMENSION = 2
 
 # the named bounds of the capacity rows; a row naming a cost bound gives its times on 2 cores
 CAPACITY = {"MAX_ENUM_N": MAX_ENUM_N, "MAX_CLASSICAL_N": 5, "MAX_MATRIX_SPAN": 6**6,
-            "MAX_NESTED_DIMENSION": 7, "MAX_WORD_SPAN": 3**3 * 5**6, "MAX_WORD_COST": 4**6,
+            "MAX_NESTED_DIMENSION": 7, "MAX_WORD_SPAN": 3**3 * 5**6, "MAX_WORD_COST": 4**7,
             "MAX_MIXED_WORDS": 4**7, "MAX_JOIN_PAIRS": 132**2, "MAX_TOTAL_N": 6}
 
 
@@ -421,9 +421,9 @@ def check_moment_cumulant(suite: _Suite, params: dict, fresh: bool, spec) -> Non
                              ctx.sum(table[pi] for pi in below), render=ctx.describe)
 
 
-# MAX_TOTAL_N: its cases grow about 5-fold with n whatever d: n = 6 takes 1.4-1.7 s at d = 1 (32 MB peak
-# RSS), 2.0-2.1 s at d = 2 (39 MB) and 2.6-3.3 s at d = 3 (57 MB), not n = 7, 13-16 s at d = 1 (83 MB)
-# and 17-18 s at d = 2 (113 MB)
+# MAX_TOTAL_N: its cases grow about 5-fold with n whatever d: n = 6 takes 0.74-0.77 s at d = 1 (32 MB
+# peak RSS), 0.85-0.92 s at d = 2 (34 MB) and 1.30-1.32 s at d = 3 (48 MB), not n = 7, 6.4-6.6 s at
+# d = 1 (81 MB) and 6.9-7.0 s at d = 2 (89 MB); three in-process runs each
 @_check("total-cumulance", lambda n=4, dimension=DEFAULT_DIMENSION:
         {"n_max": n, "dimension": dimension, "generator_count": 3},
         seeds=5, model=MatrixModel, limits=[*_MATRIX_LIMITS, ("n_max", "MAX_TOTAL_N")])
@@ -511,7 +511,7 @@ def check_partial_cumulants(suite: _Suite, params: dict, fresh: bool, spec) -> N
                                          rhs, render=ctx.describe)
 
 
-# MAX_NESTED_DIMENSION: d = 7 takes 1.7-2.0 s at 84 MB and d = 8 4.6-6.2 s at 186 MB
+# MAX_NESTED_DIMENSION: d = 7 takes 1.7-1.8 s at 84 MB and d = 8 4.9 s at 186 MB
 @_check("nested-closed-forms", lambda dimension=DEFAULT_DIMENSION:
         {"n_max": 8, "dimension": dimension, "generator_count": 3},
         seeds=1, model=MatrixModel, limits=[("n_max", "max_order"), ("dimension", "MAX_NESTED_DIMENSION")])
@@ -725,7 +725,8 @@ def check_product_formula(suite: _Suite, params: dict, fresh: bool, spec) -> Non
 # the word model takes psi over simple tensors, so its cost grows about like d^3 5^n: MAX_WORD_SPAN
 # admits (n, d) = (6, 3), 3.7 s, (5, 5), 2.8 s, (4, 8), 2.4 s, and (3, 15), 3.8 s, not (6, 4), 8.3 s,
 # (5, 6), 4.4 s, (4, 11), 7.9 s, or (3, 16), 4.6 s.  At d = 1 its interweave cases grow about
-# 5-fold with n: MAX_WORD_COST admits (6, 1), 1.2 s, not (7, 1), 6.3 s, or (8, 1), 38 s
+# 5-fold with n: MAX_WORD_COST admits (7, 1), 1.3 s at 28 MB, not (8, 1), 7.1-7.2 s at 61 MB (three
+# in-process runs each)
 @_check("freeness-characterization", lambda n=4, dimension=DEFAULT_DIMENSION:
         {"n_max": n, "dimension": dimension}, seeds=3, model=FactorizationModel,
         limits=[("n_max", "max_order"), ("n_max", "MAX_ENUM_N"),

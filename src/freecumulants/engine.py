@@ -14,30 +14,50 @@ and the blocks' values simply multiply.
 Every identity the checks test is a Moebius sum of the same few
 partitioned expectations, single-block cumulants and nested
 semicumulants, so every context keeps a table of the ones computed on
-it, under (partition, level, arguments), (level, arguments) and (pair,
-arguments); a nested semicumulant only on its default route, so that
-``method="moebius"`` and ``cross_check`` stay independent oracles.  The
-recursion keeps its partitioned cumulants of more than one block under
-("cumulant", partition, level, arguments), and ``nested_cumulant`` its
-values under ("nested-cumulant", pair, arguments); a partitioned
-expectation or cumulant takes each gap and tail as the same functional
-of the partition restricted to that window, so windows are entries too.
-The expectation of an argument tuple's product that a block or a
-recursion takes is kept there once too, under (level.value, arguments),
-each operator-valued Boolean cumulant under ("boolean", arguments), and
-each scalar phi-cumulant, Boolean cumulant and moment as an integer
-pair, under ("kappa", ids), ("boolean", ids) and ("moment", ids), ids
-the arguments' positions in "arguments"; a block's phi reads the same
-moment pair.  The arguments must be the context's own hashable elements.
+it, under (partition, Level.PSI, arguments), (level, arguments) and
+(pair, arguments); a nested semicumulant only on its default route, so
+that ``method="moebius"`` and ``cross_check`` stay independent oracles.
+The recursion keeps its partitioned cumulants of more than one block
+under ("cumulant", partition, level, arguments), at ``Level.PHI`` on the
+full lattice alone, and ``nested_cumulant`` its values under
+("nested-cumulant", pair, arguments); a partitioned psi-expectation or
+psi-cumulant takes each gap and tail as the same functional of the
+partition restricted to that window, so windows are entries too.  The expectation of an argument
+tuple's product that a block or a recursion takes is kept there once
+too, under (level.value, arguments), each operator-valued Boolean
+cumulant under ("boolean", arguments), and each scalar phi-cumulant,
+Boolean cumulant and moment as an integer pair, under ("kappa", ids),
+("boolean", ids) and ("moment", ids), ids the arguments' positions in
+"arguments".  The arguments must be the context's own hashable elements.
 The table lives as long as the context, which the checks build per
 model, and is never cleared.
+
+phi is C-valued, so a value at ``Level.PHI`` is a central scalar, and it
+pulls out of the C-multilinear psi-cumulants of any gap it is spliced
+into.  The default routes therefore take each phi-level functional as a
+product of integer pairs over blocks (``_pair_sum``), embedded in A once:
+
+* phi_sigma is the product of the blocks' ``_moment_scalar``, and on the
+  noncrossing lattice kappa^phi_sigma that of their ``_kappa_scalar``;
+* nu_semi(pi, rho) is the product over the blocks B of rho of
+  f(pi|B; a_B) = phi(kappa^psi_{pi|B}(a_B)), kept under ("semi", pi|B, ids);
+* [pi, sigma] is the product of the top intervals [pi|B, 1_B] over the
+  blocks B of sigma, and mu is multiplicative over it (Speicher, Math.
+  Ann. 298, 1994; Nica-Speicher, Lectures 9-11), so nu(pi, sigma) is the
+  product of g(pi|B; a_B) = nu(pi|B, 1_B), the sum of mu times nu_semi
+  over ``partitions._top_row``, kept under ("top", pi|B, ids).
+
+The literal nesting stays the oracle: ``nested_moment`` and every
+``Level.PSI`` route nest along the blocks, and ``method="moebius"`` and
+``cross_check`` of ``nested_semicumulant`` sum ``nested_moment``.
 
 Every cumulant is one Moebius sum over an interval [lo, hi] of the
 lattice, weighted by the interval's row ``partitions.moebius_row``: the
 weights depend on the lattice alone, so every context shares the row.
 The partitioned cumulant and the semi-nested cumulant also have a
-multiplicative recursion, selected by ``method``: nest the single-block
-cumulants of the blocks the same way.  A single-block cumulant comes from
+multiplicative recursion, selected by ``method``: nest, or at
+``Level.PHI`` multiply, the single-block cumulants of the blocks.  A
+single-block cumulant comes from
 
 * the full lattice: the commutative first-block form over subsets,
   2^(n-1) terms where its Moebius sum has Bell(n);
@@ -73,9 +93,10 @@ tensors instead of basis words, and the scalar-free model takes
 Nested functionals compose two levels of the tower: ``nested_moment`` is
 the outer partitioned expectation wrapped around inner psi-partitioned
 values, ``nested_semicumulant`` wraps inner psi-cumulants, and
-``nested_cumulant`` Moebius-inverts the outer slot as well.  On the full
-lattice over a commutative context the same definitions degrade to the
-classical blockwise products of ordinary and conditional cumulants.
+``nested_cumulant`` Moebius-inverts the outer slot as well; the last two
+are products of block scalars, as above.  On the full lattice over a
+commutative context the same definitions degrade to the classical
+blockwise products of ordinary and conditional cumulants.
 """
 
 from __future__ import annotations
@@ -87,7 +108,7 @@ from math import gcd
 
 from .errors import CrossingPartitionError, DimensionMismatchError, OrderViolationError
 from .models import ProbabilityContext
-from .partitions import LatticeKind, Partition, first_blocks, moebius_row, outer_blocks, restrict_blocks
+from .partitions import LatticeKind, Partition, _top_row, first_blocks, moebius_row, outer_blocks, restrict_blocks
 
 
 class Level(Enum):
@@ -146,7 +167,7 @@ def _extract(ctx, part: Partition, args: tuple, block_value, whole=None):
     (``_nest``).  ``whole(sub_part, sub_args)``, when given, is the
     functional being computed, and each gap and tail takes its value as
     ``whole`` of the partition restricted to it, so a tabled functional
-    reads it from the table; the nested routes give none, because their
+    reads it from the table; ``nested_moment`` gives none, because its
     block values read positions of ``part``.
     """
     if ctx.kind is LatticeKind.FULL:
@@ -195,8 +216,12 @@ def _by_method(ctx, method: str, cross_check: bool, label: str, subject,
 
 def phi_partitioned(ctx: ProbabilityContext, part: Partition, args, level: Level = Level.PSI):
     """The partitioned expectation: nest the expectation along the blocks;
-    the value comes from, or goes into, the context's table."""
+    the value comes from, or goes into, the context's table.  At
+    ``Level.PHI`` it is the product of the blocks' moments, untabled."""
     args = tuple(args)
+    if level is Level.PHI:
+        _validate(ctx, part, len(args))
+        return _blockwise(ctx, _moment_scalar, part, args)
     table, key = ctx.phi_table, (part, level, args)
     value = table.get(key)
     if value is None:
@@ -216,11 +241,12 @@ def free_cumulant(
 ):
     """Partitioned cumulant: Moebius inversion of phi_partitioned over [0, part].
 
-    ``method="moebius"`` evaluates that sum.  ``method="recursion"`` nests
-    the single-block cumulants of the blocks of ``part``, each by a
-    first-block recursion: over subsets on the full lattice, and on the
-    noncrossing one over argument sub-tuples at ``Level.PHI`` and over
-    spliced argument tuples at ``Level.PSI`` (see ``_single_block``).
+    ``method="moebius"`` evaluates that sum.  ``method="recursion"`` nests,
+    or at ``Level.PHI`` on the noncrossing lattice multiplies, the
+    single-block cumulants of the blocks of ``part``, each by a first-block
+    recursion: over subsets on the full lattice, and on the noncrossing one
+    over argument sub-tuples at ``Level.PHI`` and over spliced argument
+    tuples at ``Level.PSI`` (see ``_single_block``).
     """
     args = tuple(args)
     _validate(ctx, part, len(args))
@@ -234,9 +260,13 @@ def free_cumulant(
 def _cumulant_recursive(ctx, part, args: tuple, level):
     """Nest the single-block cumulants of the blocks of ``part``; a value of
     more than one block comes from, or goes into, the context's table
-    under ("cumulant", part, level, args)."""
+    under ("cumulant", part, level, args), but at ``Level.PHI`` on the
+    noncrossing lattice it is the product of the blocks' ``_kappa_scalar``,
+    untabled."""
     if part.size == 1:
         return _single_block(ctx, args, level)
+    if level is Level.PHI and ctx.kind is LatticeKind.NONCROSSING:
+        return _blockwise(ctx, _kappa_scalar, part, args)
     table, key = ctx.phi_table, ("cumulant", part, level, args)
     value = table.get(key)
     if value is None:
@@ -254,7 +284,7 @@ def _block_moment(ctx, args: tuple, level: Level):
     value = table.get(key)
     if value is None:
         value = table[key] = (ctx.psi_product(args) if level is Level.PSI
-                              else ctx.embed_scalar(Fraction(*_moment_scalar(ctx, _ids(ctx, args)))))
+                              else _embed(ctx, _moment_scalar(ctx, _ids(ctx, args))))
     return value
 
 
@@ -269,11 +299,23 @@ def _single_block(ctx, args: tuple, level: Level):
         if ctx.kind is LatticeKind.FULL:
             value = _kappa_commutative(ctx, args, level)
         elif level is Level.PHI:
-            value = ctx.embed_scalar(Fraction(*_kappa_scalar(ctx, _ids(ctx, args))))
+            value = _embed(ctx, _kappa_scalar(ctx, _ids(ctx, args)))
         else:
             value = _kappa_operator(ctx, args)
         table[key] = value
     return value
+
+
+def _embed(ctx, pair: tuple[int, int]):
+    """The integer pair ``pair`` as a scalar of A."""
+    return ctx.embed_scalar(Fraction(*pair))
+
+
+def _blockwise(ctx, scalar, part: Partition, args: tuple):
+    """The product of scalar(ctx, ids_B) over the blocks B of ``part``, ids
+    the positions of ``args``, as a scalar of A."""
+    ids = _ids(ctx, args)
+    return _embed(ctx, _pair_sum(ctx, [(1, ((scalar, tuple(ids[i - 1] for i in b)) for b in part.blocks))]))
 
 
 def _ids(ctx, args: tuple) -> tuple:
@@ -298,24 +340,12 @@ def _kappa_scalar(ctx, ids: tuple) -> tuple[int, int]:
     """
     table, key = ctx.phi_table, ("kappa", ids)
     value = table.get(key)
-    if value is not None:
-        return value
-    n = len(ids)
-    num, den = _boolean_scalar(ctx, ids)
-    for block in outer_blocks(n):
-        if len(block) == n:
-            continue
-        t_num, t_den = _kappa_scalar(ctx, tuple(map(ids.__getitem__, block)))
-        for a, b in zip(block, block[1:]):
-            if not t_num:
-                break
-            if b > a + 1:
-                m_num, m_den = _moment_scalar(ctx, ids[a + 1 : b])
-                t_num, t_den = t_num * m_num, t_den * m_den
-        if t_num:
-            num, den = num * t_den - t_num * den, den * t_den
-    g = gcd(num, den)
-    value = table[key] = (num // g, den // g)
+    if value is None:
+        n = len(ids)
+        value = table[key] = _pair_sum(ctx, [(1, [(_boolean_scalar, ids)])] + [
+            (-1, [(_kappa_scalar, tuple(map(ids.__getitem__, block)))]
+                 + [(_moment_scalar, ids[a + 1 : b]) for a, b in zip(block, block[1:]) if b > a + 1])
+            for block in outer_blocks(n) if len(block) < n])
     return value
 
 
@@ -326,15 +356,27 @@ def _boolean_scalar(ctx, ids: tuple) -> tuple[int, int]:
     table, key = ctx.phi_table, ("boolean", ids)
     value = table.get(key)
     if value is None:
-        num, den = _moment_scalar(ctx, ids)
-        for l in range(1, len(ids)):
-            b_num, b_den = _boolean_scalar(ctx, ids[:l])
-            if b_num:
-                m_num, m_den = _moment_scalar(ctx, ids[l:])
-                num, den = num * b_den * m_den - b_num * m_num * den, den * b_den * m_den
-        g = gcd(num, den)
-        value = table[key] = (num // g, den // g)
+        value = table[key] = _pair_sum(ctx, [(1, [(_moment_scalar, ids)])] + [
+            (-1, [(_boolean_scalar, ids[:l]), (_moment_scalar, ids[l:])]) for l in range(1, len(ids))])
     return value
+
+
+def _pair_sum(ctx, terms) -> tuple[int, int]:
+    """The sum over the (int c, calls) ``terms`` of c times the product of
+    the integer pairs scalar(ctx, key) over the (scalar, key) ``calls``, in
+    lowest terms; a term makes no call after a zero factor."""
+    num, den = 0, 1
+    for t_num, calls in terms:
+        t_den = 1
+        for scalar, key in calls:
+            f_num, f_den = scalar(ctx, key)
+            t_num, t_den = t_num * f_num, t_den * f_den
+            if not t_num:
+                break
+        if t_num:
+            num, den = num * t_den + t_num * den, den * t_den
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def _moment_scalar(ctx, ids: tuple) -> tuple[int, int]:
@@ -445,7 +487,9 @@ def nested_semicumulant(
     cross_check: bool = False,
 ):
     """phi along the outer partition of inner psi-cumulants:
-    the Moebius inversion of nested_moment in its inner slot."""
+    the Moebius inversion of nested_moment in its inner slot.  The
+    recursion takes it as the product of ``_semi_scalar`` over the outer
+    blocks, tabled under (pair, args) on that route alone."""
     args = tuple(args)
     table = ctx.phi_table if method == "recursion" and not cross_check else {}
     key = (pair, args)
@@ -459,25 +503,61 @@ def nested_semicumulant(
                 ctx, Partition.discrete(inner.n), inner,
                 lambda tau: nested_moment(ctx, NestedPair(tau, outer), args),
             ),
-            lambda: _extract(
-                ctx, outer, args,
-                lambda pos, sub: ctx.phi(_cumulant_recursive(ctx, inner.restrict(pos), sub, Level.PSI)),
-            ),
+            lambda: _nested_product(ctx, _semi_scalar, pair, args),
         )
         table[key] = value
     return value
 
 
 def nested_cumulant(ctx: ProbabilityContext, pair: NestedPair, args):
-    """Outer phi-cumulant of inner psi-cumulants:
-    sum of nested_semicumulant over rho in [inner, outer] against mu(rho, outer);
-    the value comes from, or goes into, the context's table under
-    ("nested-cumulant", pair, args)."""
+    """Outer phi-cumulant of inner psi-cumulants: the sum of
+    nested_semicumulant over rho in [inner, outer] against mu(rho, outer).
+    That interval is the product of the top intervals [inner|B, 1_B] over
+    the outer blocks B, so the value is the product of ``_top_scalar``; it
+    comes from, or goes into, the context's table under ("nested-cumulant",
+    pair, args)."""
     args = tuple(args)
     table, key = ctx.phi_table, ("nested-cumulant", pair, args)
     value = table.get(key)
     if value is None:
-        _validate(ctx, pair.outer, len(args))
-        value = table[key] = _moebius_sum(ctx, pair.inner, pair.outer,
-                                          lambda rho: nested_semicumulant(ctx, NestedPair(pair.inner, rho), args))
+        _validate_pair(ctx, pair, len(args))
+        value = table[key] = _nested_product(ctx, _top_scalar, pair, args)
+    return value
+
+
+def _nested_product(ctx, scalar, pair: NestedPair, args: tuple):
+    """The product of scalar(ctx, (inner|B, args_B, ids_B)) over the outer
+    blocks B, ids the positions of ``args``, as a scalar of A."""
+    return _embed(ctx, _pair_sum(ctx, [(1, _restricted(scalar, pair.inner, pair.outer, args, _ids(ctx, args)))]))
+
+
+def _restricted(scalar, inner: Partition, outer: Partition, args: tuple, ids: tuple):
+    """The calls (scalar, (inner|B, args_B, ids_B)) over the blocks B of ``outer``, one at a time."""
+    return ((scalar, (restrict_blocks(inner, b), tuple(args[i - 1] for i in b), tuple(ids[i - 1] for i in b)))
+            for b in outer.blocks)
+
+
+def _semi_scalar(ctx, restricted: tuple) -> tuple[int, int]:
+    """phi of the psi-cumulant kappa^psi_part(args), nu_semi(part, 1_n; args),
+    of the (part, args, ids) ``restricted``, an integer pair tabled under
+    ("semi", part, ids)."""
+    part, args, ids = restricted
+    table, key = ctx.phi_table, ("semi", part, ids)
+    value = table.get(key)
+    if value is None:
+        value = table[key] = ctx.phi_scalar(_cumulant_recursive(ctx, part, args, Level.PSI)).as_integer_ratio()
+    return value
+
+
+def _top_scalar(ctx, restricted: tuple) -> tuple[int, int]:
+    """nu(part, 1_n; args) of the (part, args, ids) ``restricted``: the sum
+    over tau in [part, 1_n] of mu(tau, 1_n) times the product of
+    ``_semi_scalar`` over tau's blocks, an integer pair tabled under ("top",
+    part, ids)."""
+    part, args, ids = restricted
+    table, key = ctx.phi_table, ("top", part, ids)
+    value = table.get(key)
+    if value is None:
+        value = table[key] = _pair_sum(ctx, [(mu, _restricted(_semi_scalar, part, tau, args, ids))
+                                             for mu, tau in _top_row(part, ctx.kind)])
     return value

@@ -550,9 +550,10 @@ def restrict_blocks(part: Partition, positions) -> Partition:
     >>> str(restrict_blocks(parse_partition("{1,4}{2,3}{5}"), (2, 3, 5)))
     '{1,2}{3}'
     """
-    rank = {p: r for r, p in enumerate(positions, start=1)}
-    return Partition._canonical(len(rank), tuple(tuple(map(rank.__getitem__, b))
-                                                 for b in part.blocks if b[0] in rank))
+    labels, groups = part.labels, {}
+    for r, p in enumerate(positions, start=1):
+        groups.setdefault(labels[p - 1], []).append(r)
+    return Partition._canonical(len(positions), tuple(map(tuple, groups.values())))
 
 
 @lru_cache(maxsize=None)

@@ -22,7 +22,8 @@ from hypothesis import example, given, settings, strategies as st
 from freecumulants import checks, engine, models, partitions
 from freecumulants.checks import ALL_CHECKS, replay_report, run_check
 from freecumulants.cli import main
-from freecumulants.errors import CapacityError, OrderViolationError
+from freecumulants.errors import CapacityError
+from freecumulants.exact import Matrix
 from freecumulants.models import (
     ClassicalContext, ClassicalSpec, FactorizationModel, MatrixContext, MatrixModel, ScalarFreeContext, ScalarFreeSpec,
     TensorContext, TensorModel, WordContext,
@@ -339,8 +340,7 @@ PAST_THE_BOUNDS = [
     ("freeness-characterization", {"dimension": 9}, "dimension^3*5^n_max=455625 exceeds MAX_WORD_SPAN=421875"),
     ("freeness-characterization", {"n": 6, "dimension": 4}, "dimension^3*5^n_max=1000000 exceeds MAX_WORD_SPAN=421875"),
     ("freeness-characterization", {"n": 5, "dimension": 6}, "dimension^3*5^n_max=675000 exceeds MAX_WORD_SPAN=421875"),
-    ("freeness-characterization", {"n": 7, "dimension": 1}, "4^n_max=16384 exceeds MAX_WORD_COST=4096"),
-    ("freeness-characterization", {"n": 8, "dimension": 1}, "4^n_max=65536 exceeds MAX_WORD_COST=4096"),
+    ("freeness-characterization", {"n": 8, "dimension": 1}, "4^n_max=65536 exceeds MAX_WORD_COST=16384"),
     *[(identity, flags, why) for identity in ("product-formula", "tensor-factorization")
       for flags, why in (({"n": 5}, "2*n_max=10 exceeds max_order=8"),
                          ({"n": 10**6}, "2*n_max=2000000 exceeds max_order=8"))],
@@ -775,12 +775,13 @@ def test_psi_cumulants_share_their_psi_values(monkeypatch, identity, cls, bound)
 
 
 def test_the_word_model_forms_no_product_to_take_its_expectation(monkeypatch):
-    # perf gate: freeness-characterization takes psi of a product 597 times,
+    # perf gate: freeness-characterization takes psi of a product 462 times,
     # each over simple tensors with no fallback to the flat route, so no
-    # product of word-model elements is ever formed; its other 483 psi values
+    # product of word-model elements is ever formed; its other psi values
     # are of single elements, on the flat route.  With the scalar moments of
     # its phi-cumulants taken per cumulant instead of per context, it took
-    # psi of a product 865 times
+    # psi of a product 865 times, and with its nested cumulants nested along
+    # the outer blocks, on argument tuples that absorb each gap's scalar, 597
     counts = {"product": 0, "psi_product": 0, "_psi_simple": 0}
     for name in counts:
         method = getattr(WordContext, name)
@@ -788,7 +789,7 @@ def test_the_word_model_forms_no_product_to_take_its_expectation(monkeypatch):
                             counts.__setitem__(name, counts[name] + 1) or method(self, *args))
     assert run_check("freeness-characterization").passed
     assert counts["product"] == 0
-    assert 0 < counts["psi_product"] <= 597 <= counts["_psi_simple"]
+    assert 0 < counts["psi_product"] <= 462 <= counts["_psi_simple"]
 
 
 def test_freeness_tables_its_cumulants_only(monkeypatch):
@@ -955,26 +956,46 @@ def test_a_cold_nested_closed_forms_run_enumerates_no_partition_of_8(monkeypatch
 
 
 def test_total_cumulance_sums_each_nested_cumulant_once(monkeypatch):
-    # perf gate: the context keeps each nested cumulant, so its Moebius sum
-    # over [pi, rho] runs once per (pair, arguments); untabled, the check's
-    # 945 nested_cumulant calls ran 945 sums for 355 distinct ones
+    # perf gate: nu(pi, sigma) is the product over the blocks B of sigma of
+    # the top value nu(pi|B, 1_B) on a_B, and the context keeps each top
+    # value, so its sum over the top row of pi|B runs once per (pi|B,
+    # argument positions), and no nested cumulant sums an assembled row.
+    # Summed per nested cumulant over [pi, sigma], the check ran 355 Moebius
+    # sums over rows for its 945 nested_cumulant calls
     asked, sums = [], []
-    nested_cumulant, moebius_sum = checks.nested_cumulant, engine._moebius_sum
+    top_scalar, top_row = engine._top_scalar, engine._top_row
 
-    def nested(ctx, pair, args):
-        asked.append((ctx, pair, tuple(args)))
-        return nested_cumulant(ctx, pair, args)
+    def top(ctx, restricted):
+        part, _, ids = restricted
+        asked.append((ctx, part, ids))
+        return top_scalar(ctx, restricted)
 
-    def summed(ctx, lo, hi, value):
-        ctx_, pair, args = asked[-1]
-        assert (ctx_, pair.inner, pair.outer) == (ctx, lo, hi)
+    def summed(part, kind):
+        ctx, asked_part, ids = asked[-1]
+        assert asked_part is part
         sums.append(asked[-1])
-        return moebius_sum(ctx, lo, hi, value)
+        return top_row(part, kind)
 
-    monkeypatch.setattr(checks, "nested_cumulant", nested)
-    monkeypatch.setattr(engine, "_moebius_sum", summed)
+    monkeypatch.setattr(engine, "_top_scalar", top)
+    monkeypatch.setattr(engine, "_top_row", summed)
+    monkeypatch.setattr(engine, "_moebius_sum", lambda *args: pytest.fail("a Moebius sum over a row"))
     assert run_check("total-cumulance", seed=2024).passed
     assert 0 < len(sums) == len(set(sums)) == len(set(asked)) < len(asked)
+
+
+def test_total_cumulance_nests_and_multiplies_little(monkeypatch):
+    # perf gate: every phi-level value is a product of integer pairs over
+    # blocks, so only the psi-level routes nest and multiply in A; nesting
+    # the nested functionals and phi-partitioned values along their blocks,
+    # the check made 1,057 _nest calls and 1,213 Matrix products
+    counts = {"_nest": 0, "__mul__": 0}
+    for owner, name in ((engine, "_nest"), (Matrix, "__mul__")):
+        right = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, name=name, right=right:
+                            counts.__setitem__(name, counts[name] + 1) or right(*args))
+    assert run_check("total-cumulance", seed=2024).passed
+    assert 0 < counts["_nest"] <= 174
+    assert 0 < counts["__mul__"] <= 608
 
 
 def test_moment_cumulant_nests_each_partitioned_cumulant_once(monkeypatch):
@@ -999,13 +1020,16 @@ def test_moment_cumulant_nests_each_partitioned_cumulant_once(monkeypatch):
 def test_total_cumulance_takes_one_phi_per_argument_tuple(monkeypatch):
     # perf gate: a block's phi and a scalar recursion's moment share one
     # integer pair per argument tuple on each context; taken apart, the
-    # check made 158 phi_scalar_product calls for these 102 tuples
+    # check made 158 phi_scalar_product calls for 102 tuples.  Its
+    # phi-partitioned values are now products of the moments of the bare
+    # block tuples, where nested along the blocks they took phi of tuples
+    # that absorb each gap's scalar, so 68 tuples remain
     calls = []
     hook = MatrixContext.phi_scalar_product
     monkeypatch.setattr(MatrixContext, "phi_scalar_product",
                         lambda self, xs: calls.append(1) or hook(self, xs))
     assert run_check("total-cumulance", seed=2024).passed
-    assert len(calls) == 102
+    assert len(calls) == 68
 
 
 # (check, model class, method called once per build, builds of a fresh run at its default bounds)
@@ -1076,20 +1100,24 @@ def restrict_onto_the_top(right):
     return restrict
 
 
-RESTRICTING = ("total-cumulance", "nested-closed-forms", "classical-total-cumulance",
-               "freeness-characterization", "tensor-factorization")
+# the checks that read nested semicumulants or nested cumulants
+NESTED = ("total-cumulance", "nested-closed-forms", "classical-total-cumulance",
+          "freeness-characterization", "tensor-factorization")
 
 
 @pytest.mark.parametrize("owner, name, fault, runs, failing, instance", [
     # the partition layer's constructor rows, at seed 2024: the checks run,
     # and those among them that fail, as measured.  checks.moebius alone
     # feeds the moebius check and tensor-factorization's reference, never
-    # the engine's moebius_row, so only those two of the twelve fail
+    # the engine's moebius_row, so only those two of the twelve fail.  The
+    # nested routes restrict the inner partition through restrict_blocks, so
+    # of the checks that read them only tensor-factorization, whose nested
+    # moments restrict it, fails under a wrong Partition.restrict
     (checks, "moebius", flipped_top_weight(checks.moebius), tuple(ALL_CHECKS),
      {"moebius", "tensor-factorization"}, None),
     (checks, "join", join_onto_the_top(checks.join), ("partial-cumulants",), {"partial-cumulants"},
      {"part": "join-formula", "seed": 2024, "n": 3, "rho": "{1,3}{2}", "sigma": "{1,2,3}"}),
-    (Partition, "restrict", restrict_onto_the_top(Partition.restrict), RESTRICTING, set(RESTRICTING), None),
+    (Partition, "restrict", restrict_onto_the_top(Partition.restrict), NESTED, {"tensor-factorization"}, None),
 ], ids=["checks-moebius", "join", "restrict"])
 def test_a_wrong_partition_fails_the_checks_that_build_it(monkeypatch, owner, name, fault, runs,
                                                           failing, instance):
@@ -1297,29 +1325,46 @@ def window_shifted_by_one(right):
     return restrict
 
 
-@pytest.mark.parametrize("module, name, fault, outcomes", [
+def top_row_with_a_flipped_weight(right):
+    """``engine._top_row`` with the sign of mu(pi, 1_3) flipped for every
+    pi of two blocks on three points."""
+    def row(part, kind):
+        value = right(part, kind)
+        if (part.n, part.size) != (3, 2):
+            return value
+        return tuple((-mu if tau is part else mu, tau) for mu, tau in value)
+    return row
+
+
+def block_scalar_on_the_top(right):
+    """``engine._semi_scalar`` taken on 1_k for every restriction of two blocks."""
+    def semi(ctx, restricted):
+        part, args, ids = restricted
+        return right(ctx, (Partition.full(part.n), args, ids) if part.size == 2 else restricted)
+    return semi
+
+
+@pytest.mark.parametrize("module, name, fault, failing", [
     # the fault rows of the values assembled from parts formed once: a
-    # Moebius row from the top rows of sigma's blocks, and a nested value
-    # from the partitioned values of its windows.  Each row runs only the
-    # checks that fail under it at seed 2024, as measured over all twelve:
-    # a row through the wrong block holds some tau outside [pi, sigma], so
-    # the checks that build NestedPair(pi, tau) from it stop there
+    # Moebius row from the top rows of sigma's blocks, a partitioned value
+    # from the partitioned values of its windows, and a nested value from
+    # the top value and the block scalar of each outer block.  Each row runs
+    # only the checks that fail under it at seed 2024, as measured over all
+    # twelve.  The nested cumulants read top rows, not assembled ones, so a
+    # row through the wrong block fails only the checks that sum rows
     (partitions, "_assemble", assembled_through_the_wrong_block(partitions._assemble),
-     {"partial-cumulants": "fail", "total-cumulance": "raises", "nested-closed-forms": "raises",
-      "classical-total-cumulance": "raises", "tensor-factorization": "raises"}),
+     ("partial-cumulants", "classical-total-cumulance")),
     (engine, "restrict_blocks", window_shifted_by_one(engine.restrict_blocks),
-     dict.fromkeys(("moment-cumulant", "total-cumulance", "partial-cumulants", "nested-closed-forms",
-                    "product-formula", "freeness-characterization"), "fail")),
-], ids=["row-assembly", "window-shift"])
+     ("moment-cumulant", "total-cumulance", "partial-cumulants", "nested-closed-forms",
+      "classical-total-cumulance", "freeness-characterization", "tensor-factorization")),
+    (engine, "_top_row", top_row_with_a_flipped_weight(engine._top_row), NESTED),
+    (engine, "_semi_scalar", block_scalar_on_the_top(engine._semi_scalar), NESTED),
+], ids=["row-assembly", "window-shift", "top-row-sign", "block-scalar-on-top"])
 def test_a_wrong_row_or_window_fails_the_checks_that_read_it(monkeypatch, cold_partition_memos, module,
-                                                             name, fault, outcomes):
+                                                             name, fault, failing):
     monkeypatch.setattr(module, name, fault)
-    for identity, outcome in outcomes.items():
-        if outcome == "raises":
-            with pytest.raises(OrderViolationError):
-                run_check(identity, seed=2024)
-        else:
-            assert run_check(identity, seed=2024).status == outcome, identity
+    for identity in failing:
+        assert run_check(identity, seed=2024).status == "fail", identity
 
 
 def _add_unit(ctx, value):

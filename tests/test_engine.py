@@ -458,6 +458,43 @@ def test_nested_semicumulant_routes_agree(route_models):
                     assert nested_semicumulant(ctx, pair, args, cross_check=True) == a, name
 
 
+def test_the_block_products_equal_the_literal_nesting_on_a_fresh_context(classical):
+    # the default routes take phi_sigma, kappa^phi_sigma, nu_semi and nu as
+    # products of block scalars; each is checked against a route that nests
+    # along the blocks, on a second context of the same model whose table
+    # the first never fills: phi_sigma against nested_moment(sigma, sigma),
+    # since phi o psi = phi, kappa^phi_sigma against its Moebius sum, nu_semi
+    # against the cross-checked Moebius sum of nested moments, and nu against
+    # the Moebius sum of those over [pi, sigma].  Every pair up to n = 5
+    spec, polys = classical
+    keep = frozenset({"f"})
+    fresh = {name: ctx for name, ctx, _ in new_route_models()}
+    models = [(name, ctx, fresh[name], pool) for name, ctx, pool in new_route_models()
+              if name in ("matrix", "word", "tensor")]
+    models.append(("classical", ClassicalContext(spec, keep), ClassicalContext(spec, keep), list(polys)))
+    checked = 0
+    for name, ctx, oracle, pool in models:
+        kind = ctx.kind
+        for n in range(1, 6):
+            args = cycle(pool, n)
+            semi = {}
+            for sigma in enumerate_partitions(n, kind):
+                assert phi_partitioned(ctx, sigma, args, Level.PHI) == nested_moment(
+                    oracle, NestedPair(sigma, sigma), args), (name, sigma)
+                assert free_cumulant(ctx, sigma, args, Level.PHI) == free_cumulant(
+                    oracle, sigma, args, Level.PHI, method="moebius"), (name, sigma)
+                for pi in interval_list(Partition.discrete(n), sigma, kind):
+                    pair = NestedPair(pi, sigma)
+                    semi[pi, sigma] = nested_semicumulant(oracle, pair, args, cross_check=True)
+                    assert nested_semicumulant(ctx, pair, args) == semi[pi, sigma], (name, pair)
+            for pi, sigma in semi:
+                rows = interval_list(pi, sigma, kind)
+                nu = oracle.combine((moebius(rho, sigma, kind), semi[pi, rho]) for rho in rows)
+                assert nested_cumulant(ctx, NestedPair(pi, sigma), args) == nu, (name, pi, sigma)
+            checked += len(semi)
+    assert checked == 3 * (1 + 3 + 12 + 55 + 273) + (1 + 3 + 12 + 60 + 358)
+
+
 def nested_pairs(n_max):
     for n in range(1, n_max + 1):
         for outer in enumerate_partitions(n, NC):
@@ -788,13 +825,14 @@ def nested_windows(part):
 
 
 def test_a_context_table_keeps_every_entry_as_long_as_the_context():
-    # 4^4 argument tuples x NC(4) x both levels are 7,168 partitioned
-    # expectations; each keeps the windows its nesting visits as
-    # partitioned expectations of their own.  Their blocks take 2,000
-    # distinct block expectations, each through the context's hook once,
-    # and the phi of each is kept as an integer pair under ("moment",
-    # positions) too.  None is ever dropped, so the first value computed
-    # comes back itself
+    # 4^4 argument tuples x NC(4) are 3,584 partitioned psi-expectations;
+    # each keeps the windows its nesting visits as partitioned
+    # expectations of their own, and their blocks take 1,000 distinct psi
+    # values, each through the context's hook once.  At phi the same
+    # partitions give products of their blocks' moments, which keep no entry
+    # but the integer pair of each block tuple's moment under ("moment",
+    # positions): one per tuple of one to four generators.  None is ever
+    # dropped, so the first value computed comes back itself
     ctx = ScalarFreeContext(ScalarFreeSpec.random({"a": ("a1", "a2"), "b": ("b1", "b2")}, seed=12))
     hooked = []
 
@@ -814,17 +852,19 @@ def test_a_context_table_keeps_every_entry_as_long_as_the_context():
         for part in parts:
             for level in Level:
                 phi_partitioned(ctx, part, args, level)
-    whole = {(part, level, args) for args in itertools.product(pool, repeat=4)
-             for part in parts for level in Level}
-    assert len(whole) == 4**4 * len(parts) * len(Level) == 7168
+    whole = {(part, Level.PSI, args) for args in itertools.product(pool, repeat=4) for part in parts}
+    assert len(whole) == 4**4 * len(parts) == 3584
     partitioned = {(part.restrict(w), level, tuple(args[i - 1] for i in w))
                    for part, level, args in whole for w in nested_windows(part)}
     assert whole <= partitioned
-    assert len(hooked) == len(set(hooked)) == 2000
+    assert len(hooked) == len(set(hooked)) == 1000 + 340
+    psi = {entry for entry in hooked if entry[0] == "psi"}
+    phi = {xs for tag, xs in hooked if tag == "phi"}
+    assert len(psi) == 1000
+    assert phi == {xs for k in range(1, 5) for xs in itertools.product(pool, repeat=k)}
     index = ctx.phi_table["arguments"]
-    moments = {("moment", tuple(index[x] for x in xs)) for tag, xs in hooked if tag == "phi"}
-    assert len(moments) == len(hooked) - sum(tag == "psi" for tag, _ in hooked)
-    assert set(ctx.phi_table) == partitioned | set(hooked) | moments | {"arguments"}
+    moments = {("moment", tuple(index[x] for x in xs)) for xs in phi}
+    assert set(ctx.phi_table) == partitioned | psi | moments | {"arguments"}
     assert phi_partitioned(ctx, parts[0], pool, Level.PSI) is first
 
 
