@@ -14,31 +14,33 @@ and the blocks' values simply multiply.
 Every identity the checks test is a Moebius sum of the same few
 partitioned expectations, single-block cumulants and nested
 semicumulants, so every context keeps a table of the ones computed on
-it, under (partition, Level.PSI, arguments), (level, arguments) and
-(pair, arguments); a nested semicumulant only on its default route, so
-that ``method="moebius"`` and ``cross_check`` stay independent oracles.
-The recursion keeps its partitioned cumulants of more than one block
-under ("cumulant", partition, level, arguments), at ``Level.PHI`` on the
-full lattice alone, and ``nested_cumulant`` its values under
-("nested-cumulant", pair, arguments); a partitioned psi-expectation or
-psi-cumulant takes each gap and tail as the same functional of the
-partition restricted to that window, so windows are entries too.  The expectation of an argument
-tuple's product that a block or a recursion takes is kept there once
-too, under (level.value, arguments), each operator-valued Boolean
-cumulant under ("boolean", arguments), and each scalar phi-cumulant,
-Boolean cumulant and moment as an integer pair, under ("kappa", ids),
-("boolean", ids) and ("moment", ids), ids the arguments' positions in
-"arguments".  The arguments must be the context's own hashable elements.
-The table lives as long as the context, which the checks build per
-model, and is never cleared.
+it, one representation per level.  A psi-level value is an element of
+A: a partitioned psi-expectation under (partition, Level.PSI,
+arguments), a single-block psi-cumulant under (Level.PSI, arguments),
+one of more than one block under ("cumulant", partition, Level.PSI,
+arguments), psi of an argument tuple's product under ("psi", arguments)
+and an operator-valued Boolean cumulant under ("boolean", arguments).
+A partitioned psi-expectation or psi-cumulant takes each gap and tail as
+the same functional of the partition restricted to that window, so
+windows are entries too.  A phi-level value is an integer pair in
+lowest terms: each phi-cumulant, Boolean cumulant and moment under
+("kappa", ids), ("boolean", ids) and ("moment", ids), ids the
+arguments' positions in "arguments", and each block scalar of the nested
+functionals under ("semi", ...) and ("top", ...), below.  The nested
+functionals keep their values under (pair, arguments), a nested
+semicumulant only on its default route, so that ``method="moebius"``
+and ``cross_check`` stay independent oracles, and ("nested-cumulant",
+pair, arguments).  The arguments must be the context's own hashable
+elements.  The table lives as long as the context, which the checks
+build per model, and is never cleared.
 
 phi is C-valued, so a value at ``Level.PHI`` is a central scalar, and it
 pulls out of the C-multilinear psi-cumulants of any gap it is spliced
 into.  The default routes therefore take each phi-level functional as a
 product of integer pairs over blocks (``_pair_sum``), embedded in A once:
 
-* phi_sigma is the product of the blocks' ``_moment_scalar``, and on the
-  noncrossing lattice kappa^phi_sigma that of their ``_kappa_scalar``;
+* phi_sigma is the product of the blocks' ``_moment_scalar``, and
+  kappa^phi_sigma that of their ``_kappa_scalar``, on either lattice;
 * nu_semi(pi, rho) is the product over the blocks B of rho of
   f(pi|B; a_B) = phi(kappa^psi_{pi|B}(a_B)), kept under ("semi", pi|B, ids);
 * [pi, sigma] is the product of the top intervals [pi|B, 1_B] over the
@@ -55,12 +57,16 @@ Every cumulant is one Moebius sum over an interval [lo, hi] of the
 lattice, weighted by the interval's row ``partitions.moebius_row``: the
 weights depend on the lattice alone, so every context shares the row.
 The partitioned cumulant and the semi-nested cumulant also have a
-multiplicative recursion, selected by ``method``: nest, or at
-``Level.PHI`` multiply, the single-block cumulants of the blocks.  A
-single-block cumulant comes from
+multiplicative recursion, selected by ``method``, which ``cross_check``
+compares against the Moebius sum: at ``Level.PSI`` nest the single-block
+cumulants of the blocks in A, and at ``Level.PHI`` multiply them as
+integer pairs.  A single-block cumulant comes from the first-block form
+of its lattice:
 
-* the full lattice: the commutative first-block form over subsets,
-  2^(n-1) terms where its Moebius sum has Bell(n);
+* the full lattice: m(S) less kappa(V) m(S - V) over the blocks V != S
+  holding min S, 2^(n-1) terms where its Moebius sum has Bell(n), on
+  integer pairs at ``Level.PHI`` (``_kappa_scalar``) and in A at
+  ``Level.PSI`` (``_kappa_commutative``);
 * the noncrossing lattice at ``Level.PHI``: the moment-cumulant relation
   split at the Boolean cumulants, below, over the argument sub-tuples a
   block and its gaps pick out, since scalar values commute out: one
@@ -78,9 +84,6 @@ the sum of B(a_1, ..., a_l) psi(a_{l+1} ... a_n), which gives each B from
 the B of its prefixes; kappa_n(args) is B(args) less the terms of the
 blocks holding both ends but not all of them, 2^(n-2) - 1 blocks where
 the first-block form visits 2^(n-1) - 1.
-
-The Moebius sum is the reference route that ``cross_check`` compares
-the recursion against.
 
 The engine never forms a product only to take its expectation:
 ``_block_moment`` and ``_moment_scalar`` (which a block's phi reads)
@@ -222,12 +225,12 @@ def phi_partitioned(ctx: ProbabilityContext, part: Partition, args, level: Level
     if level is Level.PHI:
         _validate(ctx, part, len(args))
         return _blockwise(ctx, _moment_scalar, part, args)
-    table, key = ctx.phi_table, (part, level, args)
+    table, key = ctx.phi_table, (part, Level.PSI, args)
     value = table.get(key)
     if value is None:
         _validate(ctx, part, len(args))
-        value = table[key] = _extract(ctx, part, args, lambda _, sub: _block_moment(ctx, sub, level),
-                                      lambda sub_part, sub_args: phi_partitioned(ctx, sub_part, sub_args, level))
+        value = table[key] = _extract(ctx, part, args, lambda _, sub: _block_moment(ctx, sub),
+                                      lambda sub_part, sub_args: phi_partitioned(ctx, sub_part, sub_args))
     return value
 
 
@@ -241,68 +244,54 @@ def free_cumulant(
 ):
     """Partitioned cumulant: Moebius inversion of phi_partitioned over [0, part].
 
-    ``method="moebius"`` evaluates that sum.  ``method="recursion"`` nests,
-    or at ``Level.PHI`` on the noncrossing lattice multiplies, the
-    single-block cumulants of the blocks of ``part``, each by a first-block
-    recursion: over subsets on the full lattice, and on the noncrossing one
-    over argument sub-tuples at ``Level.PHI`` and over spliced argument
-    tuples at ``Level.PSI`` (see ``_single_block``).
+    ``method="moebius"`` evaluates that sum.  ``method="recursion"`` nests
+    the single-block cumulants of the blocks of ``part``, or at
+    ``Level.PHI`` multiplies them as integer pairs (``_kappa_scalar``),
+    each by the first-block form of the lattice.
     """
     args = tuple(args)
     _validate(ctx, part, len(args))
     return _by_method(
         ctx, method, cross_check, "cumulant", part,
         lambda: partial_cumulant(ctx, Partition.discrete(part.n), part, args, level),
-        lambda: _cumulant_recursive(ctx, part, args, level),
+        lambda: (_cumulant_recursive(ctx, part, args) if level is Level.PSI
+                 else _blockwise(ctx, _kappa_scalar, part, args)),
     )
 
 
-def _cumulant_recursive(ctx, part, args: tuple, level):
-    """Nest the single-block cumulants of the blocks of ``part``; a value of
-    more than one block comes from, or goes into, the context's table
-    under ("cumulant", part, level, args), but at ``Level.PHI`` on the
-    noncrossing lattice it is the product of the blocks' ``_kappa_scalar``,
-    untabled."""
+def _cumulant_recursive(ctx, part, args: tuple):
+    """Nest the single-block psi-cumulants of the blocks of ``part``; a value
+    of more than one block comes from, or goes into, the context's table
+    under ("cumulant", part, Level.PSI, args)."""
     if part.size == 1:
-        return _single_block(ctx, args, level)
-    if level is Level.PHI and ctx.kind is LatticeKind.NONCROSSING:
-        return _blockwise(ctx, _kappa_scalar, part, args)
-    table, key = ctx.phi_table, ("cumulant", part, level, args)
+        return _single_block(ctx, args)
+    table, key = ctx.phi_table, ("cumulant", part, Level.PSI, args)
     value = table.get(key)
     if value is None:
-        value = table[key] = _extract(ctx, part, args, lambda _, sub: _single_block(ctx, sub, level),
-                                      lambda sub_part, sub_args: _cumulant_recursive(ctx, sub_part, sub_args, level))
+        value = table[key] = _extract(ctx, part, args, lambda _, sub: _single_block(ctx, sub),
+                                      lambda sub_part, sub_args: _cumulant_recursive(ctx, sub_part, sub_args))
     return value
 
 
-def _block_moment(ctx, args: tuple, level: Level):
-    """The expectation at ``level`` of the product of ``args``: psi of it,
-    or phi of it embedded in A, the scalar shared with ``_moment_scalar``;
-    the value comes from, or goes into, the context's table under
-    (level.value, args)."""
-    table, key = ctx.phi_table, (level.value, args)
+def _block_moment(ctx, args: tuple):
+    """psi of the product of ``args``; the value comes from, or goes into,
+    the context's table under ("psi", args)."""
+    table, key = ctx.phi_table, ("psi", args)
     value = table.get(key)
     if value is None:
-        value = table[key] = (ctx.psi_product(args) if level is Level.PSI
-                              else _embed(ctx, _moment_scalar(ctx, _ids(ctx, args))))
+        value = table[key] = ctx.psi_product(args)
     return value
 
 
-def _single_block(ctx, args: tuple, level: Level):
-    """kappa_n(args) for one block of all n arguments, by the first-block
-    recursion the module docstring names for the lattice and level; the
-    value comes from, or goes into, the context's table under (level, args)."""
-    table = ctx.phi_table
-    key = (level, args)
+def _single_block(ctx, args: tuple):
+    """The psi-cumulant kappa_n(args) of one block, by the first-block form
+    of the lattice; the value comes from, or goes into, the context's table
+    under (Level.PSI, args)."""
+    table, key = ctx.phi_table, (Level.PSI, args)
     value = table.get(key)
     if value is None:
-        if ctx.kind is LatticeKind.FULL:
-            value = _kappa_commutative(ctx, args, level)
-        elif level is Level.PHI:
-            value = _embed(ctx, _kappa_scalar(ctx, _ids(ctx, args)))
-        else:
-            value = _kappa_operator(ctx, args)
-        table[key] = value
+        value = table[key] = (_kappa_commutative(ctx, args) if ctx.kind is LatticeKind.FULL
+                              else _kappa_operator(ctx, args))
     return value
 
 
@@ -329,23 +318,34 @@ def _kappa_scalar(ctx, ids: tuple) -> tuple[int, int]:
     """The phi-cumulant of the arguments at positions ``ids`` of the table's
     "arguments", as an integer pair in lowest terms, tabled under ("kappa", ids).
 
-    Scalars commute out of every block, so the Boolean cumulant b(args)
-    (``_boolean_scalar``) is the sum, over the blocks V holding the first
-    and the last argument, of kappa(args_V) times the moments of the gaps V
-    leaves; kappa(args) is b(args) less the terms of V != all, each kappa
-    and moment taken once per context.  ``_kappa_operator`` with phi for
-    psi gives the same values, but its tuples absorb each gap's scalar, so
-    they do not repeat: scalar kappa_8 of two alternating generators takes
-    1,027 psi calls there against 87 phi calls here.
+    On the full lattice it is the first-block form of Leonov and Shiryaev
+    (On a method of calculation of semi-invariants, 1959): m(S) less
+    kappa(V) m(S - V) over the blocks V != S holding min S.  On the
+    noncrossing one scalars commute out of every block, so the Boolean
+    cumulant b(args) (``_boolean_scalar``) is the sum, over the blocks V
+    holding the first and the last argument, of kappa(args_V) times the
+    moments of the gaps V leaves; kappa(args) is b(args) less the terms of
+    V != all.  Each kappa and moment is taken once per context.
+    ``_kappa_operator`` with phi for psi gives the same values, but its
+    tuples absorb each gap's scalar, so they do not repeat: scalar kappa_8
+    of two alternating generators takes 1,027 psi calls there against 87
+    phi calls here.
     """
     table, key = ctx.phi_table, ("kappa", ids)
     value = table.get(key)
     if value is None:
         n = len(ids)
-        value = table[key] = _pair_sum(ctx, [(1, [(_boolean_scalar, ids)])] + [
-            (-1, [(_kappa_scalar, tuple(map(ids.__getitem__, block)))]
-                 + [(_moment_scalar, ids[a + 1 : b]) for a, b in zip(block, block[1:]) if b > a + 1])
-            for block in outer_blocks(n) if len(block) < n])
+        if ctx.kind is LatticeKind.FULL:
+            terms = [(1, [(_moment_scalar, ids)])] + [
+                (-1, [(_kappa_scalar, tuple(map(ids.__getitem__, block))),
+                      (_moment_scalar, tuple(x for i, x in enumerate(ids) if i not in block))])
+                for block in first_blocks(0, n) if len(block) < n]
+        else:
+            terms = [(1, [(_boolean_scalar, ids)])] + [
+                (-1, [(_kappa_scalar, tuple(map(ids.__getitem__, block)))]
+                     + [(_moment_scalar, ids[a + 1 : b]) for a, b in zip(block, block[1:]) if b > a + 1])
+                for block in outer_blocks(n) if len(block) < n]
+        value = table[key] = _pair_sum(ctx, terms)
     return value
 
 
@@ -389,24 +389,23 @@ def _moment_scalar(ctx, ids: tuple) -> tuple[int, int]:
     return value
 
 
-def _kappa_commutative(ctx, args: tuple, level: Level):
-    """kappa_n(args) in a commutative context: m(S) less kappa(V) m(S - V)
-    over the blocks V != S holding min S (Leonov and Shiryaev, On a method
-    of calculation of semi-invariants, 1959).  Each smaller kappa comes
+def _kappa_commutative(ctx, args: tuple):
+    """The psi-cumulant kappa_n(args) in a commutative context, by the
+    first-block form of ``_kappa_scalar`` in A.  Each smaller kappa comes
     through ``_single_block`` and each m through ``_block_moment``."""
     n = len(args)
-    terms = [(1, _block_moment(ctx, args, level))]
+    terms = [(1, _block_moment(ctx, args))]
     for block in first_blocks(0, n):
         if len(block) < n:
             rest = tuple(a for i, a in enumerate(args) if i not in block)
-            kappa = _single_block(ctx, tuple(args[i] for i in block), level)
-            terms.append((-1, ctx.mul(kappa, _block_moment(ctx, rest, level))))
+            kappa = _single_block(ctx, tuple(args[i] for i in block))
+            terms.append((-1, ctx.mul(kappa, _block_moment(ctx, rest))))
     return ctx.combine(terms)
 
 
 def _gap_factor(ctx, args: tuple, a: int, b: int):
     """``args[a]`` times psi of the gap ``args[a+1:b]`` after it, a spliced argument of ``_kappa_operator``."""
-    return ctx.mul(args[a], _block_moment(ctx, args[a + 1 : b], Level.PSI))
+    return ctx.mul(args[a], _block_moment(ctx, args[a + 1 : b]))
 
 
 def _kappa_operator(ctx, args: tuple):
@@ -424,7 +423,7 @@ def _kappa_operator(ctx, args: tuple):
     """
     n = len(args)
     factors = {(a, b): _gap_factor(ctx, args, a, b) for a in range(n) for b in range(a + 2, n)}
-    terms = [(-1, _single_block(ctx, _splice(args, block, lambda a, b: factors[a, b]), Level.PSI))
+    terms = [(-1, _single_block(ctx, _splice(args, block, lambda a, b: factors[a, b])))
              for block in outer_blocks(n) if len(block) < n]
     return ctx.combine([*terms, (1, _boolean_operator(ctx, args))])
 
@@ -438,8 +437,8 @@ def _boolean_operator(ctx, args: tuple):
     value = table.get(key)
     if value is None:
         value = table[key] = ctx.combine([
-            (1, _block_moment(ctx, args, Level.PSI)),
-            *((-1, ctx.mul(_boolean_operator(ctx, args[:l]), _block_moment(ctx, args[l:], Level.PSI)))
+            (1, _block_moment(ctx, args)),
+            *((-1, ctx.mul(_boolean_operator(ctx, args[:l]), _block_moment(ctx, args[l:])))
               for l in range(1, len(args)))])
     return value
 
@@ -545,7 +544,7 @@ def _semi_scalar(ctx, restricted: tuple) -> tuple[int, int]:
     table, key = ctx.phi_table, ("semi", part, ids)
     value = table.get(key)
     if value is None:
-        value = table[key] = ctx.phi_scalar(_cumulant_recursive(ctx, part, args, Level.PSI)).as_integer_ratio()
+        value = table[key] = ctx.phi_scalar(_cumulant_recursive(ctx, part, args)).as_integer_ratio()
     return value
 
 

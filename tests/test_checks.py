@@ -23,7 +23,7 @@ from freecumulants import checks, engine, models, partitions
 from freecumulants.checks import ALL_CHECKS, replay_report, run_check
 from freecumulants.cli import main
 from freecumulants.errors import CapacityError
-from freecumulants.exact import Matrix
+from freecumulants.exact import Matrix, Poly
 from freecumulants.models import (
     ClassicalContext, ClassicalSpec, FactorizationModel, MatrixContext, MatrixModel, ScalarFreeContext, ScalarFreeSpec,
     TensorContext, TensorModel, WordContext,
@@ -333,7 +333,7 @@ PAST_THE_BOUNDS = [
     ("partial-cumulants", {"n": 7}, "catalan(n_max)^2=184041 exceeds MAX_JOIN_PAIRS=17424"),
     ("nested-closed-forms", {"max_order": 7}, "n_max=8 exceeds max_order=7"),
     ("nested-closed-forms", {"dimension": 8}, "dimension=8 exceeds MAX_NESTED_DIMENSION=7"),
-    ("classical-total-cumulance", {"n": 6}, "n_max=6 exceeds MAX_CLASSICAL_N=5"),
+    ("classical-total-cumulance", {"n": 7}, "n_max=7 exceeds MAX_CLASSICAL_N=6"),
     ("freeness", {"n": 7, "max_order": 6}, "max(mixed_max, alternating_max, 2*quadratic_max)=7 exceeds max_order=6"),
     ("freeness", {"n": 10**6}, "max(mixed_max, alternating_max, 2*quadratic_max)=1000000 exceeds max_order=8"),
     ("freeness", {"n": 8}, "generators^mixed_max=65536 exceeds MAX_MIXED_WORDS=16384"),
@@ -412,12 +412,12 @@ def test_each_capacity_row_fails_one_step_past_its_bound(monkeypatch, tmp_path, 
 
 def test_cli_order_beyond_capacity_fails_before_any_work(tmp_path, capsys):
     # max_order=8 cannot reach order 12, nor max_order=6 order 7, no lattice
-    # is enumerated past MAX_ENUM_N, and the classical check stops at n = 5
-    # (4.0 s at n = 6): a setup FAIL at once, not seconds or minutes of work
+    # is enumerated past MAX_ENUM_N, and the classical check stops at n = 6
+    # (41 s at n = 7): a setup FAIL at once, not seconds or minutes of work
     # on the sizes below the bound
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(ClassicalSpec.random(["f"] + [f"g{i}" for i in range(7)], 8, 0).to_data()))
-    classical = "n_max=6 exceeds MAX_CLASSICAL_N=5"
+    path.write_text(json.dumps(ClassicalSpec.random(["f"] + [f"g{i}" for i in range(8)], 8, 0).to_data()))
+    classical = "n_max=7 exceeds MAX_CLASSICAL_N=6"
     for argv, needs in ((["moment-cumulant", "--n", "12"], "n_max=12 exceeds max_order=8"),
                         (["freeness", "--n", "7", "--max-order", "6"],
                          "max(mixed_max, alternating_max, 2*quadratic_max)=7 exceeds max_order=6"),
@@ -426,8 +426,8 @@ def test_cli_order_beyond_capacity_fails_before_any_work(tmp_path, capsys):
                          "max(size_max, reversal_max, anti_max, maximality_max)=11 exceeds MAX_ENUM_N=10"),
                         (["moebius", "--n", "11"], "max(nc_value_max, full_value_max, nc_convolution_n, "
                                                    "full_convolution_n)=11 exceeds MAX_ENUM_N=10"),
-                        (["classical-total-cumulance", "--n", "6"], classical),
-                        (["classical-total-cumulance", "--n", "6", "--spec", str(path)], classical)):
+                        (["classical-total-cumulance", "--n", "7"], classical),
+                        (["classical-total-cumulance", "--n", "7", "--spec", str(path)], classical)):
         t0 = time.perf_counter()
         assert main(["check", *argv]) == 1
         assert time.perf_counter() - t0 < 2, argv
@@ -435,7 +435,7 @@ def test_cli_order_beyond_capacity_fails_before_any_work(tmp_path, capsys):
         assert out.startswith(f"FAIL {argv[0]} (0 cases"), argv
         assert f"setup: {needs}" in out, argv
     report = run_check("classical-total-cumulance", n=2).to_json()
-    report["params"]["n_max"] = 6
+    report["params"]["n_max"] = 7
     path.write_text(json.dumps(report))
     t0 = time.perf_counter()
     assert main(["check", "--replay", str(path)]) == 2
@@ -774,6 +774,25 @@ def test_psi_cumulants_share_their_psi_values(monkeypatch, identity, cls, bound)
     assert 0 < psi_calls(monkeypatch, identity, cls) <= bound
 
 
+def test_the_classical_check_keeps_no_phi_value_in_a(monkeypatch):
+    # perf gate: a phi-level cumulant is a product of integer pairs on the
+    # full lattice too, so the classical contexts keep in A only the psi
+    # values of the psi recursion.  Taken in A through that recursion, the
+    # check kept 1,899 table entries, 282 of them under "phi", 282 under
+    # Level.PHI and 315 phi-level "cumulant" entries, and made 1,581 Poly
+    # products
+    made, products = [], []
+    init, mul = ClassicalContext.__init__, Poly.__mul__
+    monkeypatch.setattr(ClassicalContext, "__init__", lambda self, *args: made.append(self) or init(self, *args))
+    monkeypatch.setattr(Poly, "__mul__", lambda x, y: products.append(1) or mul(x, y))
+    assert run_check("classical-total-cumulance", seed=2024).passed
+    keys = [key for ctx in made for key in ctx.phi_table if key != "arguments"]
+    assert made and not [key for key in keys if key[0] in (engine.Level.PHI, "phi")
+                         or key[0] == "cumulant" and key[2] is engine.Level.PHI]
+    assert sum(map(len, (ctx.phi_table for ctx in made))) <= 1302
+    assert 0 < len(products) <= 816
+
+
 def test_the_word_model_forms_no_product_to_take_its_expectation(monkeypatch):
     # perf gate: freeness-characterization takes psi of a product 462 times,
     # each over simple tensors with no fallback to the flat route, so no
@@ -794,12 +813,14 @@ def test_the_word_model_forms_no_product_to_take_its_expectation(monkeypatch):
 
 def test_freeness_tables_its_cumulants_only(monkeypatch):
     # the check asks only for single-block cumulants, which the scalar
-    # route computes without a partitioned moment: the context keeps 280
-    # cumulants, where the Moebius route kept 3,392 partitioned moments,
-    # and the integer pairs of the 304 scalar cumulants, 308 Boolean
-    # cumulants and 308 moments of the argument tuples the recursion met,
-    # keyed on positions of the four generators.  Before the split at the
-    # Boolean cumulants it kept 308 scalar cumulants and no Boolean one
+    # route computes without a partitioned moment: the context keeps the
+    # integer pairs of the 304 scalar cumulants, 308 Boolean cumulants and
+    # 308 moments of the argument tuples the recursion met, keyed on
+    # positions of the four generators, and nothing in A.  The Moebius
+    # route kept 3,392 partitioned moments; before the split at the Boolean
+    # cumulants it kept 308 scalar cumulants and no Boolean one, and before
+    # phi-level cumulants became integer pairs on the recursion route, 280
+    # of them embedded in A under (Level.PHI, arguments)
     made = []
     init = ScalarFreeContext.__init__
     monkeypatch.setattr(ScalarFreeContext, "__init__",
@@ -809,8 +830,7 @@ def test_freeness_tables_its_cumulants_only(monkeypatch):
     table = made[0].phi_table
     assert len(table.pop("arguments")) == 4  # the generators, each once
     kinds = collections.Counter(key[0] for key in table)
-    assert set(kinds) == {engine.Level.PHI, "kappa", "boolean", "moment"}
-    assert 0 < kinds[engine.Level.PHI] <= 280
+    assert set(kinds) == {"kappa", "boolean", "moment"}
     assert kinds["kappa"] == 304 and kinds["boolean"] == kinds["moment"] == 308
 
 
@@ -1128,6 +1148,30 @@ def test_a_wrong_partition_fails_the_checks_that_build_it(monkeypatch, owner, na
         assert [reports[identity].witness["instance"] for identity in failing] == [instance]
 
 
+def enumeration_without_its_last_noncrossing_partition(right):
+    """``enumerate_partitions`` without the last noncrossing growth string,
+    that of the discrete partition, once n >= 6."""
+    def enumerate_(n, kind, interval_only=False):
+        parts = right(n, kind, interval_only)
+        return parts[:-1] if kind is LatticeKind.NONCROSSING and n >= 6 else parts
+    return enumerate_
+
+
+def test_a_short_enumeration_fails_the_lattice_checks(monkeypatch, cold_partition_memos):
+    # the enumeration's fault row, patched where partitions and checks read
+    # it.  Measured over all twelve checks at seed 2024 with cold memos,
+    # lattice-counts fails at NC(6) and kreweras at its anti-isomorphism for
+    # n = 6; the other ten pass, and none raises
+    fault = enumeration_without_its_last_noncrossing_partition(partitions.enumerate_partitions)
+    for module in (partitions, checks):
+        monkeypatch.setattr(module, "enumerate_partitions", fault)
+    for identity, instance in (("lattice-counts", {"lattice": "nc", "n": 6}),
+                               ("kreweras", {"part": "anti-isomorphism", "n": 6, "pi": "{1,2,3,4,5,6}"})):
+        report = run_check(identity, seed=2024)
+        assert report.status == "fail", identity
+        assert report.witness["instance"] == instance, identity
+
+
 def test_check_all_keeps_one_object_per_partition():
     # perf gate: every constructor returns the indexed object, so a cold
     # check-all at seed 2024 holds each of its distinct partitions once;
@@ -1144,23 +1188,43 @@ def test_check_all_keeps_one_object_per_partition():
     assert 0 < int(done.stdout) <= 2279
 
 
-def test_a_wrong_commutative_recursion_fails_the_classical_check(monkeypatch):
-    # the engine's fault row for the full lattice's single blocks: the
-    # commutative recursion with m(S - V) dropped from its term of V = {min S}
-    # when |S| = 3.  Of the twelve checks at their default bounds only
-    # classical-total-cumulance runs on the full lattice, and it fails at
-    # its law of total cumulance for n = 3
-    right = engine._kappa_commutative
-
-    def faulty(ctx, args, level):
-        value = right(ctx, args, level)
+def commutative_recursion_without_its_first_moment(right):
+    """``engine._kappa_commutative`` with m(S - V) dropped from its term of
+    V = {min S} when |S| = 3."""
+    def kappa(ctx, args):
+        value = right(ctx, args)
         if len(args) != 3:
             return value
-        kappa = engine._single_block(ctx, args[:1], level)
-        dropped = ctx.mul(kappa, engine._block_moment(ctx, args[1:], level))
-        return ctx.combine([(1, value), (1, dropped), (-1, kappa)])
+        first = engine._single_block(ctx, args[:1])
+        dropped = ctx.mul(first, engine._block_moment(ctx, args[1:]))
+        return ctx.combine([(1, value), (1, dropped), (-1, first)])
+    return kappa
 
-    monkeypatch.setattr(engine, "_kappa_commutative", faulty)
+
+def kappa_scalar_without_its_first_moment(right):
+    """``engine._kappa_scalar`` on the full lattice with m(S - V) dropped from
+    its term of V = {min S} when |S| = 3."""
+    def kappa(ctx, ids):
+        value = right(ctx, ids)
+        if len(ids) != 3 or ctx.kind is not LatticeKind.FULL:
+            return value
+        first = Fraction(*right(ctx, ids[:1]))
+        dropped = first * Fraction(*engine._moment_scalar(ctx, ids[1:]))
+        return (Fraction(*value) + dropped - first).as_integer_ratio()
+    return kappa
+
+
+@pytest.mark.parametrize("name, fault", [
+    ("_kappa_commutative", commutative_recursion_without_its_first_moment(engine._kappa_commutative)),
+    ("_kappa_scalar", kappa_scalar_without_its_first_moment(engine._kappa_scalar)),
+], ids=["psi-commutative", "phi-pairs"])
+def test_a_wrong_commutative_recursion_fails_the_classical_check(monkeypatch, name, fault):
+    # the engine's fault rows for the full lattice's single blocks: the
+    # first-block recursion at psi, on A, and at phi, on integer pairs.  Of
+    # the twelve checks at their default bounds only classical-total-cumulance
+    # runs on the full lattice, and it fails at its law of total cumulance
+    # for n = 3
+    monkeypatch.setattr(engine, name, fault)
     report = run_check("classical-total-cumulance")
     assert report.status == "fail"
     assert report.witness["instance"] == {"part": "total-cumulance", "seed": 2024, "n": 3}
@@ -1209,11 +1273,14 @@ def kappa_scalar_without_its_gap(right):
     # the set of those that fail, as measured.  A wrong free_moment that
     # stays a moment functional of one family is a valid state, so no check
     # over one family (tensor-factorization) can see it; the model tests
-    # compare free_moment with the sum over NC(n)
+    # compare free_moment with the sum over NC(n).  The full lattice's
+    # _kappa_scalar has no gaps, so there the kappa-scalar-gap row is a
+    # plain wrong value, and the classical check fails too
     (models, "_free_moment", faulty_free_moment("family"), {"freeness", "product-formula"}),
     (models, "_free_moment", faulty_free_moment("tail"), {"freeness", "product-formula"}),
     (engine, "_kappa_scalar", kappa_scalar_without_its_gap(engine._kappa_scalar),
-     {"total-cumulance", "freeness", "product-formula", "freeness-characterization"}),
+     {"total-cumulance", "classical-total-cumulance", "freeness", "product-formula",
+      "freeness-characterization"}),
 ], ids=["free-moment-family", "free-moment-tail", "kappa-scalar-gap"])
 def test_a_wrong_scalar_route_fails_the_checks_that_use_it(monkeypatch, module, name, fault, failing):
     monkeypatch.setattr(module, name, fault)
@@ -1226,7 +1293,7 @@ def gap_factor_on_the_left(right):
     def factor(ctx, args, a, b):
         if (a, b) != (0, 2):
             return right(ctx, args, a, b)
-        return ctx.mul(engine._block_moment(ctx, args[1:2], engine.Level.PSI), args[0])
+        return ctx.mul(engine._block_moment(ctx, args[1:2]), args[0])
     return factor
 
 
@@ -1259,7 +1326,7 @@ def boolean_prefix_on_the_right(ctx, args):
     multiplied on the right of psi of the suffix instead of the left."""
     table, key = ctx.phi_table, ("boolean", args)
     if key not in table:
-        psi = functools.partial(engine._block_moment, ctx, level=engine.Level.PSI)
+        psi = functools.partial(engine._block_moment, ctx)
         terms = [(-1, ctx.mul(psi(args[l:]), boolean_prefix_on_the_right(ctx, args[:l]))) for l in range(1, len(args))]
         table[key] = ctx.combine([(1, psi(args)), *terms])
     return table[key]
