@@ -433,7 +433,48 @@ def matrix_phi(model: MatrixModel, x: Matrix) -> Fraction:
     return Fraction(sum(p.terms.get(i << 4 | i, 0) for i in range(model.d)), p.den * model.d)
 
 
+def _paired_moments(spec: ClassicalSpec, left: Matrix, right: Matrix, trace: bool) -> dict[int, int]:
+    """The numerators over ``left.den * right.den * spec.den`` of psi(left *
+    right), keyed i << 4 | j, or with ``trace`` of its diagonal alone, the
+    product never formed: each term of ``left`` in (i, l) with monomial m1
+    meets the terms of ``right`` in (l, j), and each pair adds the spec's
+    table moment of m1 + m2, kept in its ``_moment_cache``, to (i, j).
+    IndexError past ``max_order``, guard bits included, as ``_table_moment``."""
+    moments, d = spec._moment_cache, left.dimension
+    get = moments.get
+    cells: list[dict[int, list]] = [{}, {}]  # each factor's (monomial, numerator) terms by (row, column)
+    for cell, x in zip(cells, (left, right)):
+        for k, c in x.terms.items():
+            cell.setdefault(k & 0xFF, []).append((k >> 8, c))
+    lefts, rights = cells
+    out: dict[int, int] = {}
+    for il, left_terms in lefts.items():
+        i, l = il >> 4, il & 0xF
+        for j in (i,) if trace else range(d):
+            right_terms = rights.get(l << 4 | j)
+            if right_terms is None:
+                continue
+            s = 0
+            for m1, c1 in left_terms:
+                t = 0
+                for m2, c2 in right_terms:
+                    moment = get(m1 + m2)
+                    if moment is None:
+                        moment = moments[m1 + m2] = _table_moment(spec, m1 + m2)
+                    t += c2 * moment
+                s += c1 * t
+            if s:
+                out[i << 4 | j] = out.get(i << 4 | j, 0) + s
+    return out
+
+
 class MatrixContext(ProbabilityContext):
+    """``psi_product`` and ``phi_scalar_product`` form the two half products
+    of the factors, split at the middle, and integrate their term pairs
+    straight into psi (``_paired_moments``); past ``max_order`` or on an
+    exponent overflow they take the literal route, psi of the product,
+    which raises its error."""
+
     def __init__(self, model: MatrixModel):
         self.model = model
 
@@ -446,6 +487,36 @@ class MatrixContext(ProbabilityContext):
 
     def phi_scalar(self, x):
         return matrix_phi(self.model, x)
+
+    def _halves(self, xs, trace: bool):
+        """(numerators, den) of psi of the product of ``xs``, or of its trace,
+        from the two half products; None for fewer than two factors, or
+        where the literal route must raise."""
+        if len(xs) < 2:
+            return None
+        h = len(xs) // 2
+        try:
+            left, right = self.product(xs[:h]), self.product(xs[h:])
+            left._check(right)
+            spec = self.model.spec
+            return _paired_moments(spec, left, right, trace), left.den * right.den * spec.den
+        except (CapacityError, DimensionMismatchError, IndexError):
+            return None
+
+    def psi_product(self, xs):
+        xs = list(xs)
+        paired = self._halves(xs, False)
+        if paired is None:
+            return self.psi(self.product(xs))
+        return Matrix.from_numerators(self.model.ring, self.model.d, *paired)
+
+    def phi_scalar_product(self, xs):
+        xs = list(xs)
+        paired = self._halves(xs, True)
+        if paired is None:
+            return self.phi_scalar(self.product(xs))
+        terms, den = paired
+        return Fraction(sum(terms.values()), den * self.model.d)
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,28 @@ class Partition:
         return tuple(out)
 
     @cached_property
+    def _cycle(self) -> tuple[list[int], list[int]]:
+        """(succ, pred) over 0..n-1: each block as the increasing cycle it
+        is read as, the next and the previous point of a point's block."""
+        succ, pred = [0] * self.n, [0] * self.n
+        for b in self.blocks:
+            for x, y in zip(b, b[1:] + b[:1]):
+                succ[x - 1], pred[y - 1] = y - 1, x - 1
+        return succ, pred
+
+    @cached_property
+    def _kreweras(self) -> Partition:
+        """K(self), the cycles of x -> pred(x + 1), see ``kreweras``."""
+        pred = self._cycle[1]
+        return _cycle_partition([pred[(x + 1) % self.n] for x in range(self.n)])
+
+    @cached_property
+    def _kreweras_inverse(self) -> Partition:
+        """K^-1(self), the cycles of x -> pred(x) + 1: the partition whose
+        complement is self."""
+        return _cycle_partition([(p + 1) % self.n for p in self._cycle[1]])
+
+    @cached_property
     def is_noncrossing(self) -> bool:
         """True unless some i < j < k < l has i ~ k, j ~ l in distinct blocks.
 
@@ -389,11 +411,10 @@ def meet(pi: Partition, sigma: Partition) -> Partition:
 def join(pi: Partition, sigma: Partition, kind: LatticeKind = LatticeKind.FULL) -> Partition:
     """Least common coarsening in the chosen lattice.
 
-    The noncrossing join closes the full one under "no two blocks cross"
-    in one left-to-right sweep over a stack of open blocks: a block met
-    again below the top crosses every block above it, and swallows them.
-    Each merge is forced on any noncrossing upper bound, so the result is
-    least.
+    The full join merges blocks that share a point (union-find).  The
+    Kreweras complement K reverses the order on NC(n), so it sends joins
+    to meets, and the noncrossing join is K^-1(K(pi) meet K(sigma))
+    (Nica-Speicher, Lecture 9); K and K^-1 are kept once per partition.
 
     >>> p, q = parse_partition("{1,3}{2}{4}"), parse_partition("{2,4}{1}{3}")
     >>> str(join(p, q, LatticeKind.FULL))
@@ -403,6 +424,11 @@ def join(pi: Partition, sigma: Partition, kind: LatticeKind = LatticeKind.FULL) 
     """
     if pi.n != sigma.n:
         raise DimensionMismatchError(f"join of partitions of {pi.n} and {sigma.n}")
+    if kind is LatticeKind.NONCROSSING:
+        for p in (pi, sigma):
+            if not p.is_noncrossing:
+                raise CrossingPartitionError(f"noncrossing join of crossing partition {p}")
+        return meet(pi._kreweras, sigma._kreweras)._kreweras_inverse
     parent = list(range(pi.n + 1))
 
     def find(x: int) -> int:
@@ -415,22 +441,6 @@ def join(pi: Partition, sigma: Partition, kind: LatticeKind = LatticeKind.FULL) 
         for b in p.blocks:
             for i in b[1:]:
                 parent[find(i)] = find(b[0])
-    if kind is LatticeKind.NONCROSSING:
-        for p in (pi, sigma):
-            if not p.is_noncrossing:
-                raise CrossingPartitionError(f"noncrossing join of crossing partition {p}")
-        last = {find(i): i for i in range(1, pi.n + 1)}
-        stack: list[int] = []
-        for i in range(1, pi.n + 1):
-            r = find(i)
-            if r not in stack:
-                stack.append(r)
-            while stack[-1] != r:
-                s = stack.pop()
-                parent[s] = r
-                last[r] = max(last[r], last[s])
-            if last[r] == i:
-                stack.pop()
     return Partition.from_labels(tuple(find(i) for i in range(1, pi.n + 1)))
 
 
@@ -462,21 +472,20 @@ def interweave(pi: Partition, sigma: Partition) -> Partition:
     return Partition._canonical(2 * pi.n, tuple(sorted(blocks)))
 
 
-def _cycles(pi: Partition, sigma_blocks):
-    """Cycles of pi^{-1} . sigma, each block an increasing cycle: for
-    noncrossing pi <= sigma, the blocks of the relative Kreweras complement."""
-    back = {}
-    for b in pi.blocks:
-        back.update(zip(b[1:] + b[:1], b))
-    step = {}
-    for b in sigma_blocks:
-        step.update(zip(b, (back[i] for i in b[1:] + b[:1])))
-    while step:
-        x, cycle = next(iter(step)), []
-        while x in step:
-            cycle.append(x)
-            x = step.pop(x)
-        yield cycle
+def _cycle_partition(step: list[int]) -> Partition:
+    """The partition of 1..n into the cycles of the permutation ``step`` of
+    0..n-1, each walked from its least point; the blocks must come out
+    increasing, as the cycles of a complement of a noncrossing partition do."""
+    seen, blocks = [False] * len(step), []
+    for x in range(len(step)):
+        if not seen[x]:
+            block = []
+            while not seen[x]:
+                seen[x] = True
+                block.append(x + 1)
+                x = step[x]
+            blocks.append(tuple(block))
+    return Partition._canonical(len(step), tuple(blocks))
 
 
 def kreweras(pi: Partition) -> Partition:
@@ -492,8 +501,7 @@ def kreweras(pi: Partition) -> Partition:
     """
     if not pi.is_noncrossing:
         raise CrossingPartitionError(f"kreweras complement of crossing partition {pi}")
-    # each cycle is increasing and is walked from its minimum, the least index left
-    return Partition._canonical(pi.n, tuple(map(tuple, _cycles(pi, Partition.full(pi.n).blocks))))
+    return pi._kreweras
 
 
 def _check_interval(pi: Partition, sigma: Partition, kind: LatticeKind, what: str) -> None:
@@ -538,8 +546,17 @@ def moebius(pi: Partition, sigma: Partition, kind: LatticeKind) -> int:
     if kind is LatticeKind.FULL:
         counts = Counter(sigma.labels[b[0] - 1] for b in pi.blocks)
         return math.prod((-1) ** (k - 1) * math.factorial(k - 1) for k in counts.values())
-    sizes = map(len, _cycles(pi, sigma.blocks))
-    return math.prod((-1) ** (k - 1) * (math.comb(2 * k - 2, k - 1) // k) for k in sizes)
+    pred, succ = pi._cycle[1], sigma._cycle[0]
+    seen, mu = [False] * pi.n, 1
+    for x in range(pi.n):
+        k = 0
+        while not seen[x]:
+            seen[x] = True
+            k += 1
+            x = pred[succ[x]]
+        if k > 1:
+            mu *= (-1) ** (k - 1) * (math.comb(2 * k - 2, k - 1) // k)
+    return mu
 
 
 def restrict_blocks(part: Partition, positions) -> Partition:
