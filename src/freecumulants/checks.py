@@ -163,8 +163,8 @@ def _largest(*sizes: str):
 
 
 # the matrix model's cost grows like d^(n+2) in its dimension d and word length n: at
-# (n, d) = (4, 6), the largest MAX_MATRIX_SPAN admits, moment-cumulant takes 1.2-2.0 s,
-# total-cumulance 1.9-2.4 s and partial-cumulants 0.5-0.6 s; (5, 5) 2.9-4.6 s.  n is
+# (n, d) = (4, 6), the largest MAX_MATRIX_SPAN admits, moment-cumulant takes 1.3-1.9 s,
+# total-cumulance 1.3-1.5 s and partial-cumulants 0.3-0.4 s; (5, 5) 2.5-2.9 s.  n is
 # bounded first, so the power stays small; an n below 0 (a replay's, without cases) counts as 0
 _MATRIX_LIMITS = [("n_max", "max_order"), ("n_max", "MAX_ENUM_N"),
                   ("dimension^(n_max+2)", "MAX_MATRIX_SPAN", lambda p: p["dimension"] ** (max(p["n_max"], 0) + 2))]
@@ -459,7 +459,7 @@ def check_total_cumulance(suite: _Suite, params: dict, fresh: bool, spec) -> Non
 
 
 # MAX_JOIN_PAIRS: the join formula walks Catalan(n)^2 pairs (tau, rho), whatever d: (6, 2) takes
-# 0.6-0.75 s and (6, 3) 1.0 s, not (7, 2), 5.2-5.9 s, (7, 3), 6.4-7.6 s, or (8, 1), past 60 s
+# 0.26-0.29 s and (6, 3) 0.3-0.6 s, not (7, 2), 2.5-2.8 s, (7, 3), 2.7-3.1 s, or (8, 1), 23 s
 @_check("partial-cumulants", lambda n=5, dimension=DEFAULT_DIMENSION:
         {"n_max": n, "interval_base_max": 4, "dimension": dimension, "generator_count": 3},
         seeds=1, model=MatrixModel, limits=[*_MATRIX_LIMITS, (

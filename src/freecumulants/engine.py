@@ -90,8 +90,10 @@ The engine never forms a product only to take its expectation:
 hand the factors to the context's hook, ``psi_product`` or ``phi_scalar_product`` (see
 models.py), as the freeness checks do for their alternating words.  The
 default hook is psi or phi_scalar of the product; the word model takes both over simple
-tensors instead of basis words, and the scalar-free model takes
-``phi_scalar_product`` as one free moment per word of the product.
+tensors instead of basis words, the scalar-free model takes
+``phi_scalar_product`` as one free moment per word of the product, and
+the matrix model takes both from the two half products, integrating
+their term pairs straight into psi.
 
 Nested functionals compose two levels of the tower: ``nested_moment`` is
 the outer partitioned expectation wrapped around inner psi-partitioned

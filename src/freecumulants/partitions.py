@@ -16,7 +16,10 @@ formats are understood:
 The refinement order ``pi <= sigma`` ("every pi-block sits inside a
 sigma-block") makes the set of all partitions a lattice; the noncrossing
 partitions form a sub-poset that is again a lattice, with the same meet
-but a coarser join.  The order is decided in integers, by ``refines``
+but a coarser join.  The Kreweras complement K reverses the order on
+NC(n), so the noncrossing join is K^-1(K(pi) meet K(sigma)); each
+partition keeps its K and K^-1, each one walk over its blocks read as
+increasing cycles.  The order is decided in integers, by ``refines``
 and by the interval filter alike: pi <= sigma exactly when pi's bit set
 of same-block pairs lies inside sigma's.
 Enumeration walks restricted growth strings, pruned to the noncrossing
@@ -25,7 +28,7 @@ ones for NC(n), and is deliberately capped at ``MAX_ENUM_N = 10``
 
 The Moebius function takes no enumeration: mu(pi, sigma) is the product
 of (-1)^{|c|-1} Catalan(|c|-1) over the cycles c of pi^{-1} . sigma on
-the noncrossing lattice, and of (-1)^{k-1} (k-1)! over the sigma-blocks
+the noncrossing lattice, walked on the same cycle arrays, and of (-1)^{k-1} (k-1)! over the sigma-blocks
 holding k pi-blocks on the full one (Kreweras 1972; Nica-Speicher,
 Lectures on the Combinatorics of Free Probability, Lecture 10).  The
 weights depend on the lattice alone, so ``moebius_row`` keeps each

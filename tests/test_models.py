@@ -18,6 +18,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freecumulants import models
+from freecumulants.checks import ALL_CHECKS, run_check
+from freecumulants.engine import Level, free_cumulant
 from freecumulants.errors import CapacityError, DimensionMismatchError
 from freecumulants.exact import LinearCombination, Matrix
 from freecumulants.models import (
@@ -38,7 +40,7 @@ from freecumulants.models import (
     draw_fraction,
     free_moment,
 )
-from freecumulants.partitions import LatticeKind, enumerate_partitions
+from freecumulants.partitions import LatticeKind, Partition, enumerate_partitions
 
 F = Fraction
 
@@ -784,3 +786,88 @@ def test_free_poisson_moments_are_narayana_polynomials():
             narayana = sum(F(math.comb(n, k) * math.comb(n, k - 1), n) * lam**k
                            for k in range(1, n + 1))
             assert free_moment(spec, ("p",) * n) == narayana, (lam, n)
+
+
+def matrix_factor(model: MatrixModel, rng: random.Random) -> Matrix:
+    """A generator, a B constant, or a product of a B constant and a generator on either side."""
+    g = model.generators[rng.choice(model.generator_names)]
+    b = model.embed_b(Matrix([[draw_fraction(rng) for _ in range(model.d)] for _ in range(model.d)]))
+    return rng.choice([g, b, b * g, g * b])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_matrix_psi_of_a_product_equals_psi_of_the_formed_product(d):
+    # oracle for the half-product kernel: psi and phi of 1 to 6 factors,
+    # generators and B constants on either side, against the literal route
+    model = MatrixModel.random(2, dimension=d, max_order=8, seed=70 + d)
+    ctx, rng = MatrixContext(model), random.Random(d)
+    for _ in range(200 // d):
+        xs = [matrix_factor(model, rng) for _ in range(rng.randint(1, 6 if d < 3 else 5))]
+        flat = ctx.product(xs)
+        assert ctx.psi_product(xs) == ctx.psi(flat)
+        assert ctx.phi_scalar_product(xs) == ctx.phi_scalar(flat)
+
+
+@pytest.mark.parametrize("max_order, power, error", [
+    (3, 4, "moment of order 4 of variable 'g1_00' exceeds max_order=3"),
+    (127, 128, "exponent of variable 'g1_00' exceeds 127"),
+], ids=["past-max-order", "exponent-overflow"])
+def test_matrix_psi_of_a_product_past_its_capacity_raises_the_literal_error(max_order, power, error):
+    # the kernel falls back to the literal route, which raises the same error
+    model = MatrixModel.random(1, dimension=1, max_order=max_order, seed=3)
+    ctx, g = MatrixContext(model), model.generators["g1"]
+    for hook in (ctx.psi_product, ctx.phi_scalar_product):
+        with pytest.raises(CapacityError, match=error):
+            hook([g] * power)
+
+
+def test_a_matrix_cumulant_integrates_its_products_pair_by_pair(monkeypatch):
+    # perf gate, on kappa_7 of g1 g2 g1 g2 g1 g2 g1 with MatrixModel.random(3,
+    # 2, 8, 2024), its build counted: psi of a product is taken from its two
+    # half products, so the product and its _integrate pass are never formed.
+    # Formed and then integrated, it made 203 _integrate and 869 Matrix.__mul__ calls
+    counts = {"integrate": 0, "mul": 0}
+    integrate, mul = models._integrate, Matrix.__mul__
+    monkeypatch.setattr(models, "_integrate", lambda *args: counts.update(integrate=counts["integrate"] + 1)
+                        or integrate(*args))
+    monkeypatch.setattr(Matrix, "__mul__", lambda x, y: counts.update(mul=counts["mul"] + 1) or mul(x, y))
+    model = MatrixModel.random(3, 2, 8, 2024)
+    args = [model.generators[g] for g in ("g1", "g2") * 3 + ("g1",)]
+    value = free_cumulant(MatrixContext(model), Partition.full(7), args, Level.PSI)
+    assert 0 < counts["integrate"] <= 32 and 0 < counts["mul"] <= 698
+    monkeypatch.setattr(MatrixContext, "psi_product", ProbabilityContext.psi_product)
+    assert free_cumulant(MatrixContext(model), Partition.full(7), args, Level.PSI) == value
+
+
+def pairs_without_the_last_inner_index(right):
+    """``models._paired_moments`` without the pairs through the inner index
+    l = d - 1: the left factor's column d - 1 against the right factor's
+    row d - 1, taken alone and subtracted."""
+    def restricted(x, keep):
+        return Matrix.from_numerators(x.ring, x.dimension, {k: c for k, c in x.terms.items() if keep(k)}, x.den)
+
+    def paired(spec, left, right_, trace):
+        value, l = dict(right(spec, left, right_, trace)), left.dimension - 1
+        lp, rp = restricted(left, lambda k: k & 0xF == l), restricted(right_, lambda k: k >> 4 & 0xF == l)
+        if lp.terms and rp.terms:
+            scale = (left.den // lp.den) * (right_.den // rp.den)
+            for k, c in right(spec, lp, rp, trace).items():
+                value[k] = value.get(k, 0) - c * scale
+        return value
+    return paired
+
+
+def test_a_wrong_pair_kernel_fails_the_checks_that_read_psi_literally(monkeypatch):
+    # the kernel's fault row, over all twelve checks at seed 2024, as
+    # measured: the engine's routes all take psi of a product through the
+    # kernel, so the cumulant identities hold under it.  nested-closed-forms,
+    # whose displays take the literal psi, fails, and so does
+    # partial-cumulants, whose interval base at n = 2 sets psi of two
+    # factors against psi of their product, formed
+    monkeypatch.setattr(models, "_paired_moments", pairs_without_the_last_inner_index(models._paired_moments))
+    reports = {identity: run_check(identity, seed=2024) for identity in ALL_CHECKS}
+    assert {identity for identity, report in reports.items() if not report.passed} == {
+        "partial-cumulants", "nested-closed-forms"}
+    assert reports["nested-closed-forms"].witness["instance"] == {"display": "psi-partitioned", "seed": 2024}
+    assert reports["partial-cumulants"].witness["instance"] == {
+        "part": "interval-base", "seed": 2024, "n": 2, "rho": "{1,2}", "sigma": "{1,2}"}

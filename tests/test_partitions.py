@@ -15,11 +15,13 @@ import itertools
 import math
 import pickle
 import tracemalloc
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import freecumulants.partitions
+from freecumulants.checks import ALL_CHECKS, run_check
 from freecumulants.errors import (
     CapacityError,
     CrossingPartitionError,
@@ -301,7 +303,9 @@ def test_join_is_the_least_upper_bound():
                 assert all(j.refines(t) for t in upper)
 
 
-def test_the_noncrossing_join_sweep_equals_the_pairwise_closure():
+def test_the_noncrossing_join_equals_the_pairwise_closure():
+    # the join by Kreweras duality, K^-1(K(p) meet K(q)), against the full
+    # join (union-find) closed here under "no two blocks cross"
     for n in range(7):
         everything = enumerate_partitions(n, NC)
         for p, q in itertools.product(everything, repeat=2):
@@ -521,3 +525,31 @@ def test_quotient_embeds_noncrossing_upper_intervals():
             for a in upper:
                 for b in upper:
                     assert a.refines(b) == quotient(a, rho).refines(quotient(b, rho))
+
+
+def test_the_inverse_complement_undoes_the_complement():
+    for n in range(8):
+        for pi in enumerate_partitions(n, LatticeKind.NONCROSSING):
+            assert pi._kreweras._kreweras_inverse is pi and pi._kreweras_inverse._kreweras is pi
+            assert kreweras(pi) is pi._kreweras
+
+
+@pytest.fixture
+def cold_complements():
+    """Drop every complement kept on a partition before the test and after
+    it, so no value computed under a patch outlives the test."""
+    def drop():
+        for part in freecumulants.partitions._INDEX.values():
+            vars(part).pop("_kreweras", None)
+            vars(part).pop("_kreweras_inverse", None)
+    drop()
+    yield
+    drop()
+
+
+def test_a_wrong_inverse_complement_fails_the_join_checks(monkeypatch, cold_complements):
+    # fault row: K^-1 taken as K, which is K^-1 rotated by one point.  Of
+    # the twelve checks at their default bounds only partial-cumulants joins
+    monkeypatch.setattr(Partition, "_kreweras_inverse", cached_property(lambda self: self._kreweras))
+    Partition._kreweras_inverse.__set_name__(Partition, "_kreweras_inverse")
+    assert {identity for identity in ALL_CHECKS if not run_check(identity).passed} == {"partial-cumulants"}
