@@ -33,7 +33,10 @@ of the d^(2k+1) basis words of the product; its ``psi`` stays the flat
 route, the reference for the hook.
 ``ScalarFreeContext`` overrides ``phi_scalar_product`` alone: it folds in
 the factors one at a time, summing the coefficients per word, and takes
-one free moment per word.
+one free moment per word.  ``MatrixContext`` overrides both: it forms the
+two half products and integrates their term pairs straight into psi,
+and its literal route, psi of the product, is the reference and the
+error path.
 
 A ``ScalarFreeSpec`` keeps each word's free moment and a ``ClassicalSpec``
 each monomial's moment as long as the spec lives, so the classical
