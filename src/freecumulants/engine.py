@@ -47,7 +47,7 @@ product of integer pairs over blocks (``_pair_sum``), embedded in A once:
   blocks B of sigma, and mu is multiplicative over it (Speicher, Math.
   Ann. 298, 1994; Nica-Speicher, Lectures 9-11), so nu(pi, sigma) is the
   product of g(pi|B; a_B) = nu(pi|B, 1_B), the sum of mu times nu_semi
-  over ``partitions._top_row``, kept under ("top", pi|B, ids).
+  over the top interval's ``moebius_row``, kept under ("top", pi|B, ids).
 
 The literal nesting stays the oracle: ``nested_moment`` and every
 ``Level.PSI`` route nest along the blocks, and ``method="moebius"`` and
@@ -113,7 +113,7 @@ from math import gcd
 
 from .errors import CrossingPartitionError, DimensionMismatchError, OrderViolationError
 from .models import ProbabilityContext
-from .partitions import LatticeKind, Partition, _top_row, first_blocks, moebius_row, outer_blocks, restrict_blocks
+from .partitions import LatticeKind, Partition, first_blocks, moebius_row, outer_blocks, restrict_blocks
 
 
 class Level(Enum):
@@ -581,6 +581,7 @@ def _top_scalar(ctx, restricted: tuple) -> tuple[int, int]:
     table, key = ctx.phi_table, ("top", part, ids)
     value = table.get(key)
     if value is None:
+        row = moebius_row(part, Partition.full(part.n), ctx.kind)
         value = table[key] = _pair_sum(ctx, [(mu, _restricted(_semi_scalar, part, tau, args, ids))
-                                             for mu, tau in _top_row(part, ctx.kind)])
+                                             for mu, tau in row])
     return value

@@ -32,9 +32,8 @@ the noncrossing lattice, walked on the same cycle arrays, and of (-1)^{k-1} (k-1
 holding k pi-blocks on the full one (Kreweras 1972; Nica-Speicher,
 Lectures on the Combinatorics of Free Probability, Lecture 10).  The
 weights depend on the lattice alone, so ``moebius_row`` keeps each
-interval's row of them, under the bound ``INTERVAL_MEMO_SIZE`` that
-``interval_list`` shares, and assembles a missed row from the rows of
-top intervals [pi|B, 1_B], kept once per partition and never evicted.
+interval's row of them, the interval filter weighed by the closed form,
+under the bound ``INTERVAL_MEMO_SIZE`` that ``interval_list`` shares.
 """
 
 from __future__ import annotations
@@ -403,12 +402,10 @@ def meet(pi: Partition, sigma: Partition) -> Partition:
     """
     if pi.n != sigma.n:
         raise DimensionMismatchError(f"meet of partitions of {pi.n} and {sigma.n}")
-    key = {}
-    labels = []
-    for i in range(pi.n):
-        k = (pi.labels[i], sigma.labels[i])
-        labels.append(key.setdefault(k, len(key)))
-    return Partition.from_labels(tuple(labels))
+    groups: dict[tuple[int, int], list[int]] = {}
+    for pos, key in enumerate(zip(pi.labels, sigma.labels), start=1):
+        groups.setdefault(key, []).append(pos)
+    return Partition._canonical(pi.n, tuple(map(tuple, groups.values())))
 
 
 def join(pi: Partition, sigma: Partition, kind: LatticeKind = LatticeKind.FULL) -> Partition:
@@ -576,44 +573,19 @@ def restrict_blocks(part: Partition, positions) -> Partition:
     return Partition._canonical(len(positions), tuple(map(tuple, groups.values())))
 
 
-@lru_cache(maxsize=None)
-def _top_row(part: Partition, kind: LatticeKind) -> tuple[tuple[int, Partition], ...]:
-    """The pairs (mu(tau, 1_k), tau) over [part, 1_k], by the interval filter
-    and ``moebius``; at most one row per partition and kind is ever kept."""
-    top = Partition.full(part.n)
-    return tuple((moebius(tau, top, kind), tau) for tau in interval_list(part, top, kind))
-
-
-def _assemble(n: int, placed) -> tuple[tuple[int, Partition], ...]:
-    """The row of [pi, sigma] from the pairs (B, top row of pi|B) over the
-    blocks B of sigma: each tau joins one tau_B per block, carried to B's
-    positions, with the product of their mu; in the filter's order."""
-    factors = [[(mu, [tuple(block[i - 1] for i in b) for b in tau.blocks]) for mu, tau in row]
-               for block, row in placed]
-    row = [(math.prod(mu for mu, _ in choice),
-            Partition._canonical(n, tuple(sorted(itertools.chain.from_iterable(b for _, b in choice)))))
-           for choice in itertools.product(*factors)]
-    return tuple(sorted(row, key=lambda entry: entry[1].labels))
-
-
 @lru_cache(maxsize=INTERVAL_MEMO_SIZE)
 def moebius_row(pi: Partition, sigma: Partition, kind: LatticeKind) -> tuple[tuple[int, Partition], ...]:
     """The pairs (mu(tau, sigma), tau) over ``interval_list(pi, sigma, kind)``,
     in its order: the weights of a Moebius inversion onto sigma, which
-    depend on the lattice alone.
+    depend on the lattice alone, each taken by ``moebius`` in closed form.
 
-    [pi, sigma] is the product of the top intervals [pi|B, 1_B] over the
-    blocks B of sigma, and mu is multiplicative over it (Speicher, Math.
-    Ann. 298, 1994; Nica-Speicher, Lectures 9-10), so a missed row is
-    assembled from top rows (``_top_row``) and filters no NC(n).
-    ``interval_list`` keeps its filter, since routing it through the rows
-    cost 13% of the verify-free benchmark's time, and this memo keeps
-    INTERVAL_MEMO_SIZE rows, as ``interval_list`` keeps its intervals,
-    since assembling each row on every call cost 9% of verify-matrix's
-    (BENCH_29.json).
+    The memo keeps INTERVAL_MEMO_SIZE rows, as ``interval_list`` keeps its
+    intervals.  A full ``check-all`` asks for fewer than 700, but a join
+    formula past its bound asks for every interval of NC(n) about once:
+    kept without a bound, the 43,263 of NC(8) took partial-cumulants at
+    (n, d) = (8, 1) from 56 to 90 MB peak RSS, at no gain in time.
 
     >>> [(mu, str(tau)) for mu, tau in moebius_row(Partition.discrete(2), Partition.full(2), LatticeKind.FULL)]
     [(1, '{1,2}'), (-1, '{1}{2}')]
     """
-    _check_interval(pi, sigma, kind, "interval")
-    return _assemble(pi.n, [(b, _top_row(restrict_blocks(pi, b), kind)) for b in sigma.blocks])
+    return tuple((moebius(tau, sigma, kind), tau) for tau in interval_list(pi, sigma, kind))

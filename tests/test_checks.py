@@ -933,8 +933,7 @@ def test_partition_order_costs_integer_operations(monkeypatch, identity, name, b
 def cold_partition_memos():
     """Empty the partition memos before the test and again after it, so no
     value computed under a patch outlives the test."""
-    memos = (partitions.enumerate_partitions, partitions.interval_list, partitions.moebius_row,
-             partitions._top_row)
+    memos = (partitions.enumerate_partitions, partitions.interval_list, partitions.moebius_row)
     for memo in memos:
         memo.cache_clear()
     yield
@@ -942,24 +941,24 @@ def cold_partition_memos():
         memo.cache_clear()
 
 
-@pytest.mark.parametrize("identity, bound", [
-    # perf gate: a row is assembled from top rows, so mu runs once per tau
-    # of each distinct top interval [pi|B, 1_B]; with a row per interval
-    # these cold runs made 167 and 181 moebius calls, and taken per term
-    # 1,985 and 2,211
+@pytest.mark.parametrize("identity, weights", [
+    # perf gate: the engine reads every interval's weights through its one
+    # row, so mu runs once per tau of each distinct interval asked for;
+    # taken per term, these cold runs made 1,985 and 2,211 moebius calls
     ("total-cumulance", 71),
-    ("classical-total-cumulance", 76),
+    ("classical-total-cumulance", 181),
 ])
-def test_each_interval_takes_its_moebius_weights_once(monkeypatch, cold_partition_memos, identity, bound):
-    runs = []
-    moebius = partitions.moebius
+def test_each_interval_takes_its_moebius_weights_once(monkeypatch, cold_partition_memos, identity, weights):
+    runs, asked = [], []
+    moebius, row = partitions.moebius, engine.moebius_row
     monkeypatch.setattr(partitions, "moebius", lambda *args: runs[-1].append(args) or moebius(*args))
+    monkeypatch.setattr(engine, "moebius_row", lambda *interval: asked[-1].add(interval) or row(*interval))
     for _ in range(2):
         partitions.moebius_row.cache_clear()
-        partitions._top_row.cache_clear()
         runs.append([])
+        asked.append(set())
         assert run_check(identity, seed=2024).passed
-    assert 0 < len(runs[0]) <= bound
+    assert len(runs[0]) == sum(len(interval_list(*interval)) for interval in asked[0]) == weights
     assert runs[0] == runs[1]
 
 
@@ -978,26 +977,26 @@ def test_a_cold_nested_closed_forms_run_enumerates_no_partition_of_8(monkeypatch
 def test_total_cumulance_sums_each_nested_cumulant_once(monkeypatch):
     # perf gate: nu(pi, sigma) is the product over the blocks B of sigma of
     # the top value nu(pi|B, 1_B) on a_B, and the context keeps each top
-    # value, so its sum over the top row of pi|B runs once per (pi|B,
-    # argument positions), and no nested cumulant sums an assembled row.
+    # value, so its sum over the row of [pi|B, 1_B] runs once per (pi|B,
+    # argument positions), and no nested cumulant sums the row of [pi, sigma].
     # Summed per nested cumulant over [pi, sigma], the check ran 355 Moebius
     # sums over rows for its 945 nested_cumulant calls
     asked, sums = [], []
-    top_scalar, top_row = engine._top_scalar, engine._top_row
+    top_scalar, moebius_row = engine._top_scalar, engine.moebius_row
 
     def top(ctx, restricted):
         part, _, ids = restricted
         asked.append((ctx, part, ids))
         return top_scalar(ctx, restricted)
 
-    def summed(part, kind):
-        ctx, asked_part, ids = asked[-1]
-        assert asked_part is part
+    def summed(lo, hi, kind):
+        ctx, part, ids = asked[-1]
+        assert lo is part and hi is Partition.full(part.n)
         sums.append(asked[-1])
-        return top_row(part, kind)
+        return moebius_row(lo, hi, kind)
 
     monkeypatch.setattr(engine, "_top_scalar", top)
-    monkeypatch.setattr(engine, "_top_row", summed)
+    monkeypatch.setattr(engine, "moebius_row", summed)
     monkeypatch.setattr(engine, "_moebius_sum", lambda *args: pytest.fail("a Moebius sum over a row"))
     assert run_check("total-cumulance", seed=2024).passed
     assert 0 < len(sums) == len(set(sums)) == len(set(asked)) < len(asked)
@@ -1094,7 +1093,6 @@ def test_a_wrong_moebius_weight_fails_the_moebius_sums(monkeypatch, cold_partiti
     monkeypatch.setattr(partitions, "moebius", flipped_top_weight(partitions.moebius))
     partitions.interval_list.cache_clear()
     partitions.moebius_row.cache_clear()
-    partitions._top_row.cache_clear()
     assert partitions.moebius_row(lo, hi, nc)[-1] == (-right[-1][0], lo)
     for identity in ("total-cumulance", "partial-cumulants", "freeness-characterization", "tensor-factorization"):
         assert run_check(identity, seed=2024).status == "fail", identity
@@ -1370,19 +1368,6 @@ def test_a_wrong_boolean_cumulant_fails_the_checks_that_read_it(monkeypatch, mod
         assert run_check(identity, seed=2024).status == "fail", identity
 
 
-def assembled_through_the_wrong_block(right):
-    """``partitions._assemble`` with the top rows of sigma's first two blocks
-    exchanged when those blocks have the same size, so that each is carried
-    to the positions of the other block."""
-    def assemble(n, placed):
-        placed = list(placed)
-        if len(placed) > 1 and len(placed[0][0]) == len(placed[1][0]):
-            (first, first_row), (second, second_row) = placed[:2]
-            placed[:2] = [(first, second_row), (second, first_row)]
-        return right(n, placed)
-    return assemble
-
-
 def window_shifted_by_one(right):
     """``engine.restrict_blocks``, the window partition of a gap or tail,
     shifted by one position, cyclically: i becomes i + 1, and the last 1."""
@@ -1393,13 +1378,13 @@ def window_shifted_by_one(right):
 
 
 def top_row_with_a_flipped_weight(right):
-    """``engine._top_row`` with the sign of mu(pi, 1_3) flipped for every
-    pi of two blocks on three points."""
-    def row(part, kind):
-        value = right(part, kind)
-        if (part.n, part.size) != (3, 2):
+    """``engine.moebius_row`` with the sign of mu(pi, 1_3) flipped for every
+    pi of two blocks on three points, in every row onto 1_3."""
+    def row(lo, hi, kind):
+        value = right(lo, hi, kind)
+        if hi is not Partition.full(3):
             return value
-        return tuple((-mu if tau is part else mu, tau) for mu, tau in value)
+        return tuple((-mu if tau.size == 2 else mu, tau) for mu, tau in value)
     return row
 
 
@@ -1412,21 +1397,20 @@ def block_scalar_on_the_top(right):
 
 
 @pytest.mark.parametrize("module, name, fault, failing", [
-    # the fault rows of the values assembled from parts formed once: a
-    # Moebius row from the top rows of sigma's blocks, a partitioned value
-    # from the partitioned values of its windows, and a nested value from
-    # the top value and the block scalar of each outer block.  Each row runs
-    # only the checks that fail under it at seed 2024, as measured over all
-    # twelve.  The nested cumulants read top rows, not assembled ones, so a
-    # row through the wrong block fails only the checks that sum rows
-    (partitions, "_assemble", assembled_through_the_wrong_block(partitions._assemble),
-     ("partial-cumulants", "classical-total-cumulance")),
+    # the fault rows of the values assembled from parts formed once, a
+    # partitioned value from the partitioned values of its windows and a
+    # nested value from the top value and the block scalar of each outer
+    # block, and of the Moebius rows the engine reads.  Each row runs only
+    # the checks that fail under it at seed 2024, as measured over all
+    # twelve.  A wrong weight onto 1_3 fails the nested checks through their
+    # top values, and partial-cumulants through its Moebius sums
     (engine, "restrict_blocks", window_shifted_by_one(engine.restrict_blocks),
      ("moment-cumulant", "total-cumulance", "partial-cumulants", "nested-closed-forms",
       "classical-total-cumulance", "freeness-characterization", "tensor-factorization")),
-    (engine, "_top_row", top_row_with_a_flipped_weight(engine._top_row), NESTED),
+    (engine, "moebius_row", top_row_with_a_flipped_weight(engine.moebius_row),
+     NESTED + ("partial-cumulants",)),
     (engine, "_semi_scalar", block_scalar_on_the_top(engine._semi_scalar), NESTED),
-], ids=["row-assembly", "window-shift", "top-row-sign", "block-scalar-on-top"])
+], ids=["window-shift", "top-row-sign", "block-scalar-on-top"])
 def test_a_wrong_row_or_window_fails_the_checks_that_read_it(monkeypatch, cold_partition_memos, module,
                                                              name, fault, failing):
     monkeypatch.setattr(module, name, fault)

@@ -455,14 +455,12 @@ def every_interval(n_max):
 
 
 def test_moebius_row_weighs_its_interval():
-    # a row is assembled from the top rows of pi's restrictions to sigma's
-    # blocks; the interval filter and moebius per tau are its oracle, in the
-    # filter's order, with every memo cold and again with the top rows warm
+    # a row is the interval filter weighed by moebius per tau, in the
+    # filter's order, with every memo cold and again with the intervals warm
     partitions = freecumulants.partitions
     oracle = {(pi, sigma, kind): tuple((moebius(t, sigma, kind), t) for t in interval_list(pi, sigma, kind))
               for pi, sigma, kind in every_interval(6)}
-    for memo in (partitions.interval_list, partitions.moebius_row, partitions._top_row):
-        memo.cache_clear()
+    partitions.interval_list.cache_clear()
     for state in ("cold", "warm"):
         partitions.moebius_row.cache_clear()
         for (pi, sigma, kind), row in oracle.items():
@@ -475,11 +473,9 @@ def test_moebius_row_weighs_its_interval():
 
 def test_interval_memo_is_bounded():
     # every interval of both lattices up to n = 6: 4,679 distinct keys, so
-    # both memos, which share one bound, must evict; the top rows are not
-    # evicted, and hold at most one row per partition of each size and kind
+    # both memos, which share one bound, must evict
     bound = freecumulants.partitions.INTERVAL_MEMO_SIZE
     assert bound == 4096
-    freecumulants.partitions._top_row.cache_clear()
     calls = 0
     for pi, sigma, kind in every_interval(6):
         moebius_row(pi, sigma, kind)
@@ -488,9 +484,6 @@ def test_interval_memo_is_bounded():
     for memo in (interval_list, moebius_row):
         info = memo.cache_info()
         assert info.maxsize == bound and info.currsize <= bound, memo
-    top_rows = freecumulants.partitions._top_row.cache_info()
-    assert top_rows.maxsize is None
-    assert 0 < top_rows.currsize <= sum(catalan(k) + bell(k) for k in range(7))
 
 
 def test_quotient_collapses_blocks_by_minimum():
