@@ -459,7 +459,7 @@ def check_total_cumulance(suite: _Suite, params: dict, fresh: bool, spec) -> Non
 
 
 # MAX_JOIN_PAIRS: the join formula walks Catalan(n)^2 pairs (tau, rho), whatever d: (6, 2) takes
-# 0.26-0.29 s and (6, 3) 0.3-0.6 s, not (7, 2), 2.5-2.8 s, (7, 3), 2.7-3.1 s, or (8, 1), 23 s
+# 0.18-0.21 s and (6, 3) 0.25-0.28 s, not (7, 2), 1.6-1.8 s, (7, 3), 2.0-2.3 s, or (8, 1), 19 s
 @_check("partial-cumulants", lambda n=5, dimension=DEFAULT_DIMENSION:
         {"n_max": n, "interval_base_max": 4, "dimension": dimension, "generator_count": 3},
         seeds=1, model=MatrixModel, limits=[*_MATRIX_LIMITS, (

@@ -582,8 +582,8 @@ def moebius_row(pi: Partition, sigma: Partition, kind: LatticeKind) -> tuple[tup
     The memo keeps INTERVAL_MEMO_SIZE rows, as ``interval_list`` keeps its
     intervals.  A full ``check-all`` asks for fewer than 700, but a join
     formula past its bound asks for every interval of NC(n) about once:
-    kept without a bound, the 43,263 of NC(8) took partial-cumulants at
-    (n, d) = (8, 1) from 56 to 90 MB peak RSS, at no gain in time.
+    kept without a bound, the 52,787 rows of partial-cumulants at (n, d)
+    = (8, 1) took its peak RSS from 56 to 89 MB, at no gain in time.
 
     >>> [(mu, str(tau)) for mu, tau in moebius_row(Partition.discrete(2), Partition.full(2), LatticeKind.FULL)]
     [(1, '{1,2}'), (-1, '{1}{2}')]

@@ -990,7 +990,7 @@ def test_total_cumulance_sums_each_nested_cumulant_once(monkeypatch):
         return top_scalar(ctx, restricted)
 
     def summed(lo, hi, kind):
-        ctx, part, ids = asked[-1]
+        _, part, _ = asked[-1]
         assert lo is part and hi is Partition.full(part.n)
         sums.append(asked[-1])
         return moebius_row(lo, hi, kind)
