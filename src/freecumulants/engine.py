@@ -14,25 +14,25 @@ and the blocks' values simply multiply.
 Every identity the checks test is a Moebius sum of the same few
 partitioned expectations, single-block cumulants and nested
 semicumulants, so every context keeps a table of the ones computed on
-it, one representation per level.  A psi-level value is an element of
-A: a partitioned psi-expectation under (partition, Level.PSI,
-arguments), a single-block psi-cumulant under (Level.PSI, arguments),
-one of more than one block under ("cumulant", partition, Level.PSI,
-arguments), psi of an argument tuple's product under ("psi", arguments)
-and an operator-valued Boolean cumulant under ("boolean", arguments).
-A partitioned psi-expectation or psi-cumulant takes each gap and tail as
-the same functional of the partition restricted to that window, so
-windows are entries too.  A phi-level value is an integer pair in
-lowest terms: each phi-cumulant, Boolean cumulant and moment under
-("kappa", ids), ("boolean", ids) and ("moment", ids), ids the
-arguments' positions in "arguments", and each block scalar of the nested
-functionals under ("semi", ...) and ("top", ...), below.  The nested
-functionals keep their values under (pair, arguments), a nested
-semicumulant only on its default route, so that ``method="moebius"``
-and ``cross_check`` stay independent oracles, and ("nested-cumulant",
-pair, arguments).  The arguments must be the context's own hashable
-elements.  The table lives as long as the context, which the checks
-build per model, and is never cleared.
+it, one representation per level, each keyed on its argument tuple.  A
+psi-level value is an element of A: a partitioned psi-expectation under
+(partition, Level.PSI, arguments), a single-block psi-cumulant under
+(Level.PSI, arguments), one of more than one block under ("cumulant",
+partition, Level.PSI, arguments), psi of an argument tuple's product
+under ("psi", arguments) and an operator-valued Boolean cumulant under
+("boolean", arguments).  A partitioned psi-expectation or psi-cumulant
+takes each gap and tail as the same functional of the partition
+restricted to that window, so windows are entries too.  A phi-level
+value is an integer pair in lowest terms: each phi-cumulant, scalar
+Boolean cumulant and moment under ("kappa", arguments),
+("scalar-boolean", arguments) and ("moment", arguments), and each block
+scalar of the nested functionals under ("semi", ...) and ("top", ...),
+below.  The nested functionals keep their values under (pair,
+arguments), a nested semicumulant only on its default route, so that
+``method="moebius"`` and ``cross_check`` stay independent oracles, and
+("nested-cumulant", pair, arguments).  The arguments must be the
+context's own hashable elements.  The table lives as long as the
+context, which the checks build per model, and is never cleared.
 
 phi is C-valued, so a value at ``Level.PHI`` is a central scalar, and it
 pulls out of the C-multilinear psi-cumulants of any gap it is spliced
@@ -42,12 +42,12 @@ product of integer pairs over blocks (``_pair_sum``), embedded in A once:
 * phi_sigma is the product of the blocks' ``_moment_scalar``, and
   kappa^phi_sigma that of their ``_kappa_scalar``, on either lattice;
 * nu_semi(pi, rho) is the product over the blocks B of rho of
-  f(pi|B; a_B) = phi(kappa^psi_{pi|B}(a_B)), kept under ("semi", pi|B, ids);
+  f(pi|B; a_B) = phi(kappa^psi_{pi|B}(a_B)), kept under ("semi", pi|B, a_B);
 * [pi, sigma] is the product of the top intervals [pi|B, 1_B] over the
   blocks B of sigma, and mu is multiplicative over it (Speicher, Math.
   Ann. 298, 1994; Nica-Speicher, Lectures 9-11), so nu(pi, sigma) is the
   product of g(pi|B; a_B) = nu(pi|B, 1_B), the sum of mu times nu_semi
-  over the top interval's ``moebius_row``, kept under ("top", pi|B, ids).
+  over the top interval's ``moebius_row``, kept under ("top", pi|B, a_B).
 
 The literal nesting stays the oracle: ``nested_moment`` and every
 ``Level.PSI`` route nest along the blocks, and ``method="moebius"`` and
@@ -303,22 +303,13 @@ def _embed(ctx, pair: tuple[int, int]):
 
 
 def _blockwise(ctx, scalar, part: Partition, args: tuple):
-    """The product of scalar(ctx, ids_B) over the blocks B of ``part``, ids
-    the positions of ``args``, as a scalar of A."""
-    ids = _ids(ctx, args)
-    return _embed(ctx, _pair_sum(ctx, [(1, ((scalar, tuple(ids[i - 1] for i in b)) for b in part.blocks))]))
+    """The product of scalar(ctx, args_B) over the blocks B of ``part``, as a scalar of A."""
+    return _embed(ctx, _pair_sum(ctx, [(1, ((scalar, tuple(args[i - 1] for i in b)) for b in part.blocks))]))
 
 
-def _ids(ctx, args: tuple) -> tuple:
-    """The positions of ``args`` in the table's "arguments", each distinct
-    argument's position in the order the context met it."""
-    index = ctx.phi_table.setdefault("arguments", {})
-    return tuple(index.setdefault(a, len(index)) for a in args)
-
-
-def _kappa_scalar(ctx, ids: tuple) -> tuple[int, int]:
-    """The phi-cumulant of the arguments at positions ``ids`` of the table's
-    "arguments", as an integer pair in lowest terms, tabled under ("kappa", ids).
+def _kappa_scalar(ctx, args: tuple) -> tuple[int, int]:
+    """The phi-cumulant of ``args``, as an integer pair in lowest terms,
+    tabled under ("kappa", args).
 
     On the full lattice it is the first-block form of Leonov and Shiryaev
     (On a method of calculation of semi-invariants, 1959): m(S) less
@@ -334,31 +325,31 @@ def _kappa_scalar(ctx, ids: tuple) -> tuple[int, int]:
     of two alternating generators takes 1,027 psi calls there against 87
     phi calls here.
     """
-    table, key = ctx.phi_table, ("kappa", ids)
+    table, key = ctx.phi_table, ("kappa", args)
     value = table.get(key)
     if value is not None:
         return value
-    n = len(ids)
+    n = len(args)
     if ctx.kind is LatticeKind.FULL:
-        num, den = _moment_scalar(ctx, ids)
+        num, den = _moment_scalar(ctx, args)
         for block in first_blocks(0, n):
             if len(block) == n:
                 continue
-            t_num, t_den = _kappa_scalar(ctx, tuple(map(ids.__getitem__, block)))
+            t_num, t_den = _kappa_scalar(ctx, tuple(map(args.__getitem__, block)))
             if t_num:
-                m_num, m_den = _moment_scalar(ctx, tuple(x for i, x in enumerate(ids) if i not in block))
+                m_num, m_den = _moment_scalar(ctx, tuple(x for i, x in enumerate(args) if i not in block))
                 num, den = num * t_den * m_den - t_num * m_num * den, den * t_den * m_den
     else:
-        num, den = _boolean_scalar(ctx, ids)
+        num, den = _boolean_scalar(ctx, args)
         for block in outer_blocks(n):
             if len(block) == n:
                 continue
-            t_num, t_den = _kappa_scalar(ctx, tuple(map(ids.__getitem__, block)))
+            t_num, t_den = _kappa_scalar(ctx, tuple(map(args.__getitem__, block)))
             for a, b in zip(block, block[1:]):
                 if not t_num:
                     break
                 if b > a + 1:
-                    m_num, m_den = _moment_scalar(ctx, ids[a + 1 : b])
+                    m_num, m_den = _moment_scalar(ctx, args[a + 1 : b])
                     t_num, t_den = t_num * m_num, t_den * m_den
             if t_num:
                 num, den = num * t_den - t_num * den, den * t_den
@@ -367,18 +358,18 @@ def _kappa_scalar(ctx, ids: tuple) -> tuple[int, int]:
     return value
 
 
-def _boolean_scalar(ctx, ids: tuple) -> tuple[int, int]:
-    """The Boolean phi-cumulant of the arguments at ``ids``, an integer pair
-    in lowest terms tabled under ("boolean", ids): m(args) less b(args[:l])
+def _boolean_scalar(ctx, args: tuple) -> tuple[int, int]:
+    """The Boolean phi-cumulant b(args), an integer pair in lowest terms
+    tabled under ("scalar-boolean", args): m(args) less b(args[:l])
     m(args[l:]) over 1 <= l < n, each m taken only after its b is nonzero."""
-    table, key = ctx.phi_table, ("boolean", ids)
+    table, key = ctx.phi_table, ("scalar-boolean", args)
     value = table.get(key)
     if value is None:
-        num, den = _moment_scalar(ctx, ids)
-        for l in range(1, len(ids)):
-            b_num, b_den = _boolean_scalar(ctx, ids[:l])
+        num, den = _moment_scalar(ctx, args)
+        for l in range(1, len(args)):
+            b_num, b_den = _boolean_scalar(ctx, args[:l])
             if b_num:
-                m_num, m_den = _moment_scalar(ctx, ids[l:])
+                m_num, m_den = _moment_scalar(ctx, args[l:])
                 num, den = num * b_den * m_den - b_num * m_num * den, den * b_den * m_den
         g = gcd(num, den)
         value = table[key] = (num // g, den // g)
@@ -403,13 +394,12 @@ def _pair_sum(ctx, terms) -> tuple[int, int]:
     return num // g, den // g
 
 
-def _moment_scalar(ctx, ids: tuple) -> tuple[int, int]:
-    """phi_scalar of the product of the arguments at ``ids``, an integer pair tabled under ("moment", ids)."""
-    table, key = ctx.phi_table, ("moment", ids)
+def _moment_scalar(ctx, args: tuple) -> tuple[int, int]:
+    """phi_scalar of the product of ``args``, an integer pair tabled under ("moment", args)."""
+    table, key = ctx.phi_table, ("moment", args)
     value = table.get(key)
     if value is None:
-        known = list(table["arguments"])
-        value = table[key] = ctx.phi_scalar_product(known[i] for i in ids).as_integer_ratio()
+        value = table[key] = ctx.phi_scalar_product(args).as_integer_ratio()
     return value
 
 
@@ -549,23 +539,21 @@ def nested_cumulant(ctx: ProbabilityContext, pair: NestedPair, args):
 
 
 def _nested_product(ctx, scalar, pair: NestedPair, args: tuple):
-    """The product of scalar(ctx, (inner|B, args_B, ids_B)) over the outer
-    blocks B, ids the positions of ``args``, as a scalar of A."""
-    return _embed(ctx, _pair_sum(ctx, [(1, _restricted(scalar, pair.inner, pair.outer, args, _ids(ctx, args)))]))
+    """The product of scalar(ctx, (inner|B, args_B)) over the outer blocks B, as a scalar of A."""
+    return _embed(ctx, _pair_sum(ctx, [(1, _restricted(scalar, pair.inner, pair.outer, args))]))
 
 
-def _restricted(scalar, inner: Partition, outer: Partition, args: tuple, ids: tuple):
-    """The calls (scalar, (inner|B, args_B, ids_B)) over the blocks B of ``outer``, one at a time."""
-    return ((scalar, (restrict_blocks(inner, b), tuple(args[i - 1] for i in b), tuple(ids[i - 1] for i in b)))
-            for b in outer.blocks)
+def _restricted(scalar, inner: Partition, outer: Partition, args: tuple):
+    """The calls (scalar, (inner|B, args_B)) over the blocks B of ``outer``, one at a time."""
+    return ((scalar, (restrict_blocks(inner, b), tuple(args[i - 1] for i in b))) for b in outer.blocks)
 
 
 def _semi_scalar(ctx, restricted: tuple) -> tuple[int, int]:
     """phi of the psi-cumulant kappa^psi_part(args), nu_semi(part, 1_n; args),
-    of the (part, args, ids) ``restricted``, an integer pair tabled under
-    ("semi", part, ids)."""
-    part, args, ids = restricted
-    table, key = ctx.phi_table, ("semi", part, ids)
+    of the (part, args) ``restricted``, an integer pair tabled under
+    ("semi", part, args)."""
+    part, args = restricted
+    table, key = ctx.phi_table, ("semi", part, args)
     value = table.get(key)
     if value is None:
         value = table[key] = ctx.phi_scalar(_cumulant_recursive(ctx, part, args)).as_integer_ratio()
@@ -573,15 +561,13 @@ def _semi_scalar(ctx, restricted: tuple) -> tuple[int, int]:
 
 
 def _top_scalar(ctx, restricted: tuple) -> tuple[int, int]:
-    """nu(part, 1_n; args) of the (part, args, ids) ``restricted``: the sum
-    over tau in [part, 1_n] of mu(tau, 1_n) times the product of
-    ``_semi_scalar`` over tau's blocks, an integer pair tabled under ("top",
-    part, ids)."""
-    part, args, ids = restricted
-    table, key = ctx.phi_table, ("top", part, ids)
+    """nu(part, 1_n; args) of the (part, args) ``restricted``: the sum over
+    tau in [part, 1_n] of mu(tau, 1_n) times the product of ``_semi_scalar``
+    over tau's blocks, an integer pair tabled under ("top", part, args)."""
+    part, args = restricted
+    table, key = ctx.phi_table, ("top", part, args)
     value = table.get(key)
     if value is None:
         row = moebius_row(part, Partition.full(part.n), ctx.kind)
-        value = table[key] = _pair_sum(ctx, [(mu, _restricted(_semi_scalar, part, tau, args, ids))
-                                             for mu, tau in row])
+        value = table[key] = _pair_sum(ctx, [(mu, _restricted(_semi_scalar, part, tau, args)) for mu, tau in row])
     return value

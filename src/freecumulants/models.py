@@ -41,7 +41,10 @@ error path.
 A ``ScalarFreeSpec`` keeps each word's free moment and a ``ClassicalSpec``
 each monomial's moment as long as the spec lives, so the classical
 expectations, ``matrix_psi`` and ``matrix_phi`` multiply out the moment
-table once per monomial.
+table once per monomial.  A ``ScalarFreeSpec`` also keeps its cumulants
+once as integers, ``kappa_num`` over the common ``kappa_den``: the free
+moments and both psi routes of the word model read that table, and
+``cumulant`` stays the checked lookup, which raises past ``max_order``.
 
 All randomness is drawn from ``random.Random(seed)`` with numerators in
 [-9, 9] and denominators in {1, 2, 3}; drawn values travel in ``to_data``
@@ -550,8 +553,8 @@ class ScalarFreeSpec(_Recorded):
                 if g in self.family_of:
                     raise ValueError(f"generator {g!r} is listed twice")
                 self.family_of[g] = f
-        self.cumulants = {tuple(w): as_fraction(c) for w, c in cumulants.items()}
-        for word in self.cumulants:
+        cumulants = {tuple(w): as_fraction(c) for w, c in cumulants.items()}
+        for word in cumulants:
             fams = {self.family_of.get(g) for g in word}
             if len(word) > self.max_order or len(fams) != 1 or None in fams:
                 raise ValueError(f"cumulant word {' '.join(word)!r} is not a word of one family's "
@@ -559,8 +562,11 @@ class ScalarFreeSpec(_Recorded):
         for f, gens in self.families.items():
             for k in range(1, self.max_order + 1):
                 for word in itertools.product(gens, repeat=k):
-                    if word not in self.cumulants:
+                    if word not in cumulants:
                         raise ValueError(f"missing cumulant for word {word}")
+        # the one cumulant table: integer numerators over their common denominator
+        self.kappa_den = lcm(*(c.denominator for c in cumulants.values()))
+        self.kappa_num = {w: c.numerator * (self.kappa_den // c.denominator) for w, c in cumulants.items()}
         self._moment_cache: dict[tuple[str, ...], tuple[int, int]] = {(): (1, 1)}
         self._boolean_cache: dict[tuple[str, ...], tuple[int, int]] = {}
 
@@ -587,7 +593,7 @@ class ScalarFreeSpec(_Recorded):
         fams = {self.family_of[g] for g in word}
         if len(fams) > 1:
             return _ZERO
-        return self.cumulants[word]
+        return Fraction(self.kappa_num[word], self.kappa_den)
 
     def to_data(self) -> dict:
         rows = []
@@ -596,7 +602,7 @@ class ScalarFreeSpec(_Recorded):
             words = {}
             for k in range(1, self.max_order + 1):
                 for word in itertools.product(gens, repeat=k):
-                    words[" ".join(word)] = str(self.cumulants[word])
+                    words[" ".join(word)] = str(self.cumulant(word))
             rows.append({"name": f, "generators": list(gens), "cumulants": words})
         return {"max_order": self.max_order, "families": rows}
 
@@ -664,13 +670,13 @@ def _free_boolean(spec: ScalarFreeSpec, word: tuple[str, ...]) -> tuple[int, int
     cached = spec._boolean_cache.get(word)
     if cached is not None:
         return cached
-    family_of = spec.family_of
+    family_of, kappas = spec.family_of, spec.kappa_num
     own = [i for i, g in enumerate(word) if family_of[g] == family_of[word[0]]]
     num, den = 0, 1
     if own[-1] == len(word) - 1:
         for picks in outer_blocks(len(own)):
             block = tuple(map(own.__getitem__, picks))
-            vn, vd = spec.cumulant(tuple(map(word.__getitem__, block))).as_integer_ratio()
+            vn, vd = kappas[tuple(map(word.__getitem__, block))], spec.kappa_den
             for a, b in zip(block, block[1:]):
                 if not vn:
                     break
@@ -756,9 +762,6 @@ class FactorizationModel(_Recorded):
             raise ValueError(f"matrix dimension must be at least 1, got {self.d}")
         # c of each basis word met so far, see WordContext._psi_word
         self._psi_cache: dict = {}
-        # the cumulants as integer numerators over their common denominator, see WordContext._psi_simple
-        self.kappa_den = lcm(*(c.denominator for c in scalars.cumulants.values()))
-        self.kappa_num = {w: c.numerator * (self.kappa_den // c.denominator) for w, c in scalars.cumulants.items()}
 
     @staticmethod
     def random_data(generator_count: int = 1, dimension: int = 2, max_order: int = DEFAULT_MAX_ORDER,
@@ -875,12 +878,15 @@ class WordContext(LinearCombinationContext):
         entry = memo.get(key)
         if entry is not None:
             return entry
-        num, den = 0, 1
+        scalars, num, den = self.model.scalars, 0, 1
         for block in first_blocks(0, len(gens)):
             last = block[-1]
             if units[last + 1][0] != key[1]:
                 continue
-            vn, vd = self.model.scalars.cumulant(tuple(gens[a] for a in block)).as_integer_ratio()
+            word = tuple(gens[a] for a in block)
+            vn, vd = scalars.kappa_num.get(word), scalars.kappa_den
+            if vn is None:  # beyond max_order: raises CapacityError
+                scalars.cumulant(word)
             for a, b in zip(block, block[1:]):
                 if not vn or units[a + 1][0] != units[b][1]:
                     vn = 0
@@ -918,7 +924,7 @@ class WordContext(LinearCombinationContext):
                     if last is None or any(last):
                         grown.append((num * p_num, den * p_den, gens + g, (*mats[:-1], last, *rest)))
             tensors = grown
-        dk = d * self.model.kappa_den
+        dk = d * self.model.scalars.kappa_den
         keys = [((), ((i, j),)) for i in range(d) for j in range(d)]
         return LinearCombination(*_accumulate([
             (num, den * dk ** len(gens), dict(zip(keys, self._psi_simple(gens, mats))), None)
@@ -950,16 +956,16 @@ class WordContext(LinearCombinationContext):
         return pieces
 
     def _psi_simple(self, gens, mats) -> tuple[int, ...]:
-        """The numerators over (d K)^k, K = ``kappa_den``, of psi(b0 X_{g1}
-        b1 ... X_{gk} bk) for the k ``gens`` and k + 1 ``mats``, as a flat
-        matrix.  F(s, t) = psi(b_s X_{g_s+1} ... X_{g_t} b_t) is b_s times the
-        sum over the blocks V holding generator s + 1 of kappa(g_V), the
-        normalized traces of F of the gaps V swallows, and F(last of V, t):
-        the factorization rule (Nica-Shlyakhtenko-Speicher) on the first-block
-        recursion, as ``_psi_word`` takes it per basis word.  The scalar
-        c(s, e) of the blocks from s + 1 to e does not depend on t."""
-        d, k = self.d, len(gens)
-        kappa_den, kappas = self.model.kappa_den, self.model.kappa_num
+        """The numerators over (d K)^k, K the spec's ``kappa_den``, of psi(b0
+        X_{g1} b1 ... X_{gk} bk) for the k ``gens`` and k + 1 ``mats``, as a
+        flat matrix.  F(s, t) = psi(b_s X_{g_s+1} ... X_{g_t} b_t) is b_s
+        times the sum over the blocks V holding generator s + 1 of kappa(g_V),
+        the normalized traces of F of the gaps V swallows, and F(last of V,
+        t): the factorization rule (Nica-Shlyakhtenko-Speicher) on the
+        first-block recursion, as ``_psi_word`` takes it per basis word.  The
+        scalar c(s, e) of the blocks from s + 1 to e does not depend on t."""
+        d, k, scalars = self.d, len(gens), self.model.scalars
+        kappa_den, kappas = scalars.kappa_den, scalars.kappa_num
         identity = _identity(d)
         num, trace = {}, {}  # F(s, t) over (d K)^(t - s), and its trace
         for s in range(k, -1, -1):
@@ -969,7 +975,7 @@ class WordContext(LinearCombinationContext):
                 last, word, weight = stack.pop()
                 kappa = kappas.get(word)
                 if kappa is None:  # beyond max_order: raises CapacityError
-                    self.model.scalars.cumulant(word)
+                    scalars.cumulant(word)
                 c[last] += kappa * weight
                 stack += [(nxt, word + gens[nxt - 1:nxt], weight * kappa_den * trace[last, nxt - 1])
                           for nxt in range(last + 1, k + 1) if trace[last, nxt - 1]]

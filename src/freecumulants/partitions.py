@@ -19,9 +19,13 @@ partitions form a sub-poset that is again a lattice, with the same meet
 but a coarser join.  The Kreweras complement K reverses the order on
 NC(n), so the noncrossing join is K^-1(K(pi) meet K(sigma)); each
 partition keeps its K and K^-1, each one walk over its blocks read as
-increasing cycles.  The order is decided in integers, by ``refines``
-and by the interval filter alike: pi <= sigma exactly when pi's bit set
-of same-block pairs lies inside sigma's.
+increasing cycles.  NC(n) is the interval from the identity to the long
+cycle gamma = (1 2 ... n) of the symmetric group (Biane, Discrete Math.
+175, 1997), so ``is_noncrossing`` counts the cycles of the walk K takes,
+pi^-1 . gamma: pi is noncrossing exactly when |pi| + #cycles = n + 1.
+The order is decided in integers, by ``refines`` and by the interval
+filter alike: pi <= sigma exactly when pi's bit set of same-block pairs
+lies inside sigma's.
 Enumeration walks restricted growth strings, pruned to the noncrossing
 ones for NC(n), and is deliberately capped at ``MAX_ENUM_N = 10``
 (115975 strings); every consumer in this package needs n <= 8.
@@ -169,43 +173,38 @@ class Partition:
         return succ, pred
 
     @cached_property
-    def _kreweras(self) -> Partition:
-        """K(self), the cycles of x -> pred(x + 1), see ``kreweras``."""
+    def _complement(self) -> tuple[tuple[int, ...], ...]:
+        """The cycles of pi^-1 . gamma, x -> pred(x + 1), for gamma the long
+        cycle (1 2 ... n): the blocks of K(self) when self is noncrossing."""
         pred = self._cycle[1]
-        return _cycle_partition([pred[(x + 1) % self.n] for x in range(self.n)])
+        return _cycles([pred[(x + 1) % self.n] for x in range(self.n)])
+
+    @cached_property
+    def _kreweras(self) -> Partition:
+        """K(self), see ``kreweras``."""
+        return Partition._canonical(self.n, self._complement)
 
     @cached_property
     def _kreweras_inverse(self) -> Partition:
         """K^-1(self), the cycles of x -> pred(x) + 1: the partition whose
         complement is self."""
-        return _cycle_partition([(p + 1) % self.n for p in self._cycle[1]])
+        return Partition._canonical(self.n, _cycles([(p + 1) % self.n for p in self._cycle[1]]))
 
     @cached_property
     def is_noncrossing(self) -> bool:
         """True unless some i < j < k < l has i ~ k, j ~ l in distinct blocks.
 
-        Checked in one left-to-right sweep: open blocks must close like
-        nested brackets.
+        Read off the cycle count: with its blocks as increasing cycles, pi
+        has |pi| + #cycles(pi^-1 . gamma) <= n + 1, with equality exactly
+        when pi is noncrossing (Biane, Some properties of crossings and
+        partitions, Discrete Math. 175, 1997).
 
         >>> parse_partition("{1,3}{2,4}").is_noncrossing
         False
         >>> parse_partition("{1,4}{2,3}").is_noncrossing
         True
         """
-        first = {b[0]: k for k, b in enumerate(self.blocks)}
-        last = {b[-1]: k for k, b in enumerate(self.blocks)}
-        stack: list[int] = []
-        for i in range(1, self.n + 1):
-            k = self.labels[i - 1]
-            if i in first:
-                stack.append(k)
-            elif stack[-1] != k:
-                return False
-            if i in last:
-                if stack[-1] != k:
-                    return False
-                stack.pop()
-        return True
+        return not self.n or self.size + len(self._complement) == self.n + 1
 
     @cached_property
     def _pairs(self) -> int:
@@ -232,18 +231,13 @@ class Partition:
     def restrict(self, positions: tuple[int, ...]) -> Partition:
         """Intersect blocks with ``positions`` and relabel those to 1..len.
 
-        >>> parse_partition("{1,2,5}{3,4}").restrict((2, 3, 5))
+        >>> parse_partition("{1,2,5}{3,4}").restrict((5, 2, 3))
         Partition(n=3, blocks=((1, 3), (2,)))
         """
-        rank = {p: r for r, p in enumerate(sorted(positions), start=1)}
-        blocks = []
-        for b in self.blocks:
-            kept = tuple(rank[i] for i in b if i in rank)
-            if kept:
-                blocks.append(kept)
-        if sum(map(len, blocks)) != len(positions):
+        ordered = sorted(positions)
+        if any(a >= b for a, b in zip([0, *ordered], [*ordered, self.n + 1])):
             raise ValueError(f"positions {positions} are not distinct indices of 1..{self.n}")
-        return Partition._canonical(len(rank), tuple(sorted(blocks)))
+        return restrict_blocks(self, ordered)
 
     @cached_property
     def _text(self) -> str:
@@ -472,10 +466,11 @@ def interweave(pi: Partition, sigma: Partition) -> Partition:
     return Partition._canonical(2 * pi.n, tuple(sorted(blocks)))
 
 
-def _cycle_partition(step: list[int]) -> Partition:
-    """The partition of 1..n into the cycles of the permutation ``step`` of
-    0..n-1, each walked from its least point; the blocks must come out
-    increasing, as the cycles of a complement of a noncrossing partition do."""
+def _cycles(step: list[int]) -> tuple[tuple[int, ...], ...]:
+    """The cycles of the permutation ``step`` of 0..n-1 as tuples over
+    1..n, each walked from its least point, in the order of those points:
+    canonical blocks when they come out increasing, as the cycles of a
+    complement of a noncrossing partition do."""
     seen, blocks = [False] * len(step), []
     for x in range(len(step)):
         if not seen[x]:
@@ -485,7 +480,7 @@ def _cycle_partition(step: list[int]) -> Partition:
                 block.append(x + 1)
                 x = step[x]
             blocks.append(tuple(block))
-    return Partition._canonical(len(step), tuple(blocks))
+    return tuple(blocks)
 
 
 def kreweras(pi: Partition) -> Partition:
@@ -560,9 +555,9 @@ def moebius(pi: Partition, sigma: Partition, kind: LatticeKind) -> int:
 
 
 def restrict_blocks(part: Partition, positions) -> Partition:
-    """The restriction of ``part`` to ``positions``, an ascending union of
-    its blocks, relabelled 1..len: ``Partition.restrict`` without its
-    sorting and checks, for callers that hold such a union already.
+    """The restriction of ``part`` to ``positions``, any ascending distinct
+    indices of 1..n, relabelled 1..len: ``Partition.restrict`` without its
+    sorting and checks, for callers that hold such positions already.
 
     >>> str(restrict_blocks(parse_partition("{1,4}{2,3}{5}"), (2, 3, 5)))
     '{1,2}{3}'

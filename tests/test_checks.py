@@ -786,7 +786,7 @@ def test_the_classical_check_keeps_no_phi_value_in_a(monkeypatch):
     monkeypatch.setattr(ClassicalContext, "__init__", lambda self, *args: made.append(self) or init(self, *args))
     monkeypatch.setattr(Poly, "__mul__", lambda x, y: products.append(1) or mul(x, y))
     assert run_check("classical-total-cumulance", seed=2024).passed
-    keys = [key for ctx in made for key in ctx.phi_table if key != "arguments"]
+    keys = [key for ctx in made for key in ctx.phi_table]
     assert made and not [key for key in keys if key[0] in (engine.Level.PHI, "phi")
                          or key[0] == "cumulant" and key[2] is engine.Level.PHI]
     assert sum(map(len, (ctx.phi_table for ctx in made))) <= 1302
@@ -815,8 +815,8 @@ def test_freeness_tables_its_cumulants_only(monkeypatch):
     # the check asks only for single-block cumulants, which the scalar
     # route computes without a partitioned moment: the context keeps the
     # integer pairs of the 304 scalar cumulants, 308 Boolean cumulants and
-    # 308 moments of the argument tuples the recursion met, keyed on
-    # positions of the four generators, and nothing in A.  The Moebius
+    # 308 moments of the argument tuples the recursion met, keyed on those
+    # tuples of the four generators, and nothing in A.  The Moebius
     # route kept 3,392 partitioned moments; before the split at the Boolean
     # cumulants it kept 308 scalar cumulants and no Boolean one, and before
     # phi-level cumulants became integer pairs on the recursion route, 280
@@ -828,10 +828,26 @@ def test_freeness_tables_its_cumulants_only(monkeypatch):
     assert run_check("freeness").passed
     assert len(made) == 1
     table = made[0].phi_table
-    assert len(table.pop("arguments")) == 4  # the generators, each once
+    assert len({x for _, args in table for x in args}) == 4  # the generators
     kinds = collections.Counter(key[0] for key in table)
-    assert set(kinds) == {"kappa", "boolean", "moment"}
-    assert kinds["kappa"] == 304 and kinds["boolean"] == kinds["moment"] == 308
+    assert set(kinds) == {"kappa", "scalar-boolean", "moment"}
+    assert kinds["kappa"] == 304 and kinds["scalar-boolean"] == kinds["moment"] == 308
+
+
+def test_the_word_model_keeps_its_two_boolean_kinds_apart(monkeypatch):
+    # freeness-characterization takes, on each of its word-model contexts,
+    # operator-valued Boolean cumulants in A for its psi-cumulants and
+    # scalar ones as integer pairs for its phi-cumulants, over the same
+    # argument tuples: each kind has its own tag, so neither reads the other's
+    # entries.  At seed 2024 its three contexts keep 207 and 147 of them
+    made = []
+    init = WordContext.__init__
+    monkeypatch.setattr(WordContext, "__init__", lambda self, model: made.append(self) or init(self, model))
+    assert run_check("freeness-characterization", seed=2024).passed
+    entries = [(key[0], value) for ctx in made for key, value in ctx.phi_table.items()
+               if key[0] in ("boolean", "scalar-boolean")]
+    assert collections.Counter(tag for tag, _ in entries) == {"boolean": 207, "scalar-boolean": 147}
+    assert all(isinstance(value, tuple) == (tag == "scalar-boolean") for tag, value in entries)
 
 
 @pytest.mark.parametrize("identity, bound", [
@@ -978,15 +994,14 @@ def test_total_cumulance_sums_each_nested_cumulant_once(monkeypatch):
     # perf gate: nu(pi, sigma) is the product over the blocks B of sigma of
     # the top value nu(pi|B, 1_B) on a_B, and the context keeps each top
     # value, so its sum over the row of [pi|B, 1_B] runs once per (pi|B,
-    # argument positions), and no nested cumulant sums the row of [pi, sigma].
+    # arguments), and no nested cumulant sums the row of [pi, sigma].
     # Summed per nested cumulant over [pi, sigma], the check ran 355 Moebius
     # sums over rows for its 945 nested_cumulant calls
     asked, sums = [], []
     top_scalar, moebius_row = engine._top_scalar, engine.moebius_row
 
     def top(ctx, restricted):
-        part, _, ids = restricted
-        asked.append((ctx, part, ids))
+        asked.append((ctx, *restricted))
         return top_scalar(ctx, restricted)
 
     def summed(lo, hi, kind):
@@ -1391,8 +1406,8 @@ def top_row_with_a_flipped_weight(right):
 def block_scalar_on_the_top(right):
     """``engine._semi_scalar`` taken on 1_k for every restriction of two blocks."""
     def semi(ctx, restricted):
-        part, args, ids = restricted
-        return right(ctx, (Partition.full(part.n), args, ids) if part.size == 2 else restricted)
+        part, args = restricted
+        return right(ctx, (Partition.full(part.n), args) if part.size == 2 else restricted)
     return semi
 
 

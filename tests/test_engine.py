@@ -360,8 +360,8 @@ def ends_joined(n):
     return [p for p in enumerate_partitions(n, NC) if p.labels[0] == p.labels[-1]]
 
 
-def boolean_entries(ctx):
-    return {key[1]: value for key, value in ctx.phi_table.items() if key[0] == "boolean"}
+def boolean_entries(ctx, tag):
+    return {key[1]: value for key, value in ctx.phi_table.items() if key[0] == tag}
 
 
 def test_each_boolean_cumulant_is_the_sum_over_the_partitions_joining_its_ends():
@@ -376,13 +376,12 @@ def test_each_boolean_cumulant_is_the_sum_over_the_partitions_joining_its_ends()
     for n in range(1, 7):
         for word in (("a1", "b1", "a2") * 2, ("a2", "a1", "b1", "a1", "a2", "b1"), ("b1", "a1") * 3):
             free_cumulant(ctx, Partition.full(n), [ctx.gen(g) for g in word[:n]], Level.PHI)
-    known = list(ctx.phi_table["arguments"])
-    scalar = boolean_entries(ctx)
-    for ids, (num, den) in scalar.items():
-        args = [known[i] for i in ids]
+    scalar = boolean_entries(ctx, "scalar-boolean")
+    assert not boolean_entries(ctx, "boolean")
+    for args, (num, den) in scalar.items():
         assert math.gcd(num, den) == 1 and den > 0
         assert F(num, den) == sum(oracle.phi_scalar(free_cumulant(oracle, p, args, Level.PHI, method="moebius"))
-                                  for p in ends_joined(len(ids))), ids
+                                  for p in ends_joined(len(args))), len(args)
     free = spec._boolean_cache
     for word, (num, den) in free.items():
         assert math.gcd(num, den) == 1 and den > 0
@@ -393,7 +392,8 @@ def test_each_boolean_cumulant_is_the_sum_over_the_partitions_joining_its_ends()
     a, b, c = (model.generators[g] for g in ("g1", "g2", "g3"))
     for args in ([a, b, a, b, a], [c, a, a, b, c]):
         free_cumulant(ctx, Partition.full(5), args, Level.PSI)
-    matrix = boolean_entries(ctx)
+    matrix = boolean_entries(ctx, "boolean")
+    assert not boolean_entries(ctx, "scalar-boolean")
     for args, value in matrix.items():
         assert value == oracle.combine((1, free_cumulant(oracle, p, args, Level.PSI, method="moebius"))
                                        for p in ends_joined(len(args))), len(args)
@@ -831,7 +831,7 @@ def test_a_context_table_keeps_every_entry_as_long_as_the_context():
     # values, each through the context's hook once.  At phi the same
     # partitions give products of their blocks' moments, which keep no entry
     # but the integer pair of each block tuple's moment under ("moment",
-    # positions): one per tuple of one to four generators.  None is ever
+    # arguments): one per tuple of one to four generators.  None is ever
     # dropped, so the first value computed comes back itself
     ctx = ScalarFreeContext(ScalarFreeSpec.random({"a": ("a1", "a2"), "b": ("b1", "b2")}, seed=12))
     hooked = []
@@ -862,9 +862,8 @@ def test_a_context_table_keeps_every_entry_as_long_as_the_context():
     phi = {xs for tag, xs in hooked if tag == "phi"}
     assert len(psi) == 1000
     assert phi == {xs for k in range(1, 5) for xs in itertools.product(pool, repeat=k)}
-    index = ctx.phi_table["arguments"]
-    moments = {("moment", tuple(index[x] for x in xs)) for xs in phi}
-    assert set(ctx.phi_table) == partitioned | psi | moments | {"arguments"}
+    moments = {("moment", xs) for xs in phi}
+    assert set(ctx.phi_table) == partitioned | psi | moments
     assert phi_partitioned(ctx, parts[0], pool, Level.PSI) is first
 
 

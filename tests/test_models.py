@@ -284,28 +284,39 @@ def test_free_moment_equals_the_sum_over_noncrossing_partitions(seed, word):
     assert free_moment(spec, tuple(word)) == nc_sum_moment(spec, word)
 
 
-def count_cumulant_calls(spec: ScalarFreeSpec) -> list:
-    """Wrap ``spec.cumulant`` on the instance; the list grows by one per call."""
-    calls = []
-    cumulant = spec.cumulant
+class CountedTable(dict):
+    """A cumulant table that appends each word read from it to ``reads``."""
 
-    def counted(word):
-        calls.append(word)
-        return cumulant(word)
+    def __init__(self, table: dict, reads: list):
+        super().__init__(table)
+        self.reads = reads
 
-    spec.cumulant = counted
-    return calls
+    def __getitem__(self, word):
+        self.reads.append(word)
+        return super().__getitem__(word)
+
+    def get(self, word, default=None):
+        self.reads.append(word)
+        return super().get(word, default)
+
+
+def count_cumulant_reads(spec: ScalarFreeSpec) -> list:
+    """Count the reads of the spec's integer cumulant table ``kappa_num``;
+    the list grows by one word per read."""
+    reads = []
+    spec.kappa_num = CountedTable(spec.kappa_num, reads)
+    return reads
 
 
 def test_a_cold_free_moment_of_length_n_evaluates_at_most_2_to_the_n_plus_1_cumulants():
     # the sum over NC(8) evaluates up to 6,435 blocks; the Boolean cumulant b
-    # of each distinct sub-word of length L it meets reads one cumulant for
-    # each of its 2^(L-2) blocks holding both ends, 246 reads here (the
-    # first-block recursion made 366), and a word of one family leaves no
-    # block to prune, so the b of its eight prefixes read 1 + 1 + 2 + ... +
-    # 2^6 = 2^7 blocks
+    # of each distinct sub-word of length L it meets reads the spec's integer
+    # cumulant table once for each of its 2^(L-2) blocks holding both ends,
+    # 246 reads here (the first-block recursion made 366), and a word of one
+    # family leaves no block to prune, so the b of its eight prefixes read
+    # 1 + 1 + 2 + ... + 2^6 = 2^7 blocks
     spec = ScalarFreeSpec.random({"a": ("a1", "a2")}, max_order=8, seed=3)
-    calls = count_cumulant_calls(spec)
+    calls = count_cumulant_reads(spec)
     free_moment(spec, ("a1", "a2", "a2", "a1", "a1", "a2", "a1", "a2"))
     assert 2**7 <= len(calls) <= 246 <= 2**9
 
@@ -318,7 +329,7 @@ def test_a_cold_alternating_free_moment_reads_only_blocks_of_one_family():
     # and it makes 26 reads in all, where the first-block recursion over
     # one family made 57, and all 2^(L-1) first blocks of each sub-word 330
     spec = ScalarFreeSpec.random({"a": ("a1", "a2"), "b": ("b1", "b2")}, max_order=8, seed=3)
-    calls = count_cumulant_calls(spec)
+    calls = count_cumulant_reads(spec)
     word = ("a1", "b1", "a2", "b2", "a1", "b2", "a2", "b1")
     value = free_moment(spec, word)
     assert 2**3 <= len(calls) <= 26
@@ -500,11 +511,27 @@ def test_word_psi_of_a_length_6_word_evaluates_at_most_2_to_the_7_cumulants():
     # the sum over NC(6) evaluates up to 462 blocks; diagonal units keep every
     # trace nonzero, so no first block is cut short
     ctx = WordContext(FactorizationModel.random(2, dimension=2, max_order=6, seed=3))
-    calls = count_cumulant_calls(ctx.model.scalars)
+    calls = count_cumulant_reads(ctx.model.scalars)
     gens = ("x1", "x2", "x1", "x1", "x2", "x2")
     units = ((0, 0), (1, 1), (0, 0), (0, 0), (1, 1), (1, 1), (0, 0))
     ctx.psi(basis_word(ctx, gens, units))
     assert 2**5 <= len(calls) <= 2**7
+
+
+def test_a_word_past_max_order_raises_the_capacity_error_on_every_route():
+    # the integer cumulant table holds the words up to max_order, so a longer
+    # block is a miss: each route raises CapacityError through
+    # ScalarFreeSpec.cumulant, not the table's KeyError.  WordContext.psi and
+    # phi_scalar take the flat route over basis words, psi_product the route
+    # over simple tensors, and free_moment the scalar spec's own sum
+    model = FactorizationModel.random(1, 2, 3, 0)
+    ctx = WordContext(model)
+    xs = [ctx.gen("x1")] * 4
+    routes = (lambda: ctx.psi(ctx.product(xs)), lambda: ctx.phi_scalar(ctx.product(xs)),
+              lambda: ctx.psi_product(xs), lambda: free_moment(model.scalars, ("x1",) * 4))
+    for route in routes:
+        with pytest.raises(CapacityError, match="of order 4 exceeds max_order=3"):
+            route()
 
 
 WORD_FACTOR_SHAPES = ("gen", "gen.b", "scaled gen", "centered gen", "b", "rank above 1",

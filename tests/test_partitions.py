@@ -135,7 +135,7 @@ def test_enumeration_capacity_is_enforced():
 
 
 def test_noncrossing_flag_matches_four_index_scan():
-    for n in range(7):
+    for n in range(9):
         for p in enumerate_partitions(n, FULL):
             assert p.is_noncrossing == (not crossing_oracle(p))
 
@@ -241,7 +241,9 @@ def test_each_partition_is_one_object():
     assert p is Partition(4, ((4,), (3, 1), (2,))) is Partition.from_labels((5, 2, 5, 7))
     assert p in enumerate_partitions(4, NC) and p is meet(p, join(p, q, FULL))
     assert quotient(p, Partition.discrete(4)) is p and kreweras(Partition.full(4)) is Partition.discrete(4)
-    assert parse_partition("{1,2,5}{3,4}").restrict((2, 3, 5)) is Partition(3, ((1, 3), (2,)))
+    for positions in ((2, 3, 5), (5, 2, 3)):
+        assert parse_partition("{1,2,5}{3,4}").restrict(positions) is Partition(3, ((1, 3), (2,)))
+    assert parse_partition("{1,2,5}{3,4}").restrict(range(3, 6)) is Partition(3, ((1, 2), (3,)))
     assert interweave(p, q) is Partition(8, ((1, 5), (3,), (7,), (2,), (4, 8), (6,)))
     for copied in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
         assert copied is p
@@ -349,7 +351,7 @@ def test_every_constructor_builds_what_validation_would():
     for make in (Partition.discrete, Partition.full):
         with pytest.raises(ValueError, match="nonnegative"):
             make(-1)
-    for positions in ((2, 4), (2, 2), (0, 1)):
+    for positions in ((2, 4), (2, 2), (0, 1), (3, 1, 3), (2, 1, 4), range(0, 2), range(3, 5)):
         with pytest.raises(ValueError, match="not distinct indices of 1..3"):
             Partition.full(3).restrict(positions)
 
