@@ -328,26 +328,24 @@ def check_moebius(suite: _Suite, params: dict, fresh: bool, spec) -> None:
 def check_kreweras(suite: _Suite, params: dict, fresh: bool, spec) -> None:
     """Complement size identity, order reversal, interval anti-isomorphism,
     and the defining maximality of the complement."""
-    # the complement of every pi in NC(m), m up to the largest bound, once
-    kr = {pi: kreweras(pi) for m in range(max(params.values()) + 1) for pi in _nc(m)}
     for m in range(1, params["size_max"] + 1):
         for pi in _nc(m):
             key = {"part": "size", "n": m, "pi": str(pi)}
             if suite.wants(key):
-                suite.record(key, pi.size + kr[pi].size, m + 1)
+                suite.record(key, pi.size + kreweras(pi).size, m + 1)
     for m in range(params["reversal_max"] + 1):
         for sigma in _nc(m):
             for pi in _below(sigma, LatticeKind.NONCROSSING):
                 key = {"part": "reversal", "n": m, "pi": str(pi), "sigma": str(sigma)}
                 if suite.wants(key):
-                    suite.record(key, kr[sigma].refines(kr[pi]), True)
+                    suite.record(key, kreweras(sigma).refines(kreweras(pi)), True)
     for m in range(params["anti_max"] + 1):
         top = Partition.full(m)
         for pi in _nc(m):
             key = {"part": "anti-isomorphism", "n": m, "pi": str(pi)}
             if suite.wants(key):
-                image = {kr[sigma] for sigma in interval_list(pi, top, LatticeKind.NONCROSSING)}
-                target = set(_below(kr[pi], LatticeKind.NONCROSSING))
+                image = {kreweras(sigma) for sigma in interval_list(pi, top, LatticeKind.NONCROSSING)}
+                target = set(_below(kreweras(pi), LatticeKind.NONCROSSING))
                 suite.record(key, sorted(map(str, image)), sorted(map(str, target)))
     for m in range(params["maximality_max"] + 1):
         for pi in _nc(m):
@@ -357,7 +355,7 @@ def check_kreweras(suite: _Suite, params: dict, fresh: bool, spec) -> None:
                     suite.record(
                         key,
                         interweave(pi, sigma).is_noncrossing,
-                        sigma.refines(kr[pi]),
+                        sigma.refines(kreweras(pi)),
                     )
 
 

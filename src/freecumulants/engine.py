@@ -14,25 +14,33 @@ and the blocks' values simply multiply.
 Every identity the checks test is a Moebius sum of the same few
 partitioned expectations, single-block cumulants and nested
 semicumulants, so every context keeps a table of the ones computed on
-it, one representation per level, each keyed on its argument tuple.  A
-psi-level value is an element of A: a partitioned psi-expectation under
-(partition, Level.PSI, arguments), a single-block psi-cumulant under
-(Level.PSI, arguments), one of more than one block under ("cumulant",
-partition, Level.PSI, arguments), psi of an argument tuple's product
-under ("psi", arguments) and an operator-valued Boolean cumulant under
-("boolean", arguments).  A partitioned psi-expectation or psi-cumulant
-takes each gap and tail as the same functional of the partition
-restricted to that window, so windows are entries too.  A phi-level
-value is an integer pair in lowest terms: each phi-cumulant, scalar
-Boolean cumulant and moment under ("kappa", arguments),
-("scalar-boolean", arguments) and ("moment", arguments), and each block
-scalar of the nested functionals under ("semi", ...) and ("top", ...),
-below.  The nested functionals keep their values under (pair,
-arguments), a nested semicumulant only on its default route, so that
-``method="moebius"`` and ``cross_check`` stay independent oracles, and
-("nested-cumulant", pair, arguments).  The arguments must be the
-context's own hashable elements.  The table lives as long as the
-context, which the checks build per model, and is never cleared.
+it.  One protocol keeps them all: a kept value is ``compute(ctx, key)``
+of a function decorated with ``models.tabled(tag)``, and lives in the
+context's ``phi_table`` under (tag, key).  The key is an argument tuple,
+or a pair (partition or ``NestedPair``, argument tuple); the arguments
+must be the context's own hashable elements.  The tags:
+
+* psi-level values, elements of A: "partitioned" (part, args), a
+  partitioned psi-expectation; "single" args, a single-block
+  psi-cumulant; "cumulant" (part, args), one of more than one block;
+  "psi" args, psi of the product of args; "boolean" args, an
+  operator-valued Boolean cumulant.  A partitioned psi-expectation or
+  psi-cumulant takes each gap and tail as the same functional of the
+  partition restricted to that window, so windows are entries too;
+* phi-level values, integer pairs in lowest terms: "kappa",
+  "scalar-boolean" and "moment" args, a phi-cumulant, scalar Boolean
+  cumulant and moment, and "semi" and "top" (part, args), the block
+  scalars of the nested functionals, below;
+* the nested functionals: "nested-semi" (pair, args), the recursion
+  route of a nested semicumulant, and "nested-cumulant" (pair, args).
+  The Moebius route of ``nested_semicumulant`` keeps no entry of its
+  own, so ``method="moebius"`` and ``cross_check`` stay independent
+  oracles.
+
+The table lives as long as the context, which the checks build per
+model, and is never cleared.  The scalar spec keeps its free moments and
+Boolean cumulants the same way; the memos outside the protocol are named
+in models.py.
 
 phi is C-valued, so a value at ``Level.PHI`` is a central scalar, and it
 pulls out of the C-multilinear psi-cumulants of any gap it is spliced
@@ -42,12 +50,12 @@ product of integer pairs over blocks (``_pair_sum``), embedded in A once:
 * phi_sigma is the product of the blocks' ``_moment_scalar``, and
   kappa^phi_sigma that of their ``_kappa_scalar``, on either lattice;
 * nu_semi(pi, rho) is the product over the blocks B of rho of
-  f(pi|B; a_B) = phi(kappa^psi_{pi|B}(a_B)), kept under ("semi", pi|B, a_B);
+  f(pi|B; a_B) = phi(kappa^psi_{pi|B}(a_B)), kept under ("semi", (pi|B, a_B));
 * [pi, sigma] is the product of the top intervals [pi|B, 1_B] over the
   blocks B of sigma, and mu is multiplicative over it (Speicher, Math.
   Ann. 298, 1994; Nica-Speicher, Lectures 9-11), so nu(pi, sigma) is the
   product of g(pi|B; a_B) = nu(pi|B, 1_B), the sum of mu times nu_semi
-  over the top interval's ``moebius_row``, kept under ("top", pi|B, a_B).
+  over the top interval's ``moebius_row``, kept under ("top", (pi|B, a_B)).
 
 The literal nesting stays the oracle: ``nested_moment`` and every
 ``Level.PSI`` route nest along the blocks, and ``method="moebius"`` and
@@ -112,7 +120,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import CrossingPartitionError, DimensionMismatchError, OrderViolationError
-from .models import ProbabilityContext
+from .models import ProbabilityContext, tabled
 from .partitions import LatticeKind, Partition, first_blocks, moebius_row, outer_blocks, restrict_blocks
 
 
@@ -169,7 +177,7 @@ def _extract(ctx, part: Partition, args: tuple, block_value, whole=None):
     original positions of its arguments and the arguments themselves, to
     its value.  On the full lattice the blocks' values multiply; on the
     noncrossing one they nest by the block holding the first argument
-    (``_nest``).  ``whole(sub_part, sub_args)``, when given, is the
+    (``_nest``).  ``whole(ctx, (sub_part, sub_args))``, when given, is the
     functional being computed, and each gap and tail takes its value as
     ``whole`` of the partition restricted to it, so a tabled functional
     reads it from the table; ``nested_moment`` gives none, because its
@@ -187,7 +195,7 @@ def _nest(ctx, part: Partition, args: tuple, block_value, lo: int, hi: int, whol
     the tail after V.  A noncrossing V leaves each gap and the tail a
     union of blocks."""
     nested = ((lambda a, b: _nest(ctx, part, args, block_value, a, b, None)) if whole is None
-              else (lambda a, b: whole(restrict_blocks(part, range(a + 1, b + 1)), args[a:b])))
+              else (lambda a, b: whole(ctx, (restrict_blocks(part, range(a + 1, b + 1)), args[a:b]))))
     positions = part.blocks[part.labels[lo]]
     block = tuple(i - 1 for i in positions)
     value = block_value(positions, _splice(args, block, lambda a, b: ctx.mul(args[a], nested(a + 1, b))))
@@ -220,20 +228,23 @@ def _by_method(ctx, method: str, cross_check: bool, label: str, subject,
 
 
 def phi_partitioned(ctx: ProbabilityContext, part: Partition, args, level: Level = Level.PSI):
-    """The partitioned expectation: nest the expectation along the blocks;
-    the value comes from, or goes into, the context's table.  At
-    ``Level.PHI`` it is the product of the blocks' moments, untabled."""
+    """The partitioned expectation: nest the expectation along the blocks,
+    tabled under ("partitioned", (part, args)).  At ``Level.PHI`` it is the
+    product of the blocks' moments, untabled."""
     args = tuple(args)
-    if level is Level.PHI:
-        _validate(ctx, part, len(args))
-        return _blockwise(ctx, _moment_scalar, part, args)
-    table, key = ctx.phi_table, (part, Level.PSI, args)
-    value = table.get(key)
-    if value is None:
-        _validate(ctx, part, len(args))
-        value = table[key] = _extract(ctx, part, args, lambda _, sub: _block_moment(ctx, sub),
-                                      lambda sub_part, sub_args: phi_partitioned(ctx, sub_part, sub_args))
-    return value
+    if level is Level.PSI:
+        return _partitioned(ctx, (part, args))
+    _validate(ctx, part, len(args))
+    return _block_product(ctx, _block_calls(_moment_scalar, part, args))
+
+
+@tabled("partitioned")
+def _partitioned(ctx, key):
+    """The partitioned psi-expectation of the (part, args) ``key``, each gap
+    and tail that of its window."""
+    part, args = key
+    _validate(ctx, part, len(args))
+    return _extract(ctx, part, args, lambda _, sub: _block_moment(ctx, sub), _partitioned)
 
 
 def free_cumulant(
@@ -256,60 +267,56 @@ def free_cumulant(
     return _by_method(
         ctx, method, cross_check, "cumulant", part,
         lambda: partial_cumulant(ctx, Partition.discrete(part.n), part, args, level),
-        lambda: (_cumulant_recursive(ctx, part, args) if level is Level.PSI
-                 else _blockwise(ctx, _kappa_scalar, part, args)),
+        lambda: (_cumulant_recursive(ctx, (part, args)) if level is Level.PSI
+                 else _block_product(ctx, _block_calls(_kappa_scalar, part, args))),
     )
 
 
-def _cumulant_recursive(ctx, part, args: tuple):
-    """Nest the single-block psi-cumulants of the blocks of ``part``; a value
-    of more than one block comes from, or goes into, the context's table
-    under ("cumulant", part, Level.PSI, args)."""
-    if part.size == 1:
-        return _single_block(ctx, args)
-    table, key = ctx.phi_table, ("cumulant", part, Level.PSI, args)
-    value = table.get(key)
-    if value is None:
-        value = table[key] = _extract(ctx, part, args, lambda _, sub: _single_block(ctx, sub),
-                                      lambda sub_part, sub_args: _cumulant_recursive(ctx, sub_part, sub_args))
-    return value
+def _cumulant_recursive(ctx, key):
+    """The psi-cumulant of the (part, args) ``key``: the single-block one of
+    one block, else the nesting of those of its blocks."""
+    part, args = key
+    return _single_block(ctx, args) if part.size == 1 else _cumulant_nesting(ctx, key)
 
 
+@tabled("cumulant")
+def _cumulant_nesting(ctx, key):
+    """Nest the single-block psi-cumulants of the blocks of the (part, args)
+    ``key``, each gap and tail the cumulant of its window."""
+    part, args = key
+    return _extract(ctx, part, args, lambda _, sub: _single_block(ctx, sub), _cumulant_recursive)
+
+
+@tabled("psi")
 def _block_moment(ctx, args: tuple):
-    """psi of the product of ``args``; the value comes from, or goes into,
-    the context's table under ("psi", args)."""
-    table, key = ctx.phi_table, ("psi", args)
-    value = table.get(key)
-    if value is None:
-        value = table[key] = ctx.psi_product(args)
-    return value
+    """psi of the product of ``args``."""
+    return ctx.psi_product(args)
 
 
+@tabled("single")
 def _single_block(ctx, args: tuple):
     """The psi-cumulant kappa_n(args) of one block, by the first-block form
-    of the lattice; the value comes from, or goes into, the context's table
-    under (Level.PSI, args)."""
-    table, key = ctx.phi_table, (Level.PSI, args)
-    value = table.get(key)
-    if value is None:
-        value = table[key] = (_kappa_commutative(ctx, args) if ctx.kind is LatticeKind.FULL
-                              else _kappa_operator(ctx, args))
-    return value
+    of the lattice."""
+    return _kappa_commutative(ctx, args) if ctx.kind is LatticeKind.FULL else _kappa_operator(ctx, args)
 
 
-def _embed(ctx, pair: tuple[int, int]):
-    """The integer pair ``pair`` as a scalar of A."""
-    return ctx.embed_scalar(Fraction(*pair))
+def _block_calls(scalar, part: Partition, args: tuple, inner: Partition | None = None):
+    """The calls (scalar, key) over the blocks B of ``part``, one at a time:
+    key is args_B, or (inner|B, args_B) when ``inner`` is given."""
+    for b in part.blocks:
+        sub = tuple(args[i - 1] for i in b)
+        yield scalar, (sub if inner is None else (restrict_blocks(inner, b), sub))
 
 
-def _blockwise(ctx, scalar, part: Partition, args: tuple):
-    """The product of scalar(ctx, args_B) over the blocks B of ``part``, as a scalar of A."""
-    return _embed(ctx, _pair_sum(ctx, [(1, ((scalar, tuple(args[i - 1] for i in b)) for b in part.blocks))]))
+def _block_product(ctx, calls):
+    """The product of the integer pairs scalar(ctx, key) over the (scalar,
+    key) ``calls`` (``_block_calls``), as a scalar of A."""
+    return ctx.embed_scalar(Fraction(*_pair_sum(ctx, [(1, calls)])))
 
 
+@tabled("kappa")
 def _kappa_scalar(ctx, args: tuple) -> tuple[int, int]:
-    """The phi-cumulant of ``args``, as an integer pair in lowest terms,
-    tabled under ("kappa", args).
+    """The phi-cumulant of ``args``, as an integer pair in lowest terms.
 
     On the full lattice it is the first-block form of Leonov and Shiryaev
     (On a method of calculation of semi-invariants, 1959): m(S) less
@@ -325,14 +332,10 @@ def _kappa_scalar(ctx, args: tuple) -> tuple[int, int]:
     of two alternating generators takes 1,027 psi calls there against 87
     phi calls here.
     """
-    table, key = ctx.phi_table, ("kappa", args)
-    value = table.get(key)
-    if value is not None:
-        return value
     n = len(args)
     if ctx.kind is LatticeKind.FULL:
         num, den = _moment_scalar(ctx, args)
-        for block in first_blocks(0, n):
+        for block in first_blocks(n):
             if len(block) == n:
                 continue
             t_num, t_den = _kappa_scalar(ctx, tuple(map(args.__getitem__, block)))
@@ -354,26 +357,22 @@ def _kappa_scalar(ctx, args: tuple) -> tuple[int, int]:
             if t_num:
                 num, den = num * t_den - t_num * den, den * t_den
     g = gcd(num, den)
-    value = table[key] = (num // g, den // g)
-    return value
+    return num // g, den // g
 
 
+@tabled("scalar-boolean")
 def _boolean_scalar(ctx, args: tuple) -> tuple[int, int]:
-    """The Boolean phi-cumulant b(args), an integer pair in lowest terms
-    tabled under ("scalar-boolean", args): m(args) less b(args[:l])
-    m(args[l:]) over 1 <= l < n, each m taken only after its b is nonzero."""
-    table, key = ctx.phi_table, ("scalar-boolean", args)
-    value = table.get(key)
-    if value is None:
-        num, den = _moment_scalar(ctx, args)
-        for l in range(1, len(args)):
-            b_num, b_den = _boolean_scalar(ctx, args[:l])
-            if b_num:
-                m_num, m_den = _moment_scalar(ctx, args[l:])
-                num, den = num * b_den * m_den - b_num * m_num * den, den * b_den * m_den
-        g = gcd(num, den)
-        value = table[key] = (num // g, den // g)
-    return value
+    """The Boolean phi-cumulant b(args), an integer pair in lowest terms:
+    m(args) less b(args[:l]) m(args[l:]) over 1 <= l < n, each m taken only
+    after its b is nonzero."""
+    num, den = _moment_scalar(ctx, args)
+    for l in range(1, len(args)):
+        b_num, b_den = _boolean_scalar(ctx, args[:l])
+        if b_num:
+            m_num, m_den = _moment_scalar(ctx, args[l:])
+            num, den = num * b_den * m_den - b_num * m_num * den, den * b_den * m_den
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def _pair_sum(ctx, terms) -> tuple[int, int]:
@@ -394,13 +393,10 @@ def _pair_sum(ctx, terms) -> tuple[int, int]:
     return num // g, den // g
 
 
+@tabled("moment")
 def _moment_scalar(ctx, args: tuple) -> tuple[int, int]:
-    """phi_scalar of the product of ``args``, an integer pair tabled under ("moment", args)."""
-    table, key = ctx.phi_table, ("moment", args)
-    value = table.get(key)
-    if value is None:
-        value = table[key] = ctx.phi_scalar_product(args).as_integer_ratio()
-    return value
+    """phi_scalar of the product of ``args``, an integer pair."""
+    return ctx.phi_scalar_product(args).as_integer_ratio()
 
 
 def _kappa_commutative(ctx, args: tuple):
@@ -409,7 +405,7 @@ def _kappa_commutative(ctx, args: tuple):
     through ``_single_block`` and each m through ``_block_moment``."""
     n = len(args)
     terms = [(1, _block_moment(ctx, args))]
-    for block in first_blocks(0, n):
+    for block in first_blocks(n):
         if len(block) < n:
             rest = tuple(a for i, a in enumerate(args) if i not in block)
             kappa = _single_block(ctx, tuple(args[i] for i in block))
@@ -442,19 +438,15 @@ def _kappa_operator(ctx, args: tuple):
     return ctx.combine([*terms, (1, _boolean_operator(ctx, args))])
 
 
+@tabled("boolean")
 def _boolean_operator(ctx, args: tuple):
     """The operator-valued Boolean cumulant B(args): psi(a_1 ... a_n) less
     B(a_1, ..., a_l) psi(a_{l+1} ... a_n) over 1 <= l < n, the prefix on the
-    left.  Each B comes from, or goes into, the context's table under
-    ("boolean", args), and each psi through ``_block_moment``."""
-    table, key = ctx.phi_table, ("boolean", args)
-    value = table.get(key)
-    if value is None:
-        value = table[key] = ctx.combine([
-            (1, _block_moment(ctx, args)),
-            *((-1, ctx.mul(_boolean_operator(ctx, args[:l]), _block_moment(ctx, args[l:])))
-              for l in range(1, len(args)))])
-    return value
+    left, each psi through ``_block_moment``."""
+    return ctx.combine([
+        (1, _block_moment(ctx, args)),
+        *((-1, ctx.mul(_boolean_operator(ctx, args[:l]), _block_moment(ctx, args[l:])))
+          for l in range(1, len(args)))])
 
 
 def partial_cumulant(
@@ -502,72 +494,53 @@ def nested_semicumulant(
     """phi along the outer partition of inner psi-cumulants:
     the Moebius inversion of nested_moment in its inner slot.  The
     recursion takes it as the product of ``_semi_scalar`` over the outer
-    blocks, tabled under (pair, args) on that route alone."""
+    blocks, tabled under ("nested-semi", (pair, args)); the Moebius route
+    keeps no entry of its own, and its terms validate the pair."""
     args = tuple(args)
-    table = ctx.phi_table if method == "recursion" and not cross_check else {}
-    key = (pair, args)
-    value = table.get(key)
-    if value is None:
-        _validate_pair(ctx, pair, len(args))
-        inner, outer = pair.inner, pair.outer
-        value = _by_method(
-            ctx, method, cross_check, "nested", pair,
-            lambda: _moebius_sum(
-                ctx, Partition.discrete(inner.n), inner,
-                lambda tau: nested_moment(ctx, NestedPair(tau, outer), args),
-            ),
-            lambda: _nested_product(ctx, _semi_scalar, pair, args),
-        )
-        table[key] = value
-    return value
+    inner, outer = pair.inner, pair.outer
+    return _by_method(
+        ctx, method, cross_check, "nested", pair,
+        lambda: _moebius_sum(ctx, Partition.discrete(inner.n), inner,
+                             lambda tau: nested_moment(ctx, NestedPair(tau, outer), args)),
+        lambda: _nested_semicumulant(ctx, (pair, args)),
+    )
+
+
+@tabled("nested-semi")
+def _nested_semicumulant(ctx, key):
+    pair, args = key
+    _validate_pair(ctx, pair, len(args))
+    return _block_product(ctx, _block_calls(_semi_scalar, pair.outer, args, pair.inner))
 
 
 def nested_cumulant(ctx: ProbabilityContext, pair: NestedPair, args):
     """Outer phi-cumulant of inner psi-cumulants: the sum of
     nested_semicumulant over rho in [inner, outer] against mu(rho, outer).
     That interval is the product of the top intervals [inner|B, 1_B] over
-    the outer blocks B, so the value is the product of ``_top_scalar``; it
-    comes from, or goes into, the context's table under ("nested-cumulant",
-    pair, args)."""
-    args = tuple(args)
-    table, key = ctx.phi_table, ("nested-cumulant", pair, args)
-    value = table.get(key)
-    if value is None:
-        _validate_pair(ctx, pair, len(args))
-        value = table[key] = _nested_product(ctx, _top_scalar, pair, args)
-    return value
+    the outer blocks B, so the value is the product of ``_top_scalar``,
+    tabled under ("nested-cumulant", (pair, args))."""
+    return _nested_cumulant(ctx, (pair, tuple(args)))
 
 
-def _nested_product(ctx, scalar, pair: NestedPair, args: tuple):
-    """The product of scalar(ctx, (inner|B, args_B)) over the outer blocks B, as a scalar of A."""
-    return _embed(ctx, _pair_sum(ctx, [(1, _restricted(scalar, pair.inner, pair.outer, args))]))
+@tabled("nested-cumulant")
+def _nested_cumulant(ctx, key):
+    pair, args = key
+    _validate_pair(ctx, pair, len(args))
+    return _block_product(ctx, _block_calls(_top_scalar, pair.outer, args, pair.inner))
 
 
-def _restricted(scalar, inner: Partition, outer: Partition, args: tuple):
-    """The calls (scalar, (inner|B, args_B)) over the blocks B of ``outer``, one at a time."""
-    return ((scalar, (restrict_blocks(inner, b), tuple(args[i - 1] for i in b))) for b in outer.blocks)
-
-
+@tabled("semi")
 def _semi_scalar(ctx, restricted: tuple) -> tuple[int, int]:
     """phi of the psi-cumulant kappa^psi_part(args), nu_semi(part, 1_n; args),
-    of the (part, args) ``restricted``, an integer pair tabled under
-    ("semi", part, args)."""
-    part, args = restricted
-    table, key = ctx.phi_table, ("semi", part, args)
-    value = table.get(key)
-    if value is None:
-        value = table[key] = ctx.phi_scalar(_cumulant_recursive(ctx, part, args)).as_integer_ratio()
-    return value
+    of the (part, args) ``restricted``, an integer pair."""
+    return ctx.phi_scalar(_cumulant_recursive(ctx, restricted)).as_integer_ratio()
 
 
+@tabled("top")
 def _top_scalar(ctx, restricted: tuple) -> tuple[int, int]:
     """nu(part, 1_n; args) of the (part, args) ``restricted``: the sum over
     tau in [part, 1_n] of mu(tau, 1_n) times the product of ``_semi_scalar``
-    over tau's blocks, an integer pair tabled under ("top", part, args)."""
+    over tau's blocks, an integer pair."""
     part, args = restricted
-    table, key = ctx.phi_table, ("top", part, args)
-    value = table.get(key)
-    if value is None:
-        row = moebius_row(part, Partition.full(part.n), ctx.kind)
-        value = table[key] = _pair_sum(ctx, [(mu, _restricted(_semi_scalar, part, tau, args)) for mu, tau in row])
-    return value
+    row = moebius_row(part, Partition.full(part.n), ctx.kind)
+    return _pair_sum(ctx, [(mu, _block_calls(_semi_scalar, tau, args, part)) for mu, tau in row])

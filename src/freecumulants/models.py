@@ -38,13 +38,19 @@ two half products and integrates their term pairs straight into psi,
 and its literal route, psi of the product, is the reference and the
 error path.
 
-A ``ScalarFreeSpec`` keeps each word's free moment and a ``ClassicalSpec``
-each monomial's moment as long as the spec lives, so the classical
-expectations, ``matrix_psi`` and ``matrix_phi`` multiply out the moment
-table once per monomial.  A ``ScalarFreeSpec`` also keeps its cumulants
-once as integers, ``kappa_num`` over the common ``kappa_den``: the free
-moments and both psi routes of the word model read that table, and
-``cumulant`` stays the checked lookup, which raises past ``max_order``.
+Every value-keyed memo of the engine and of a ``ScalarFreeSpec`` goes
+through ``tabled(tag)``, under (tag, key) in the owner's ``phi_table``: a
+spec keeps each word's free moment under "free-moment", m(()) = 1
+seeded, and its Boolean cumulant under "free-boolean".  A spec also keeps
+its cumulants once as integers, ``kappa_num`` over the common
+``kappa_den``: the free moments and both psi routes of the word model
+read that table, and ``cumulant`` stays the checked lookup, which raises
+past ``max_order``.  Three memos stay outside the protocol: a
+``ClassicalSpec``'s monomial moments, ``_moment_cache``, which the inner
+loops of ``_integrate`` and ``_paired_moments`` read inline, where a call
+per term would cost; ``FactorizationModel._psi_cache``, keyed on a
+reduction of the arguments; and ``WordContext._factors``, which holds
+None for the flat-route fallback.
 
 All randomness is drawn from ``random.Random(seed)`` with numerators in
 [-9, 9] and denominators in {1, 2, 3}; drawn values travel in ``to_data``
@@ -57,7 +63,7 @@ import itertools
 import random
 import sys
 from fractions import Fraction
-from functools import cache, cached_property, partial, reduce
+from functools import cache, cached_property, partial, reduce, wraps
 from math import gcd, lcm, prod
 from operator import getitem
 
@@ -101,6 +107,23 @@ class _Recorded:
         return cls.from_data(cls.random_data(*args, **kwargs))
 
 
+def tabled(tag: str):
+    """The one table protocol: ``compute(owner, key)`` kept in
+    ``owner.phi_table`` under (tag, key).  A hit returns the kept value, a
+    miss stores and returns the computed one, an exception stores nothing;
+    no value is None."""
+    def decorate(compute):
+        @wraps(compute)
+        def lookup(owner, key):
+            table, entry = owner.phi_table, (tag, key)
+            value = table.get(entry)
+            if value is None:
+                value = table[entry] = compute(owner, key)
+            return value
+        return lookup
+    return decorate
+
+
 class ProbabilityContext:
     """Interface the cumulant engine works against.
 
@@ -113,9 +136,9 @@ class ProbabilityContext:
     returns the C-value embedded back into A so the engine can keep
     multiplying; ``phi_scalar`` exposes the bare rational.
 
-    Elements are immutable hashable values, so the engine keeps the
-    partitioned expectations it computes on the context in ``phi_table``
-    (see ``engine.phi_partitioned``).
+    Elements are immutable hashable values, so the engine keeps the values
+    it computes on the context in ``phi_table``, through ``tabled`` (see
+    the engine's module docstring for the tags).
     """
 
     kind: LatticeKind = LatticeKind.NONCROSSING
@@ -567,8 +590,8 @@ class ScalarFreeSpec(_Recorded):
         # the one cumulant table: integer numerators over their common denominator
         self.kappa_den = lcm(*(c.denominator for c in cumulants.values()))
         self.kappa_num = {w: c.numerator * (self.kappa_den // c.denominator) for w, c in cumulants.items()}
-        self._moment_cache: dict[tuple[str, ...], tuple[int, int]] = {(): (1, 1)}
-        self._boolean_cache: dict[tuple[str, ...], tuple[int, int]] = {}
+        # the free moments and Boolean cumulants met, through ``tabled``; m(()) = 1
+        self.phi_table: dict = {("free-moment", ()): (1, 1)}
 
     @staticmethod
     def random_data(families: dict[str, tuple[str, ...]], max_order: int = DEFAULT_MAX_ORDER, seed: int = 0) -> dict:
@@ -646,11 +669,9 @@ def free_moment(spec: ScalarFreeSpec, word: tuple[str, ...]) -> Fraction:
     return Fraction(*_free_moment(spec, tuple(word)))
 
 
+@tabled("free-moment")
 def _free_moment(spec: ScalarFreeSpec, word: tuple[str, ...]) -> tuple[int, int]:
-    """``free_moment`` as an integer pair in lowest terms, kept in the spec's ``_moment_cache``."""
-    cached = spec._moment_cache.get(word)
-    if cached is not None:
-        return cached
+    """``free_moment`` as an integer pair in lowest terms, kept in the spec's table."""
     n = len(word)
     if n > spec.max_order:
         raise CapacityError(f"moment of order {n} exceeds max_order={spec.max_order}")
@@ -661,15 +682,12 @@ def _free_moment(spec: ScalarFreeSpec, word: tuple[str, ...]) -> tuple[int, int]
             m_num, m_den = _free_moment(spec, word[l:])
             num, den = num * bd * m_den + bn * m_num * den, den * bd * m_den
     g = gcd(num, den)
-    total = spec._moment_cache[word] = (num // g, den // g)
-    return total
+    return num // g, den // g
 
 
+@tabled("free-boolean")
 def _free_boolean(spec: ScalarFreeSpec, word: tuple[str, ...]) -> tuple[int, int]:
-    """b(word) of ``free_moment``, an integer pair in lowest terms kept in the spec's ``_boolean_cache``."""
-    cached = spec._boolean_cache.get(word)
-    if cached is not None:
-        return cached
+    """b(word) of ``free_moment``, an integer pair in lowest terms kept in the spec's table."""
     family_of, kappas = spec.family_of, spec.kappa_num
     own = [i for i, g in enumerate(word) if family_of[g] == family_of[word[0]]]
     num, den = 0, 1
@@ -686,8 +704,7 @@ def _free_boolean(spec: ScalarFreeSpec, word: tuple[str, ...]) -> tuple[int, int
             if vn:
                 num, den = num * vd + vn * den, den * vd
     g = gcd(num, den)
-    total = spec._boolean_cache[word] = (num // g, den // g)
-    return total
+    return num // g, den // g
 
 
 class ScalarFreeContext(LinearCombinationContext):
@@ -879,7 +896,7 @@ class WordContext(LinearCombinationContext):
         if entry is not None:
             return entry
         scalars, num, den = self.model.scalars, 0, 1
-        for block in first_blocks(0, len(gens)):
+        for block in first_blocks(len(gens)):
             last = block[-1]
             if units[last + 1][0] != key[1]:
                 continue

@@ -46,7 +46,7 @@ import itertools
 import math
 from collections import Counter
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 
 from .errors import (
     CapacityError,
@@ -340,25 +340,27 @@ def _growth_strings(n: int, noncrossing: bool):
     yield from rec([], [], 0)
 
 
-def first_blocks(i: int, j: int):
-    """i together with each subset of i+1..j-1, as sorted tuples: the
-    blocks holding i of the partitions of {i..j-1}.
+@cache
+def first_blocks(n: int) -> tuple[tuple[int, ...], ...]:
+    """0 together with each subset of 1..n-1, as sorted tuples: the blocks
+    holding 0 of the partitions of {0..n-1}, kept once per n.
 
-    >>> list(first_blocks(0, 3))
-    [(0,), (0, 1), (0, 2), (0, 1, 2)]
+    >>> first_blocks(3)
+    ((0,), (0, 1), (0, 2), (0, 1, 2))
     """
-    rest = range(i + 1, j)
-    return ((i, *subset) for r in range(len(rest) + 1) for subset in itertools.combinations(rest, r))
+    rest = range(1, n)
+    return tuple((0, *subset) for r in range(len(rest) + 1) for subset in itertools.combinations(rest, r))
 
 
-def outer_blocks(n: int):
+@cache
+def outer_blocks(n: int) -> tuple[tuple[int, ...], ...]:
     """The blocks holding both 0 and n-1 of the partitions of {0..n-1},
-    n >= 1, as sorted tuples: those of a Boolean cumulant.
+    n >= 1, as sorted tuples: those of a Boolean cumulant, kept once per n.
 
-    >>> list(outer_blocks(4))
-    [(0, 3), (0, 1, 3), (0, 2, 3), (0, 1, 2, 3)]
+    >>> outer_blocks(4)
+    ((0, 3), (0, 1, 3), (0, 2, 3), (0, 1, 2, 3))
     """
-    return first_blocks(0, 1) if n == 1 else ((*block, n - 1) for block in first_blocks(0, n - 1))
+    return first_blocks(1) if n == 1 else tuple((*block, n - 1) for block in first_blocks(n - 1))
 
 
 @lru_cache(maxsize=None)

@@ -6,6 +6,7 @@ import copy
 import functools
 import hashlib
 import importlib.util
+import inspect
 import io
 import json
 import os
@@ -777,18 +778,22 @@ def test_psi_cumulants_share_their_psi_values(monkeypatch, identity, cls, bound)
 def test_the_classical_check_keeps_no_phi_value_in_a(monkeypatch):
     # perf gate: a phi-level cumulant is a product of integer pairs on the
     # full lattice too, so the classical contexts keep in A only the psi
-    # values of the psi recursion.  Taken in A through that recursion, the
-    # check kept 1,899 table entries, 282 of them under "phi", 282 under
-    # Level.PHI and 315 phi-level "cumulant" entries, and made 1,581 Poly
-    # products
+    # values of the psi recursion and the nested cumulants the check asks
+    # for, and every phi-level kind holds integer pairs.  Taken in A through
+    # that recursion, the check kept 1,899 table entries, 282 of them phi
+    # values, 282 phi-level single-block cumulants and 315 phi-level
+    # partitioned cumulants, and made 1,581 Poly products
     made, products = [], []
     init, mul = ClassicalContext.__init__, Poly.__mul__
     monkeypatch.setattr(ClassicalContext, "__init__", lambda self, *args: made.append(self) or init(self, *args))
     monkeypatch.setattr(Poly, "__mul__", lambda x, y: products.append(1) or mul(x, y))
     assert run_check("classical-total-cumulance", seed=2024).passed
-    keys = [key for ctx in made for key in ctx.phi_table]
-    assert made and not [key for key in keys if key[0] in (engine.Level.PHI, "phi")
-                         or key[0] == "cumulant" and key[2] is engine.Level.PHI]
+    kinds = collections.defaultdict(set)
+    for ctx in made:
+        for (tag, _), value in ctx.phi_table.items():
+            kinds[tag].add(type(value))
+    assert made and kinds == {**dict.fromkeys(("psi", "single", "cumulant", "nested-cumulant"), {Poly}),
+                              **dict.fromkeys(("moment", "kappa", "semi", "top"), {tuple})}
     assert sum(map(len, (ctx.phi_table for ctx in made))) <= 1302
     assert 0 < len(products) <= 816
 
@@ -832,6 +837,49 @@ def test_freeness_tables_its_cumulants_only(monkeypatch):
     kinds = collections.Counter(key[0] for key in table)
     assert set(kinds) == {"kappa", "scalar-boolean", "moment"}
     assert kinds["kappa"] == 304 and kinds["scalar-boolean"] == kinds["moment"] == 308
+
+
+# the entries per tag over every context, and over every scalar spec, of each
+# check at seed 2024; the checks not named keep none
+TABLE_ENTRIES = {
+    "moment-cumulant": ({"psi": 368, "boolean": 368, "single": 256, "partitioned": 508, "cumulant": 435}, {}),
+    "total-cumulance": ({"psi": 140, "boolean": 140, "single": 109, "semi": 242, "top": 242,
+                         "nested-cumulant": 355, "nested-semi": 355, "moment": 68, "scalar-boolean": 53,
+                         "kappa": 36, "cumulant": 174}, {}),
+    "partial-cumulants": ({"psi": 83, "boolean": 83, "single": 64, "partitioned": 103, "cumulant": 107}, {}),
+    "nested-closed-forms": ({"psi": 35, "partitioned": 4, "boolean": 24, "single": 14, "semi": 4,
+                             "nested-semi": 1, "moment": 2, "scalar-boolean": 2, "kappa": 1, "top": 2,
+                             "nested-cumulant": 2, "cumulant": 1}, {}),
+    "classical-total-cumulance": ({"psi": 45, "single": 45, "semi": 153, "top": 153, "nested-cumulant": 228,
+                                   "moment": 282, "kappa": 282, "cumulant": 108}, {}),
+    "freeness": ({"moment": 308, "scalar-boolean": 308, "kappa": 304},
+                 {"free-moment": 768, "free-boolean": 771}),
+    "product-formula": ({"moment": 40, "scalar-boolean": 36, "kappa": 31}, {"free-moment": 62, "free-boolean": 75}),
+    "freeness-characterization": ({"psi": 243, "boolean": 207, "single": 155, "moment": 163,
+                                   "scalar-boolean": 147, "kappa": 127, "semi": 207, "top": 66,
+                                   "nested-cumulant": 66, "cumulant": 129}, {"free-moment": 3}),
+    "tensor-factorization": ({"psi": 61, "partitioned": 74, "boolean": 44, "single": 36, "semi": 69,
+                              "nested-semi": 71, "top": 69, "nested-cumulant": 71, "cumulant": 43},
+                             {"free-moment": 9, "free-boolean": 8}),
+}
+
+
+@pytest.mark.parametrize("identity", list(ALL_CHECKS))
+def test_each_check_keeps_the_same_tables(monkeypatch, identity):
+    # every table of the engine and of the scalar specs goes through
+    # models.tabled, keyed (tag, key); these are the entries each kind held
+    # when each table was written out by hand, and a free-moment count
+    # includes each spec's m(()) entry
+    tables, specs = [], []
+    table = functools.cached_property(lambda self: tables.append({}) or tables[-1])
+    table.__set_name__(models.ProbabilityContext, "phi_table")
+    monkeypatch.setattr(models.ProbabilityContext, "phi_table", table)
+    init = ScalarFreeSpec.__init__
+    monkeypatch.setattr(ScalarFreeSpec, "__init__", lambda self, *args: specs.append(self) or init(self, *args))
+    assert run_check(identity, seed=2024).passed
+    kept = [collections.Counter(tag for each in owners for tag, _ in each) for owners in
+            (tables, (spec.phi_table for spec in specs))]
+    assert tuple(kept) == TABLE_ENTRIES.get(identity, ({}, {}))
 
 
 def test_the_word_model_keeps_its_two_boolean_kinds_apart(monkeypatch):
@@ -889,10 +937,11 @@ def test_moment_cumulant_restricts_no_partition(monkeypatch):
 ])
 def test_lattice_values_are_computed_once_per_check(monkeypatch, identity, joins, nested):
     # perf gate: joins are tabulated once per rho, a nested semicumulant
-    # once per (pair, arguments), and canonical partitions skip validation,
-    # which runs only in Partition.__new__, the public Partition(n, blocks)
+    # evaluated once per (pair, arguments), on a miss of its table, and
+    # canonical partitions skip validation, which runs only in
+    # Partition.__new__, the public Partition(n, blocks)
     counts = {"validated": 0, "join": 0, "nested": 0}
-    validating, join, by_method = Partition.__new__, checks.join, engine._by_method
+    validating, join, semi = Partition.__new__, checks.join, engine._nested_semicumulant
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -900,27 +949,33 @@ def test_lattice_values_are_computed_once_per_check(monkeypatch, identity, joins
             return fn(*args, **kwargs)
         return wrapper
 
-    def routed(ctx, method, cross_check, label, *rest):
-        counts["nested"] += label == "nested"
-        return by_method(ctx, method, cross_check, label, *rest)
+    def missed(ctx, key):
+        counts["nested"] += ("nested-semi", key) not in ctx.phi_table
+        return semi(ctx, key)
 
     monkeypatch.setattr(Partition, "__new__", counted("validated", validating))
     monkeypatch.setattr(checks, "join", counted("join", join))
-    monkeypatch.setattr(engine, "_by_method", routed)
+    monkeypatch.setattr(engine, "_nested_semicumulant", missed)
     assert run_check(identity, seed=2024).passed
     assert counts["validated"] == 0
     assert counts["join"] <= joins and counts["nested"] <= nested
 
 
 def test_kreweras_computes_each_complement_once(monkeypatch):
-    # perf gate: one complement per pi in NC(m), m <= 7, that is 626;
-    # computed per case, the same run made 6,368 kreweras calls
-    calls = []
-    kreweras = checks.kreweras
-    monkeypatch.setattr(checks, "kreweras", lambda pi: calls.append(pi) or kreweras(pi))
+    # perf gate: each partition keeps its complement, and the check reads it
+    # through kreweras as often as it likes, so it computes at most one per
+    # pi in NC(m), m <= 7, that is 626; computed per case, the same run
+    # computed 6,368 complements
+    computed = []
+    complement = Partition._kreweras.func
+    counted = functools.cached_property(lambda self: computed.append(self) or complement(self))
+    counted.__set_name__(Partition, "_kreweras")
+    monkeypatch.setattr(Partition, "_kreweras", counted)
+    for part in partitions._INDEX.values():
+        vars(part).pop("_kreweras", None)
     assert run_check("kreweras").passed
-    assert 0 < len(calls) <= 626
-    assert len(set(calls)) == len(calls)
+    assert 0 < len(computed) <= 626
+    assert len(set(computed)) == len(computed)
 
 
 @pytest.mark.parametrize("identity, name, bound", [
@@ -1036,12 +1091,12 @@ def test_moment_cumulant_nests_each_partitioned_cumulant_once(monkeypatch):
     # perf gate: the recursion keeps each partitioned cumulant of more than
     # one block in the context's table, and its gaps and tails are read as
     # the cumulants of their windows, so each is nested once per
-    # (partition, level, arguments) on a context
+    # (partition, arguments) on a context
     nested = []
     extract = engine._extract
 
     def counted(ctx, part, args, block_value, *rest):
-        if block_value.__qualname__.startswith("_cumulant_recursive."):
+        if block_value.__qualname__.startswith("_cumulant_nesting."):
             nested.append((ctx, part, tuple(args)))
         return extract(ctx, part, args, block_value, *rest)
 
@@ -1247,15 +1302,13 @@ def faulty_free_moment(fault: str):
     """``models._free_moment`` with one fault: "family" draws the first
     block from the last letter's family instead of the first's, "tail"
     drops the moment of the tail after the first block."""
+    @models.tabled("free-moment")
     def moment(spec, word):
-        cached = spec._moment_cache.get(word)
-        if cached is not None:
-            return cached
         n, family_of = len(word), spec.family_of
         family = family_of[word[-1] if fault == "family" else word[0]]
         own = [0] + [i for i in range(1, n) if family_of[word[i]] == family]
         num, den = 0, 1
-        for picks in partitions.first_blocks(0, len(own)):
+        for picks in partitions.first_blocks(len(own)):
             block = tuple(own[j] for j in picks)
             vn, vd = spec.cumulant(tuple(word[i] for i in block)).as_integer_ratio()
             for a, b in zip(block, block[1:] + ((n,) if fault != "tail" else ())):
@@ -1263,8 +1316,7 @@ def faulty_free_moment(fault: str):
                     m_num, m_den = moment(spec, word[a + 1 : b])
                     vn, vd = vn * m_num, vd * m_den
             num, den = num * vd + vn * den, den * vd
-        value = spec._moment_cache[word] = Fraction(num, den).as_integer_ratio()
-        return value
+        return Fraction(num, den).as_integer_ratio()
     return moment
 
 
@@ -1431,6 +1483,54 @@ def test_a_wrong_row_or_window_fails_the_checks_that_read_it(monkeypatch, cold_p
     monkeypatch.setattr(module, name, fault)
     for identity in failing:
         assert run_check(identity, seed=2024).status == "fail", identity
+
+
+def tabled_on_the_key_alone(compute):
+    """``models.tabled`` with each entry keyed on its key alone, the tag
+    dropped, so the kinds that share a key read each other's values."""
+    def lookup(owner, key):
+        table = owner.phi_table
+        value = table.get(key)
+        if value is None:
+            value = table[key] = compute(owner, key)
+        return value
+    return lookup
+
+
+def test_a_table_protocol_that_drops_the_tag_fails_the_checks_that_keep_tables(monkeypatch):
+    # the fault row of the one table protocol: each of the 14 functions
+    # models.tabled decorates, 12 in the engine and 2 in the scalar spec,
+    # decorated again with the tag dropped, so "kappa", "scalar-boolean" and
+    # "moment" collide on an argument tuple, as "psi", "single" and "boolean"
+    # do, and the (partition, arguments) kinds on theirs.  Over the twelve
+    # checks at seed 2024, as measured, eight fail, three of them by
+    # unpacking an element of A as an integer pair.  freeness passes: the
+    # spec's m(()) entry, seeded under its tag, is then missed and taken as
+    # 0, and every free moment with it, and the zero functional has every
+    # mixed cumulant and alternating moment zero; product-formula sees it.
+    # The three lattice checks keep no table.
+    #
+    # A blind spot of the fault rows, measured the same way: ClassicalContext.psi
+    # replaced by phi fails none of the twelve checks, because phi is itself
+    # a conditional expectation.  test_bimodule_law_on_random_sandwiches,
+    # test_the_classical_check_keeps_no_phi_value_in_a and
+    # test_a_wrong_shared_factor_fails_the_checks_that_read_it[table-moment]
+    # catch it
+    decorated = [(module, name, fn) for module in (engine, models) for name, fn in vars(module).items()
+                 if inspect.isfunction(fn) and hasattr(fn, "__wrapped__")]
+    assert len(decorated) == 14
+    for module, name, fn in decorated:
+        monkeypatch.setattr(module, name, tabled_on_the_key_alone(fn.__wrapped__))
+    failed = set()
+    for identity in ALL_CHECKS:
+        try:
+            if not run_check(identity, seed=2024).passed:
+                failed.add(identity)
+        except TypeError:  # an element of A read as an integer pair
+            failed.add(identity)
+    assert failed == {"moment-cumulant", "total-cumulance", "partial-cumulants", "nested-closed-forms",
+                      "classical-total-cumulance", "product-formula", "freeness-characterization",
+                      "tensor-factorization"}
 
 
 def _add_unit(ctx, value):
