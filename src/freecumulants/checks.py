@@ -52,6 +52,7 @@ from .models import (
     _field,
     centered,
     draw_fraction,
+    draw_text,
     free_moment,
 )
 from .partitions import (
@@ -742,14 +743,14 @@ def check_freeness_characterization(suite: _Suite, params: dict, fresh: bool, sp
         d = model.d
 
         def matrix() -> list[list[str]]:
-            return [[str(draw_fraction(rng)) for _ in range(d)] for _ in range(d)]
+            return [[draw_text(rng) for _ in range(d)] for _ in range(d)]
 
         return {"draws": {
             str(m): {
                 "gens": [rng.choice(gens) for _ in range(m)],
                 "bs": [matrix() for _ in range(m)],
                 "b0": matrix(),
-                "cs": [str(draw_fraction(rng)) for _ in range(max(m - 1, 0))],
+                "cs": [draw_text(rng) for _ in range(max(m - 1, 0))],
             }
             for m in range(1, params["n_max"] + 1)
         }}
@@ -829,7 +830,7 @@ def check_tensor_factorization(suite: _Suite, params: dict, fresh: bool, spec) -
             str(m): [
                 {
                     "word": [gen] * rng.randint(1, 2),
-                    "vec": [str(draw_fraction(rng)) for _ in range(model.points)],
+                    "vec": [draw_text(rng) for _ in range(model.points)],
                 }
                 for _ in range(m)
             ]

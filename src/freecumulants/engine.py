@@ -116,7 +116,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from math import gcd
 
 from .errors import CrossingPartitionError, DimensionMismatchError, OrderViolationError
@@ -209,21 +208,21 @@ def _moebius_sum(ctx, lo: Partition, hi: Partition, value):
     return ctx.combine((mu, value(tau)) for mu, tau in moebius_row(lo, hi, ctx.kind))
 
 
-def _by_method(ctx, method: str, cross_check: bool, label: str, subject,
+def _by_method(ctx, key, method: str, cross_check: bool, label: str, subject,
                moebius_route, recursion_route):
-    """Run the route ``method`` names; ``cross_check`` runs both and
-    insists they agree, returning the Moebius (reference) value."""
+    """Run the route ``method`` names, route(ctx, key); ``cross_check`` runs
+    both and insists they agree, returning the Moebius (reference) value."""
     if cross_check:
-        a, b = moebius_route(), recursion_route()
+        a, b = moebius_route(ctx, key), recursion_route(ctx, key)
         if a != b:
             raise RuntimeError(
                 f"{label} cross-check failed for {subject}: {ctx.describe(a)} vs {ctx.describe(b)}"
             )
         return a
     if method == "moebius":
-        return moebius_route()
+        return moebius_route(ctx, key)
     if method == "recursion":
-        return recursion_route()
+        return recursion_route(ctx, key)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -264,12 +263,24 @@ def free_cumulant(
     """
     args = tuple(args)
     _validate(ctx, part, len(args))
-    return _by_method(
-        ctx, method, cross_check, "cumulant", part,
-        lambda: partial_cumulant(ctx, Partition.discrete(part.n), part, args, level),
-        lambda: (_cumulant_recursive(ctx, (part, args)) if level is Level.PSI
-                 else _block_product(ctx, _block_calls(_kappa_scalar, part, args))),
-    )
+    return _by_method(ctx, (part, args, level), method, cross_check, "cumulant", part,
+                      _cumulant_by_moebius, _cumulant_by_recursion)
+
+
+def _cumulant_by_moebius(ctx, key):
+    """The partitioned cumulant of the (part, args, level) ``key`` as its Moebius sum."""
+    part, args, level = key
+    return partial_cumulant(ctx, Partition.discrete(part.n), part, args, level)
+
+
+def _cumulant_by_recursion(ctx, key):
+    """The partitioned cumulant of the (part, args, level) ``key`` by the
+    recursion: nested in A at ``Level.PSI``, a product of integer pairs at
+    ``Level.PHI``."""
+    part, args, level = key
+    if level is Level.PSI:
+        return _cumulant_recursive(ctx, (part, args))
+    return _block_product(ctx, _block_calls(_kappa_scalar, part, args))
 
 
 def _cumulant_recursive(ctx, key):
@@ -311,7 +322,7 @@ def _block_calls(scalar, part: Partition, args: tuple, inner: Partition | None =
 def _block_product(ctx, calls):
     """The product of the integer pairs scalar(ctx, key) over the (scalar,
     key) ``calls`` (``_block_calls``), as a scalar of A."""
-    return ctx.embed_scalar(Fraction(*_pair_sum(ctx, [(1, calls)])))
+    return ctx.embed_ratio(*_pair_sum(ctx, [(1, calls)]))
 
 
 @tabled("kappa")
@@ -496,14 +507,17 @@ def nested_semicumulant(
     recursion takes it as the product of ``_semi_scalar`` over the outer
     blocks, tabled under ("nested-semi", (pair, args)); the Moebius route
     keeps no entry of its own, and its terms validate the pair."""
-    args = tuple(args)
-    inner, outer = pair.inner, pair.outer
-    return _by_method(
-        ctx, method, cross_check, "nested", pair,
-        lambda: _moebius_sum(ctx, Partition.discrete(inner.n), inner,
-                             lambda tau: nested_moment(ctx, NestedPair(tau, outer), args)),
-        lambda: _nested_semicumulant(ctx, (pair, args)),
-    )
+    key = (pair, tuple(args))
+    return _by_method(ctx, key, method, cross_check, "nested", pair,
+                      _nested_semi_by_moebius, _nested_semicumulant)
+
+
+def _nested_semi_by_moebius(ctx, key):
+    """The nested semicumulant of the (pair, args) ``key`` as the Moebius
+    sum of ``nested_moment`` over its inner slot, kept nowhere."""
+    pair, args = key
+    return _moebius_sum(ctx, Partition.discrete(pair.inner.n), pair.inner,
+                        lambda tau: nested_moment(ctx, NestedPair(tau, pair.outer), args))
 
 
 @tabled("nested-semi")

@@ -41,22 +41,33 @@ MAX_EXPONENT = 0x7F
 _GUARD = 0x80
 
 
-def as_fraction(value: int | str | Fraction) -> Fraction:
-    """Coerce ints, Fractions and strings like '-3/2' to Fraction.  The form
-    ``str(Fraction)`` writes, ``-?[0-9]+(/[0-9]+)?``, is read with ``int``;
-    any other string goes to ``Fraction``, whose errors it keeps."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (int, str)):
+def as_ratio(value: int | str | Fraction) -> tuple[int, int]:
+    """The (numerator, denominator) in lowest terms of an int, a Fraction or
+    a string like '-3/2'.  The form ``str(Fraction)`` writes,
+    ``-?[0-9]+(/[0-9]+)?``, is read with ``int`` and ``gcd``; any other
+    string goes to ``Fraction``, whose errors it keeps."""
+    if isinstance(value, str) and value.isascii():
+        num, slash, den = value.partition("/")
+        if (num[1:] if num[:1] == "-" else num).isdigit() and (not slash or den.isdigit()):
+            if not slash:
+                return int(num), 1
+            num, den = int(num), int(den)
+            if den:
+                g = gcd(num, den)
+                return num // g, den // g
+    if isinstance(value, (int, Fraction)):
+        return value.as_integer_ratio()
+    if isinstance(value, str):
         try:
-            if isinstance(value, str):
-                num, slash, den = value.partition("/")
-                if value.isascii() and (num[1:] if num[:1] == "-" else num).isdigit() and (not slash or den.isdigit()):
-                    return Fraction(int(num), int(den)) if slash else Fraction(int(num))
-            return Fraction(value)
+            return Fraction(value).as_integer_ratio()
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as a rational")
+
+
+def as_fraction(value: int | str | Fraction) -> Fraction:
+    """Coerce ints, Fractions and strings like '-3/2' to Fraction, read by ``as_ratio``."""
+    return value if isinstance(value, Fraction) else Fraction(*as_ratio(value))
 
 
 class PolyRing:
@@ -91,9 +102,8 @@ class PolyRing:
         return _make(self, {0: 1}, 1)
 
     def const(self, c: Scalar) -> Poly:
-        if not isinstance(c, (int, Fraction)):
-            c = as_fraction(c)
-        return _make(self, {0: c.numerator}, c.denominator)
+        num, den = as_ratio(c)
+        return _make(self, {0: num}, den)
 
     def var(self, name: str) -> Poly:
         return _make(self, {1 << 8 * (len(self.variables) - 1 - self.index(name)): 1}, 1)
@@ -152,7 +162,7 @@ class Poly:
     def __init__(self, ring: PolyRing, terms: dict[tuple[int, ...], Scalar]):
         self.ring = ring
         _in_lowest_terms(self, *_accumulate(
-            [(*as_fraction(c).as_integer_ratio(), {ring.pack(m): 1}, None) for m, c in terms.items()]))
+            [(*as_ratio(c), {ring.pack(m): 1}, None) for m, c in terms.items()]))
 
     def _like(self, terms: dict[int, int], den: int) -> Poly:
         """The polynomial of this ring with the numerators ``terms`` over ``den``
@@ -386,9 +396,9 @@ class Matrix:
                 raise DimensionMismatchError(f"row of length {len(r)} in {d}x{d} matrix")
             for j, a in enumerate(r):
                 if not isinstance(a, Poly):
-                    a = as_fraction(a)
-                    a = _make(self.ring, {0: a.numerator}, a.denominator)
-                elif a.ring != self.ring:
+                    parts.append((*as_ratio(a), {i << 4 | j: 1}, None))
+                    continue
+                if a.ring != self.ring:
                     raise DimensionMismatchError("polynomials from different rings")
                 parts.append((1, a.den, {m << 8 | i << 4 | j: c for m, c in a.terms.items()}, None))
         _in_lowest_terms(self, *_accumulate(parts))

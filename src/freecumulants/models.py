@@ -53,8 +53,15 @@ reduction of the arguments; and ``WordContext._factors``, which holds
 None for the flat-route fallback.
 
 All randomness is drawn from ``random.Random(seed)`` with numerators in
-[-9, 9] and denominators in {1, 2, 3}; drawn values travel in ``to_data``
-payloads so any run can be reproduced from its report alone.
+[-9, 9] and denominators in {1, 2, 3}, read from one table of the 57
+draws, each with its ``Fraction`` and its text; drawn values travel in
+``to_data`` payloads as those texts, so any run can be reproduced from its
+report alone.  A model reads its record straight into integer pairs
+(``as_ratio``) and keeps no ``Fraction`` of it: a ``ClassicalSpec`` keeps
+one integer moment table, a ``ScalarFreeSpec`` its cumulant table and a
+``TensorModel`` its weights as numerators over one denominator, so the
+tensor state phi is summed in integers; ``Fraction`` is built only at the
+boundary (``moment``, ``cumulant``, ``to_data``, ``phi_scalar``).
 """
 
 from __future__ import annotations
@@ -68,7 +75,7 @@ from math import gcd, lcm, prod
 from operator import getitem
 
 from .errors import CapacityError, DimensionMismatchError
-from .exact import MAX_EXPONENT, LinearCombination, Matrix, Poly, PolyRing, _accumulate, as_fraction, combine
+from .exact import MAX_EXPONENT, LinearCombination, Matrix, Poly, PolyRing, _accumulate, as_fraction, as_ratio, combine
 from .partitions import LatticeKind, first_blocks, outer_blocks
 
 DEFAULT_MAX_ORDER = 8
@@ -77,8 +84,22 @@ MAX_CUMULANT_WORDS = 2**16
 _ZERO = Fraction(0)  # the cumulant of every word that mixes families
 
 
+# the 57 draws (a, b), a in -9..9 and b in {1, 2, 3}: _DRAWS[a + 9][b - 1] is (a/b, str(a/b))
+_DRAWS = [[(Fraction(a, b), str(Fraction(a, b))) for b in (1, 2, 3)] for a in range(-9, 10)]
+
+
+def _draw(rng: random.Random) -> tuple[Fraction, str]:
+    return _DRAWS[rng.randint(-9, 9) + 9][rng.choice((1, 2, 3)) - 1]
+
+
 def draw_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
+    """a/b for a drawn from -9..9, then b from {1, 2, 3}."""
+    return _draw(rng)[0]
+
+
+def draw_text(rng: random.Random) -> str:
+    """``str(draw_fraction(rng))``, from the same two draws, as a record writes it."""
+    return _draw(rng)[1]
 
 
 _KINDS = {int: "an integer", str: "a string", list: "a list", (dict, list): "an object or a list"}
@@ -95,6 +116,13 @@ def _field(data, key: str, kind, default=None):
     if not isinstance(value, kind) or isinstance(value, bool):
         raise TypeError(f"model field {key!r} must be {_KINDS[kind]}, got {value!r:.40}")
     return value
+
+
+def _over_one_den(pairs) -> tuple[list[int], int]:
+    """The integer pairs (p, q), q > 0, as numerators over their least common denominator."""
+    pairs = list(pairs)
+    den = lcm(*(q for _, q in pairs))
+    return [p * (den // q) for p, q in pairs], den
 
 
 class _Recorded:
@@ -188,8 +216,19 @@ class ProbabilityContext:
     def sum(self, xs):
         return self.combine((1, x) for x in xs)
 
+    @cached_property
+    def _one(self):
+        """The unit, built once: elements are immutable."""
+        return self.unit()
+
     def embed_scalar(self, c):
-        return self.combine(((c, self.unit()),))
+        """The int or Fraction ``c`` times the unit."""
+        return self.embed_ratio(*c.as_integer_ratio())
+
+    def embed_ratio(self, num: int, den: int):
+        """num/den, for an integer ``den`` > 0, times the unit: its numerators scaled."""
+        one = self._one
+        return one._like({k: num * v for k, v in one.terms.items()}, den * one.den)
 
     def product(self, xs):
         """The product of the factors from the first on; ``unit()`` when there are none."""
@@ -232,31 +271,29 @@ class ClassicalSpec(_Recorded):
     ``moments[v][k-1]`` is E[v^k]; every sequence carries ``max_order``
     entries and any request beyond that raises CapacityError naming the
     variable, so degree overflows surface at the first bad monomial.  The
-    spec keeps E[m] of each packed monomial m that ``_integrate`` meets, as
-    a numerator over ``den``, in ``_moment_cache`` for as long as it lives;
-    a monomial past ``max_order`` leaves no entry.
+    spec keeps the sequences only as one integer table, each read from its
+    record straight into integer pairs: E[v^e] = table[k][e] / table[k][0]
+    for the k-th variable v, so a monomial's expectation is the product of
+    one entry per variable over ``den``, the product of the table[k][0].  It
+    keeps E[m] of each packed monomial m that ``_integrate`` meets, as a
+    numerator over ``den``, in ``_moment_cache`` for as long as it lives; a
+    monomial past ``max_order`` leaves no entry.
     """
 
     def __init__(self, moments: dict[str, tuple], max_order: int = DEFAULT_MAX_ORDER):
         self.max_order = int(max_order)
-        self.moments: dict[str, tuple[Fraction, ...]] = {}
+        self.variables = tuple(moments)
+        self.ring = PolyRing(self.variables)
+        self.table: list[tuple[int, ...]] = []
+        self.den = 1
         for name, seq in moments.items():
-            seq = tuple(as_fraction(m) for m in seq)
+            seq = [as_ratio(m) for m in seq]
             if len(seq) < self.max_order:
                 raise CapacityError(
                     f"variable {name!r} has {len(seq)} moments, needs {self.max_order}"
                 )
-            self.moments[name] = seq[: self.max_order]
-        self.variables = tuple(self.moments)
-        self.ring = PolyRing(self.variables)
-        # integer moment table: E[v^e] = table[k][e] / table[k][0] for the
-        # k-th variable v, so a monomial's expectation is the product of one
-        # entry per variable over ``den``, the product of the table[k][0]
-        self.table: list[tuple[int, ...]] = []
-        self.den = 1
-        for seq in self.moments.values():
-            d = lcm(*(m.denominator for m in seq))
-            self.table.append((d, *(m.numerator * (d // m.denominator) for m in seq)))
+            nums, d = _over_one_den(seq[: self.max_order])
+            self.table.append((d, *nums))
             self.den *= d
         self._moment_cache: dict[int, int] = {}
 
@@ -268,7 +305,7 @@ class ClassicalSpec(_Recorded):
                                 f"the largest exponent a monomial can carry")
         rng = random.Random(seed)
         return {"max_order": max_order, "variables": [
-            {"name": v, "moments": [str(draw_fraction(rng)) for _ in range(max_order)]} for v in variables]}
+            {"name": v, "moments": [draw_text(rng) for _ in range(max_order)]} for v in variables]}
 
     def moment(self, name: str, k: int) -> Fraction:
         if k == 0:
@@ -277,14 +314,15 @@ class ClassicalSpec(_Recorded):
             raise CapacityError(
                 f"moment of order {k} of variable {name!r} exceeds max_order={self.max_order}"
             )
-        return self.moments[name][k - 1]
+        row = self.table[self.ring.index(name)]
+        return Fraction(row[k], row[0])
 
     def to_data(self) -> dict:
         return {
             "max_order": self.max_order,
             "variables": [
-                {"name": v, "moments": [str(m) for m in self.moments[v]]}
-                for v in self.variables
+                {"name": v, "moments": [str(Fraction(m, row[0])) for m in row[1:]]}
+                for v, row in zip(self.variables, self.table)
             ],
         }
 
@@ -576,20 +614,24 @@ class ScalarFreeSpec(_Recorded):
                 if g in self.family_of:
                     raise ValueError(f"generator {g!r} is listed twice")
                 self.family_of[g] = f
-        cumulants = {tuple(w): as_fraction(c) for w, c in cumulants.items()}
-        for word in cumulants:
-            fams = {self.family_of.get(g) for g in word}
-            if len(word) > self.max_order or len(fams) != 1 or None in fams:
+        pairs = {tuple(w): as_ratio(c) for w, c in cumulants.items()}
+        family_of, counts = self.family_of, dict.fromkeys(self.families, 0)
+        for word in pairs:
+            f = family_of.get(word[0]) if word else None
+            if f is None or len(word) > self.max_order or any(family_of.get(g) != f for g in word):
                 raise ValueError(f"cumulant word {' '.join(word)!r} is not a word of one family's "
                                  f"generators of length 1..{self.max_order}")
+            counts[f] += 1
         for f, gens in self.families.items():
-            for k in range(1, self.max_order + 1):
-                for word in itertools.product(gens, repeat=k):
-                    if word not in cumulants:
-                        raise ValueError(f"missing cumulant for word {word}")
+            # the words are distinct, so a family is complete when it has them all
+            if counts[f] != sum(len(gens) ** k for k in range(1, self.max_order + 1)):
+                for k in range(1, self.max_order + 1):
+                    for word in itertools.product(gens, repeat=k):
+                        if word not in pairs:
+                            raise ValueError(f"missing cumulant for word {word}")
         # the one cumulant table: integer numerators over their common denominator
-        self.kappa_den = lcm(*(c.denominator for c in cumulants.values()))
-        self.kappa_num = {w: c.numerator * (self.kappa_den // c.denominator) for w, c in cumulants.items()}
+        nums, self.kappa_den = _over_one_den(pairs.values())
+        self.kappa_num = dict(zip(pairs, nums))
         # the free moments and Boolean cumulants met, through ``tabled``; m(()) = 1
         self.phi_table: dict = {("free-moment", ()): (1, 1)}
 
@@ -604,7 +646,7 @@ class ScalarFreeSpec(_Recorded):
         rng = random.Random(seed)
         return {"max_order": max_order, "families": [
             {"name": f, "generators": list(families[f]),
-             "cumulants": {" ".join(word): str(draw_fraction(rng)) for k in range(1, max_order + 1)
+             "cumulants": {" ".join(word): draw_text(rng) for k in range(1, max_order + 1)
                            for word in itertools.product(families[f], repeat=k)}}
             for f in sorted(families)]}
 
@@ -707,6 +749,18 @@ def _free_boolean(spec: ScalarFreeSpec, word: tuple[str, ...]) -> tuple[int, int
     return num // g, den // g
 
 
+def _moment_sum(spec: ScalarFreeSpec, coefficients) -> tuple[int, int]:
+    """(num, den) of the sum over the (word, int c) ``coefficients`` of c
+    times the word's free moment, one moment per word of nonzero c."""
+    num, common = 0, 1
+    for word, c in coefficients:
+        if c:
+            m_num, m_den = _free_moment(spec, word)
+            lcd = lcm(common, m_den)
+            num, common = num * (lcd // common) + c * m_num * (lcd // m_den), lcd
+    return num, common
+
+
 class ScalarFreeContext(LinearCombinationContext):
     """Linear combinations of words in the free generators; B = C."""
 
@@ -725,9 +779,8 @@ class ScalarFreeContext(LinearCombinationContext):
         return w1 + w2
 
     def phi_scalar(self, x):
-        total, den = _accumulate([(*_free_moment(self.spec, w), {(): c}, None)
-                                  for w, c in x.terms.items()])
-        return Fraction(total.get((), 0), den * x.den)
+        num, den = _moment_sum(self.spec, x.terms.items())
+        return Fraction(num, den * x.den)
 
     def phi_scalar_product(self, xs):
         """phi of the product of the factors ``xs``, never formed: the integer
@@ -740,12 +793,7 @@ class ScalarFreeContext(LinearCombinationContext):
                 for v, d in x.terms.items():
                     folded[w + v] = folded.get(w + v, 0) + c * d
             coefficients, den = folded, den * x.den
-        num, common = 0, 1
-        for word, c in coefficients.items():
-            if c:
-                m_num, m_den = _free_moment(self.spec, word)
-                lcd = lcm(common, m_den)
-                num, common = num * (lcd // common) + c * m_num * (lcd // m_den), lcd
+        num, common = _moment_sum(self.spec, coefficients.items())
         return Fraction(num, common * den)
 
     psi = ProbabilityContext.phi
@@ -1036,7 +1084,8 @@ class TensorModel(_Recorded):
 
     The conditional expectation onto B integrates out the word factor via
     the free moment; the state on B is a weighted point evaluation with
-    rational weights summing to one.
+    rational weights summing to one, kept as the integer numerators
+    ``weight_num`` over their common denominator ``weight_den``.
     """
 
     def __init__(self, scalars: ScalarFreeSpec, weights: tuple[Fraction, ...]):
@@ -1045,10 +1094,11 @@ class TensorModel(_Recorded):
         if len(weights) > MAX_POINTS:
             raise CapacityError(f"a tensor model of {len(weights)} points exceeds MAX_POINTS={MAX_POINTS}")
         self.scalars = scalars
-        self.weights = tuple(as_fraction(w) for w in weights)
-        if sum(self.weights) != 1:
+        nums, self.weight_den = _over_one_den(map(as_ratio, weights))
+        self.weight_num = tuple(nums)
+        if sum(self.weight_num) != self.weight_den:
             raise ValueError("state weights must sum to 1")
-        self.points = len(self.weights)
+        self.points = len(self.weight_num)
 
     @staticmethod
     def random_data(points: int = 2, max_order: int = DEFAULT_MAX_ORDER, seed: int = 0) -> dict:
@@ -1066,11 +1116,12 @@ class TensorModel(_Recorded):
         return {**data, "weights": [str(w / total) for w in raw]}
 
     def state(self, vec: tuple[Fraction, ...]) -> Fraction:
-        return sum((w * v for w, v in zip(self.weights, vec)), Fraction(0))
+        """The weighted point evaluation of the vector ``vec``."""
+        return sum((w * v for w, v in zip(self.weight_num, vec)), Fraction(0)) / self.weight_den
 
     def to_data(self) -> dict:
         data = self.scalars.to_data()
-        data["weights"] = [str(w) for w in self.weights]
+        data["weights"] = [str(Fraction(w, self.weight_den)) for w in self.weight_num]
         return data
 
     @classmethod
@@ -1107,7 +1158,11 @@ class TensorContext(LinearCombinationContext):
                                                for num, den, k, c in moments]))
 
     def phi_scalar(self, x):
-        return self.model.state(self._vector(self.psi(x)))
+        """The state of psi(x), summed in integers: each term (word, k) adds
+        weight k times its coefficient times the word's free moment."""
+        weights, model = self.model.weight_num, self.model
+        num, den = _moment_sum(model.scalars, ((w, weights[k] * c) for (w, k), c in x.terms.items()))
+        return Fraction(num, den * x.den * model.weight_den)
 
     def describe(self, x) -> str:
         return " + ".join(f"{'.'.join(w) or '1'}(x)({', '.join(str(a) for a in self._vector(x, w))})"

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from freecumulants import exact
 from freecumulants.errors import CapacityError, DimensionMismatchError
-from freecumulants.exact import MAX_EXPONENT, Matrix, Poly, PolyRing, as_fraction
+from freecumulants.exact import MAX_EXPONENT, Matrix, Poly, PolyRing, as_fraction, as_ratio
 from freecumulants.engine import Level, free_cumulant
 from freecumulants.models import (ClassicalSpec, FactorizationModel, MatrixContext, MatrixModel, ScalarFreeContext,
                                   ScalarFreeSpec, WordContext, classical_expect, matrix_phi)
@@ -70,6 +70,23 @@ def test_as_fraction_accepts_ints_strings_and_fractions():
     # a zero denominator is malformed data, which the command line reports as such
     with pytest.raises(ValueError, match="zero denominator in '1/0'"):
         as_fraction("1/0")
+
+
+@pytest.mark.parametrize("value", ["2/4", "-0", "007", "-3/6", "5", -12, Fraction(6, -4), "1.5", " 3/4"])
+def test_as_ratio_is_the_lowest_terms_pair_of_fraction(value):
+    # the canonical texts are read with int and gcd, the rest by Fraction
+    assert as_ratio(value) == Fraction(value).as_integer_ratio()
+    assert as_fraction(value) == Fraction(value)
+
+
+@pytest.mark.parametrize("text", ["1/0", "x", ""])
+def test_as_ratio_raises_what_as_fraction_raises(text):
+    errors = []
+    for read in (as_ratio, as_fraction):
+        with pytest.raises(ValueError) as exc:
+            read(text)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1] == str(fraction_or_error(text)[1])
 
 
 def fraction_or_error(s: str):

@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,7 @@ from freecumulants.models import (
     classical_conditional_expect,
     classical_expect,
     draw_fraction,
+    draw_text,
     free_moment,
 )
 from freecumulants.partitions import LatticeKind, Partition, enumerate_partitions
@@ -62,12 +64,53 @@ def in_b(ctx, x) -> bool:
     return all(not letters for letters, _ in x.terms)
 
 
+class Box:
+    """A stand-in generator that draws (a, b) and records the calls made of it."""
+
+    def __init__(self, a, b):
+        self.a, self.b, self.calls = a, b, []
+
+    def randint(self, lo, hi):
+        self.calls.append(("randint", lo, hi))
+        return self.a
+
+    def choice(self, seq):
+        self.calls.append(("choice", seq))
+        return self.b
+
+
 def test_draw_fraction_stays_in_its_box():
     rng = random.Random(5)
     seen = {draw_fraction(rng) for _ in range(300)}
     assert all(-9 <= f <= 9 for f in seen)
     assert all(f.denominator in (1, 2, 3) for f in seen)
     assert random.Random(5).randint(-9, 9) == random.Random(5).randint(-9, 9)
+    # each of the 57 draws, read from the table by the same two calls either way
+    for a in range(-9, 10):
+        for b in (1, 2, 3):
+            for draw, want in ((draw_fraction, F(a, b)), (draw_text, str(F(a, b)))):
+                box = Box(a, b)
+                got = draw(box)
+                assert (got, type(got)) == (want, type(want))
+                assert box.calls == [("randint", -9, 9), ("choice", (1, 2, 3))]
+    one, two = random.Random(5), random.Random(5)
+    assert [str(draw_fraction(one)) for _ in range(300)] == [draw_text(two) for _ in range(300)]
+
+
+def fractions_made(run) -> int:
+    """The number of Fractions constructed while ``run()`` runs."""
+    code, made = Fraction.__new__.__code__, []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            made.append(1)
+
+    sys.setprofile(count)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return len(made)
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +391,29 @@ def test_mixed_family_cumulants_are_declared_zero():
 def test_scalar_free_spec_requires_complete_tables():
     with pytest.raises(ValueError):
         ScalarFreeSpec({"n": ("x",)}, {("x",): F(1)}, max_order=2)
+    # the first missing word in product order is named, whatever the table's order
+    table = {("y", "y"): 1, ("y", "x"): 1, ("x", "x"): 1, ("x",): 1}
+    with pytest.raises(ValueError, match=r"^missing cumulant for word \('y',\)$"):
+        ScalarFreeSpec({"n": ("x", "y")}, table, max_order=2)
+    with pytest.raises(ValueError, match=r"^missing cumulant for word \('x', 'y'\)$"):
+        ScalarFreeSpec({"n": ("x", "y")}, {**table, ("y",): 1}, max_order=2)
+    full = {("a",): 1, ("a", "a"): 1, ("b",): 1, ("b", "b"): 1}
+    families = {"s": ("a",), "t": ("b",)}
+    for word in (("a", "b"), ("a",) * 3, (), ("a", "zz")):
+        why = f"^cumulant word {' '.join(word)!r} is not a word of one family's generators of length 1..2$"
+        with pytest.raises(ValueError, match=why):
+            ScalarFreeSpec(families, {**full, word: "1/2"}, max_order=2)
+    # every value is read before any word is checked
+    with pytest.raises(ValueError, match="Invalid literal for Fraction: 'x'"):
+        ScalarFreeSpec(families, {(): 1, ("a",): "x"}, max_order=2)
+
+
+def test_a_drawn_cumulant_record_is_drawn_and_read_without_a_fraction():
+    # perf gate: the 1,020 values are drawn as texts and read as integer pairs
+    families = {"a": ("a1", "a2"), "b": ("b1", "b2")}
+    specs = []
+    made = fractions_made(lambda: specs.append(ScalarFreeSpec.random(families, max_order=8, seed=3)))
+    assert len(specs[0].kappa_num) == 1020 and made == 0
 
 
 def test_scalar_free_spec_roundtrip_and_compact_form():
@@ -634,7 +700,18 @@ def test_tensor_model_roundtrip():
     model = TensorModel.random(points=3, max_order=3, seed=2)
     again = TensorModel.from_data(model.to_data())
     assert again.to_data() == model.to_data()
-    assert sum(again.weights) == 1
+    assert sum(again.weight_num) == again.weight_den
+
+
+def test_tensor_phi_is_the_state_of_psi_on_drawn_elements():
+    # phi_scalar sums in integers; the state of the vector of psi is its reference
+    for seed in (17, 1312):
+        model = TensorModel.random(points=3, max_order=8, seed=seed)
+        ctx = TensorContext(model)
+        gens = [ctx.simple(("a",), (F(1), F(-2), F(1, 3))), ctx.simple(("a", "a"), (F(0), F(1), F(2)))]
+        bs = [ctx.simple((), (F(2), F(3), F(-1, 2)))]
+        for x in random_elements(ctx, gens, bs, random.Random(f"tensor-phi:{seed}"), 30):
+            assert ctx.phi_scalar(x) == model.state(ctx._vector(ctx.psi(x)))
 
 
 # (model class, random_data arguments but the seed, sha256 prefix of the drawn record's JSON
@@ -747,6 +824,11 @@ def test_combine_equals_a_fraction_reference_on_every_context():
             assert got.den > 0 and 0 not in got.terms.values(), (name, case)
         assert ctx.combine(cases["cancelling"]) == zero, name
         assert ctx.combine([(1, xs[-1])]) == xs[-1], name
+        for c in (0, F(0), 1, -3, F(-2, 3)):
+            embedded = ctx.embed_scalar(c)
+            assert embedded == ctx.combine([(c, ctx.unit())]), (name, c)
+            assert embedded.den > 0 and 0 not in embedded.terms.values(), (name, c)
+        assert ctx.embed_scalar(0).den == 1, name
 
 
 def test_a_product_of_k_factors_multiplies_k_minus_1_times(monkeypatch):
